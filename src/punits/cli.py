@@ -24,31 +24,21 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
-from . import oracle, theory
+from . import theory
 from .oracle import (
+    CHECK_IDS,
     DEFAULT_BUDGET,
     BudgetExceededError,
     VerificationReport,
     plan_checks,
     verify_check,
 )
-from .pgroup import GroupSpec
+from .pgroup import GroupSpec, checked_int, p_valuation
 from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_order
 from .theory import AbelianInvariants, structure_report
-
-_CHECK_SEQUENCE = (
-    "theorem1",
-    "theorem2",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma5",
-    "lemma6",
-    "lemma9",
-)
 
 
 @dataclass(frozen=True)
@@ -71,15 +61,44 @@ class SuiteInstance:
     e: int
     formula_only: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "e", checked_int(self.e, "e", 1))
+        if not isinstance(self.formula_only, bool):
+            raise ValueError(
+                f"formula_only must be true or false, got {self.formula_only!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """A validated suite run.  ``checks`` None means every applicable check;
+    a check listed explicitly must be planned on at least one instance."""
+
     instances: tuple[SuiteInstance, ...]
-    checks: tuple[str, ...] = _CHECK_SEQUENCE
+    checks: Optional[tuple[str, ...]] = None
     budget: int = DEFAULT_BUDGET
     workers: int = 1
     seed: int = 0
     out: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.instances, (list, tuple)) or not self.instances:
+            raise ValueError("suite config lists no instances")
+        object.__setattr__(self, "instances", tuple(self.instances))
+        if self.checks is not None:
+            if not isinstance(self.checks, (list, tuple)) or not self.checks:
+                raise ValueError(
+                    f"checks must be a nonempty list of check ids, got {self.checks!r}"
+                )
+            unknown = [c for c in self.checks if c not in CHECK_IDS]
+            if unknown:
+                raise ValueError(f"unknown check ids: {', '.join(map(repr, unknown))}")
+            object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "budget", checked_int(self.budget, "budget", 1))
+        object.__setattr__(self, "workers", checked_int(self.workers, "workers", 1))
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a file name, got {self.out!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,53 +238,63 @@ def default_suite_config(
     )
 
 
+def _json_fields(raw, what: str, keys: set[str], required: set[str]) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    if raw.keys() - keys:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(raw.keys() - keys))}")
+    if required - raw.keys():
+        raise ValueError(f"{what} lacks {', '.join(sorted(required - raw.keys()))}")
+    return raw
+
+
+def _config_instance(raw) -> SuiteInstance:
+    form = {"group"} if isinstance(raw, dict) and "group" in raw else {"p", "lambda"}
+    item = _json_fields(raw, "suite instance", form | {"e", "formula_only"}, form | {"e"})
+    if "group" in item:
+        group = GroupSpec.from_text(item["group"])
+    else:
+        group = GroupSpec(item["p"], item["lambda"])
+    return SuiteInstance(group, item["e"], item.get("formula_only", False))
+
+
 def load_suite_config(path: str) -> SuiteConfig:
+    """Map a JSON suite config onto SuiteConfig, which validates it."""
     with open(path) as handle:
         raw = json.load(handle)
-    instances = []
-    for item in raw.get("instances", []):
-        if "group" in item:
-            group = GroupSpec.from_text(item["group"])
-        else:
-            group = GroupSpec(item["p"], tuple(item["lambda"]))
-        instances.append(
-            SuiteInstance(
-                group=group,
-                e=int(item["e"]),
-                formula_only=bool(item.get("formula_only", False)),
-            )
-        )
-    if not instances:
-        raise ValueError(f"suite config {path!r} lists no instances")
-    return SuiteConfig(
-        instances=tuple(instances),
-        checks=tuple(raw.get("checks", _CHECK_SEQUENCE)),
-        budget=int(raw.get("budget", DEFAULT_BUDGET)),
-        workers=int(raw.get("workers", 1)),
-        seed=int(raw.get("seed", 0)),
-        out=raw.get("out"),
-    )
+    keys = {f.name for f in fields(SuiteConfig)}
+    raw = _json_fields(raw, "suite config", keys, set())
+    instances = raw.get("instances", [])
+    if not isinstance(instances, list):
+        raise ValueError(f"instances must be a list, got {type(instances).__name__}")
+    return SuiteConfig(**{**raw, "instances": [_config_instance(i) for i in instances]})
 
 
 def run_suite(config: SuiteConfig) -> list[InstanceReport]:
+    """Plan every instance, then run the plans in order.
+
+    Raises ValueError, before any check runs, when a check listed
+    explicitly in ``config.checks`` is planned on no instance.
+    """
+    enabled = None if config.checks is None else set(config.checks)
+    rings = [
+        None if inst.formula_only else RingSpec(inst.group, inst.e)
+        for inst in config.instances
+    ]
+    plans = [
+        [] if rs is None else plan_checks(rs, enabled, config.budget) for rs in rings
+    ]
+    missing = (enabled or set()) - {check for plan in plans for check, _ in plan}
+    if missing:
+        raise ValueError(
+            f"checks not applicable to any instance (or over budget): "
+            f"{', '.join(sorted(missing))}"
+        )
+    opts = {"budget": config.budget, "seed": config.seed, "workers": config.workers}
     reports = []
-    enabled = set(config.checks)
-    for inst in config.instances:
+    for inst, rs, plan in zip(config.instances, rings, plans):
         rep = structure_report(inst.group, inst.e)
-        checks = []
-        if not inst.formula_only:
-            rs = RingSpec(inst.group, inst.e)
-            for check, params in plan_checks(rs, enabled, config.budget):
-                checks.append(
-                    verify_check(
-                        check,
-                        rs,
-                        params,
-                        budget=config.budget,
-                        seed=config.seed,
-                        workers=config.workers,
-                    )
-                )
+        checks = [verify_check(check, rs, params, **opts) for check, params in plan]
         reports.append(
             InstanceReport(
                 group=inst.group,
@@ -365,66 +394,30 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    group = _parse_group(args)
-    rs = RingSpec(group, args.e)
-    enabled = None
-    if args.checks:
-        enabled = set(args.checks.split(","))
-        unknown = enabled - set(oracle.CHECK_IDS)
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    plans = plan_checks(rs, enabled, args.budget)
-    if enabled:
-        planned = {c for c, _ in plans}
-        missing = enabled - planned
-        if missing:
-            raise ValueError(
-                f"checks not applicable to this instance (or over budget): "
-                f"{', '.join(sorted(missing))}"
-            )
-    rep = structure_report(group, args.e)
-    checks = tuple(
-        verify_check(
-            check, rs, params, budget=args.budget, seed=args.seed, workers=args.workers
-        )
-        for check, params in plans
+    config = SuiteConfig(
+        instances=(SuiteInstance(_parse_group(args), args.e),),
+        checks=None if args.checks is None else tuple(args.checks.split(",")),
+        budget=args.budget,
+        workers=args.workers,
+        seed=args.seed,
+        out=args.out,
     )
-    instance = InstanceReport(
-        group=group,
-        e=args.e,
-        v_order_exp=rep.v_order_exp,
-        invariants=rep.v_invariants,
-        checks=checks,
-    )
-    payload = emit_report([instance], "json")
-    if args.out:
-        _write_atomic(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write(emit_report([instance], "text"))
-    return 0 if instance.all_pass() else 1
+    reports = run_suite(config)
+    payload = emit_report(reports, "json")
+    if config.out:
+        _write_atomic(config.out, payload)
+    sys.stdout.write(payload if args.format == "json" else emit_report(reports, "text"))
+    return 0 if reports[0].all_pass() else 1
 
 
 def _cmd_suite(args) -> int:
-    if args.config:
-        config = load_suite_config(args.config)
-    else:
-        config = default_suite_config()
-    overrides = {}
-    for name in ("budget", "workers", "seed", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = SuiteConfig(
-            instances=config.instances,
-            checks=config.checks,
-            budget=overrides.get("budget", config.budget),
-            workers=overrides.get("workers", config.workers),
-            seed=overrides.get("seed", config.seed),
-            out=overrides.get("out", config.out),
-        )
+    config = load_suite_config(args.config) if args.config else default_suite_config()
+    overrides = {
+        name: getattr(args, name)
+        for name in ("budget", "workers", "seed", "out")
+        if getattr(args, name) is not None
+    }
+    config = replace(config, **overrides)
     reports = run_suite(config)
     payload = emit_report(reports, "json")
     if config.out:
@@ -449,9 +442,7 @@ def _cmd_order(args) -> int:
         raise ValueError("element is not a normalized unit (augmentation != 1)")
     order = unit_order(element)
     if args.format == "json":
-        exp = 0
-        while group.p ** exp != order:
-            exp += 1
+        exp = p_valuation(order, group.p)
         sys.stdout.write(_dump_json({"order": {"base": group.p, "exp": exp}}))
     else:
         print(order)

@@ -25,12 +25,13 @@ from . import theory
 from .pgroup import (
     GroupSpec,
     element_index,
-    element_order,
     element_pow,
     enumerate_elements,
+    p_valuation,
     product_index_table,
+    socle_elements,
 )
-from .ring import RingElement, RingSpec, from_group_element, one
+from .ring import RingElement, RingSpec, _order_exp_bound, from_group_element, one
 from .zpelin import (
     ResidueMatrix,
     howell_form,
@@ -90,14 +91,20 @@ def _identity_row(rs: RingSpec) -> np.ndarray:
     return row
 
 
+def _mixed_radix(idx: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """Write the base-q digits of each index into a row of out, most
+    significant first."""
+    for j in range(out.shape[1] - 1, -1, -1):
+        out[:, j] = idx % q
+        idx = idx // q
+    return out
+
+
 def _unit_block(rs: RingSpec, lo: int, hi: int) -> np.ndarray:
     """Units with enumeration indices in [lo, hi), one per row."""
     q, n = rs.modulus, rs.size
-    idx = np.arange(lo, hi, dtype=np.int64)
     out = np.empty((hi - lo, n), dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        out[:, j] = idx % q
-        idx = idx // q
+    _mixed_radix(np.arange(lo, hi, dtype=np.int64), q, out[:, : n - 1])
     out[:, n - 1] = (1 - out[:, : n - 1].sum(axis=1)) % q
     return out
 
@@ -154,11 +161,6 @@ def _batch_order_exps(
     return orders
 
 
-def _order_exp_cap(rs: RingSpec) -> int:
-    # exp(V) divides p^{n+e-1}; slack so bugs surface as errors.
-    return rs.group.exponent_exp + rs.e + 2
-
-
 def _blocks(total: int, block_size: int):
     return [(lo, min(lo + block_size, total)) for lo in range(0, total, block_size)]
 
@@ -168,6 +170,21 @@ def _map_blocks(fn: Callable, blocks, workers: int) -> list:
         return [fn(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, blocks))
+
+
+def _scan_units(
+    rs: RingSpec, count: Callable, *, budget: int, workers: int, block_size: int = _BLOCK
+) -> list[int]:
+    """Sum of count(units) over all of V, one enumeration block at a time.
+
+    count maps a block of units (one per row) to a fixed-length sequence of
+    counts.  Blocks may run on worker threads; addition merges them exactly
+    in any order, so the result does not depend on ``workers``.
+    """
+    _require_budget(rs, budget)
+    blocks = _blocks(unit_count(rs), block_size)
+    parts = _map_blocks(lambda b: count(_unit_block(rs, *b)), blocks, workers)
+    return np.sum(parts, axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +219,22 @@ def order_histogram(
     block_size: int = _BLOCK,
 ) -> OrderHistogram:
     """Exact-order census of V, by exhaustive block enumeration."""
-    _require_budget(rs, budget)
-    total = unit_count(rs)
-    cap = _order_exp_cap(rs)
+    cap = _order_exp_bound(rs)
 
-    def census(block) -> np.ndarray:
-        lo, hi = block
-        exps = _batch_order_exps(rs, _unit_block(rs, lo, hi), cap)
+    def census(units) -> np.ndarray:
+        exps = _batch_order_exps(rs, units, cap)
         if (exps < 0).any():
             raise ArithmeticError("unit order exceeded the p-torsion bound")
         return np.bincount(exps, minlength=cap + 1)
 
-    parts = _map_blocks(census, _blocks(total, block_size), workers)
-    merged = np.sum(parts, axis=0)
-    return OrderHistogram(tuple((k, int(c)) for k, c in enumerate(merged) if c))
+    merged = _scan_units(rs, census, budget=budget, workers=workers, block_size=block_size)
+    return OrderHistogram(tuple(enumerate(merged)))
 
 
 def _exact_p_log(n: int, p: int) -> int:
-    t = 0
-    while n % p == 0:
-        n //= p
-        t += 1
-    if n != 1:
-        raise ValueError(f"{n * p ** t} is not a power of {p}")
+    t = p_valuation(n, p)
+    if n != p ** t:
+        raise ValueError(f"{n} is not a power of {p}")
     return t
 
 
@@ -303,15 +313,6 @@ def _howell_membership_rows(H: ResidueMatrix, vecs: np.ndarray) -> np.ndarray:
     return (v == 0).all(axis=1)
 
 
-def _socle_indices(group: GroupSpec) -> list[int]:
-    p = group.p
-    return [
-        element_index(group, g)
-        for g in enumerate_elements(group)
-        if element_order(group, g) in (1, p)
-    ]
-
-
 def _check_theorem2(rs, params, *, budget, seed, workers):
     hist = order_histogram(rs, budget=budget, workers=workers)
     observed = invariants_from_histogram(hist, rs.p)
@@ -323,33 +324,20 @@ def _check_theorem2(rs, params, *, budget, seed, workers):
 
 
 def _check_theorem1(rs, params, *, budget, seed, workers):
-    if rs.e < 2:
-        raise ValueError("theorem1 check requires e >= 2")
-    _require_budget(rs, budget)
     tbl, q, p = _table(rs), rs.modulus, rs.p
     q1 = p ** (rs.e - 1)
-    socle_rows = []
-    for gi in _socle_indices(rs.group):
-        row = np.zeros(rs.size, dtype=np.int64)
-        row[gi] = 1
-        socle_rows.append(row)
+    socle = [element_index(rs.group, g) for g in socle_elements(rs.group)]
+    socle_rows = np.eye(rs.size, dtype=np.int64)[socle]
 
-    count = 0
-    bad = 0
-
-    def scan(block):
-        lo, hi = block
-        units = _unit_block(rs, lo, hi)
+    def scan(units):
         torsion = _rows_equal(_batch_pow(tbl, q, units, p), _identity_row(rs))
         sub = units[torsion] % q1
         ok = np.zeros(len(sub), dtype=bool)
         for row in socle_rows:
             ok |= _rows_equal(sub, row)
-        return int(torsion.sum()), int((~ok).sum())
+        return torsion.sum(), (~ok).sum()
 
-    for c, b in _map_blocks(scan, _blocks(unit_count(rs), _BLOCK), workers):
-        count += c
-        bad += b
+    count, bad = _scan_units(rs, scan, budget=budget, workers=workers)
 
     predicted = {
         "order_dividing_p": rs.p ** theory.v_p_torsion_exp(rs.group, rs.e),
@@ -360,27 +348,17 @@ def _check_theorem1(rs, params, *, budget, seed, workers):
 
 
 def _check_lemma6(rs, params, *, budget, seed, workers):
-    if rs.e < 2:
-        raise ValueError("lemma6 check requires e >= 2")
-    _require_budget(rs, budget)
     tbl, q, p = _table(rs), rs.modulus, rs.p
     q1 = p ** (rs.e - 1)
     ident = _identity_row(rs)
 
-    kernel = 0
-    violations = 0
-
-    def scan(block):
-        lo, hi = block
-        units = _unit_block(rs, lo, hi)
+    def scan(units):
         in_kernel = _rows_equal(units % q1, ident)
         ker = units[in_kernel]
         not_torsion = ~_rows_equal(_batch_pow(tbl, q, ker, p), ident)
-        return int(in_kernel.sum()), int(not_torsion.sum())
+        return in_kernel.sum(), not_torsion.sum()
 
-    for k, v in _map_blocks(scan, _blocks(unit_count(rs), _BLOCK), workers):
-        kernel += k
-        violations += v
+    kernel, violations = _scan_units(rs, scan, budget=budget, workers=workers)
 
     predicted = {"kernel_size": p ** (rs.size - 1), "order_p_violations": 0}
     observed = {"kernel_size": kernel, "order_p_violations": violations}
@@ -388,27 +366,17 @@ def _check_lemma6(rs, params, *, budget, seed, workers):
 
 
 def _check_lemma4(rs, params, *, budget, seed, workers):
-    if rs.e != 1:
-        raise ValueError("lemma4 check requires e = 1")
-    _require_budget(rs, budget)
     tbl, q, p = _table(rs), rs.modulus, rs.p
     ident = _identity_row(rs)
     H = howell_form(socle_ideal_generators(rs))
 
-    count = 0
-    outside = 0
-
-    def scan(block):
-        lo, hi = block
-        units = _unit_block(rs, lo, hi)
+    def scan(units):
         torsion = _rows_equal(_batch_pow(tbl, q, units, p), ident)
         vecs = (units[torsion] - ident) % q
         inside = _howell_membership_rows(H, vecs)
-        return int(torsion.sum()), int((~inside).sum())
+        return torsion.sum(), (~inside).sum()
 
-    for c, b in _map_blocks(scan, _blocks(unit_count(rs), _BLOCK), workers):
-        count += c
-        outside += b
+    count, outside = _scan_units(rs, scan, budget=budget, workers=workers)
 
     predicted = {"unit_count": p ** module_size_exp(H), "outside_ideal": 0}
     observed = {"unit_count": count, "outside_ideal": outside}
@@ -416,7 +384,6 @@ def _check_lemma4(rs, params, *, budget, seed, workers):
 
 
 def _check_lemma5(rs, params, *, budget, seed, workers):
-    _require_budget(rs, budget)
     q, p = rs.modulus, rs.p
     ident = _identity_row(rs)
 
@@ -432,16 +399,11 @@ def _check_lemma5(rs, params, *, budget, seed, workers):
         n += 1
     nu = len(forms)  # least n with w^n = 0
 
-    totals = [0] * nu
+    def scan(units):
+        vecs = (units - ident) % q
+        return [_howell_membership_rows(H, vecs).sum() for H in forms]
 
-    def scan(block):
-        lo, hi = block
-        vecs = (_unit_block(rs, lo, hi) - ident) % q
-        return [int(_howell_membership_rows(H, vecs).sum()) for H in forms]
-
-    for part in _map_blocks(scan, _blocks(unit_count(rs), _BLOCK), workers):
-        for i, c in enumerate(part):
-            totals[i] += c
+    totals = _scan_units(rs, scan, budget=budget, workers=workers)
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:
@@ -510,13 +472,8 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
     """All nonzero y for small instances, else 1000 seeded random ones."""
     q, n = rs.modulus, rs.size
     if rs.size <= 4 and rs.e <= 3:
-        total = q ** n
-        idx = np.arange(1, total, dtype=np.int64)
-        ys = np.empty((total - 1, n), dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            ys[:, j] = idx % q
-            idx = idx // q
-        return ys
+        ys = np.empty((q ** n - 1, n), dtype=np.int64)
+        return _mixed_radix(np.arange(1, q ** n, dtype=np.int64), q, ys)
     rng = np.random.default_rng(seed)
     ys = rng.integers(0, q, size=(1000, n), dtype=np.int64)
     while True:
@@ -526,13 +483,28 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
         ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
 
 
+def _lemma9_units(rs: RingSpec, d: int, seed: int):
+    """(ys, exceptional, measured) for the units 1 + p^d y.
+
+    ``exceptional`` marks the rows where the closed form is silent (p = 2,
+    d = 1, and both y and y^2 have an odd coefficient); ``measured`` holds
+    each unit's order exponent, or -1 when it exceeds p^{e-d}.
+    """
+    p, q = rs.p, rs.modulus
+    ys = _lemma9_candidates(rs, seed)
+    exceptional = np.zeros(len(ys), dtype=bool)
+    if p == 2 and d == 1:
+        odd_square = (_batch_mul(_table(rs), q, ys, ys) % 2 == 1).any(axis=1)
+        exceptional = odd_square & (ys % 2 == 1).any(axis=1)
+    units = (p ** d) * ys % q
+    units[:, 0] = (units[:, 0] + 1) % q
+    return ys, exceptional, _batch_order_exps(rs, units, rs.e - d)
+
+
 def _check_lemma9(rs, params, *, budget, seed, workers):
     d = int(params["d"])
-    p, e, q = rs.p, rs.e, rs.modulus
-    if not 1 <= d < e:
-        raise ValueError(f"lemma9 check requires 1 <= d < e, got d={d}")
-    tbl = _table(rs)
-    ys = _lemma9_candidates(rs, seed)
+    p, e = rs.p, rs.e
+    ys, exceptional, measured = _lemma9_units(rs, d, seed)
 
     # Minimal coefficient valuation per row (valuation of 0 taken as e).
     val = np.zeros_like(ys)
@@ -546,17 +518,7 @@ def _check_lemma9(rs, params, *, budget, seed, workers):
         val[div] += 1
         rem[div] //= p
     s = val.min(axis=1)
-
-    if p == 2 and d == 1:
-        ysq = _batch_mul(tbl, q, ys, ys)
-        exceptional = (s == 0) & (ysq % 2 == 1).any(axis=1)
-    else:
-        exceptional = np.zeros(len(ys), dtype=bool)
-
     predicted_exp = np.maximum(e - d - s, 0)
-    units = (p ** d) * ys % q
-    units[:, 0] = (units[:, 0] + 1) % q
-    measured = _batch_order_exps(rs, units, e - d)
 
     bound_violations = int((measured < 0).sum())
     mismatches = int(
@@ -584,37 +546,73 @@ def lemma9_exceptional_census(
     form is asserted, and the distribution is empty whenever the
     exceptional condition cannot occur.
     """
-    p, e, q = rs.p, rs.e, rs.modulus
-    if not 1 <= d < e:
-        raise ValueError(f"census requires 1 <= d < e, got d={d}")
-    if p != 2 or d != 1:
-        return OrderHistogram(())
-    tbl = _table(rs)
-    ys = _lemma9_candidates(rs, seed)
-    odd_square = (_batch_mul(tbl, q, ys, ys) % 2 == 1).any(axis=1)
-    ys = ys[odd_square & (ys % 2 == 1).any(axis=1)]
-    units = (p ** d) * ys % q
-    units[:, 0] = (units[:, 0] + 1) % q
-    measured = _batch_order_exps(rs, units, e - d)
+    CHECKS["lemma9"].require(rs, {"d": d})
+    _, exceptional, measured = _lemma9_units(rs, d, seed)
+    measured = measured[exceptional]
     if (measured < 0).any():
         raise ArithmeticError("exceptional unit order exceeded p^{e-d}")
-    return OrderHistogram(
-        tuple((int(k), int(c)) for k, c in zip(*np.unique(measured, return_counts=True)))
+    return OrderHistogram(tuple(zip(*np.unique(measured, return_counts=True))))
+
+
+# ---------------------------------------------------------------------------
+# The check registry: the one statement of what each check needs.
+
+
+@dataclass(frozen=True)
+class Check:
+    """A verification check and the instances it applies to.
+
+    ``requires`` is the mathematical precondition on (ring, params), which
+    verify_check enforces; ``requirement`` states it.  The planner adds two
+    limits: an enumerative check scans all of V, so |V| must fit the
+    budget, and ``cap`` = (max |G|, max e) keeps the plan desk-scale.  A
+    check with a ``param`` is planned once per value in ``param_range(rs)``.
+    """
+
+    id: str
+    run: Callable
+    enumerative: bool
+    requires: Callable[[RingSpec, dict], bool] = lambda rs, params: True
+    requirement: str = ""
+    cap: Optional[tuple[int, int]] = None
+    param: Optional[str] = None
+    param_range: Callable[[RingSpec], range] = lambda rs: range(0)
+
+    def require(self, rs: RingSpec, params: dict) -> None:
+        if not self.requires(rs, params):
+            got = ", ".join(f"{k}={v}" for k, v in {"e": rs.e, **params}.items())
+            raise ValueError(f"{self.id} check requires {self.requirement}; got {got}")
+
+    def plans(self, rs: RingSpec) -> list[Optional[dict]]:
+        if self.cap and not (rs.size <= self.cap[0] and rs.e <= self.cap[1]):
+            return []
+        if self.param is None:
+            return [None] if self.requires(rs, {}) else []
+        return [{self.param: v} for v in self.param_range(rs)]
+
+
+# In report order: plan_checks lists the checks in this order.
+CHECKS: dict[str, Check] = {
+    c.id: c
+    for c in (
+        Check("theorem1", _check_theorem1, enumerative=True,
+              requires=lambda rs, _: rs.e >= 2, requirement="e >= 2"),
+        Check("theorem2", _check_theorem2, enumerative=True),
+        Check("lemma2", _check_lemma2, enumerative=False),
+        Check("lemma3", _check_lemma3, enumerative=False, cap=(16, 3), param="n",
+              param_range=lambda rs: range(1, nilpotency_index(rs) + 1)),
+        Check("lemma4", _check_lemma4, enumerative=True,
+              requires=lambda rs, _: rs.e == 1, requirement="e = 1"),
+        Check("lemma5", _check_lemma5, enumerative=True, cap=(8, 2)),
+        Check("lemma6", _check_lemma6, enumerative=True,
+              requires=lambda rs, _: rs.e >= 2, requirement="e >= 2"),
+        Check("lemma9", _check_lemma9, enumerative=False,
+              requires=lambda rs, params: 1 <= params["d"] < rs.e,
+              requirement="1 <= d < e", param="d", param_range=lambda rs: range(1, rs.e)),
     )
-
-
-_CHECKS: dict[str, Callable] = {
-    "theorem1": _check_theorem1,
-    "theorem2": _check_theorem2,
-    "lemma2": _check_lemma2,
-    "lemma3": _check_lemma3,
-    "lemma4": _check_lemma4,
-    "lemma5": _check_lemma5,
-    "lemma6": _check_lemma6,
-    "lemma9": _check_lemma9,
 }
 
-CHECK_IDS = tuple(sorted(_CHECKS))
+CHECK_IDS = tuple(sorted(CHECKS))
 
 
 def _format_check_id(check: str, params: Optional[dict]) -> str:
@@ -639,12 +637,13 @@ def verify_check(
     workers: int = 1,
 ) -> VerificationReport:
     """Run one named check; verdict is exact predicted == observed."""
-    fn = _CHECKS.get(check)
-    if fn is None:
+    spec = CHECKS.get(check)
+    if spec is None:
         raise ValueError(f"unknown check id {check!r}; known: {', '.join(CHECK_IDS)}")
+    spec.require(rs, params or {})
     derived = _derive_seed(seed, check, rs, params)
     start = time.perf_counter()
-    predicted, observed = fn(
+    predicted, observed = spec.run(
         rs, params or {}, budget=budget, seed=derived, workers=workers
     )
     elapsed = time.perf_counter() - start
@@ -665,35 +664,15 @@ def plan_checks(
     enabled: Optional[set[str]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[str, Optional[dict]]]:
-    """Applicable (check, params) pairs for an instance, in canonical order.
+    """Applicable (check, params) pairs for an instance, in report order.
 
     Checks that enumerate V are planned only when |V| fits the budget;
     the formula-driven checks (lemma2, lemma3, lemma9) have no such limit.
     """
-    group, e = rs.group, rs.e
-    order = group.order()
     within = unit_count(rs) <= budget
-
-    def want(name: str) -> bool:
-        return enabled is None or name in enabled
-
-    plans: list[tuple[str, Optional[dict]]] = []
-    if want("theorem1") and e >= 2 and within:
-        plans.append(("theorem1", None))
-    if want("theorem2") and within:
-        plans.append(("theorem2", None))
-    if want("lemma2"):
-        plans.append(("lemma2", None))
-    if want("lemma3") and order <= 16 and e <= 3:
-        for n in range(1, nilpotency_index(rs) + 1):
-            plans.append(("lemma3", {"n": n}))
-    if want("lemma4") and e == 1 and within:
-        plans.append(("lemma4", None))
-    if want("lemma5") and order <= 8 and e <= 2 and within:
-        plans.append(("lemma5", None))
-    if want("lemma6") and e >= 2 and within:
-        plans.append(("lemma6", None))
-    if want("lemma9") and e >= 2:
-        for d in range(1, e):
-            plans.append(("lemma9", {"d": d}))
-    return plans
+    return [
+        (c.id, params)
+        for c in CHECKS.values()
+        if (enabled is None or c.id in enabled) and (within or not c.enumerative)
+        for params in c.plans(rs)
+    ]

@@ -14,9 +14,10 @@ magnitudes are materialized only below :data:`GROUP_ORDER_CAP`.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 GroupElement = tuple[int, ...]
 
@@ -43,6 +44,17 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def checked_int(value, name: str, minimum: Optional[int] = None) -> int:
+    """value as an int; bools, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def p_valuation(m: int, p: int) -> int:
@@ -73,14 +85,14 @@ class GroupSpec:
     lambdas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = int(self.p)
+        p = checked_int(self.p, "p")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        lams = tuple(sorted((int(l) for l in self.lambdas), reverse=True))
-        if not lams:
-            raise ValueError("lambdas must be nonempty")
-        if lams[-1] < 1:
-            raise ValueError(f"cyclic factor exponents must be >= 1, got {lams}")
+        if not isinstance(self.lambdas, (list, tuple)) or not self.lambdas:
+            raise ValueError(f"lambda must be a nonempty list, got {self.lambdas!r}")
+        lams = tuple(
+            sorted((checked_int(l, "lambda", 1) for l in self.lambdas), reverse=True)
+        )
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lambdas", lams)
 
@@ -120,10 +132,10 @@ class GroupSpec:
     @classmethod
     def from_text(cls, text: str) -> "GroupSpec":
         """Parse ``p=<prime>;lambda=<comma-list>``."""
-        fields = dict(
-            part.split("=", 1) for part in text.strip().split(";") if part
-        )
+        if not isinstance(text, str):
+            raise ValueError(f"group spec text must be a string, got {text!r}")
         try:
+            fields = dict(part.split("=", 1) for part in text.strip().split(";") if part)
             p = int(fields["p"])
             lams = tuple(int(x) for x in fields["lambda"].split(","))
         except (KeyError, ValueError) as exc:
@@ -187,6 +199,15 @@ def element_order(spec: GroupSpec, g: GroupElement) -> int:
         if a:
             t = max(t, l - p_valuation(a, p))
     return p ** t
+
+
+def socle_elements(spec: GroupSpec) -> list[GroupElement]:
+    """G[p], the elements of order dividing p, in enumeration order.
+
+    >>> socle_elements(GroupSpec(2, (2,)))
+    [(0,), (2,)]
+    """
+    return [g for g in enumerate_elements(spec) if element_order(spec, g) <= spec.p]
 
 
 def enumerate_elements(spec: GroupSpec) -> Iterator[GroupElement]:

@@ -19,6 +19,7 @@ from typing import Optional
 from .pgroup import (
     GroupElement,
     GroupSpec,
+    checked_int,
     element_index,
     is_prime,
     p_valuation,
@@ -38,10 +39,10 @@ class RingSpec:
     e: int
 
     def __post_init__(self) -> None:
-        e = int(self.e)
-        if e < 1:
-            raise ValueError(f"e must be >= 1, got {e}")
-        if self.group.p ** e > RING_CHAR_CAP:
+        e = checked_int(self.e, "e", 1)
+        # p >= 2, so any e past the cap's bit length is over the cap; testing
+        # that first keeps a huge e from being raised to a power.
+        if e >= RING_CHAR_CAP.bit_length() or self.group.p ** e > RING_CHAR_CAP:
             raise ValueError(
                 f"characteristic {self.group.p}^{e} exceeds cap {RING_CHAR_CAP}"
             )
@@ -147,12 +148,9 @@ class RingElement:
 
     @classmethod
     def from_text(cls, text: str) -> "RingElement":
-        fields = dict(
-            part.split("=", 1) for part in text.strip().split(";") if part
-        )
         try:
-            group = GroupSpec(int(fields["p"]), tuple(int(x) for x in fields["lambda"].split(",")))
-            spec = RingSpec(group, int(fields["e"]))
+            fields = dict(part.split("=", 1) for part in text.strip().split(";") if part)
+            spec = RingSpec(GroupSpec.from_text(text), int(fields["e"]))
             coeffs = tuple(int(x) for x in fields["coeffs"].split(","))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed ring element text: {text!r}") from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .pgroup import enumerate_elements, identity
+from .pgroup import enumerate_elements, identity, socle_elements
 from .ring import RingSpec, from_group_element, one, p_valuation
 
 
@@ -193,15 +193,9 @@ def nilpotency_index(rs: RingSpec) -> int:
 def socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
     """Spanning set of the ideal generated by {h - 1 : h in G[p]}."""
     group = rs.group
-    p = group.p
-    socle = [
-        g
-        for g in enumerate_elements(group)
-        if all((p * a) % r == 0 for a, r in zip(g, group.radices))
-    ]
     rows = []
     ident = identity(group)
-    for h in socle:
+    for h in socle_elements(group):
         if h == ident:
             continue
         diff = from_group_element(rs, h) - one(rs)

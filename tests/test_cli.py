@@ -280,3 +280,70 @@ class TestSuiteCommand:
         assert (3, (1,), 6) in seen
         assert (5, (1,), 3) in seen
         assert (5, (1,), 4) not in seen
+
+
+_ONE = {"p": 2, "lambda": [1], "e": 2}
+
+
+class TestMalformedInput:
+    """Every malformed suite config or flag is exit 2 with one error line:
+    never a traceback, exit 1 or a vacuous all_pass."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"instances": [_ONE], "checks": ["theorm2"]},
+            {"instances": [_ONE], "checks": "theorem2"},
+            {"instances": [_ONE], "checks": []},
+            {"instances": [{**_ONE, "formula_only": "false"}]},
+            {"instances": [{"p": 2, "e": 2}]},
+            [_ONE],
+            {"instances": [{**_ONE, "e": 2.9}]},
+            {"instances": [_ONE], "chekcs": ["theorem2"]},
+            {"instances": [_ONE], "budget": -5},
+            {"instances": [_ONE], "workers": 0},
+            {"instances": [{**_ONE, "e": 1}], "checks": ["theorem1"]},
+            {"instances": [{"p": 3, "lambda": [1], "e": 2}], "checks": ["theorem2"], "budget": 80},
+            {"instances": [{**_ONE, "formula_only": True}], "checks": ["lemma2"]},
+            {"instances": {"p": 2}},
+            {"instances": [3]},
+            {"instances": [{**_ONE, "lambda": 1}]},
+            {"instances": [{**_ONE, "p": "2"}]},
+            {"instances": [{"group": 5, "e": 1}]},
+            {"instances": [{"group": "p=2;lambda=1", "p": 2, "e": 1}]},
+            {"instances": [_ONE], "seed": "0"},
+            {"instances": [_ONE], "out": 5},
+        ],
+    )
+    def test_suite_config(self, capsys, tmp_path, config):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "suite", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("suite", "--workers", "-3"),
+            ("suite", "--budget", "0"),
+            ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--budget", "-5"),
+            ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--workers", "0"),
+            ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--checks", ""),
+            ("verify", "--p", "2", "--lambda", "1", "--e", str(10 ** 12)),
+        ],
+    )
+    def test_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_explicit_check_needs_only_one_instance(self, capsys, tmp_path):
+        # theorem1 plans on the e = 2 instance, so the e = 1 one is no error
+        path = tmp_path / "suite.json"
+        path.write_text(
+            json.dumps({"instances": [_ONE, {**_ONE, "e": 1}], "checks": ["theorem1"]})
+        )
+        code, out, _ = run(capsys, "suite", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["summary"]["total_checks"] == 1

@@ -42,8 +42,14 @@ print("=" * 72)
 print("Exponent-only arithmetic keeps huge instances exact")
 print("=" * 72)
 print()
-group = GroupSpec(2, (3, 2, 1))
-rep = structure_report(group, 40)
-print(f"  G = {group.to_text()}, e = 40")
+print("G = C_{2^64} x C_{2^64} has |G| = 2^128 elements, far past anything")
+print("that could be enumerated; the closed forms only need its agemo chain.")
+print()
+group = GroupSpec(2, (64, 64))
+rep = structure_report(group, 9)
+print(f"  G = {group.to_text()}, e = 9")
 print(f"  |V| = 2^{rep.v_order_exp}  (never materialized)")
-print(f"  V ≅ {rep.v_invariants.describe(2)}")
+print(f"  l = {rep.l} copies of C_{{2^8}}")
+inv = rep.v_invariants
+print(f"  V has {inv.p_rank()} cyclic factors of {len(inv.entries)} distinct orders,")
+print(f"  from C_{{2^{inv.entries[0][0]}}} up to C_{{2^{inv.exponent_exp()}}}")

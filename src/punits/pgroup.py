@@ -132,15 +132,25 @@ class GroupSpec:
     @classmethod
     def from_text(cls, text: str) -> "GroupSpec":
         """Parse ``p=<prime>;lambda=<comma-list>``."""
-        if not isinstance(text, str):
-            raise ValueError(f"group spec text must be a string, got {text!r}")
         try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(";") if part)
+            fields = text_fields(text, ("p", "lambda"))
             p = int(fields["p"])
             lams = tuple(int(x) for x in fields["lambda"].split(","))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed group spec text: {text!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"malformed group spec text {text!r}: {exc}") from exc
         return cls(p, lams)
+
+
+def text_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The fields of a ``key=value;...`` text, which has each of keys once
+    and no other key."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a string, got {text!r}")
+    parts = [part.split("=", 1) for part in text.strip().split(";") if part]
+    fields = dict(parts)  # a part without "=" is a ValueError here
+    if len(fields) != len(parts) or fields.keys() != set(keys):
+        raise ValueError(f"expected the keys {', '.join(keys)}, each once")
+    return fields
 
 
 def agemo_order_exp(spec: GroupSpec, i: int) -> int:
@@ -178,10 +188,6 @@ def element(spec: GroupSpec, exponents) -> GroupElement:
 
 def element_mul(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     return tuple((a + b) % r for a, b, r in zip(g, h, spec.radices))
-
-
-def element_inv(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    return tuple((-a) % r for a, r in zip(g, spec.radices))
 
 
 def element_pow(spec: GroupSpec, g: GroupElement, m: int) -> GroupElement:

@@ -24,6 +24,7 @@ from .pgroup import (
     is_prime,
     p_valuation,
     product_index_table,
+    text_fields,
 )
 
 # p^e must stay below 2^31 so that a product of two residues fits in a
@@ -149,11 +150,12 @@ class RingElement:
     @classmethod
     def from_text(cls, text: str) -> "RingElement":
         try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(";") if part)
-            spec = RingSpec(GroupSpec.from_text(text), int(fields["e"]))
+            fields = text_fields(text, ("p", "lambda", "e", "coeffs"))
+            group = GroupSpec.from_text(f"p={fields['p']};lambda={fields['lambda']}")
+            spec = RingSpec(group, int(fields["e"]))
             coeffs = tuple(int(x) for x in fields["coeffs"].split(","))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed ring element text: {text!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"malformed ring element text {text!r}: {exc}") from exc
         return cls(spec, coeffs)
 
 
@@ -164,12 +166,6 @@ def zero(spec: RingSpec) -> RingElement:
 def one(spec: RingSpec) -> RingElement:
     coeffs = [0] * spec.size
     coeffs[0] = 1
-    return RingElement(spec, tuple(coeffs))
-
-
-def scalar(spec: RingSpec, c: int) -> RingElement:
-    coeffs = [0] * spec.size
-    coeffs[0] = c
     return RingElement(spec, tuple(coeffs))
 
 

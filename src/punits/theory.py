@@ -10,6 +10,9 @@ factors of order p^i in a direct decomposition of V(Z_p G), s_i is t_i
 minus the number of cyclic direct factors of order p^i of G itself, and
 l = |G| - 1 - sum(s_i).  The exhaustive oracle suite adjudicates these
 formulas on every desk-scale instance.
+
+The invariants come as (order_exp, multiplicity) pairs straight from these
+counts in O(lambda_1 * k) work; |G| is an exact integer here, never capped.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .pgroup import (
     cyclic_factor_count,
     omega_order_exp,
 )
+
+# describe() writes a cyclic order p^k in decimal up to this k and as
+# ``p^k`` above it, so that a huge p^k is never built.
+_DECIMAL_ORDER_EXP_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,10 @@ class AbelianInvariants:
             return "1"
         parts = []
         for exp, mult in self.entries:
-            base = f"C_{p ** exp}"
+            if exp <= _DECIMAL_ORDER_EXP_MAX:
+                base = f"C_{p ** exp}"
+            else:
+                base = f"C_{{{p}^{exp}}}"
             parts.append(base if mult == 1 else f"{base}^{mult}")
         return " × ".join(parts)
 
@@ -96,13 +106,13 @@ def v_order_exp(spec: GroupSpec, e: int) -> int:
     """m with |V(Z_{p^e}G)| = p^m, namely e(|G| - 1)."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    return e * (spec.order() - 1)
+    return e * (spec.p ** spec.size_exp - 1)
 
 
 def p_rank_vzp(spec: GroupSpec) -> int:
     """p-rank of V(Z_p G): |G| - |G^p| as a plain integer."""
     p = spec.p
-    return spec.order() - p ** agemo_order_exp(spec, 1)
+    return p ** spec.size_exp - p ** agemo_order_exp(spec, 1)
 
 
 def vzp_factor_counts(spec: GroupSpec) -> list[int]:
@@ -128,7 +138,7 @@ def s_and_l(spec: GroupSpec) -> tuple[tuple[int, ...], int]:
     )
     if any(si < 0 for si in s):
         raise ArithmeticError(f"negative complement multiplicity for {spec}: {s}")
-    l = spec.order() - 1 - sum(s)
+    l = spec.p ** spec.size_exp - 1 - sum(s)
     if l < 0:
         raise ArithmeticError(f"negative l for {spec}")
     return s, l
@@ -146,11 +156,11 @@ def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
     if e < 1:
         raise ValueError("e must be >= 1")
     s, l = s_and_l(spec)
-    exps = list(spec.lambdas)
-    exps.extend([e - 1] * l)
-    for i, si in enumerate(s, start=1):
-        exps.extend([i + e - 1] * si)
-    inv = AbelianInvariants.from_factor_exps(exps)
+    inv = AbelianInvariants(
+        tuple((lam, 1) for lam in spec.lambdas)
+        + ((e - 1, l),)
+        + tuple((i + e - 1, si) for i, si in enumerate(s, start=1))
+    )
     if inv.size_exp() != v_order_exp(spec, e):
         raise ArithmeticError(
             f"invariant size exponent {inv.size_exp()} != e(|G|-1) for {spec}, e={e}"
@@ -169,7 +179,7 @@ def v_p_torsion_exp(spec: GroupSpec, e: int) -> int:
         raise ValueError("e must be >= 1")
     if e == 1:
         return p_rank_vzp(spec)
-    return omega_order_exp(spec, 1) + spec.order() - 1
+    return omega_order_exp(spec, 1) + spec.p ** spec.size_exp - 1
 
 
 def dimension_subgroup(spec: GroupSpec, e: int, n: int) -> int:

@@ -133,19 +133,6 @@ def module_size_exp(M: ResidueMatrix) -> int:
     return total
 
 
-def span_elements(M: ResidueMatrix):
-    """Exhaustive span enumeration; only for small test matrices."""
-    q = M.modulus
-    out = {(0,) * M.ncols}
-    for row in M.rows:
-        new = set()
-        for base in out:
-            for c in range(q):
-                new.add(tuple((b + c * r) % q for b, r in zip(base, row)))
-        out = new
-    return out
-
-
 def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
     """A module spanning set for w^n, the n-th power of the augmentation ideal.
 
@@ -175,11 +162,6 @@ def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
             prod = base * from_group_element(rs, g)
             rows.append(prod.coeffs)
     return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
-
-
-def augmentation_ideal_exp(rs: RingSpec) -> int:
-    """t with |w| = p^t; equals e(|G|-1)."""
-    return rs.e * (rs.size - 1)
 
 
 def nilpotency_index(rs: RingSpec) -> int:

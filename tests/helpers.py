@@ -12,6 +12,7 @@ import random
 
 from punits.pgroup import GroupSpec, element_mul, enumerate_elements, identity
 from punits.ring import RingElement, RingSpec
+from punits.zpelin import ResidueMatrix
 
 
 def partitions(n: int):
@@ -56,6 +57,19 @@ def dict_mul(x: RingElement, y: RingElement) -> RingElement:
             k = element_mul(group, g, h)
             acc[k] = (acc.get(k, 0) + a * b) % rs.modulus
     return RingElement(rs, tuple(acc.get(g, 0) for g in els))
+
+
+def span_elements(M: ResidueMatrix):
+    """Exhaustive span enumeration; only for small test matrices."""
+    q = M.modulus
+    out = {(0,) * M.ncols}
+    for row in M.rows:
+        new = set()
+        for base in out:
+            for c in range(q):
+                new.add(tuple((b + c * r) % q for b, r in zip(base, row)))
+        out = new
+    return out
 
 
 def iterated_element_order(spec: GroupSpec, g) -> int:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +60,25 @@ class TestInvariantsCommand:
         )
         assert code == 0
         assert json.loads(out)["instances"][0]["v_order"] == {"base": 2, "exp": 64}
+
+    def test_group_past_the_materialization_cap(self, capsys):
+        # |G| = 2^128: the l copies of C_{2^8} are one exact multiplicity
+        code, out, _ = run(
+            capsys, "invariants", "--p", "2", "--lambda", "64,64", "--e", "9",
+            "--format", "json",
+        )
+        assert code == 0
+        # |G^{2^i}| = 2^{2(64-i)}; G itself has two cyclic factors of order 2^64
+        sizes = [2 ** (2 * max(64 - i, 0)) for i in range(66)]
+        s = [sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, 65)]
+        s[63] -= 2
+        pairs = json.loads(out)["instances"][0]["invariants"]
+        assert {"order_exp": 8, "multiplicity": 2 ** 128 - 1 - sum(s)} in pairs
+
+    def test_huge_order_exponent_in_text(self, capsys):
+        code, out, _ = run(capsys, "invariants", "--p", "2", "--lambda", "1", "--e", "20000")
+        assert code == 0
+        assert "V ≅ C_2 × C_{2^19999}" in out
 
 
 class TestOrderCommand:
@@ -281,6 +302,15 @@ class TestSuiteCommand:
         assert (5, (1,), 3) in seen
         assert (5, (1,), 4) not in seen
 
+    def test_formula_only_instance_past_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(
+            json.dumps({"instances": [{"p": 2, "lambda": [21], "e": 2, "formula_only": True}]})
+        )
+        code, out, _ = run(capsys, "suite", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["instances"][0]["v_order"] == {"base": 2, "exp": 2 ** 22 - 2}
+
 
 _ONE = {"p": 2, "lambda": [1], "e": 2}
 
@@ -313,6 +343,9 @@ class TestMalformedInput:
             {"instances": [{"group": "p=2;lambda=1", "p": 2, "e": 1}]},
             {"instances": [_ONE], "seed": "0"},
             {"instances": [_ONE], "out": 5},
+            {"instances": [{"group": "p=2;lambda=1;e=3", "e": 1}]},
+            # the cap on |G| still holds where coefficient vectors are built
+            {"instances": [{"p": 2, "lambda": [21], "e": 2}]},
         ],
     )
     def test_suite_config(self, capsys, tmp_path, config):
@@ -337,6 +370,21 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_python_dash_m_entry_point(self, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"instances": [3]}))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "punits", "suite", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_explicit_check_needs_only_one_instance(self, capsys, tmp_path):
         # theorem1 plans on the e = 2 instance, so the e = 1 one is no error

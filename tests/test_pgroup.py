@@ -45,6 +45,13 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec.from_text("lambda=1,2")
 
+    @pytest.mark.parametrize(
+        "text", ["p=2;lambda=1;e=3", "p=2;lambda=1;junk=5", "p=2;p=3;lambda=1", "p=2;lambda"]
+    )
+    def test_text_refuses_unknown_and_repeated_keys(self, text):
+        with pytest.raises(ValueError):
+            GroupSpec.from_text(text)
+
 
 class TestCountingFormulas:
     # |G^{p^i}| examples: squares of C_2 x C_4 form C_2, etc.

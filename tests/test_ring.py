@@ -277,3 +277,10 @@ class TestText:
         assert RingElement.from_text(u.to_text()) == u
         with pytest.raises(ValueError):
             RingElement.from_text("p=2;lambda=1;e=2")
+
+    @pytest.mark.parametrize(
+        "text", ["p=2;lambda=1;e=2;coeffs=3,2;junk=5", "p=2;lambda=1;e=2;e=3;coeffs=3,2"]
+    )
+    def test_refuses_unknown_and_repeated_keys(self, text):
+        with pytest.raises(ValueError):
+            RingElement.from_text(text)

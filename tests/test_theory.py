@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from punits.pgroup import GroupSpec
 from punits.theory import (
@@ -29,6 +31,10 @@ class TestAbelianInvariants:
         inv = AbelianInvariants(((1, 2), (2, 1)))
         assert inv.describe(2) == "C_2^2 × C_4"
         assert AbelianInvariants.trivial().describe(2) == "1"
+
+    def test_describe_huge_orders_as_powers(self):
+        inv = AbelianInvariants(((64, 1), (65, 2), (10 ** 6, 1)))
+        assert inv.describe(2) == f"C_{2 ** 64} × C_{{2^65}}^2 × C_{{2^1000000}}"
 
     def test_pairs_round_trip(self):
         inv = AbelianInvariants(((1, 4), (3, 1)))
@@ -143,6 +149,21 @@ class TestVInvariants:
         with pytest.raises(ValueError):
             v_invariants(GroupSpec(2, (1,)), 0)
 
+    @given(data=st.data())
+    def test_equals_the_expanded_factor_list(self, data):
+        # the direct (order_exp, multiplicity) construction against expanding
+        # every factor into a list of length ~|G| and counting it back
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        room = {2: 16, 3: 10, 5: 6}[p]  # |G| <= 2^16
+        lams = [data.draw(st.integers(1, room))]
+        while sum(lams) < room and data.draw(st.booleans()):
+            lams.append(data.draw(st.integers(1, room - sum(lams))))
+        spec, e = GroupSpec(p, tuple(lams)), data.draw(st.integers(1, 4))
+        s, l = s_and_l(spec)
+        exps = list(spec.lambdas) + [e - 1] * l
+        exps += [i + e - 1 for i, si in enumerate(s, start=1) for _ in range(si)]
+        assert v_invariants(spec, e) == AbelianInvariants.from_factor_exps(exps)
+
 
 class TestTorsion:
     @pytest.mark.parametrize(
@@ -192,6 +213,14 @@ class TestDimensionSubgroup:
 
 
 class TestStructureReport:
+    @pytest.mark.parametrize("lams", [(21,), (3,) * 7])
+    def test_groups_past_the_materialization_cap(self, lams):
+        spec = GroupSpec(2, lams)
+        rep = structure_report(spec, 2)
+        assert rep.l + sum(rep.s) == 2 ** spec.size_exp - 1
+        assert rep.v_order_exp == 2 * (2 ** spec.size_exp - 1)
+        assert rep.v_invariants.size_exp() == rep.v_order_exp
+
     def test_fields_cohere(self):
         spec = GroupSpec(2, (1, 2))
         rep = structure_report(spec, 2)

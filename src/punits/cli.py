@@ -381,15 +381,23 @@ def _cmd_invariants(args) -> int:
         v_order_exp=rep.v_order_exp,
         invariants=rep.v_invariants,
     )
+    # The whole text is built before any of it is written, so a number too
+    # long to print leaves only the error line.
     if args.format == "json":
-        sys.stdout.write(emit_report([instance], "json"))
+        text = emit_report([instance], "json")
     else:
         p = group.p
-        print(f"{group.to_text()};e={args.e}")
-        print(f"|V| = {p}^{rep.v_order_exp}")
-        print(f"V ≅ {rep.v_invariants.describe(p)}")
-        print(f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {rep.p_rank}")
-        print(f"|V[{p}]| = {p}^{rep.v_p_torsion_exp}")
+        text = "".join(
+            f"{line}\n"
+            for line in (
+                f"{group.to_text()};e={args.e}",
+                f"|V| = {p}^{rep.v_order_exp}",
+                f"V ≅ {rep.v_invariants.describe(p)}",
+                f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {rep.p_rank}",
+                f"|V[{p}]| = {p}^{rep.v_p_torsion_exp}",
+            )
+        )
+    sys.stdout.write(text)
     return 0
 
 

@@ -2,16 +2,23 @@
 
 Enumerates all of V(Z_{p^e}G) = 1 + w for desk-scale instances, recovers
 the abelian invariants from the order census, and verifies each closed
-form against the theory module.  Enumeration walks the free-coefficient
-space (the last coefficient is forced by augmentation 1) in contiguous
-index blocks; blocks are processed with vectorized numpy arithmetic that
-is bit-identical to the scalar reference convolution, and can be fanned
-out to worker threads.  Merging histograms is componentwise addition, so
-parallel and sequential runs agree exactly.
+form against the theory module.  A unit's enumeration index is the
+base-p^e number formed by its first |G|-1 coefficients (the last one is
+forced by augmentation 1), so V is a range of integers.
+
+V is abelian, so the p-th power map phi(u) = u^p is an endomorphism.  It is
+computed once per instance as an index array over the enumeration order,
+one contiguous block of units at a time with vectorized numpy arithmetic
+that is bit-identical to the scalar reference convolution; blocks can be
+fanned out to worker threads and fill disjoint slices, so parallel and
+sequential runs agree exactly.  Every order and torsion question is then
+an array gather along phi: the order census counts the kernels of phi^m,
+and the torsion checks decode only the units with phi(u) = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 import zlib
@@ -44,6 +51,10 @@ from .zpelin import (
 DEFAULT_BUDGET = 1 << 22
 _BLOCK = 1 << 16
 
+# Enumeration indices are stored as int32 (the power map keeps one per
+# unit), so no budget admits |V| >= 2^31.
+_INDEX_CAP = 1 << 31
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when |V| exceeds the enumeration budget (hard refusal)."""
@@ -54,12 +65,16 @@ def unit_count(rs: RingSpec) -> int:
     return rs.modulus ** (rs.size - 1)
 
 
+def _enumerable(rs: RingSpec, budget: int) -> bool:
+    return unit_count(rs) <= budget and unit_count(rs) < _INDEX_CAP
+
+
 def _require_budget(rs: RingSpec, budget: int) -> None:
+    size = f"|V| = {rs.p}^{rs.e * (rs.size - 1)}"
     if unit_count(rs) > budget:
-        raise BudgetExceededError(
-            f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds the enumeration "
-            f"budget {budget}"
-        )
+        raise BudgetExceededError(f"{size} exceeds the enumeration budget {budget}")
+    if unit_count(rs) >= _INDEX_CAP:
+        raise BudgetExceededError(f"{size} exceeds the int32 enumeration index")
 
 
 def enumerate_units(rs: RingSpec, budget: int = DEFAULT_BUDGET):
@@ -77,46 +92,73 @@ def enumerate_units(rs: RingSpec, budget: int = DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized block arithmetic.  All arrays are int64; p^e < 2^31 keeps every
-# intermediate product below 2^62, and sums of reduced products below 2^51.
+# Vectorized block arithmetic.  Blocks are int64 arrays of shape (|G|, B):
+# row i holds the coefficient of the i-th group element of B ring elements.
+# p^e < 2^31 keeps every product of two residues below 2^62.
 
 
 def _table(rs: RingSpec) -> np.ndarray:
-    return np.asarray(product_index_table(rs.group), dtype=np.int64)
+    """Gather table of G: row i maps m to the j with g_i g_j = g_m."""
+    return np.argsort(np.asarray(product_index_table(rs.group)), axis=1)
 
 
-def _identity_row(rs: RingSpec) -> np.ndarray:
-    row = np.zeros(rs.size, dtype=np.int64)
-    row[0] = 1
-    return row
+def _identity(rs: RingSpec) -> np.ndarray:
+    col = np.zeros(rs.size, dtype=np.int64)
+    col[0] = 1
+    return col
+
+
+def _identity_index(rs: RingSpec) -> int:
+    # The identity's free coefficients are the digits 1, 0, ..., 0.
+    return rs.modulus ** (rs.size - 2)
 
 
 def _mixed_radix(idx: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """Write the base-q digits of each index into a row of out, most
-    significant first."""
-    for j in range(out.shape[1] - 1, -1, -1):
-        out[:, j] = idx % q
+    """Write the base-q digits of each index into a column of out, most
+    significant digit in row 0."""
+    for j in range(out.shape[0] - 1, -1, -1):
+        out[j] = idx % q
         idx = idx // q
     return out
 
 
-def _unit_block(rs: RingSpec, lo: int, hi: int) -> np.ndarray:
-    """Units with enumeration indices in [lo, hi), one per row."""
+def _units_at(rs: RingSpec, idx: np.ndarray) -> np.ndarray:
+    """The units with the given enumeration indices, one per column."""
     q, n = rs.modulus, rs.size
-    out = np.empty((hi - lo, n), dtype=np.int64)
-    _mixed_radix(np.arange(lo, hi, dtype=np.int64), q, out[:, : n - 1])
-    out[:, n - 1] = (1 - out[:, : n - 1].sum(axis=1)) % q
+    out = np.empty((n, len(idx)), dtype=np.int64)
+    _mixed_radix(idx, q, out[: n - 1])
+    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % q
     return out
 
 
+def _unit_block(rs: RingSpec, lo: int, hi: int) -> np.ndarray:
+    """Units with enumeration indices in [lo, hi), one per column."""
+    return _units_at(rs, np.arange(lo, hi, dtype=np.int64))
+
+
+def _index_of(rs: RingSpec, units: np.ndarray) -> np.ndarray:
+    """Enumeration index of each unit (column): the inverse of _units_at."""
+    q = rs.modulus
+    idx = np.zeros(units.shape[1], dtype=np.int64)
+    for row in units[:-1]:
+        idx *= q
+        idx += row
+    return idx
+
+
 def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # (xy)_m = sum_i x_i y_{tbl[i][m]}.  The n partial sums stay below 2^63
+    # unreduced when n (q-1)^2 does; otherwise each product is reduced.
+    reduce_terms = x.shape[0] * (q - 1) ** 2 >= 1 << 63
     out = np.zeros_like(x)
-    for i in range(x.shape[1]):
-        xi = x[:, i]
+    for i in range(x.shape[0]):
+        xi = x[i]
         if not xi.any():
             continue
-        # tbl[i] is a permutation of the columns, so fancy += is collision-free
-        out[:, tbl[i]] += (xi[:, None] * y) % q
+        term = xi * y[tbl[i]]
+        if reduce_terms:
+            term %= q
+        out += term
     out %= q
     return out
 
@@ -135,29 +177,30 @@ def _batch_pow(tbl: np.ndarray, q: int, x: np.ndarray, m: int) -> np.ndarray:
     return result
 
 
-def _rows_equal(x: np.ndarray, row: np.ndarray) -> np.ndarray:
-    return (x == row).all(axis=1)
+def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Which columns of x equal col."""
+    return (x == col[:, None]).all(axis=0)
 
 
 def _batch_order_exps(
     rs: RingSpec, units: np.ndarray, max_exp: int
 ) -> np.ndarray:
-    """Per-row m with u^{p^m} = 1, or -1 if not reached by max_exp."""
+    """Per-column m with u^{p^m} = 1, or -1 if not reached by max_exp."""
     tbl, q, p = _table(rs), rs.modulus, rs.p
-    ident = _identity_row(rs)
-    orders = np.full(units.shape[0], -1, dtype=np.int64)
-    done = _rows_equal(units, ident)
+    ident = _identity(rs)
+    orders = np.full(units.shape[1], -1, dtype=np.int64)
+    done = _matches(units, ident)
     orders[done] = 0
     alive = np.flatnonzero(~done)
-    work = units[alive]
+    work = units[:, alive]
     m = 0
     while alive.size and m < max_exp:
         m += 1
         work = _batch_pow(tbl, q, work, p)
-        done = _rows_equal(work, ident)
+        done = _matches(work, ident)
         orders[alive[done]] = m
         alive = alive[~done]
-        work = work[~done]
+        work = work[:, ~done]
     return orders
 
 
@@ -172,18 +215,49 @@ def _map_blocks(fn: Callable, blocks, workers: int) -> list:
         return list(pool.map(fn, blocks))
 
 
-def _scan_units(
-    rs: RingSpec, count: Callable, *, budget: int, workers: int, block_size: int = _BLOCK
-) -> list[int]:
-    """Sum of count(units) over all of V, one enumeration block at a time.
+def _power_map(
+    rs: RingSpec, *, budget: int = DEFAULT_BUDGET, workers: int = 1, block_size: int = _BLOCK
+) -> np.ndarray:
+    """phi as a read-only int32 array: phi[i] is the index of u_i^p.
 
-    count maps a block of units (one per row) to a fixed-length sequence of
-    counts.  Blocks may run on worker threads; addition merges them exactly
-    in any order, so the result does not depend on ``workers``.
+    Refuses |V| over the budget or at least 2^31 before it allocates.  The
+    last result is kept, so the checks of one instance share it.
     """
     _require_budget(rs, budget)
-    blocks = _blocks(unit_count(rs), block_size)
-    parts = _map_blocks(lambda b: count(_unit_block(rs, *b)), blocks, workers)
+    return _cached_power_map(rs, workers, block_size)
+
+
+# One positional key for every caller: a keyword given at one call site
+# and defaulted at another would miss the cache.
+@functools.lru_cache(maxsize=1)
+def _cached_power_map(rs: RingSpec, workers: int, block_size: int) -> np.ndarray:
+    tbl, q, p = _table(rs), rs.modulus, rs.p
+    phi = np.empty(unit_count(rs), dtype=np.int32)
+
+    def fill(block) -> None:
+        lo, hi = block
+        phi[lo:hi] = _index_of(rs, _batch_pow(tbl, q, _unit_block(rs, lo, hi), p))
+
+    _map_blocks(fill, _blocks(len(phi), block_size), workers)
+    phi.flags.writeable = False
+    return phi
+
+
+def _scan_units(
+    rs: RingSpec, count: Callable, indices: np.ndarray, *, workers: int,
+    block_size: int = _BLOCK,
+) -> list[int]:
+    """Sum of count(units) over the units with the given indices, one block
+    at a time.
+
+    count maps a block of units (one per column) to a fixed-length sequence
+    of counts.  Blocks may run on worker threads; addition merges them
+    exactly in any order, so the result does not depend on ``workers``.
+    """
+    blocks = _blocks(len(indices), block_size)
+    parts = _map_blocks(
+        lambda b: count(_units_at(rs, indices[b[0] : b[1]])), blocks, workers
+    )
     return np.sum(parts, axis=0).tolist()
 
 
@@ -218,17 +292,21 @@ def order_histogram(
     workers: int = 1,
     block_size: int = _BLOCK,
 ) -> OrderHistogram:
-    """Exact-order census of V, by exhaustive block enumeration."""
-    cap = _order_exp_bound(rs)
+    """Exact-order census of V from the sizes of the kernels of phi^m.
 
-    def census(units) -> np.ndarray:
-        exps = _batch_order_exps(rs, units, cap)
-        if (exps < 0).any():
-            raise ArithmeticError("unit order exceeded the p-torsion bound")
-        return np.bincount(exps, minlength=cap + 1)
-
-    merged = _scan_units(rs, census, budget=budget, workers=workers, block_size=block_size)
-    return OrderHistogram(tuple(enumerate(merged)))
+    u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, so the kernel of phi^{m+1} is the
+    kernel of phi^m gathered along phi.
+    """
+    phi = _power_map(rs, budget=budget, workers=workers, block_size=block_size)
+    ker = np.zeros(len(phi), dtype=bool)
+    ker[_identity_index(rs)] = True
+    sizes = [1]
+    while sizes[-1] < len(phi) and len(sizes) <= _order_exp_bound(rs):
+        ker = ker[phi]
+        sizes.append(int(np.count_nonzero(ker)))
+    if sizes[-1] < len(phi):
+        raise ArithmeticError("unit order exceeded the p-torsion bound")
+    return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
 
 
 def _exact_p_log(n: int, p: int) -> int:
@@ -301,16 +379,23 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _howell_membership_rows(H: ResidueMatrix, vecs: np.ndarray) -> np.ndarray:
-    """Boolean mask: which rows of vecs lie in the span of the Howell form H."""
+def _howell_membership(H: ResidueMatrix, vecs: np.ndarray) -> np.ndarray:
+    """Boolean mask: which columns of vecs lie in the span of the Howell
+    form H."""
     q = H.modulus
     v = vecs % q
     for row in H.rows:
         col = next(i for i, c in enumerate(row) if c)
         piv = row[col]
-        f = v[:, col] // piv
-        v = (v - f[:, None] * np.asarray(row, dtype=np.int64)) % q
-    return (v == 0).all(axis=1)
+        f = v[col] // piv
+        v = (v - np.asarray(row, dtype=np.int64)[:, None] * f) % q
+    return ~v.any(axis=0)
+
+
+def _torsion_indices(rs: RingSpec, *, budget: int, workers: int) -> np.ndarray:
+    """Enumeration indices of V[p], the units with u^p = 1."""
+    phi = _power_map(rs, budget=budget, workers=workers)
+    return np.flatnonzero(phi == _identity_index(rs))
 
 
 def _check_theorem2(rs, params, *, budget, seed, workers):
@@ -324,68 +409,67 @@ def _check_theorem2(rs, params, *, budget, seed, workers):
 
 
 def _check_theorem1(rs, params, *, budget, seed, workers):
-    tbl, q, p = _table(rs), rs.modulus, rs.p
-    q1 = p ** (rs.e - 1)
+    torsion = _torsion_indices(rs, budget=budget, workers=workers)
+    q1 = rs.p ** (rs.e - 1)
     socle = [element_index(rs.group, g) for g in socle_elements(rs.group)]
-    socle_rows = np.eye(rs.size, dtype=np.int64)[socle]
+    socle_cols = np.eye(rs.size, dtype=np.int64)[socle]
 
     def scan(units):
-        torsion = _rows_equal(_batch_pow(tbl, q, units, p), _identity_row(rs))
-        sub = units[torsion] % q1
-        ok = np.zeros(len(sub), dtype=bool)
-        for row in socle_rows:
-            ok |= _rows_equal(sub, row)
-        return torsion.sum(), (~ok).sum()
+        sub = units % q1
+        ok = np.zeros(sub.shape[1], dtype=bool)
+        for col in socle_cols:
+            ok |= _matches(sub, col)
+        return [(~ok).sum()]
 
-    count, bad = _scan_units(rs, scan, budget=budget, workers=workers)
+    (bad,) = _scan_units(rs, scan, torsion, workers=workers)
 
     predicted = {
         "order_dividing_p": rs.p ** theory.v_p_torsion_exp(rs.group, rs.e),
         "outside_socle_form": 0,
     }
-    observed = {"order_dividing_p": count, "outside_socle_form": bad}
+    observed = {"order_dividing_p": len(torsion), "outside_socle_form": bad}
     return predicted, observed
 
 
 def _check_lemma6(rs, params, *, budget, seed, workers):
-    tbl, q, p = _table(rs), rs.modulus, rs.p
+    phi = _power_map(rs, budget=budget, workers=workers)
+    q, p = rs.modulus, rs.p
     q1 = p ** (rs.e - 1)
-    ident = _identity_row(rs)
-
-    def scan(units):
-        in_kernel = _rows_equal(units % q1, ident)
-        ker = units[in_kernel]
-        not_torsion = ~_rows_equal(_batch_pow(tbl, q, ker, p), ident)
-        return in_kernel.sum(), not_torsion.sum()
-
-    kernel, violations = _scan_units(rs, scan, budget=budget, workers=workers)
+    # u = 1 mod p^{e-1} on the free coefficients, digit by digit, most
+    # significant first; the forced last one then follows from augmentation 1.
+    in_kernel = np.ones(1, dtype=bool)
+    for j in range(rs.size - 1):
+        digit_ok = np.zeros(q, dtype=bool)
+        digit_ok[1 if j == 0 else 0 :: q1] = True
+        in_kernel = np.logical_and.outer(in_kernel, digit_ok).ravel()
+    ker_phi = phi[in_kernel]
+    violations = int(np.count_nonzero(ker_phi != _identity_index(rs)))
 
     predicted = {"kernel_size": p ** (rs.size - 1), "order_p_violations": 0}
-    observed = {"kernel_size": kernel, "order_p_violations": violations}
+    observed = {"kernel_size": len(ker_phi), "order_p_violations": violations}
     return predicted, observed
 
 
 def _check_lemma4(rs, params, *, budget, seed, workers):
-    tbl, q, p = _table(rs), rs.modulus, rs.p
-    ident = _identity_row(rs)
+    torsion = _torsion_indices(rs, budget=budget, workers=workers)
+    q, p = rs.modulus, rs.p
+    ident = _identity(rs)
     H = howell_form(socle_ideal_generators(rs))
 
     def scan(units):
-        torsion = _rows_equal(_batch_pow(tbl, q, units, p), ident)
-        vecs = (units[torsion] - ident) % q
-        inside = _howell_membership_rows(H, vecs)
-        return torsion.sum(), (~inside).sum()
+        vecs = (units - ident[:, None]) % q
+        return [(~_howell_membership(H, vecs)).sum()]
 
-    count, outside = _scan_units(rs, scan, budget=budget, workers=workers)
+    (outside,) = _scan_units(rs, scan, torsion, workers=workers)
 
     predicted = {"unit_count": p ** module_size_exp(H), "outside_ideal": 0}
-    observed = {"unit_count": count, "outside_ideal": outside}
+    observed = {"unit_count": len(torsion), "outside_ideal": outside}
     return predicted, observed
 
 
 def _check_lemma5(rs, params, *, budget, seed, workers):
     q, p = rs.modulus, rs.p
-    ident = _identity_row(rs)
+    ident = _identity(rs)
 
     forms = []
     size_exps = []
@@ -400,10 +484,11 @@ def _check_lemma5(rs, params, *, budget, seed, workers):
     nu = len(forms)  # least n with w^n = 0
 
     def scan(units):
-        vecs = (units - ident) % q
-        return [_howell_membership_rows(H, vecs).sum() for H in forms]
+        vecs = (units - ident[:, None]) % q
+        return [_howell_membership(H, vecs).sum() for H in forms]
 
-    totals = _scan_units(rs, scan, budget=budget, workers=workers)
+    _require_budget(rs, budget)
+    totals = _scan_units(rs, scan, np.arange(unit_count(rs)), workers=workers)
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:
@@ -431,13 +516,12 @@ def _check_lemma3(rs, params, *, budget, seed, workers):
     group = rs.group
     H = howell_form(ideal_power_generators(rs, n))
     elements = list(enumerate_elements(group))
-    ident_row = _identity_row(rs)
 
-    vecs = np.zeros((len(elements), rs.size), dtype=np.int64)
+    vecs = np.zeros((rs.size, len(elements)), dtype=np.int64)
     for i, g in enumerate(elements):
-        vecs[i, element_index(group, g)] = 1
-    vecs = (vecs - ident_row) % rs.modulus
-    member = _howell_membership_rows(H, vecs)
+        vecs[element_index(group, g), i] = 1
+    vecs = (vecs - _identity(rs)[:, None]) % rs.modulus
+    member = _howell_membership(H, vecs)
     observed = [list(g) for g, m in zip(elements, member) if m]
 
     a = theory.dimension_subgroup(group, rs.e, n)
@@ -469,17 +553,18 @@ def _check_lemma2(rs, params, *, budget, seed, workers):
 
 
 def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
-    """All nonzero y for small instances, else 1000 seeded random ones."""
+    """All nonzero y for small instances, else 1000 seeded random ones; one
+    per column."""
     q, n = rs.modulus, rs.size
     if rs.size <= 4 and rs.e <= 3:
-        ys = np.empty((q ** n - 1, n), dtype=np.int64)
+        ys = np.empty((n, q ** n - 1), dtype=np.int64)
         return _mixed_radix(np.arange(1, q ** n, dtype=np.int64), q, ys)
     rng = np.random.default_rng(seed)
     ys = rng.integers(0, q, size=(1000, n), dtype=np.int64)
     while True:
         zero = ~ys.any(axis=1)
         if not zero.any():
-            return ys
+            return np.ascontiguousarray(ys.T)
         ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
 
 
@@ -492,12 +577,12 @@ def _lemma9_units(rs: RingSpec, d: int, seed: int):
     """
     p, q = rs.p, rs.modulus
     ys = _lemma9_candidates(rs, seed)
-    exceptional = np.zeros(len(ys), dtype=bool)
+    exceptional = np.zeros(ys.shape[1], dtype=bool)
     if p == 2 and d == 1:
-        odd_square = (_batch_mul(_table(rs), q, ys, ys) % 2 == 1).any(axis=1)
-        exceptional = odd_square & (ys % 2 == 1).any(axis=1)
+        odd_square = (_batch_mul(_table(rs), q, ys, ys) % 2 == 1).any(axis=0)
+        exceptional = odd_square & (ys % 2 == 1).any(axis=0)
     units = (p ** d) * ys % q
-    units[:, 0] = (units[:, 0] + 1) % q
+    units[0] = (units[0] + 1) % q
     return ys, exceptional, _batch_order_exps(rs, units, rs.e - d)
 
 
@@ -517,14 +602,14 @@ def _check_lemma9(rs, params, *, budget, seed, workers):
             break
         val[div] += 1
         rem[div] //= p
-    s = val.min(axis=1)
+    s = val.min(axis=0)
     predicted_exp = np.maximum(e - d - s, 0)
 
     bound_violations = int((measured < 0).sum())
     mismatches = int(
         (~exceptional & (measured >= 0) & (measured != predicted_exp)).sum()
     )
-    base = {"cases": len(ys), "exceptional": int(exceptional.sum())}
+    base = {"cases": ys.shape[1], "exceptional": int(exceptional.sum())}
     predicted = {**base, "mismatches": 0, "order_bound_violations": 0}
     observed = {
         **base,
@@ -666,10 +751,11 @@ def plan_checks(
 ) -> list[tuple[str, Optional[dict]]]:
     """Applicable (check, params) pairs for an instance, in report order.
 
-    Checks that enumerate V are planned only when |V| fits the budget;
-    the formula-driven checks (lemma2, lemma3, lemma9) have no such limit.
+    Checks that enumerate V are planned only when |V| fits the budget and
+    stays below 2^31; the formula-driven checks (lemma2, lemma3, lemma9)
+    have no such limit.
     """
-    within = unit_count(rs) <= budget
+    within = _enumerable(rs, budget)
     return [
         (c.id, params)
         for c in CHECKS.values()

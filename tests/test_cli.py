@@ -80,6 +80,22 @@ class TestInvariantsCommand:
         assert code == 0
         assert "V ≅ C_2 × C_{2^19999}" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_number_prints_only_the_error(self, capsys, fmt):
+        # |V| = 2^{2(2^2200 - 1)}: its exponent has 663 digits, past the
+        # lowered int-to-str limit, so no line of the answer may come out.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(
+                capsys, "invariants", "--p", "2", "--lambda", "2200", "--e", "2",
+                "--format", fmt,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOrderCommand:
     def test_paper_unit(self, capsys):
@@ -364,6 +380,9 @@ class TestMalformedInput:
             ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--workers", "0"),
             ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--checks", ""),
             ("verify", "--p", "2", "--lambda", "1", "--e", str(10 ** 12)),
+            # |V| = 2^31 fits the budget but not the int32 enumeration index
+            ("verify", "--p", "2", "--lambda", "1", "--e", "31",
+             "--budget", str(1 << 40), "--checks", "theorem2"),
         ],
     )
     def test_flags(self, capsys, argv):

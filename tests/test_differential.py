@@ -3,13 +3,30 @@
 Random small (p, lambda, e) and random normalized units: ``_batch_mul``,
 ``_batch_pow`` and ``_batch_order_exps`` must agree exactly with
 ``RingElement.__mul__`` (the ``_convolve`` reference), ``__pow__`` and
-``unit_order``.
+``unit_order``.  Random small rings with |V| <= 4096: the power map
+``_power_map`` must send each enumerated unit to the index of its scalar
+p-th power whatever the block size and worker count, and the census read
+from it must equal the scalar ``unit_order`` census.
 """
+
+import functools
+import sys
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from punits.oracle import _batch_mul, _batch_order_exps, _batch_pow, _table
+from punits.oracle import (
+    _batch_mul,
+    _batch_order_exps,
+    _batch_pow,
+    _power_map,
+    _table,
+    enumerate_units,
+    order_histogram,
+    unit_count,
+)
+from punits.pgroup import p_valuation
 from punits.ring import RingElement, RingSpec, _order_exp_bound, unit_order
 
 from .helpers import small_specs
@@ -35,7 +52,8 @@ def unit_batches(draw):
 
 
 def _array(units) -> np.ndarray:
-    return np.array([u.coeffs for u in units], dtype=np.int64)
+    """The units as a coefficient-major block, one unit per column."""
+    return np.array([u.coeffs for u in units], dtype=np.int64).T
 
 
 @given(unit_batches(), st.randoms(use_true_random=False))
@@ -44,14 +62,14 @@ def test_batch_mul_matches_scalar_product(batch, rng):
     ys = list(xs)
     rng.shuffle(ys)
     got = _batch_mul(_table(rs), rs.modulus, _array(xs), _array(ys))
-    assert got.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
+    assert got.T.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
 
 
 @given(unit_batches(), st.integers(1, 40))
 def test_batch_pow_matches_scalar_power(batch, m):
     rs, xs = batch
     got = _batch_pow(_table(rs), rs.modulus, _array(xs), m)
-    assert got.tolist() == [list((x ** m).coeffs) for x in xs]
+    assert got.T.tolist() == [list((x ** m).coeffs) for x in xs]
 
 
 @given(unit_batches())
@@ -59,3 +77,60 @@ def test_batch_order_exps_match_unit_order(batch):
     rs, xs = batch
     exps = _batch_order_exps(rs, _array(xs), _order_exp_bound(rs))
     assert [rs.p ** int(m) for m in exps] == [unit_order(x) for x in xs]
+
+
+# Every (G, e) from SPECS with e <= 4 and |V| <= 4096.
+RINGS = [
+    rs
+    for rs in (RingSpec(g, e) for g in SPECS for e in range(1, 5))
+    if unit_count(rs) <= 4096
+]
+
+
+def _scalar_index(u: RingElement) -> int:
+    """Enumeration index of u: its first |G|-1 coefficients in base p^e."""
+    index = 0
+    for c in u.coeffs[:-1]:
+        index = index * u.spec.modulus + c
+    return index
+
+
+@functools.cache
+def _scalar_census(rs: RingSpec) -> dict[int, int]:
+    """Order exponent -> number of units, from the scalar unit_order."""
+    orders = Counter(unit_order(u) for u in enumerate_units(rs))
+    return {p_valuation(order, rs.p): count for order, count in orders.items()}
+
+
+@given(st.sampled_from(RINGS))
+def test_power_map_matches_scalar_power(rs):
+    phi = _power_map(rs)
+    assert phi.tolist() == [_scalar_index(u ** rs.p) for u in enumerate_units(rs)]
+
+
+@given(st.sampled_from(RINGS))
+def test_census_matches_scalar_unit_orders(rs):
+    assert order_histogram(rs).as_dict() == _scalar_census(rs)
+
+
+@given(st.sampled_from(RINGS))
+def test_power_map_independent_of_blocks_and_workers(rs):
+    # Worker threads fill disjoint slices of one array: more workers than
+    # cores, many small blocks and frequent thread switches must not change it.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_power_map(rs, workers=w) for w in (1, 2, 4)]
+        runs.append(_power_map(rs, workers=4, block_size=5))
+        runs.append(_power_map(rs, block_size=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
+
+
+@given(st.lists(st.sampled_from(RINGS), min_size=2, max_size=2, unique=True))
+def test_alternating_instances_get_their_own_power_map(pair):
+    # The power map is kept for one instance at a time; going back and forth
+    # must recompute it, never hand one ring the power map of the other.
+    for rs in pair + pair:
+        assert order_histogram(rs).as_dict() == _scalar_census(rs)

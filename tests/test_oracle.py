@@ -53,16 +53,24 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             order_histogram(Z9C3, budget=80)
 
+    def test_no_budget_admits_2_to_the_31_units(self):
+        # Enumeration indices are int32: |V| = 2^31 is refused at once,
+        # before anything of that size is allocated, and never planned.
+        rs = RingSpec(GroupSpec(2, (1,)), 31)
+        with pytest.raises(BudgetExceededError, match="int32"):
+            order_histogram(rs, budget=1 << 40)
+        assert [c for c, _ in plan_checks(rs, budget=1 << 40)] == ["lemma2"] + ["lemma9"] * 30
+
 
 class TestBatchAgainstScalarReference:
     def test_unit_blocks_match_generator(self):
         for rs in (Z4C2, Z9C3, Z4V4):
             scalar = np.array([u.coeffs for u in enumerate_units(rs)])
             total = unit_count(rs)
-            batch = np.vstack(
+            batch = np.hstack(
                 [_unit_block(rs, lo, min(lo + 7, total)) for lo in range(0, total, 7)]
             )
-            assert (scalar == batch).all()
+            assert (scalar.T == batch).all()
 
     def test_batch_mul_matches_reference_convolution(self):
         rng = random.Random(20)
@@ -74,15 +82,15 @@ class TestBatchAgainstScalarReference:
             got = _batch_mul(
                 tbl,
                 rs.modulus,
-                np.array([x.coeffs for x in xs]),
-                np.array([y.coeffs for y in ys]),
+                np.array([x.coeffs for x in xs]).T,
+                np.array([y.coeffs for y in ys]).T,
             )
-            assert (expect == got).all()
+            assert (expect.T == got).all()
 
     def test_batch_orders_match_unit_order(self):
         for rs in (Z4C2, Z9C3, Z4V4):
             units = list(enumerate_units(rs))
-            block = np.array([u.coeffs for u in units])
+            block = np.array([u.coeffs for u in units]).T
             exps = _batch_order_exps(rs, block, 10)
             for u, m in zip(units, exps):
                 assert unit_order(u) == rs.p ** int(m)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from punits.pgroup import GroupSpec, enumerate_elements
 from punits.ring import RingSpec, from_group_element, one
@@ -75,6 +76,16 @@ class TestHowellForm:
             for _ in range(8):
                 A = random_matrix(rng, p, e, 3, ncols)
                 assert span_elements(A) == span_elements(howell_form(A))
+
+    @given(st.data())
+    def test_span_property(self, data):
+        # Random 0-4 row matrices over Z_{p^e} with q <= 27, zero rows included.
+        p, e = data.draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))))
+        ncols = data.draw(st.integers(1, 3))
+        row = st.lists(st.integers(0, p ** e - 1), min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, max_size=4))
+        A = ResidueMatrix(p, e, ncols, tuple(tuple(r) for r in rows))
+        assert span_elements(howell_form(A)) == span_elements(A)
 
     def test_canonical_for_equal_spans(self):
         rng = random.Random(12)

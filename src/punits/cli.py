@@ -34,6 +34,7 @@ from .oracle import (
     BudgetExceededError,
     VerificationReport,
     plan_checks,
+    release_power_map,
     verify_check,
 )
 from .pgroup import GroupSpec, checked_int, p_valuation
@@ -294,7 +295,10 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     reports = []
     for inst, rs, plan in zip(config.instances, rings, plans):
         rep = structure_report(inst.group, inst.e)
-        checks = [verify_check(check, rs, params, **opts) for check, params in plan]
+        try:
+            checks = [verify_check(check, rs, params, **opts) for check, params in plan]
+        finally:
+            release_power_map()
         reports.append(
             InstanceReport(
                 group=inst.group,

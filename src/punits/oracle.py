@@ -66,15 +66,18 @@ def unit_count(rs: RingSpec) -> int:
 
 
 def _enumerable(rs: RingSpec, budget: int) -> bool:
-    return unit_count(rs) <= budget and unit_count(rs) < _INDEX_CAP
+    return unit_count(rs) <= min(budget, _INDEX_CAP - 1)
 
 
 def _require_budget(rs: RingSpec, budget: int) -> None:
-    size = f"|V| = {rs.p}^{rs.e * (rs.size - 1)}"
-    if unit_count(rs) > budget:
-        raise BudgetExceededError(f"{size} exceeds the enumeration budget {budget}")
-    if unit_count(rs) >= _INDEX_CAP:
-        raise BudgetExceededError(f"{size} exceeds the int32 enumeration index")
+    if _enumerable(rs, budget):
+        return
+    limit = (
+        f"the enumeration budget {budget}"
+        if unit_count(rs) > budget
+        else "the int32 enumeration index"
+    )
+    raise BudgetExceededError(f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds {limit}")
 
 
 def enumerate_units(rs: RingSpec, budget: int = DEFAULT_BUDGET):
@@ -94,7 +97,7 @@ def enumerate_units(rs: RingSpec, budget: int = DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # Vectorized block arithmetic.  Blocks are int64 arrays of shape (|G|, B):
 # row i holds the coefficient of the i-th group element of B ring elements.
-# p^e < 2^31 keeps every product of two residues below 2^62.
+# p^e <= 2^31 keeps every product of two residues below 2^62.
 
 
 def _table(rs: RingSpec) -> np.ndarray:
@@ -147,17 +150,14 @@ def _index_of(rs: RingSpec, units: np.ndarray) -> np.ndarray:
 
 
 def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # (xy)_m = sum_i x_i y_{tbl[i][m]}.  The n partial sums stay below 2^63
-    # unreduced when n (q-1)^2 does; otherwise each product is reduced.
-    reduce_terms = x.shape[0] * (q - 1) ** 2 >= 1 << 63
+    # (xy)_m = sum_i x_i y_{tbl[i][m]}, each product reduced mod q.
     out = np.zeros_like(x)
     for i in range(x.shape[0]):
         xi = x[i]
         if not xi.any():
             continue
         term = xi * y[tbl[i]]
-        if reduce_terms:
-            term %= q
+        term %= q
         out += term
     out %= q
     return out
@@ -221,7 +221,8 @@ def _power_map(
     """phi as a read-only int32 array: phi[i] is the index of u_i^p.
 
     Refuses |V| over the budget or at least 2^31 before it allocates.  The
-    last result is kept, so the checks of one instance share it.
+    last result is kept until ``release_power_map``, so the checks of one
+    instance share it.
     """
     _require_budget(rs, budget)
     return _cached_power_map(rs, workers, block_size)
@@ -241,6 +242,11 @@ def _cached_power_map(rs: RingSpec, workers: int, block_size: int) -> np.ndarray
     _map_blocks(fill, _blocks(len(phi), block_size), workers)
     phi.flags.writeable = False
     return phi
+
+
+def release_power_map() -> None:
+    """Drop the kept power map once the checks of its instance are done."""
+    _cached_power_map.cache_clear()
 
 
 def _scan_units(

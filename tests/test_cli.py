@@ -14,6 +14,7 @@ from punits.cli import (
     parse_report_json,
     run_suite,
 )
+from punits.oracle import _cached_power_map
 from punits.pgroup import GroupSpec
 
 
@@ -263,6 +264,10 @@ class TestReportSerialization:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "yaml")
+
+    def test_power_map_released_after_the_run(self):
+        self._small_reports()
+        assert _cached_power_map.cache_info().currsize == 0
 
 
 class TestSuiteCommand:

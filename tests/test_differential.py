@@ -3,7 +3,9 @@
 Random small (p, lambda, e) and random normalized units: ``_batch_mul``,
 ``_batch_pow`` and ``_batch_order_exps`` must agree exactly with
 ``RingElement.__mul__`` (the ``_convolve`` reference), ``__pow__`` and
-``unit_order``.  Random small rings with |V| <= 4096: the power map
+``unit_order``.  ``_batch_mul`` and ``_batch_pow`` also on rings of
+characteristic near 2^31, where unreduced sums of products overflow int64.
+Random small rings with |V| <= 4096: the power map
 ``_power_map`` must send each enumerated unit to the index of its scalar
 p-th power whatever the block size and worker count, and the census read
 from it must equal the scalar ``unit_order`` census.
@@ -26,7 +28,7 @@ from punits.oracle import (
     order_histogram,
     unit_count,
 )
-from punits.pgroup import p_valuation
+from punits.pgroup import GroupSpec, p_valuation
 from punits.ring import RingElement, RingSpec, _order_exp_bound, unit_order
 
 from .helpers import small_specs
@@ -35,10 +37,19 @@ from .helpers import small_specs
 SPECS = [g for g in small_specs(4, primes=(2, 3, 5)) if g.order() <= 16]
 
 
+SMALL_RINGS = st.builds(RingSpec, st.sampled_from(SPECS), st.integers(1, 3))
+
+# Rings with |G| (q-1)^2 >= 2^63: summing the |G| products of one
+# coefficient without reducing them first would overflow int64.  q is odd,
+# so the wrap mod 2^64 is not also correct mod q.
+WIDE_RINGS = [RingSpec(GroupSpec(7, (1,)), 11), RingSpec(GroupSpec(3, (2,)), 19)]
+
+
 @st.composite
-def unit_batches(draw):
-    """A ring Z_{p^e}G with e <= 3 and 1-4 random normalized units in it."""
-    rs = RingSpec(draw(st.sampled_from(SPECS)), draw(st.integers(1, 3)))
+def unit_batches(draw, rings=SMALL_RINGS):
+    """A ring (by default Z_{p^e}G with e <= 3) and 1-4 random normalized
+    units in it."""
+    rs = draw(rings)
     q, n = rs.modulus, rs.size
     rows = draw(
         st.lists(
@@ -77,6 +88,20 @@ def test_batch_order_exps_match_unit_order(batch):
     rs, xs = batch
     exps = _batch_order_exps(rs, _array(xs), _order_exp_bound(rs))
     assert [rs.p ** int(m) for m in exps] == [unit_order(x) for x in xs]
+
+
+@given(unit_batches(st.sampled_from(WIDE_RINGS)), st.integers(1, 40))
+def test_batch_kernels_do_not_overflow_on_wide_rings(batch, m):
+    rs, xs = batch
+    q, n = rs.modulus, rs.size
+    # All free coefficients q-1: its square sums n-1 products near 2^62.
+    xs = [RingElement(rs, (q - 1,) * (n - 1) + (n,)), *xs]
+    ys = xs[::-1]
+    tbl = _table(rs)
+    got = _batch_mul(tbl, q, _array(xs), _array(ys))
+    assert got.T.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
+    got = _batch_pow(tbl, q, _array(xs), m)
+    assert got.T.tolist() == [list((x ** m).coeffs) for x in xs]
 
 
 # Every (G, e) from SPECS with e <= 4 and |V| <= 4096.

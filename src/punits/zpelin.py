@@ -1,4 +1,5 @@
-"""Canonical-form linear algebra over Z_{p^e}: Howell normal form.
+"""Canonical-form linear algebra over Z_{p^e}: Howell normal form, and the
+chain of powers of the augmentation ideal w.
 
 Row spans over a residue ring with zero divisors need more than an
 echelon form: membership tests require that every span element whose
@@ -8,16 +9,34 @@ have equal row spans iff their Howell forms are identical.
 
 Conventions here: pivots are exact powers of p (unit parts divided out),
 pivot columns strictly increase, entries above a pivot p^v are reduced
-into [0, p^v), and zero rows are dropped.
+into [0, p^v), and zero rows are dropped.  One numpy core computes every
+form on int64 rows, reducing mod q = p^e after every row operation; q <=
+2^31 keeps each product f * row below 2^62.
+
+The powers of w form one chain per ring.  H(w) is the Howell form of the
+rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
+
+    H(w^{n+1}) = Howell{(a_j - 1) h : h a row of H(w^n), j = 1..k}.
+
+These rows span w^{n+1}.  As an ideal, w is generated by the a_j - 1
+(xy - 1 = x(y - 1) + (x - 1)); w^n is an ideal, so w^{n+1} = sum_j
+(a_j - 1) w^n; and multiplication by a fixed element is module-linear, so
+the products (a_j - 1) h span (a_j - 1) w^n.  Multiplying by a group
+element permutes coefficients, so each translate h a_j is one column
+gather.  Since the Howell form is canonical, each level equals the Howell
+form of any other spanning set of w^n.  A chain is extended only up to the
+power asked for and kept for the life of the process.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
-from .pgroup import enumerate_elements, identity, socle_elements
-from .ring import RingSpec, from_group_element, one, p_valuation
+import numpy as np
+
+from .pgroup import GroupSpec, element_index, product_index_table, socle_elements
+from .ring import RING_CHAR_CAP, RingSpec, p_valuation
 
 
 @dataclass(frozen=True)
@@ -31,6 +50,8 @@ class ResidueMatrix:
 
     def __post_init__(self) -> None:
         q = self.modulus
+        if q > RING_CHAR_CAP:
+            raise ValueError(f"modulus {self.p}^{self.e} exceeds cap {RING_CHAR_CAP}")
         rows = tuple(tuple(int(c) % q for c in row) for row in self.rows)
         for row in rows:
             if len(row) != self.ncols:
@@ -46,70 +67,94 @@ class ResidueMatrix:
         return len(self.rows)
 
 
-def _leading(row) -> int:
-    for c, v in enumerate(row):
+@dataclass(frozen=True, eq=False)
+class HowellArray:
+    """A Howell form as arrays.
+
+    ``rows`` is read-only with dtype ``np.min_scalar_type(q - 1)``, one row
+    per pivot; ``pivots`` holds each row's pivot column, and the span has
+    p^``size_exp`` elements.
+    """
+
+    p: int
+    e: int
+    rows: np.ndarray
+    pivots: tuple[int, ...]
+    size_exp: int
+
+    def contains(self, vecs: np.ndarray) -> np.ndarray:
+        """Boolean mask: which columns of vecs lie in the span."""
+        q = self.p ** self.e
+        v = np.asarray(vecs, dtype=np.int64) % q
+        for row, col in zip(self.rows, self.pivots):
+            f = v[col] // row[col]
+            v[col:] -= row[col:, None] * f
+            v[col:] %= q
+        return ~v.any(axis=0)
+
+    def matrix(self) -> ResidueMatrix:
+        rows = tuple(map(tuple, self.rows.tolist()))
+        return ResidueMatrix(self.p, self.e, self.rows.shape[1], rows)
+
+
+def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
+    """Howell form of the rows of the int64 matrix A (entries in [0, p^e))."""
+    q = p ** e
+    ncols = A.shape[1]
+    work = A[A.any(axis=1)]
+    basis, pivots, size_exp = [], [], 0
+
+    for col in range(ncols):
+        if not len(work):
+            break
+        nz = np.flatnonzero(work[:, col])
+        if not nz.size:
+            continue
+        vals = work[nz, col]
+        v = p_valuation(int(np.gcd.reduce(vals)), p)
+        piv = p ** v
+        first = int(np.flatnonzero(vals % (piv * p))[0])  # least valuation
+        row = work[nz[first]] * pow(int(vals[first]) // piv, -1, q) % q
+
+        others = np.delete(nz, first)
+        f = work[others, col] // piv
+        reduced = (work[others, col:] - f[:, None] * row[col:]) % q
+        work[others, col:] = reduced
+        keep = np.ones(len(work), dtype=bool)
+        keep[nz[first]] = False
+        keep[others[~reduced.any(axis=1)]] = False
+        work = work[keep]
+
+        basis.append(row)
+        pivots.append(col)
+        size_exp += e - v
+        # Annihilator row: p^{e-v} * row spans the part of the span whose
+        # leading entries vanish at this column (Howell property).
         if v:
-            return c
-    return -1
+            ann = row * p ** (e - v) % q
+            if ann.any():
+                work = np.vstack([work, ann])
+
+    # Reduce the entries above each pivot into [0, pivot).
+    B = np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
+    for i, col in enumerate(pivots):
+        f = B[:i, col] // B[i, col]
+        if f.any():
+            B[:i, col:] = (B[:i, col:] - f[:, None] * B[i, col:]) % q
+
+    rows = B.astype(np.min_scalar_type(q - 1))
+    rows.flags.writeable = False
+    return HowellArray(p, e, rows, tuple(pivots), size_exp)
+
+
+def howell_array(M: ResidueMatrix) -> HowellArray:
+    """Howell normal form of M as arrays (see ``HowellArray``)."""
+    return _howell(np.array(M.rows, dtype=np.int64).reshape(M.nrows, M.ncols), M.p, M.e)
 
 
 def howell_form(M: ResidueMatrix) -> ResidueMatrix:
     """Howell normal form of M; span(H) = span(M), H canonical."""
-    p, e, q = M.p, M.e, M.modulus
-    work = [list(row) for row in M.rows if any(row)]
-    basis: list[list[int]] = []
-
-    for col in range(M.ncols):
-        cand = [r for r in work if r[col]]
-        if not cand:
-            continue
-        pivot_row = min(cand, key=lambda r: p_valuation(r[col], p))
-        work.remove(pivot_row)
-        v = p_valuation(pivot_row[col], p)
-        unit = pivot_row[col] // (p ** v)
-        inv = pow(unit, -1, q)
-        pivot_row = [(inv * x) % q for x in pivot_row]
-        piv = p ** v
-
-        for r in work:
-            if r[col]:
-                f = r[col] // piv
-                for j in range(col, M.ncols):
-                    r[j] = (r[j] - f * pivot_row[j]) % q
-        basis.append(pivot_row)
-
-        # Annihilator row: p^{e-v} * pivot_row spans the part of the span
-        # whose leading entries vanish at this column (Howell property).
-        if v:
-            ann = [(p ** (e - v) * x) % q for x in pivot_row]
-            if any(ann):
-                work.append(ann)
-        work = [r for r in work if any(r)]
-
-    # Reduce entries above each pivot into [0, pivot).
-    for i, row in enumerate(basis):
-        col = _leading(row)
-        piv = row[col]
-        for j in range(i):
-            f = basis[j][col] // piv
-            if f:
-                basis[j] = [(a - f * b) % q for a, b in zip(basis[j], row)]
-
-    return ResidueMatrix(p, e, M.ncols, tuple(tuple(r) for r in basis))
-
-
-def _reduce_vector(H: ResidueMatrix, v) -> tuple[int, ...]:
-    # Greedy reduction against a Howell form; residual 0 iff member.
-    q, p = H.modulus, H.p
-    vec = [int(c) % q for c in v]
-    for row in H.rows:
-        col = _leading(row)
-        piv = row[col]
-        f = vec[col] // piv
-        if f:
-            for j in range(col, H.ncols):
-                vec[j] = (vec[j] - f * row[j]) % q
-    return tuple(vec)
+    return howell_array(M).matrix()
 
 
 def module_membership(v, M: ResidueMatrix) -> bool:
@@ -121,66 +166,94 @@ def module_membership(v, M: ResidueMatrix) -> bool:
     """
     if len(v) != M.ncols:
         raise ValueError(f"expected {M.ncols} coordinates, got {len(v)}")
-    return not any(_reduce_vector(howell_form(M), v))
+    vec = np.array([int(c) % M.modulus for c in v], dtype=np.int64)
+    return bool(howell_array(M).contains(vec.reshape(-1, 1))[0])
 
 
 def module_size_exp(M: ResidueMatrix) -> int:
     """t with |span(M)| = p^t, from the Howell pivot valuations."""
-    total = 0
-    for row in howell_form(M).rows:
-        piv = row[_leading(row)]
-        total += M.e - p_valuation(piv, M.p)
-    return total
+    return howell_array(M).size_exp
+
+
+def gather_table(group: GroupSpec) -> np.ndarray:
+    """Row i maps m to the j with g_i g_j = g_m, so the coefficient vector
+    of x * g_i is x[table[i]]."""
+    return np.argsort(np.asarray(product_index_table(group)), axis=1)
+
+
+class _IdealChain:
+    """H(w), H(w^2), ... of one ring, extended on demand."""
+
+    def __init__(self, rs: RingSpec) -> None:
+        group, q = rs.group, rs.modulus
+        self.rs = rs
+        table = gather_table(group)
+        gens = [tuple(int(i == j) for i in range(group.k)) for j in range(group.k)]
+        self.shifts = [table[element_index(group, g)] for g in gens]
+        first = np.eye(rs.size, dtype=np.int64)[1:]
+        first[:, 0] = q - 1
+        self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers
+        self.zero = _howell(first[:0], rs.p, rs.e)
+        self.complete = False
+
+    def level(self, n: int) -> HowellArray:
+        rs = self.rs
+        while len(self.levels) < n and not self.complete:
+            h = self.levels[-1].rows.astype(np.int64)
+            translates = np.vstack([(h[:, s] - h) % rs.modulus for s in self.shifts])
+            H = _howell(translates, rs.p, rs.e)
+            if H.size_exp:
+                self.levels.append(H)
+            else:
+                self.complete = True
+        return self.levels[n - 1] if n <= len(self.levels) else self.zero
+
+
+@functools.cache
+def _chain(rs: RingSpec) -> _IdealChain:
+    return _IdealChain(rs)
+
+
+def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
+    """The Howell form of w^n as arrays; it has no rows once n reaches the
+    nilpotency index."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _chain(rs).level(n)
 
 
 def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
     """A module spanning set for w^n, the n-th power of the augmentation ideal.
 
-    Rows are the coefficient vectors of products
-    ``(a_{i1}-1)...(a_{in}-1) * g`` over all multisets of the k canonical
-    group generators and all translates g in G.  As an ideal w is generated
-    by the generator differences, so these products span w^n as a
-    Z_{p^e}-module.
+    The rows are the Howell form of w^n from the ring's ideal chain, so
+    there are none for n at or past the nilpotency index.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    group = rs.group
-    gens = []
-    for j in range(group.k):
-        exps = [0] * group.k
-        exps[j] = 1
-        gens.append(from_group_element(rs, tuple(exps)) - one(rs))
-
-    rows = []
-    for comb in itertools.combinations_with_replacement(range(group.k), n):
-        base = one(rs)
-        for j in comb:
-            base = base * gens[j]
-        if base.is_zero():
-            continue
-        for g in enumerate_elements(group):
-            prod = base * from_group_element(rs, g)
-            rows.append(prod.coeffs)
-    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
+    return ideal_power_form(rs, n).matrix()
 
 
 def nilpotency_index(rs: RingSpec) -> int:
-    """Least n with w^n = 0."""
-    n = 1
-    while module_size_exp(ideal_power_generators(rs, n)) > 0:
-        n += 1
-    return n
+    """Least n with w^n = 0.
+
+    >>> from punits.pgroup import GroupSpec
+    >>> nilpotency_index(RingSpec(GroupSpec(2, (1,)), 2))
+    3
+    """
+    chain = _chain(rs)
+    while not chain.complete:
+        chain.level(len(chain.levels) + 1)
+    return len(chain.levels) + 1
 
 
 def socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
-    """Spanning set of the ideal generated by {h - 1 : h in G[p]}."""
+    """Spanning set of the ideal generated by {h - 1 : h in G[p]}: the
+    translates (h - 1) g over all g in G."""
     group = rs.group
+    table = gather_table(group)
     rows = []
-    ident = identity(group)
     for h in socle_elements(group):
-        if h == ident:
-            continue
-        diff = from_group_element(rs, h) - one(rs)
-        for g in enumerate_elements(group):
-            rows.append((diff * from_group_element(rs, g)).coeffs)
-    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
+        diff = np.zeros(rs.size, dtype=np.int64)
+        diff[element_index(group, h)] += 1
+        diff[0] -= 1
+        if diff.any():
+            rows.extend(diff[table].tolist())
+    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(map(tuple, rows)))

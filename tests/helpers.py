@@ -3,15 +3,18 @@
 Everything here is deliberately independent of the code paths it checks:
 dictionary-based convolution instead of the index-table convolution,
 iterated squaring instead of valuation formulas, exhaustive span
-enumeration instead of Howell pivots.
+enumeration instead of Howell pivots, a pure-Python Howell elimination
+instead of the numpy core, and the direct product construction of w^n
+instead of the ideal chain.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from punits.pgroup import GroupSpec, element_mul, enumerate_elements, identity
-from punits.ring import RingElement, RingSpec
+from punits.ring import RingElement, RingSpec, from_group_element, one, p_valuation
 from punits.zpelin import ResidueMatrix
 
 
@@ -70,6 +73,75 @@ def span_elements(M: ResidueMatrix):
                 new.add(tuple((b + c * r) % q for b, r in zip(base, row)))
         out = new
     return out
+
+
+def reference_howell_form(M: ResidueMatrix) -> ResidueMatrix:
+    """Howell normal form by pure-Python row elimination, one entry at a time."""
+    p, e, q = M.p, M.e, M.modulus
+    work = [list(row) for row in M.rows if any(row)]
+    basis: list[list[int]] = []
+
+    for col in range(M.ncols):
+        cand = [r for r in work if r[col]]
+        if not cand:
+            continue
+        pivot_row = min(cand, key=lambda r: p_valuation(r[col], p))
+        work.remove(pivot_row)
+        v = p_valuation(pivot_row[col], p)
+        inv = pow(pivot_row[col] // p ** v, -1, q)
+        pivot_row = [(inv * x) % q for x in pivot_row]
+        piv = p ** v
+
+        for r in work:
+            if r[col]:
+                f = r[col] // piv
+                for j in range(col, M.ncols):
+                    r[j] = (r[j] - f * pivot_row[j]) % q
+        basis.append(pivot_row)
+
+        # Annihilator row p^{e-v} * pivot_row (Howell property).
+        if v:
+            ann = [(p ** (e - v) * x) % q for x in pivot_row]
+            if any(ann):
+                work.append(ann)
+        work = [r for r in work if any(r)]
+
+    # Reduce entries above each pivot into [0, pivot).
+    for i, row in enumerate(basis):
+        col = next(c for c, x in enumerate(row) if x)
+        piv = row[col]
+        for j in range(i):
+            f = basis[j][col] // piv
+            if f:
+                basis[j] = [(a - f * b) % q for a, b in zip(basis[j], row)]
+
+    return ResidueMatrix(p, e, M.ncols, tuple(tuple(r) for r in basis))
+
+
+def direct_ideal_power_rows(rs: RingSpec, n: int) -> ResidueMatrix:
+    """A spanning set of w^n built directly, with scalar ring products.
+
+    Rows are the coefficient vectors of ``(a_{i1}-1)...(a_{in}-1) * g`` over
+    all multisets of the k canonical group generators and all translates g
+    in G.
+    """
+    group = rs.group
+    gens = []
+    for j in range(group.k):
+        exps = [0] * group.k
+        exps[j] = 1
+        gens.append(from_group_element(rs, tuple(exps)) - one(rs))
+
+    rows = []
+    for comb in itertools.combinations_with_replacement(range(group.k), n):
+        base = one(rs)
+        for j in comb:
+            base = base * gens[j]
+        if base.is_zero():
+            continue
+        for g in enumerate_elements(group):
+            rows.append((base * from_group_element(rs, g)).coeffs)
+    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
 
 
 def iterated_element_order(spec: GroupSpec, g) -> int:

@@ -157,6 +157,15 @@ class TestDimsubCommand:
         assert code == 0
         assert "oracle agreement: pass" in out
 
+    def test_oracle_on_a_large_group(self, capsys):
+        # |G| = 256: only the three levels asked for are built.
+        code, out, _ = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "8", "--e", "1", "--n", "3",
+            "--oracle",
+        )
+        assert code == 0
+        assert "oracle agreement: pass" in out
+
 
 class TestVerifyCommand:
     def test_single_check_passes(self, capsys):

@@ -23,13 +23,13 @@ from punits.oracle import (
     _batch_order_exps,
     _batch_pow,
     _power_map,
-    _table,
     enumerate_units,
     order_histogram,
     unit_count,
 )
 from punits.pgroup import GroupSpec, p_valuation
 from punits.ring import RingElement, RingSpec, _order_exp_bound, unit_order
+from punits.zpelin import gather_table
 
 from .helpers import small_specs
 
@@ -72,14 +72,14 @@ def test_batch_mul_matches_scalar_product(batch, rng):
     rs, xs = batch
     ys = list(xs)
     rng.shuffle(ys)
-    got = _batch_mul(_table(rs), rs.modulus, _array(xs), _array(ys))
+    got = _batch_mul(gather_table(rs.group), rs.modulus, _array(xs), _array(ys))
     assert got.T.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
 
 
 @given(unit_batches(), st.integers(1, 40))
 def test_batch_pow_matches_scalar_power(batch, m):
     rs, xs = batch
-    got = _batch_pow(_table(rs), rs.modulus, _array(xs), m)
+    got = _batch_pow(gather_table(rs.group), rs.modulus, _array(xs), m)
     assert got.T.tolist() == [list((x ** m).coeffs) for x in xs]
 
 
@@ -97,7 +97,7 @@ def test_batch_kernels_do_not_overflow_on_wide_rings(batch, m):
     # All free coefficients q-1: its square sums n-1 products near 2^62.
     xs = [RingElement(rs, (q - 1,) * (n - 1) + (n,)), *xs]
     ys = xs[::-1]
-    tbl = _table(rs)
+    tbl = gather_table(rs.group)
     got = _batch_mul(tbl, q, _array(xs), _array(ys))
     assert got.T.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
     got = _batch_pow(tbl, q, _array(xs), m)

@@ -2,6 +2,7 @@ import doctest
 
 import punits.pgroup
 import punits.theory
+import punits.zpelin
 
 
 def test_pgroup_doctests():
@@ -11,4 +12,9 @@ def test_pgroup_doctests():
 
 def test_theory_doctests():
     failures, _ = doctest.testmod(punits.theory)
+    assert failures == 0
+
+
+def test_zpelin_doctests():
+    failures, _ = doctest.testmod(punits.zpelin)
     assert failures == 0

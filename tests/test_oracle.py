@@ -8,7 +8,6 @@ from punits.oracle import (
     OrderHistogram,
     _batch_mul,
     _batch_order_exps,
-    _table,
     _unit_block,
     enumerate_units,
     invariants_from_histogram,
@@ -21,6 +20,7 @@ from punits.oracle import (
 from punits.pgroup import GroupSpec
 from punits.ring import RingSpec, unit_order
 from punits.theory import AbelianInvariants, v_invariants, v_order_exp
+from punits.zpelin import gather_table
 
 from .helpers import partitions, random_normalized_unit
 
@@ -75,7 +75,7 @@ class TestBatchAgainstScalarReference:
     def test_batch_mul_matches_reference_convolution(self):
         rng = random.Random(20)
         for rs in (Z4C2, Z9C3, Z4V4, RingSpec(GroupSpec(2, (2, 1)), 3)):
-            tbl = _table(rs)
+            tbl = gather_table(rs.group)
             xs = [random_normalized_unit(rng, rs) for _ in range(8)]
             ys = [random_normalized_unit(rng, rs) for _ in range(8)]
             expect = np.array([(x * y).coeffs for x, y in zip(xs, ys)])

@@ -1,14 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from punits import zpelin
 from punits.pgroup import GroupSpec, enumerate_elements
 from punits.ring import RingSpec, from_group_element, one
 from punits.theory import v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
     howell_form,
+    ideal_power_form,
     ideal_power_generators,
     module_membership,
     module_size_exp,
@@ -16,7 +19,20 @@ from punits.zpelin import (
     socle_ideal_generators,
 )
 
-from .helpers import small_specs, span_elements
+from .helpers import (
+    direct_ideal_power_rows,
+    reference_howell_form,
+    small_specs,
+    span_elements,
+)
+
+# The rings of the chain's differential test: p in {2, 3, 5}, |G| <= 16,
+# e <= 3.
+CHAIN_RINGS = [
+    RingSpec(spec, e)
+    for spec in small_specs(4, (2,)) + small_specs(2, (3,)) + small_specs(1, (5,))
+    for e in (1, 2, 3)
+]
 
 
 def M(p, e, rows):
@@ -97,6 +113,32 @@ class TestHowellForm:
     def test_empty_and_zero_matrices(self):
         assert howell_form(M(2, 2, [[0, 0, 0]])).rows == ()
         assert module_size_exp(M(2, 2, [[0, 0]])) == 0
+
+
+class TestHowellCore:
+    """The numpy core against the pure-Python elimination it replaced."""
+
+    @given(st.data())
+    def test_matches_reference_elimination(self, data):
+        # Odd q near 2^31 (7^11, 3^19) as well as small ones: an int64 wrap
+        # is then not also right mod q, so a missed reduction shows.
+        p, e = data.draw(
+            st.sampled_from(((2, 1), (2, 3), (3, 2), (5, 2), (2, 31), (7, 11), (3, 19)))
+        )
+        q = p ** e
+        ncols = data.draw(st.integers(1, 5))
+        entry = st.one_of(
+            st.sampled_from((0, 1, q - 1, p, q - p, p ** (e // 2))),
+            st.integers(0, q - 1),
+        )
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, max_size=7))
+        A = ResidueMatrix(p, e, ncols, tuple(tuple(r) for r in rows))
+        assert howell_form(A) == reference_howell_form(A)
+
+    def test_modulus_over_the_cap_is_refused(self):
+        with pytest.raises(ValueError):
+            M(2, 32, [[1, 0]])
 
 
 class TestMembership:
@@ -210,6 +252,46 @@ class TestIdealPowers:
         rs = RingSpec(GroupSpec(2, (1,)), 2)
         with pytest.raises(ValueError):
             ideal_power_generators(rs, 0)
+
+
+class TestIdealChain:
+    """The chain's forms against the direct product construction."""
+
+    @given(st.sampled_from(CHAIN_RINGS))
+    def test_chain_matches_direct_construction(self, rs):
+        zpelin._chain.cache_clear()
+        n = 1
+        while module_size_exp(direct_ideal_power_rows(rs, n)):
+            n += 1
+        nu = n  # least n with w^n = 0, from the direct rows
+        for n in range(1, nu + 2):
+            expected = howell_form(direct_ideal_power_rows(rs, n))
+            assert ideal_power_generators(rs, n) == expected
+            form = ideal_power_form(rs, n)
+            assert form.size_exp == module_size_exp(expected)
+            assert not form.rows.flags.writeable
+        assert nilpotency_index(rs) == nu
+
+    def test_alternating_rings_keep_their_own_forms(self):
+        for pair in (
+            (RingSpec(GroupSpec(2, (2,)), 2), RingSpec(GroupSpec(2, (1, 1)), 2)),
+            (RingSpec(GroupSpec(2, (3,)), 1), RingSpec(GroupSpec(2, (2, 1)), 1)),
+        ):
+            top = max(nilpotency_index(rs) for rs in pair) + 1
+            zpelin._chain.cache_clear()
+            for n in range(1, top + 1):
+                for rs in pair:
+                    expected = howell_form(direct_ideal_power_rows(rs, n))
+                    assert ideal_power_generators(rs, n) == expected
+
+    def test_levels_are_built_only_up_to_the_power_asked_for(self):
+        rs = RingSpec(GroupSpec(2, (8,)), 1)
+        zpelin._chain.cache_clear()
+        form = ideal_power_form(rs, 3)
+        # Over F_2 C_256, w^n has dimension 256 - n.
+        assert form.size_exp == 256 - 3
+        assert form.rows.dtype == np.uint8
+        assert len(zpelin._chain(rs).levels) == 3
 
 
 class TestSocleIdeal:

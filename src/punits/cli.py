@@ -32,9 +32,9 @@ from .oracle import (
     CHECK_IDS,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    Units,
     VerificationReport,
     plan_checks,
-    release_power_map,
     verify_check,
 )
 from .pgroup import GroupSpec, checked_int, p_valuation
@@ -291,14 +291,15 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
             f"checks not applicable to any instance (or over budget): "
             f"{', '.join(sorted(missing))}"
         )
-    opts = {"budget": config.budget, "seed": config.seed, "workers": config.workers}
     reports = []
     for inst, rs, plan in zip(config.instances, rings, plans):
         rep = structure_report(inst.group, inst.e)
-        try:
-            checks = [verify_check(check, rs, params, **opts) for check, params in plan]
-        finally:
-            release_power_map()
+        # One Units per instance: its checks share one power map, which is
+        # freed when the next instance rebinds ``units``.
+        units = None if rs is None else Units(rs, config.budget, config.workers)
+        checks = [
+            verify_check(check, units, params, seed=config.seed) for check, params in plan
+        ]
         reports.append(
             InstanceReport(
                 group=inst.group,

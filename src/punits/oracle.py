@@ -7,13 +7,15 @@ base-p^e number formed by its first |G|-1 coefficients (the last one is
 forced by augmentation 1), so V is a range of integers.
 
 V is abelian, so the p-th power map phi(u) = u^p is an endomorphism.  It is
-computed once per instance as an index array over the enumeration order,
-one contiguous block of units at a time with vectorized numpy arithmetic
-that is bit-identical to the scalar reference convolution; blocks can be
-fanned out to worker threads and fill disjoint slices, so parallel and
+computed as an index array over the enumeration order, one contiguous
+block of units at a time with vectorized numpy arithmetic that is
+bit-identical to the scalar reference convolution; blocks can be fanned
+out to worker threads and fill disjoint slices, so parallel and
 sequential runs agree exactly.  Every order and torsion question is then
 an array gather along phi: the order census counts the kernels of phi^m,
-and the torsion checks decode only the units with phi(u) = 1.
+and the torsion checks decode only the units with phi(u) = 1.  The checks
+of an instance share phi through one ``Units`` object and it is freed with
+that object, so a suite run keeps one phi alive at a time.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ def _units_at(rs: RingSpec, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_block(rs: RingSpec, lo: int, hi: int) -> np.ndarray:
-    """Units with enumeration indices in [lo, hi), one per column."""
-    return _units_at(rs, np.arange(lo, hi, dtype=np.int64))
-
-
 def _index_of(rs: RingSpec, units: np.ndarray) -> np.ndarray:
     """Enumeration index of each unit (column): the inverse of _units_at."""
     q = rs.modulus
@@ -176,17 +173,15 @@ def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
     return (x == col[:, None]).all(axis=0)
 
 
-def _batch_order_exps(
-    rs: RingSpec, units: np.ndarray, max_exp: int
-) -> np.ndarray:
+def _batch_order_exps(units: Units, block: np.ndarray, max_exp: int) -> np.ndarray:
     """Per-column m with u^{p^m} = 1, or -1 if not reached by max_exp."""
-    tbl, q, p = gather_table(rs.group), rs.modulus, rs.p
-    ident = _identity(rs)
-    orders = np.full(units.shape[1], -1, dtype=np.int64)
-    done = _matches(units, ident)
+    tbl, q, p = units.table, units.rs.modulus, units.rs.p
+    ident = _identity(units.rs)
+    orders = np.full(block.shape[1], -1, dtype=np.int64)
+    done = _matches(block, ident)
     orders[done] = 0
     alive = np.flatnonzero(~done)
-    work = units[:, alive]
+    work = block[:, alive]
     m = 0
     while alive.size and m < max_exp:
         m += 1
@@ -198,67 +193,75 @@ def _batch_order_exps(
     return orders
 
 
-def _blocks(total: int, block_size: int):
-    return [(lo, min(lo + block_size, total)) for lo in range(0, total, block_size)]
-
-
-def _map_blocks(fn: Callable, blocks, workers: int) -> list:
+def _map_blocks(fn: Callable, total: int, workers: int) -> list:
+    """[fn(lo, hi)] over the blocks of _BLOCK items covering [0, total)."""
+    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
     if workers <= 1:
-        return [fn(b) for b in blocks]
+        return [fn(*b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+        return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _power_map(
-    rs: RingSpec, *, budget: int = DEFAULT_BUDGET, workers: int = 1, block_size: int = _BLOCK
-) -> np.ndarray:
-    """phi as a read-only int32 array: phi[i] is the index of u_i^p.
+@dataclass(eq=False)
+class Units:
+    """V(Z_{p^e}G) of one instance: the gather table, the power map phi and
+    V[p] are built on first use and live as long as the object."""
 
-    Refuses |V| over the budget or at least 2^31 before it allocates.  The
-    last result is kept until ``release_power_map``, so the checks of one
-    instance share it.
-    """
-    _require_budget(rs, budget)
-    return _cached_power_map(rs, workers, block_size)
+    rs: RingSpec
+    budget: int = DEFAULT_BUDGET
+    workers: int = 1
 
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The gather table of G (see ``zpelin.gather_table``)."""
+        return gather_table(self.rs.group)
 
-# One positional key for every caller: a keyword given at one call site
-# and defaulted at another would miss the cache.
-@functools.lru_cache(maxsize=1)
-def _cached_power_map(rs: RingSpec, workers: int, block_size: int) -> np.ndarray:
-    tbl, q, p = gather_table(rs.group), rs.modulus, rs.p
-    phi = np.empty(unit_count(rs), dtype=np.int32)
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """phi as a read-only int32 array, phi[i] the index of u_i^p; |V| over
+        the budget or at least 2^31 is refused before anything is allocated."""
+        _require_budget(self.rs, self.budget)
+        rs, tbl = self.rs, self.table
+        phi = np.empty(unit_count(rs), dtype=np.int32)
 
-    def fill(block) -> None:
-        lo, hi = block
-        phi[lo:hi] = _index_of(rs, _batch_pow(tbl, q, _unit_block(rs, lo, hi), p))
+        def fill(lo: int, hi: int) -> None:
+            block = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
+            phi[lo:hi] = _index_of(rs, _batch_pow(tbl, rs.modulus, block, rs.p))
 
-    _map_blocks(fill, _blocks(len(phi), block_size), workers)
-    phi.flags.writeable = False
-    return phi
+        _map_blocks(fill, len(phi), self.workers)
+        phi.flags.writeable = False
+        return phi
 
+    @functools.cached_property
+    def torsion(self) -> np.ndarray:
+        """Enumeration indices of V[p], the units with u^p = 1."""
+        return np.flatnonzero(self.phi == _identity_index(self.rs))
 
-def release_power_map() -> None:
-    """Drop the kept power map once the checks of its instance are done."""
-    _cached_power_map.cache_clear()
+    def scan(self, count: Callable, indices: np.ndarray) -> list[int]:
+        """Sum of count(block) over blocks of the units with the given
+        indices, one per column; count returns a fixed-length sequence of
+        counts, which add up the same for any number of workers."""
+        def part(lo: int, hi: int):
+            return count(_units_at(self.rs, indices[lo:hi]))
 
+        return np.sum(_map_blocks(part, len(indices), self.workers), axis=0).tolist()
 
-def _scan_units(
-    rs: RingSpec, count: Callable, indices: np.ndarray, *, workers: int,
-    block_size: int = _BLOCK,
-) -> list[int]:
-    """Sum of count(units) over the units with the given indices, one block
-    at a time.
+    def census(self) -> OrderHistogram:
+        """Exact-order census of V from the sizes of the kernels of phi^m.
 
-    count maps a block of units (one per column) to a fixed-length sequence
-    of counts.  Blocks may run on worker threads; addition merges them
-    exactly in any order, so the result does not depend on ``workers``.
-    """
-    blocks = _blocks(len(indices), block_size)
-    parts = _map_blocks(
-        lambda b: count(_units_at(rs, indices[b[0] : b[1]])), blocks, workers
-    )
-    return np.sum(parts, axis=0).tolist()
+        u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, so the kernel of phi^{m+1} is
+        the kernel of phi^m gathered along phi.
+        """
+        phi = self.phi
+        ker = np.zeros(len(phi), dtype=bool)
+        ker[_identity_index(self.rs)] = True
+        sizes = [1]
+        while sizes[-1] < len(phi) and len(sizes) <= _order_exp_bound(self.rs):
+            ker = ker[phi]
+            sizes.append(int(np.count_nonzero(ker)))
+        if sizes[-1] < len(phi):
+            raise ArithmeticError("unit order exceeded the p-torsion bound")
+        return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +289,10 @@ class OrderHistogram:
 
 
 def order_histogram(
-    rs: RingSpec,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-    block_size: int = _BLOCK,
+    rs: RingSpec, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> OrderHistogram:
-    """Exact-order census of V from the sizes of the kernels of phi^m.
-
-    u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, so the kernel of phi^{m+1} is the
-    kernel of phi^m gathered along phi.
-    """
-    phi = _power_map(rs, budget=budget, workers=workers, block_size=block_size)
-    ker = np.zeros(len(phi), dtype=bool)
-    ker[_identity_index(rs)] = True
-    sizes = [1]
-    while sizes[-1] < len(phi) and len(sizes) <= _order_exp_bound(rs):
-        ker = ker[phi]
-        sizes.append(int(np.count_nonzero(ker)))
-    if sizes[-1] < len(phi):
-        raise ArithmeticError("unit order exceeded the p-torsion bound")
-    return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
+    """Exact-order census of V (see ``Units.census``)."""
+    return Units(rs, budget, workers).census()
 
 
 def _exact_p_log(n: int, p: int) -> int:
@@ -379,15 +365,9 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _torsion_indices(rs: RingSpec, *, budget: int, workers: int) -> np.ndarray:
-    """Enumeration indices of V[p], the units with u^p = 1."""
-    phi = _power_map(rs, budget=budget, workers=workers)
-    return np.flatnonzero(phi == _identity_index(rs))
-
-
-def _check_theorem2(rs, params, *, budget, seed, workers):
-    hist = order_histogram(rs, budget=budget, workers=workers)
-    observed = invariants_from_histogram(hist, rs.p)
+def _check_theorem2(units: Units, params, seed):
+    rs = units.rs
+    observed = invariants_from_histogram(units.census(), rs.p)
     predicted = theory.v_invariants(rs.group, rs.e)
     return (
         {"invariants": predicted.to_pairs()},
@@ -395,20 +375,20 @@ def _check_theorem2(rs, params, *, budget, seed, workers):
     )
 
 
-def _check_theorem1(rs, params, *, budget, seed, workers):
-    torsion = _torsion_indices(rs, budget=budget, workers=workers)
+def _check_theorem1(units: Units, params, seed):
+    rs, torsion = units.rs, units.torsion
     q1 = rs.p ** (rs.e - 1)
     socle = [element_index(rs.group, g) for g in socle_elements(rs.group)]
     socle_cols = np.eye(rs.size, dtype=np.int64)[socle]
 
-    def scan(units):
-        sub = units % q1
+    def scan(block):
+        sub = block % q1
         ok = np.zeros(sub.shape[1], dtype=bool)
         for col in socle_cols:
             ok |= _matches(sub, col)
         return [(~ok).sum()]
 
-    (bad,) = _scan_units(rs, scan, torsion, workers=workers)
+    (bad,) = units.scan(scan, torsion)
 
     predicted = {
         "order_dividing_p": rs.p ** theory.v_p_torsion_exp(rs.group, rs.e),
@@ -418,8 +398,8 @@ def _check_theorem1(rs, params, *, budget, seed, workers):
     return predicted, observed
 
 
-def _check_lemma6(rs, params, *, budget, seed, workers):
-    phi = _power_map(rs, budget=budget, workers=workers)
+def _check_lemma6(units: Units, params, seed):
+    rs, phi = units.rs, units.phi
     q, p = rs.modulus, rs.p
     q1 = p ** (rs.e - 1)
     # u = 1 mod p^{e-1} on the free coefficients, digit by digit, most
@@ -437,24 +417,25 @@ def _check_lemma6(rs, params, *, budget, seed, workers):
     return predicted, observed
 
 
-def _check_lemma4(rs, params, *, budget, seed, workers):
-    torsion = _torsion_indices(rs, budget=budget, workers=workers)
+def _check_lemma4(units: Units, params, seed):
+    rs, torsion = units.rs, units.torsion
     q, p = rs.modulus, rs.p
     ident = _identity(rs)
     H = howell_array(socle_ideal_generators(rs))
 
-    def scan(units):
-        vecs = (units - ident[:, None]) % q
+    def scan(block):
+        vecs = (block - ident[:, None]) % q
         return [(~H.contains(vecs)).sum()]
 
-    (outside,) = _scan_units(rs, scan, torsion, workers=workers)
+    (outside,) = units.scan(scan, torsion)
 
     predicted = {"unit_count": p ** H.size_exp, "outside_ideal": 0}
     observed = {"unit_count": len(torsion), "outside_ideal": outside}
     return predicted, observed
 
 
-def _check_lemma5(rs, params, *, budget, seed, workers):
+def _check_lemma5(units: Units, params, seed):
+    rs = units.rs
     q, p = rs.modulus, rs.p
     ident = _identity(rs)
 
@@ -462,18 +443,18 @@ def _check_lemma5(rs, params, *, budget, seed, workers):
     forms = [ideal_power_form(rs, m) for m in range(1, nu + 1)]  # w^nu = 0
     size_exps = [H.size_exp for H in forms]
 
-    def scan(units):
+    def scan(block):
         # 1 + w^{m+1} lies in 1 + w^m, so only the members of one layer
         # are tested against the next.
-        vecs = (units - ident[:, None]) % q
+        vecs = (block - ident[:, None]) % q
         counts = []
         for H in forms:
             vecs = vecs[:, H.contains(vecs)]
             counts.append(vecs.shape[1])
         return counts
 
-    _require_budget(rs, budget)
-    totals = _scan_units(rs, scan, np.arange(unit_count(rs)), workers=workers)
+    _require_budget(rs, units.budget)
+    totals = units.scan(scan, np.arange(unit_count(rs)))
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:
@@ -496,7 +477,8 @@ def _check_lemma5(rs, params, *, budget, seed, workers):
     )
 
 
-def _check_lemma3(rs, params, *, budget, seed, workers):
+def _check_lemma3(units: Units, params, seed):
+    rs = units.rs
     n = int(params["n"])
     group = rs.group
     H = ideal_power_form(rs, n)
@@ -516,7 +498,8 @@ def _check_lemma3(rs, params, *, budget, seed, workers):
     return {"elements": predicted}, {"elements": observed}
 
 
-def _check_lemma2(rs, params, *, budget, seed, workers):
+def _check_lemma2(units: Units, params, seed):
+    rs = units.rs
     p, e = rs.p, rs.e
     unit_one = one(rs)
     cases = 0
@@ -553,28 +536,29 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
         ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
 
 
-def _lemma9_units(rs: RingSpec, d: int, seed: int):
+def _lemma9_units(units: Units, d: int, seed: int):
     """(ys, exceptional, measured) for the units 1 + p^d y.
 
     ``exceptional`` marks the rows where the closed form is silent (p = 2,
     d = 1, and both y and y^2 have an odd coefficient); ``measured`` holds
     each unit's order exponent, or -1 when it exceeds p^{e-d}.
     """
+    rs = units.rs
     p, q = rs.p, rs.modulus
     ys = _lemma9_candidates(rs, seed)
     exceptional = np.zeros(ys.shape[1], dtype=bool)
     if p == 2 and d == 1:
-        odd_square = (_batch_mul(gather_table(rs.group), q, ys, ys) % 2 == 1).any(axis=0)
+        odd_square = (_batch_mul(units.table, q, ys, ys) % 2 == 1).any(axis=0)
         exceptional = odd_square & (ys % 2 == 1).any(axis=0)
-    units = (p ** d) * ys % q
-    units[0] = (units[0] + 1) % q
-    return ys, exceptional, _batch_order_exps(rs, units, rs.e - d)
+    block = (p ** d) * ys % q
+    block[0] = (block[0] + 1) % q
+    return ys, exceptional, _batch_order_exps(units, block, rs.e - d)
 
 
-def _check_lemma9(rs, params, *, budget, seed, workers):
+def _check_lemma9(units: Units, params, seed):
     d = int(params["d"])
-    p, e = rs.p, rs.e
-    ys, exceptional, measured = _lemma9_units(rs, d, seed)
+    p, e = units.rs.p, units.rs.e
+    ys, exceptional, measured = _lemma9_units(units, d, seed)
 
     # Minimal coefficient valuation per row (valuation of 0 taken as e).
     val = np.zeros_like(ys)
@@ -617,7 +601,7 @@ def lemma9_exceptional_census(
     exceptional condition cannot occur.
     """
     CHECKS["lemma9"].require(rs, {"d": d})
-    _, exceptional, measured = _lemma9_units(rs, d, seed)
+    _, exceptional, measured = _lemma9_units(Units(rs), d, seed)
     measured = measured[exceptional]
     if (measured < 0).any():
         raise ArithmeticError("exceptional unit order exceeded p^{e-d}")
@@ -632,6 +616,7 @@ def lemma9_exceptional_census(
 class Check:
     """A verification check and the instances it applies to.
 
+    ``run(units, params, seed)`` returns the (predicted, observed) pair.
     ``requires`` is the mathematical precondition on (ring, params), which
     verify_check enforces; ``requirement`` states it.  The planner adds two
     limits: an enumerative check scans all of V, so |V| must fit the
@@ -699,23 +684,22 @@ def _derive_seed(seed: int, check: str, rs: RingSpec, params: Optional[dict]) ->
 
 def verify_check(
     check: str,
-    rs: RingSpec,
+    rs_or_units: RingSpec | Units,
     params: Optional[dict] = None,
     *,
-    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    workers: int = 1,
 ) -> VerificationReport:
-    """Run one named check; verdict is exact predicted == observed."""
+    """Run one named check; verdict is exact predicted == observed.  A bare
+    RingSpec is checked through a one-shot Units."""
+    units = rs_or_units if isinstance(rs_or_units, Units) else Units(rs_or_units)
+    rs = units.rs
     spec = CHECKS.get(check)
     if spec is None:
         raise ValueError(f"unknown check id {check!r}; known: {', '.join(CHECK_IDS)}")
     spec.require(rs, params or {})
     derived = _derive_seed(seed, check, rs, params)
     start = time.perf_counter()
-    predicted, observed = spec.run(
-        rs, params or {}, budget=budget, seed=derived, workers=workers
-    )
+    predicted, observed = spec.run(units, params or {}, derived)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         check_id=_format_check_id(check, params),

@@ -30,19 +30,24 @@ GROUP_ORDER_CAP = 1 << 20
 _PRODUCT_TABLE_CAP = 1 << 10
 
 
+# Miller-Rabin with these bases decides primality exactly below 2^64, and
+# is not known to above it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale p."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin test; refuses n >= 2^64."""
+    if n >= 1 << 64:
+        raise ValueError(f"primes are decided only below 2^64, got {n}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    # a witnesses that n is composite unless a^d = 1 or a^(2^r d) = -1 mod n
+    # for some r < s.
+    for a in _MR_BASES:
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -245,15 +250,18 @@ def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
     return tuple(reversed(out))
 
 
+def table_order(spec: GroupSpec) -> int:
+    """|G| for a dense |G| x |G| index table; refuses |G| over the cap."""
+    order = spec.order()
+    if order > _PRODUCT_TABLE_CAP:
+        raise ValueError(f"|G| = {order} exceeds the dense table cap {_PRODUCT_TABLE_CAP}")
+    return order
+
+
 @lru_cache(maxsize=None)
 def product_index_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Dense table T with T[i][j] = index of (element i) * (element j)."""
-    order = spec.order()
-    if order > _PRODUCT_TABLE_CAP:
-        raise ValueError(
-            f"|G| = {order} exceeds the dense product table cap "
-            f"{_PRODUCT_TABLE_CAP}"
-        )
+    table_order(spec)
     els = list(enumerate_elements(spec))
     index = {g: i for i, g in enumerate(els)}
     return tuple(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import GroupSpec, element_index, product_index_table, socle_elements
+from .pgroup import GroupSpec, element_index, socle_elements, table_order
 from .ring import RING_CHAR_CAP, RingSpec, p_valuation
 
 
@@ -177,8 +177,15 @@ def module_size_exp(M: ResidueMatrix) -> int:
 
 def gather_table(group: GroupSpec) -> np.ndarray:
     """Row i maps m to the j with g_i g_j = g_m, so the coefficient vector
-    of x * g_i is x[table[i]]."""
-    return np.argsort(np.asarray(product_index_table(group)), axis=1)
+    of x * g_i is x[table[i]].  g_j = g_m g_i^{-1} coordinatewise, and j is
+    the mixed-radix number of its coordinates."""
+    order = table_order(group)
+    coords = np.indices(group.radices).reshape(group.k, order)
+    table = np.zeros((order, order), dtype=np.intp)
+    for coord, radix in zip(coords, group.radices):
+        table *= radix
+        table += (coord - coord[:, None]) % radix
+    return table
 
 
 class _IdealChain:

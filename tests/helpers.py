@@ -4,8 +4,9 @@ Everything here is deliberately independent of the code paths it checks:
 dictionary-based convolution instead of the index-table convolution,
 iterated squaring instead of valuation formulas, exhaustive span
 enumeration instead of Howell pivots, a pure-Python Howell elimination
-instead of the numpy core, and the direct product construction of w^n
-instead of the ideal chain.
+instead of the numpy core, the direct product construction of w^n
+instead of the ideal chain, and the inverse of the tuple product table
+instead of mixed-radix gather arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from punits.pgroup import GroupSpec, element_mul, enumerate_elements, identity
+import numpy as np
+
+from punits.pgroup import (
+    GroupSpec,
+    element_mul,
+    enumerate_elements,
+    identity,
+    product_index_table,
+)
 from punits.ring import RingElement, RingSpec, from_group_element, one, p_valuation
 from punits.zpelin import ResidueMatrix
 
@@ -60,6 +69,12 @@ def dict_mul(x: RingElement, y: RingElement) -> RingElement:
             k = element_mul(group, g, h)
             acc[k] = (acc.get(k, 0) + a * b) % rs.modulus
     return RingElement(rs, tuple(acc.get(g, 0) for g in els))
+
+
+def reference_gather_table(group: GroupSpec) -> np.ndarray:
+    """Row i maps m to the j with g_i g_j = g_m, by inverting each row of
+    the product table."""
+    return np.argsort(np.asarray(product_index_table(group)), axis=1)
 
 
 def span_elements(M: ResidueMatrix):

@@ -1,10 +1,14 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import time
+import weakref
 
 import pytest
 
+from punits import cli, oracle
 from punits.cli import (
     SuiteConfig,
     SuiteInstance,
@@ -14,8 +18,8 @@ from punits.cli import (
     parse_report_json,
     run_suite,
 )
-from punits.oracle import _cached_power_map
 from punits.pgroup import GroupSpec
+from punits.ring import RingSpec
 
 
 def run(capsys, *argv):
@@ -239,6 +243,23 @@ class TestUsageErrors:
         assert code == 2
         assert "prime" in err
 
+    def test_large_prime_p_answers_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "invariants", "--p", "1000000000000000003", "--lambda", "1", "--e", "1",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.startswith("p=1000000000000000003;lambda=1;e=1\n")
+
+    def test_p_past_2_to_the_64_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "invariants", "--p", str(2 ** 89 - 1), "--lambda", "1", "--e", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReportSerialization:
     def _small_reports(self):
@@ -274,9 +295,56 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             emit_report([], "yaml")
 
-    def test_power_map_released_after_the_run(self):
+    def test_power_map_released_after_the_run(self, monkeypatch):
+        # While the suite runs, at most one instance's Units holds a phi;
+        # once it returns, every Units it built is gone.
+        built = []
+
+        class Tracked(oracle.Units):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        def holding_phi():
+            return sum("phi" in vars(u) for u in (ref() for ref in built) if u)
+
+        def checked(*args, **kwargs):
+            assert holding_phi() <= 1
+            report = oracle.verify_check(*args, **kwargs)
+            assert holding_phi() <= 1
+            return report
+
+        monkeypatch.setattr(cli, "Units", Tracked)
+        monkeypatch.setattr(cli, "verify_check", checked)
         self._small_reports()
-        assert _cached_power_map.cache_info().currsize == 0
+        assert len(built) == 2  # one per instance that runs checks
+        assert all(ref() is None for ref in built)
+
+    def test_one_power_map_per_instance(self, monkeypatch):
+        builds, seen = [], []
+
+        class Counting(oracle.Units):
+            @functools.cached_property
+            def phi(self):
+                builds.append(self.rs)
+                return super().phi
+
+        def checked(check, units, params, *, seed):
+            report = oracle.verify_check(check, units, params, seed=seed)
+            seen.append((check, units.__dict__.get("phi")))
+            return report
+
+        monkeypatch.setattr(cli, "Units", Counting)
+        monkeypatch.setattr(cli, "verify_check", checked)
+        config = SuiteConfig(
+            instances=(SuiteInstance(GroupSpec(3, (1,)), 2),),
+            checks=("theorem1", "theorem2", "lemma6"),
+        )
+        (report,) = run_suite(config)
+        assert report.all_pass()
+        assert builds == [RingSpec(GroupSpec(3, (1,)), 2)]
+        assert [c for c, _ in seen] == ["theorem1", "theorem2", "lemma6"]
+        assert all(phi is seen[0][1] is not None for _, phi in seen)
 
 
 class TestSuiteCommand:

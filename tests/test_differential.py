@@ -5,27 +5,32 @@ Random small (p, lambda, e) and random normalized units: ``_batch_mul``,
 ``RingElement.__mul__`` (the ``_convolve`` reference), ``__pow__`` and
 ``unit_order``.  ``_batch_mul`` and ``_batch_pow`` also on rings of
 characteristic near 2^31, where unreduced sums of products overflow int64.
-Random small rings with |V| <= 4096: the power map
-``_power_map`` must send each enumerated unit to the index of its scalar
-p-th power whatever the block size and worker count, and the census read
-from it must equal the scalar ``unit_order`` census.
+Random small rings with |V| <= 4096: the power map ``Units.phi`` must
+send each enumerated unit to the index of its scalar p-th power whatever
+the block size and worker count, the census read from it must equal the
+scalar ``unit_order`` census, and every planned check must report the same
+through one shared ``Units`` as through one-shot calls on the RingSpec.
 """
 
 import functools
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
 
+from punits import oracle
 from punits.oracle import (
+    Units,
     _batch_mul,
     _batch_order_exps,
     _batch_pow,
-    _power_map,
     enumerate_units,
     order_histogram,
+    plan_checks,
     unit_count,
+    verify_check,
 )
 from punits.pgroup import GroupSpec, p_valuation
 from punits.ring import RingElement, RingSpec, _order_exp_bound, unit_order
@@ -86,7 +91,7 @@ def test_batch_pow_matches_scalar_power(batch, m):
 @given(unit_batches())
 def test_batch_order_exps_match_unit_order(batch):
     rs, xs = batch
-    exps = _batch_order_exps(rs, _array(xs), _order_exp_bound(rs))
+    exps = _batch_order_exps(Units(rs), _array(xs), _order_exp_bound(rs))
     assert [rs.p ** int(m) for m in exps] == [unit_order(x) for x in xs]
 
 
@@ -129,7 +134,7 @@ def _scalar_census(rs: RingSpec) -> dict[int, int]:
 
 @given(st.sampled_from(RINGS))
 def test_power_map_matches_scalar_power(rs):
-    phi = _power_map(rs)
+    phi = Units(rs).phi
     assert phi.tolist() == [_scalar_index(u ** rs.p) for u in enumerate_units(rs)]
 
 
@@ -145,9 +150,10 @@ def test_power_map_independent_of_blocks_and_workers(rs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [_power_map(rs, workers=w) for w in (1, 2, 4)]
-        runs.append(_power_map(rs, workers=4, block_size=5))
-        runs.append(_power_map(rs, block_size=5))
+        runs = [Units(rs, workers=w).phi for w in (1, 2, 4)]
+        with mock.patch.object(oracle, "_BLOCK", 5):
+            runs.append(Units(rs, workers=4).phi)
+            runs.append(Units(rs).phi)
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
@@ -159,3 +165,14 @@ def test_alternating_instances_get_their_own_power_map(pair):
     # must recompute it, never hand one ring the power map of the other.
     for rs in pair + pair:
         assert order_histogram(rs).as_dict() == _scalar_census(rs)
+
+
+@given(st.sampled_from(RINGS), st.sampled_from([1, 2]))
+def test_shared_units_report_as_one_shot_calls(rs, workers):
+    # The checks of one instance share one Units (its phi and V[p]); each
+    # must report exactly what it reports on a fresh Units of its own.
+    shared = Units(rs, workers=workers)
+    plan = plan_checks(rs)
+    assert [verify_check(c, shared, params, seed=3) for c, params in plan] == [
+        verify_check(c, rs, params, seed=3) for c, params in plan
+    ]

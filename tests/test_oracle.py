@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from punits import oracle
 from punits.oracle import (
     BudgetExceededError,
     OrderHistogram,
+    Units,
     _batch_mul,
     _batch_order_exps,
-    _unit_block,
+    _units_at,
     enumerate_units,
     invariants_from_histogram,
     order_histogram,
@@ -68,7 +70,8 @@ class TestBatchAgainstScalarReference:
             scalar = np.array([u.coeffs for u in enumerate_units(rs)])
             total = unit_count(rs)
             batch = np.hstack(
-                [_unit_block(rs, lo, min(lo + 7, total)) for lo in range(0, total, 7)]
+                [_units_at(rs, np.arange(lo, min(lo + 7, total)))
+                 for lo in range(0, total, 7)]
             )
             assert (scalar.T == batch).all()
 
@@ -91,7 +94,7 @@ class TestBatchAgainstScalarReference:
         for rs in (Z4C2, Z9C3, Z4V4):
             units = list(enumerate_units(rs))
             block = np.array([u.coeffs for u in units]).T
-            exps = _batch_order_exps(rs, block, 10)
+            exps = _batch_order_exps(Units(rs), block, 10)
             for u, m in zip(units, exps):
                 assert unit_order(u) == rs.p ** int(m)
 
@@ -123,10 +126,12 @@ class TestHistogram:
             gaps = [b - a for a, b in zip(ell, ell[1:])]
             assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
         for workers in (2, 4):
             assert order_histogram(Z9C3, workers=workers) == order_histogram(Z9C3)
-        assert order_histogram(Z4V4, workers=4, block_size=5) == order_histogram(Z4V4)
+        sequential = order_histogram(Z4V4)
+        monkeypatch.setattr(oracle, "_BLOCK", 5)
+        assert order_histogram(Z4V4, workers=4) == sequential
 
 
 class TestInvariantRecovery:
@@ -228,7 +233,7 @@ class TestChecks:
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
-            verify_check("theorem2", Z9C3, budget=80)
+            verify_check("theorem2", Units(Z9C3, budget=80))
 
 
 class TestPlanner:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from punits.pgroup import (
@@ -11,6 +13,7 @@ from punits.pgroup import (
     element_pow,
     enumerate_elements,
     identity,
+    is_prime,
     omega_order_exp,
 )
 
@@ -26,6 +29,10 @@ class TestGroupSpec:
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(ValueError):
                 GroupSpec(bad, (1,))
+
+    def test_refuses_p_past_2_to_the_64(self):
+        with pytest.raises(ValueError, match="2\\^64"):
+            GroupSpec(2 ** 89 - 1, (1,))
 
     def test_rejects_bad_lambdas(self):
         with pytest.raises(ValueError):
@@ -51,6 +58,31 @@ class TestGroupSpec:
     def test_text_refuses_unknown_and_repeated_keys(self, text):
         with pytest.raises(ValueError):
             GroupSpec.from_text(text)
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_10_to_the_5(self):
+        assert [n for n in range(10 ** 5) if is_prime(n)] == [
+            n for n in range(10 ** 5) if _trial_division(n)
+        ]
+
+    def test_strong_pseudoprimes_are_rejected(self):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7;
+        # 3825123056546413051 to every prime base up to 31.
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    def test_largest_prime_below_2_to_the_64(self):
+        assert is_prime(2 ** 64 - 59)
+        assert not is_prime(2 ** 64 - 1)
+
+    def test_refuses_2_to_the_64(self):
+        with pytest.raises(ValueError):
+            is_prime(2 ** 64)
 
 
 class TestCountingFormulas:

@@ -21,6 +21,7 @@ from punits.zpelin import (
 
 from .helpers import (
     direct_ideal_power_rows,
+    reference_gather_table,
     reference_howell_form,
     small_specs,
     span_elements,
@@ -292,6 +293,21 @@ class TestIdealChain:
         assert form.size_exp == 256 - 3
         assert form.rows.dtype == np.uint8
         assert len(zpelin._chain(rs).levels) == 3
+
+
+class TestGatherTable:
+    # Every group with |G| <= 64 for p in {2, 3, 5}, plus C_49 and C_1024.
+    GROUPS = [
+        g for g in small_specs(6, (2, 3, 5)) if g.order() <= 64
+    ] + [GroupSpec(7, (2,)), GroupSpec(2, (10,))]
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GroupSpec.to_text)
+    def test_matches_the_inverted_product_table(self, group):
+        assert np.array_equal(zpelin.gather_table(group), reference_gather_table(group))
+
+    def test_refuses_groups_past_the_table_cap(self):
+        with pytest.raises(ValueError, match="table cap"):
+            zpelin.gather_table(GroupSpec(2, (11,)))
 
 
 class TestSocleIdeal:

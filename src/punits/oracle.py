@@ -6,16 +6,27 @@ form against the theory module.  A unit's enumeration index is the
 base-p^e number formed by its first |G|-1 coefficients (the last one is
 forced by augmentation 1), so V is a range of integers.
 
-V is abelian, so the p-th power map phi(u) = u^p is an endomorphism.  It is
-computed as an index array over the enumeration order, one contiguous
-block of units at a time with vectorized numpy arithmetic that is
-bit-identical to the scalar reference convolution; blocks can be fanned
-out to worker threads and fill disjoint slices, so parallel and
-sequential runs agree exactly.  Every order and torsion question is then
-an array gather along phi: the order census counts the kernels of phi^m,
-and the torsion checks decode only the units with phi(u) = 1.  The checks
-of an instance share phi through one ``Units`` object and it is freed with
-that object, so a suite run keeps one phi alive at a time.
+V is abelian, so the p-th power map phi(u) = u^p is an endomorphism, and
+for e >= 2 it factors through reduction mod p^{e-1}: the kernel K of
+V(Z_{p^e}G) -> V(Z_{p^{e-1}}G) has exponent p (Lemma 6), so
+phi(uk) = phi(u) phi(k) = phi(u) for k in K.  The power map is therefore
+kept over a base ring, V(Z_{p^{e-1}}G), with one representative per coset
+of K: the base unit u-bar with its last coefficient lifted mod p^e.  For
+each representative it stores whether its p-th power is 1 (``one``) and
+the base index of that power reduced mod p^{e-1} (``chi``), which is the
+base ring's own phi.  The order census reads kernels of phi^m off these
+masks, each representative standing for |K| = p^{|G|-1} units, and the
+torsion checks decode only the representatives of V[p].  The oracle does
+not rely on the lemma it verifies: each e >= 2 instance first powers the
+p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
+(as at e = 1), where ``chi`` is phi and each unit stands for itself.
+
+The map is built one contiguous block of representatives at a time with
+vectorized numpy arithmetic that is bit-identical to the scalar reference
+convolution; blocks can be fanned out to worker threads and fill disjoint
+slices, so parallel and sequential runs agree exactly.  The checks of an
+instance share the map through one ``Units`` object and it is freed with
+that object, so a suite run keeps one power map alive at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +64,8 @@ DEFAULT_BUDGET = 1 << 22
 _BLOCK = 1 << 16
 
 # Enumeration indices are stored as int32 (the power map keeps one per
-# unit), so no budget admits |V| >= 2^31.
+# representative, and on the fallback path every unit is one), so no budget
+# admits |V| >= 2^31.
 _INDEX_CAP = 1 << 31
 
 
@@ -107,11 +119,6 @@ def _identity(rs: RingSpec) -> np.ndarray:
     return col
 
 
-def _identity_index(rs: RingSpec) -> int:
-    # The identity's free coefficients are the digits 1, 0, ..., 0.
-    return rs.modulus ** (rs.size - 2)
-
-
 def _mixed_radix(idx: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     """Write the base-q digits of each index into a column of out, most
     significant digit in row 0."""
@@ -121,12 +128,14 @@ def _mixed_radix(idx: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _units_at(rs: RingSpec, idx: np.ndarray) -> np.ndarray:
-    """The units with the given enumeration indices, one per column."""
-    q, n = rs.modulus, rs.size
+def _units_at(rs: RingSpec, idx: np.ndarray, lift: Optional[int] = None) -> np.ndarray:
+    """The units with the given enumeration indices, one per column; with
+    ``lift`` = p^{e'} for e' >= e, the last coefficient is forced mod p^{e'},
+    which lifts each unit to augmentation 1 in Z_{p^{e'}}G."""
+    n = rs.size
     out = np.empty((n, len(idx)), dtype=np.int64)
-    _mixed_radix(idx, q, out[: n - 1])
-    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % q
+    _mixed_radix(idx, rs.modulus, out[: n - 1])
+    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % (lift or rs.modulus)
     return out
 
 
@@ -202,10 +211,24 @@ def _map_blocks(fn: Callable, total: int, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
+@dataclass(frozen=True, eq=False)
+class PowerMap:
+    """u -> u^p over the units of ``base``, the representatives: rep i is
+    base unit i lifted to augmentation 1 mod p^e, and stands for ``mult``
+    units of V.  ``one[i]`` says rep_i^p = 1, and ``chi[i]`` (int32) is the
+    base index of rep_i^p reduced to ``base``.  Both arrays are read-only."""
+
+    base: RingSpec
+    mult: int
+    one: np.ndarray
+    chi: np.ndarray
+
+
 @dataclass(eq=False)
 class Units:
-    """V(Z_{p^e}G) of one instance: the gather table, the power map phi and
-    V[p] are built on first use and live as long as the object."""
+    """V(Z_{p^e}G) of one instance: the gather table, the reduction-kernel
+    check and the power map are built on first use and live as long as the
+    object."""
 
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
@@ -217,49 +240,79 @@ class Units:
         return gather_table(self.rs.group)
 
     @functools.cached_property
-    def phi(self) -> np.ndarray:
-        """phi as a read-only int32 array, phi[i] the index of u_i^p; |V| over
-        the budget or at least 2^31 is refused before anything is allocated."""
+    def kernel(self) -> tuple[int, int]:
+        """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
+        reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1} x,
+        x in Z_p G of augmentation 0 (its first |G|-1 coefficients free)."""
         _require_budget(self.rs, self.budget)
-        rs, tbl = self.rs, self.table
-        phi = np.empty(unit_count(rs), dtype=np.int32)
-
-        def fill(lo: int, hi: int) -> None:
-            block = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
-            phi[lo:hi] = _index_of(rs, _batch_pow(tbl, rs.modulus, block, rs.p))
-
-        _map_blocks(fill, len(phi), self.workers)
-        phi.flags.writeable = False
-        return phi
+        rs = self.rs
+        p, n = rs.p, rs.size
+        x = np.empty((n, p ** (n - 1)), dtype=np.int64)
+        _mixed_radix(np.arange(x.shape[1], dtype=np.int64), p, x[: n - 1])
+        x[n - 1] = -x[: n - 1].sum(axis=0)
+        k = (p ** (rs.e - 1) * x + _identity(rs)[:, None]) % rs.modulus
+        kp = _batch_pow(self.table, rs.modulus, k, p)
+        return k.shape[1], int(np.count_nonzero(~_matches(kp, _identity(rs))))
 
     @functools.cached_property
-    def torsion(self) -> np.ndarray:
-        """Enumeration indices of V[p], the units with u^p = 1."""
-        return np.flatnonzero(self.phi == _identity_index(self.rs))
+    def power_map(self) -> PowerMap:
+        """The power map over V(Z_{p^{e-1}}G) when e >= 2 and K^p = 1, else
+        over V itself; |V| over the budget or at least 2^31 is refused
+        before anything is allocated."""
+        _require_budget(self.rs, self.budget)
+        rs, tbl = self.rs, self.table
+        q, ident = rs.modulus, _identity(rs)
+        if rs.e >= 2 and self.kernel[1] == 0:
+            base, mult = RingSpec(rs.group, rs.e - 1), self.kernel[0]
+        else:
+            base, mult = rs, 1
+        one = np.empty(unit_count(base), dtype=bool)
+        chi = np.empty(len(one), dtype=np.int32)
 
-    def scan(self, count: Callable, indices: np.ndarray) -> list[int]:
-        """Sum of count(block) over blocks of the units with the given
-        indices, one per column; count returns a fixed-length sequence of
-        counts, which add up the same for any number of workers."""
-        def part(lo: int, hi: int):
-            return count(_units_at(self.rs, indices[lo:hi]))
+        def fill(lo: int, hi: int) -> None:
+            reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
+            powers = _batch_pow(tbl, q, reps, rs.p)
+            one[lo:hi] = _matches(powers, ident)
+            chi[lo:hi] = _index_of(base, powers % base.modulus)
 
-        return np.sum(_map_blocks(part, len(indices), self.workers), axis=0).tolist()
+        _map_blocks(fill, len(one), self.workers)
+        one.flags.writeable = chi.flags.writeable = False
+        return PowerMap(base, mult, one, chi)
+
+    def scan(self, count: Callable, indices: Optional[np.ndarray] = None) -> list[int]:
+        """Sum of count(block) over blocks of units, one per column: all of
+        V, or the power map's representatives with the given indices.
+        count returns a fixed-length sequence of counts, which add up the
+        same for any number of workers."""
+        rs = self.rs
+        if indices is None:
+            _require_budget(rs, self.budget)
+            total = unit_count(rs)
+
+            def part(lo: int, hi: int):
+                return count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
+        else:
+            base, total = self.power_map.base, len(indices)
+
+            def part(lo: int, hi: int):
+                return count(_units_at(base, indices[lo:hi], rs.modulus))
+
+        return np.sum(_map_blocks(part, total, self.workers), axis=0).tolist()
 
     def census(self) -> OrderHistogram:
         """Exact-order census of V from the sizes of the kernels of phi^m.
 
-        u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, so the kernel of phi^{m+1} is
-        the kernel of phi^m gathered along phi.
+        u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, and for m >= 1 that depends on
+        phi(u) only through its reduction to the base, so the kernel of
+        phi^{m+1} is the kernel of phi^m gathered along chi.
         """
-        phi = self.phi
-        ker = np.zeros(len(phi), dtype=bool)
-        ker[_identity_index(self.rs)] = True
-        sizes = [1]
-        while sizes[-1] < len(phi) and len(sizes) <= _order_exp_bound(self.rs):
-            ker = ker[phi]
-            sizes.append(int(np.count_nonzero(ker)))
-        if sizes[-1] < len(phi):
+        pm, total = self.power_map, unit_count(self.rs)
+        ker = pm.one
+        sizes = [1, pm.mult * int(np.count_nonzero(ker))]
+        while sizes[-1] < total and len(sizes) <= _order_exp_bound(self.rs):
+            ker = ker[pm.chi]
+            sizes.append(pm.mult * int(np.count_nonzero(ker)))
+        if sizes[-1] < total:
             raise ArithmeticError("unit order exceeded the p-torsion bound")
         return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
 
@@ -376,7 +429,10 @@ def _check_theorem2(units: Units, params, seed):
 
 
 def _check_theorem1(units: Units, params, seed):
-    rs, torsion = units.rs, units.torsion
+    # Each representative of V[p] stands for mult units, all with its
+    # residue mod p^{e-1}, which is all the socle test reads.
+    rs, pm = units.rs, units.power_map
+    torsion = np.flatnonzero(pm.one)
     q1 = rs.p ** (rs.e - 1)
     socle = [element_index(rs.group, g) for g in socle_elements(rs.group)]
     socle_cols = np.eye(rs.size, dtype=np.int64)[socle]
@@ -394,31 +450,24 @@ def _check_theorem1(units: Units, params, seed):
         "order_dividing_p": rs.p ** theory.v_p_torsion_exp(rs.group, rs.e),
         "outside_socle_form": 0,
     }
-    observed = {"order_dividing_p": len(torsion), "outside_socle_form": bad}
+    observed = {
+        "order_dividing_p": pm.mult * len(torsion),
+        "outside_socle_form": pm.mult * bad,
+    }
     return predicted, observed
 
 
 def _check_lemma6(units: Units, params, seed):
-    rs, phi = units.rs, units.phi
-    q, p = rs.modulus, rs.p
-    q1 = p ** (rs.e - 1)
-    # u = 1 mod p^{e-1} on the free coefficients, digit by digit, most
-    # significant first; the forced last one then follows from augmentation 1.
-    in_kernel = np.ones(1, dtype=bool)
-    for j in range(rs.size - 1):
-        digit_ok = np.zeros(q, dtype=bool)
-        digit_ok[1 if j == 0 else 0 :: q1] = True
-        in_kernel = np.logical_and.outer(in_kernel, digit_ok).ravel()
-    ker_phi = phi[in_kernel]
-    violations = int(np.count_nonzero(ker_phi != _identity_index(rs)))
-
-    predicted = {"kernel_size": p ** (rs.size - 1), "order_p_violations": 0}
-    observed = {"kernel_size": len(ker_phi), "order_p_violations": violations}
+    rs, (size, violations) = units.rs, units.kernel
+    predicted = {"kernel_size": rs.p ** (rs.size - 1), "order_p_violations": 0}
+    observed = {"kernel_size": size, "order_p_violations": violations}
     return predicted, observed
 
 
 def _check_lemma4(units: Units, params, seed):
-    rs, torsion = units.rs, units.torsion
+    # At e = 1 the power map's representatives are the units themselves.
+    rs = units.rs
+    torsion = np.flatnonzero(units.power_map.one)
     q, p = rs.modulus, rs.p
     ident = _identity(rs)
     H = howell_array(socle_ideal_generators(rs))
@@ -453,8 +502,7 @@ def _check_lemma5(units: Units, params, seed):
             counts.append(vecs.shape[1])
         return counts
 
-    _require_budget(rs, units.budget)
-    totals = units.scan(scan, np.arange(unit_count(rs)))
+    totals = units.scan(scan)
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:

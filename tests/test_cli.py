@@ -296,8 +296,8 @@ class TestReportSerialization:
             emit_report([], "yaml")
 
     def test_power_map_released_after_the_run(self, monkeypatch):
-        # While the suite runs, at most one instance's Units holds a phi;
-        # once it returns, every Units it built is gone.
+        # While the suite runs, at most one instance's Units holds a power
+        # map; once it returns, every Units it built is gone.
         built = []
 
         class Tracked(oracle.Units):
@@ -305,13 +305,13 @@ class TestReportSerialization:
                 super().__init__(*args)
                 built.append(weakref.ref(self))
 
-        def holding_phi():
-            return sum("phi" in vars(u) for u in (ref() for ref in built) if u)
+        def holding_power_map():
+            return sum("power_map" in vars(u) for u in (ref() for ref in built) if u)
 
         def checked(*args, **kwargs):
-            assert holding_phi() <= 1
+            assert holding_power_map() <= 1
             report = oracle.verify_check(*args, **kwargs)
-            assert holding_phi() <= 1
+            assert holding_power_map() <= 1
             return report
 
         monkeypatch.setattr(cli, "Units", Tracked)
@@ -325,26 +325,34 @@ class TestReportSerialization:
 
         class Counting(oracle.Units):
             @functools.cached_property
-            def phi(self):
-                builds.append(self.rs)
-                return super().phi
+            def kernel(self):
+                builds.append(("kernel", self.rs))
+                return super().kernel
+
+            @functools.cached_property
+            def power_map(self):
+                builds.append(("power_map", self.rs))
+                return super().power_map
 
         def checked(check, units, params, *, seed):
             report = oracle.verify_check(check, units, params, seed=seed)
-            seen.append((check, units.__dict__.get("phi")))
+            seen.append((check, units.__dict__.get("power_map")))
             return report
 
         monkeypatch.setattr(cli, "Units", Counting)
         monkeypatch.setattr(cli, "verify_check", checked)
+        rs = RingSpec(GroupSpec(3, (1,)), 2)
         config = SuiteConfig(
-            instances=(SuiteInstance(GroupSpec(3, (1,)), 2),),
+            instances=(SuiteInstance(rs.group, rs.e),),
             checks=("theorem1", "theorem2", "lemma6"),
         )
         (report,) = run_suite(config)
         assert report.all_pass()
-        assert builds == [RingSpec(GroupSpec(3, (1,)), 2)]
+        assert sorted(builds) == [("kernel", rs), ("power_map", rs)]
         assert [c for c, _ in seen] == ["theorem1", "theorem2", "lemma6"]
-        assert all(phi is seen[0][1] is not None for _, phi in seen)
+        assert all(pm is seen[0][1] is not None for _, pm in seen)
+        # One representative per coset of the kernel of reduction mod 3.
+        assert len(seen[0][1].chi) == oracle.unit_count(rs) // 3 ** 2
 
 
 class TestSuiteCommand:

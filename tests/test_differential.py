@@ -5,11 +5,14 @@ Random small (p, lambda, e) and random normalized units: ``_batch_mul``,
 ``RingElement.__mul__`` (the ``_convolve`` reference), ``__pow__`` and
 ``unit_order``.  ``_batch_mul`` and ``_batch_pow`` also on rings of
 characteristic near 2^31, where unreduced sums of products overflow int64.
-Random small rings with |V| <= 4096: the power map ``Units.phi`` must
-send each enumerated unit to the index of its scalar p-th power whatever
-the block size and worker count, the census read from it must equal the
-scalar ``unit_order`` census, and every planned check must report the same
-through one shared ``Units`` as through one-shot calls on the RingSpec.
+Random small rings with |V| <= 4096: the power map ``Units.power_map``
+must send each lifted representative to its scalar p-th power (reduced to
+the base ring, and compared with 1) whatever the block size and worker
+count, and for e >= 2 its ``chi`` must be the base ring's own full power
+map; the census read from it must equal the scalar ``unit_order`` census,
+every planned check must report the same through one shared ``Units`` as
+through one-shot calls on the RingSpec, and a failed reduction-kernel check
+must fall back to the full map with the same reports.
 """
 
 import functools
@@ -32,8 +35,15 @@ from punits.oracle import (
     unit_count,
     verify_check,
 )
-from punits.pgroup import GroupSpec, p_valuation
-from punits.ring import RingElement, RingSpec, _order_exp_bound, unit_order
+from punits.pgroup import GroupSpec, p_valuation, socle_elements
+from punits.ring import (
+    RingElement,
+    RingSpec,
+    _order_exp_bound,
+    one,
+    reduce_mod,
+    unit_order,
+)
 from punits.zpelin import gather_table
 
 from .helpers import small_specs
@@ -132,10 +142,39 @@ def _scalar_census(rs: RingSpec) -> dict[int, int]:
     return {p_valuation(order, rs.p): count for order, count in orders.items()}
 
 
+def _lift(u: RingElement, rs: RingSpec) -> RingElement:
+    """u in Z_{p^e'}G, e' <= e, as a unit of rs: the same first |G|-1
+    coefficients and the last one forced by augmentation 1 mod p^e."""
+    head = u.coeffs[:-1]
+    return RingElement(rs, (*head, (1 - sum(head)) % rs.modulus))
+
+
+def _kernel_violation():
+    """Make every Units' reduction-kernel check report one k with k^p != 1."""
+    return mock.patch.object(
+        Units, "kernel", property(lambda self: (self.rs.p ** (self.rs.size - 1), 1))
+    )
+
+
 @given(st.sampled_from(RINGS))
 def test_power_map_matches_scalar_power(rs):
-    phi = Units(rs).phi
-    assert phi.tolist() == [_scalar_index(u ** rs.p) for u in enumerate_units(rs)]
+    pm = Units(rs).power_map
+    quotient = rs.e >= 2
+    assert pm.base == (RingSpec(rs.group, rs.e - 1) if quotient else rs)
+    assert pm.mult * len(pm.chi) == unit_count(rs)
+    powers = [_lift(u, rs) ** rs.p for u in enumerate_units(pm.base)]
+    assert pm.chi.tolist() == [_scalar_index(reduce_mod(w, pm.base.e)) for w in powers]
+    assert pm.one.tolist() == [w == one(rs) for w in powers]
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]))
+def test_quotient_map_is_the_base_rings_own_power_map(rs):
+    # Reduction mod p^{e-1} is a ring map, so chi is phi of V(Z_{p^{e-1}}G).
+    base = RingSpec(rs.group, rs.e - 1)
+    with _kernel_violation():
+        full = Units(base).power_map
+    assert (full.base, full.mult) == (base, 1)
+    assert np.array_equal(Units(rs).power_map.chi, full.chi)
 
 
 @given(st.sampled_from(RINGS))
@@ -150,13 +189,17 @@ def test_power_map_independent_of_blocks_and_workers(rs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [Units(rs, workers=w).phi for w in (1, 2, 4)]
+        runs = [Units(rs, workers=w).power_map for w in (1, 2, 4)]
         with mock.patch.object(oracle, "_BLOCK", 5):
-            runs.append(Units(rs, workers=4).phi)
-            runs.append(Units(rs).phi)
+            runs.append(Units(rs, workers=4).power_map)
+            runs.append(Units(rs).power_map)
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
+    first = runs[0]
+    for pm in runs[1:]:
+        assert (pm.base, pm.mult) == (first.base, first.mult)
+        assert np.array_equal(pm.one, first.one)
+        assert np.array_equal(pm.chi, first.chi)
 
 
 @given(st.lists(st.sampled_from(RINGS), min_size=2, max_size=2, unique=True))
@@ -169,10 +212,40 @@ def test_alternating_instances_get_their_own_power_map(pair):
 
 @given(st.sampled_from(RINGS), st.sampled_from([1, 2]))
 def test_shared_units_report_as_one_shot_calls(rs, workers):
-    # The checks of one instance share one Units (its phi and V[p]); each
-    # must report exactly what it reports on a fresh Units of its own.
+    # The checks of one instance share one Units (its kernel check and power
+    # map); each must report exactly what it reports on a fresh Units of its own.
     shared = Units(rs, workers=workers)
     plan = plan_checks(rs)
     assert [verify_check(c, shared, params, seed=3) for c, params in plan] == [
         verify_check(c, rs, params, seed=3) for c, params in plan
     ]
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.booleans())
+def test_kernel_check_failure_takes_the_full_path(rs, drop_socle_element):
+    # If K^p = 1 fails, the power map is built over V itself.  Every check
+    # must then report as on the quotient path, except lemma6, which reports
+    # the violation.  Dropping an element of G[p] makes theorem1 find units
+    # outside the socle form, whose count the quotient path scales by |K|.
+    plan = plan_checks(rs)
+    with mock.patch.object(
+        oracle,
+        "socle_elements",
+        lambda g: socle_elements(g)[: -1 if drop_socle_element else None],
+    ):
+        quotient = [verify_check(c, rs, params, seed=3) for c, params in plan]
+        with _kernel_violation():
+            units = Units(rs)
+            full = [verify_check(c, units, params, seed=3) for c, params in plan]
+            census = units.census()
+    assert (units.power_map.base, units.power_map.mult) == (rs, 1)
+    assert census.as_dict() == _scalar_census(rs)
+    for (check, _), q, f in zip(plan, quotient, full):
+        if check == "lemma6":
+            assert q.passed
+            assert f.observed["order_p_violations"] == 1
+        else:
+            assert f == q
+        if check == "theorem1":
+            outside = q.observed["outside_socle_form"]
+            assert (outside > 0) == drop_socle_element

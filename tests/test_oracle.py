@@ -1,10 +1,14 @@
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from punits import oracle
+from punits.cli import default_suite_config
 from punits.oracle import (
+    CHECKS,
     BudgetExceededError,
     OrderHistogram,
     Units,
@@ -234,6 +238,43 @@ class TestChecks:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             verify_check("theorem2", Units(Z9C3, budget=80))
+
+    def test_no_v_sized_array_at_e_at_least_2(self, monkeypatch):
+        # On the default suite's e >= 2 instances the enumerative checks hold
+        # no array with |V| or more columns: they read the power map's
+        # |V| / p^{|G|-1} representatives, and lemma5 scans V block by block.
+        # Every array bound to a name in a punits frame is measured, line by
+        # line, with blocks of 2^12 units; instances with |V| <= 2^12 are
+        # one block.
+        monkeypatch.setattr(oracle, "_BLOCK", 1 << 12)
+        package = os.path.dirname(oracle.__file__)
+        checked = 0
+        for inst in default_suite_config().instances:
+            rs = RingSpec(inst.group, inst.e)
+            plan = [(c, prm) for c, prm in plan_checks(rs) if CHECKS[c].enumerative]
+            if rs.e < 2 or not plan or unit_count(rs) <= oracle._BLOCK:
+                continue
+            widest = 0
+
+            def trace(frame, event, arg):
+                nonlocal widest
+                if not frame.f_code.co_filename.startswith(package):
+                    return None
+                for v in frame.f_locals.values():
+                    if isinstance(v, np.ndarray) and v.ndim:
+                        widest = max(widest, v.shape[-1])
+                return trace
+
+            units = Units(rs)
+            sys.settrace(trace)
+            try:
+                for check, params in plan:
+                    assert verify_check(check, units, params).passed
+            finally:
+                sys.settrace(None)
+            assert 0 < widest < unit_count(rs), rs
+            checked += 1
+        assert checked >= 10
 
 
 class TestPlanner:

@@ -42,6 +42,23 @@ from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_or
 from .theory import AbelianInvariants, structure_report
 
 
+def _check_printable(group: GroupSpec, e: int) -> None:
+    """Refuse an instance whose answer holds a number too long to print.
+
+    The largest number an answer prints is the exponent e(|G| - 1) of |V|,
+    so its digit count decides, before the closed forms build the agemo
+    sizes.  It costs O(sum of lambda) bits; 10^limit is built only when the
+    exponent is about as long.
+    """
+    limit = sys.get_int_max_str_digits()
+    exp = theory.v_order_exp(group, e)
+    if limit and exp.bit_length() > 3 * limit and exp >= 10 ** limit:
+        raise ValueError(
+            f"the exponent e(|G| - 1) of |V| has more than {limit} digits, "
+            f"past the int-to-str limit"
+        )
+
+
 @dataclass(frozen=True)
 class InstanceReport:
     """One (G, e) instance: closed-form structure plus check outcomes."""
@@ -64,6 +81,7 @@ class SuiteInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", checked_int(self.e, "e", 1))
+        _check_printable(self.group, self.e)
         if not isinstance(self.formula_only, bool):
             raise ValueError(
                 f"formula_only must be true or false, got {self.formula_only!r}"
@@ -379,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_invariants(args) -> int:
     group = _parse_group(args)
+    _check_printable(group, args.e)
     rep = structure_report(group, args.e)
     instance = InstanceReport(
         group=group,

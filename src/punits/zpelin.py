@@ -9,9 +9,26 @@ have equal row spans iff their Howell forms are identical.
 
 Conventions here: pivots are exact powers of p (unit parts divided out),
 pivot columns strictly increase, entries above a pivot p^v are reduced
-into [0, p^v), and zero rows are dropped.  One numpy core computes every
-form on int64 rows, reducing mod q = p^e after every row operation; q <=
-2^31 keeps each product f * row below 2^62.
+into [0, p^v), and zero rows are dropped.
+
+One numpy core computes every form, in one int64 buffer of nrows + ncols
+rows: the input rows, then room for one annihilator row per pivot.  Rows
+[0, top) are the basis found so far and rows [top, end) are still to be
+reduced; nothing is copied or deleted per pivot, and rows that fall to
+zero stay where they are.  At each column the row of least valuation v is
+normalized to pivot p^v and swapped to ``top``; then one gather/scatter
+over the pivot row's nonzero columns reduces every other row (Gauss-Jordan
+in the forward pass): active rows, whose entries there are multiples of
+p^v, to 0, and basis rows into [0, p^v).  The annihilator p^{e-v} * row
+goes to ``end``.  Each row operation is reduced mod q = p^e, and q <= 2^31
+keeps each product f * row below 2^62.
+
+``HowellArray.contains`` reduces a block of vectors against the rows in
+turn and defers the reduction mod q: it reduces only the pivot entry
+before each row, so that f = v[col] // p^v is exact, and the whole block
+every k rows and at the end.  One row subtracts at most (q-1)^2 from an
+entry, so k is the largest integer with q + k(q-1)^2 <= 2^63 - 1 (k = 2 at
+7^11 and 2^31; every q <= 2^31 has k >= 1).
 
 The powers of w form one chain per ring.  H(w) is the Howell form of the
 rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
@@ -85,11 +102,15 @@ class HowellArray:
     def contains(self, vecs: np.ndarray) -> np.ndarray:
         """Boolean mask: which columns of vecs lie in the span."""
         q = self.p ** self.e
+        k = _rows_per_reduction(q)
         v = np.asarray(vecs, dtype=np.int64) % q
-        for row, col in zip(self.rows, self.pivots):
-            f = v[col] // row[col]
-            v[col:] -= row[col:, None] * f
-            v[col:] %= q
+        for i, (row, col) in enumerate(zip(self.rows, self.pivots), start=1):
+            v[col] %= q
+            at = row.nonzero()[0]
+            v[at] -= row[at, None] * (v[col] // row[col])
+            if i % k == 0:
+                v %= q
+        v %= q
         return ~v.any(axis=0)
 
     def matrix(self) -> ResidueMatrix:
@@ -97,35 +118,52 @@ class HowellArray:
         return ResidueMatrix(self.p, self.e, self.rows.shape[1], rows)
 
 
+def _rows_per_reduction(q: int) -> int:
+    """The largest k with q + k(q - 1)^2 <= 2^63 - 1: k row operations of
+    ``contains`` fit in int64 between two reductions mod q."""
+    return (2 ** 63 - 1 - q) // (q - 1) ** 2
+
+
 def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
     """Howell form of the rows of the int64 matrix A (entries in [0, p^e))."""
     q = p ** e
-    ncols = A.shape[1]
-    work = A[A.any(axis=1)]
-    basis, pivots, size_exp = [], [], 0
+    nrows, ncols = A.shape
+    buf = np.empty((nrows + ncols, ncols), dtype=np.int64)
+    buf[:nrows] = A
+    top, end = 0, nrows
+    pivots, size_exp = [], 0
 
     for col in range(ncols):
-        if not len(work):
+        if top == end:
             break
-        nz = np.flatnonzero(work[:, col])
+        vals = buf[top:end, col]
+        nz = vals.nonzero()[0]
         if not nz.size:
             continue
-        vals = work[nz, col]
-        v = p_valuation(int(np.gcd.reduce(vals)), p)
+        vals = vals[nz]
+        units = (vals % p).nonzero()[0]
+        if units.size:
+            v, first = 0, int(units[0])
+        else:
+            v = p_valuation(int(np.gcd.reduce(vals)), p)
+            first = int((vals % p ** (v + 1)).nonzero()[0][0])  # least valuation
         piv = p ** v
-        first = int(np.flatnonzero(vals % (piv * p))[0])  # least valuation
-        row = work[nz[first]] * pow(int(vals[first]) // piv, -1, q) % q
+        src = top + int(nz[first])
+        row = buf[src] * pow(int(vals[first]) // piv, -1, q) % q
+        buf[src] = buf[top]
+        buf[top] = row
 
-        others = np.delete(nz, first)
-        f = work[others, col] // piv
-        reduced = (work[others, col:] - f[:, None] * row[col:]) % q
-        work[others, col:] = reduced
-        keep = np.ones(len(work), dtype=bool)
-        keep[nz[first]] = False
-        keep[others[~reduced.any(axis=1)]] = False
-        work = work[keep]
-
-        basis.append(row)
+        # Active rows hold multiples of piv in this column and drop to 0;
+        # basis rows are reduced into [0, piv).
+        f = buf[:end, col] // piv
+        f[top] = 0
+        hit = f.nonzero()[0]
+        at = row.nonzero()[0]
+        block = buf[hit[:, None], at]
+        block -= f[hit, None] * row[at]
+        block -= block // q * q  # mod q: numpy's int64 // q is several times faster than %
+        buf[hit[:, None], at] = block
+        top += 1
         pivots.append(col)
         size_exp += e - v
         # Annihilator row: p^{e-v} * row spans the part of the span whose
@@ -133,16 +171,10 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
         if v:
             ann = row * p ** (e - v) % q
             if ann.any():
-                work = np.vstack([work, ann])
+                buf[end] = ann
+                end += 1
 
-    # Reduce the entries above each pivot into [0, pivot).
-    B = np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
-    for i, col in enumerate(pivots):
-        f = B[:i, col] // B[i, col]
-        if f.any():
-            B[:i, col:] = (B[:i, col:] - f[:, None] * B[i, col:]) % q
-
-    rows = B.astype(np.min_scalar_type(q - 1))
+    rows = buf[:top].astype(np.min_scalar_type(q - 1))
     rows.flags.writeable = False
     return HowellArray(p, e, rows, tuple(pivots), size_exp)
 

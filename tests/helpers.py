@@ -4,9 +4,10 @@ Everything here is deliberately independent of the code paths it checks:
 dictionary-based convolution instead of the index-table convolution,
 iterated squaring instead of valuation formulas, exhaustive span
 enumeration instead of Howell pivots, a pure-Python Howell elimination
-instead of the numpy core, the direct product construction of w^n
-instead of the ideal chain, and the inverse of the tuple product table
-instead of mixed-radix gather arithmetic.
+and exact row-by-row membership reduction instead of the numpy core, the
+direct product construction of w^n instead of the ideal chain, and the
+inverse of the tuple product table instead of mixed-radix gather
+arithmetic.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ def reference_howell_form(M: ResidueMatrix) -> ResidueMatrix:
                 basis[j] = [(a - f * b) % q for a, b in zip(basis[j], row)]
 
     return ResidueMatrix(p, e, M.ncols, tuple(tuple(r) for r in basis))
+
+
+def reference_contains(rows, pivots, q: int, vecs) -> list[bool]:
+    """Membership of each column of vecs in the span of a Howell form given
+    as rows and pivot columns, by exact integer reduction mod q after every
+    row."""
+    rows = np.asarray(rows).tolist()
+    out = []
+    for vec in np.asarray(vecs).T.tolist():
+        v = [x % q for x in vec]
+        for row, col in zip(rows, pivots):
+            f = v[col] // row[col]
+            v = [(a - f * b) % q for a, b in zip(v, row)]
+        out.append(not any(v))
+    return out
 
 
 def direct_ideal_power_rows(rs: RingSpec, n: int) -> ResidueMatrix:

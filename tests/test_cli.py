@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from punits import cli, oracle
+from punits import cli, oracle, theory
 from punits.cli import (
     SuiteConfig,
     SuiteInstance,
@@ -100,6 +100,48 @@ class TestInvariantsCommand:
             sys.set_int_max_str_digits(limit)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["invariants-text", "invariants-json", "suite"])
+    def test_unprintable_number_is_refused_before_the_closed_forms(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # The refusal reads only e(|G| - 1): with the closed forms made to
+        # fail, the answer is still exit 2 and one error line.
+        def unreachable(spec):
+            raise AssertionError("the closed forms ran")
+
+        monkeypatch.setattr(theory, "vzp_factor_counts", unreachable)
+        if command == "suite":
+            path = tmp_path / "suite.json"
+            instance = {"p": 2, "lambda": [2200], "e": 2, "formula_only": True}
+            path.write_text(json.dumps({"instances": [instance]}))
+            argv = ["suite", "--config", str(path)]
+        else:
+            argv = ["invariants", "--p", "2", "--lambda", "2200", "--e", "2",
+                    "--format", command.split("-")[1]]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "640 digits" in err
+
+    def test_number_at_the_digit_limit_still_prints(self, capsys):
+        # e(|G| - 1) = 2^2200 - 1 has exactly 663 digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(663)
+        try:
+            code, out, _ = run(
+                capsys, "invariants", "--p", "2", "--lambda", "2200", "--e", "1",
+                "--format", "json",
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert json.loads(out)["instances"][0]["v_order"]["exp"] == 2 ** 2200 - 1
 
 
 class TestOrderCommand:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from punits.ring import RingSpec, from_group_element, one
 from punits.theory import v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
+    howell_array,
     howell_form,
     ideal_power_form,
     ideal_power_generators,
@@ -21,6 +23,7 @@ from punits.zpelin import (
 
 from .helpers import (
     direct_ideal_power_rows,
+    reference_contains,
     reference_gather_table,
     reference_howell_form,
     small_specs,
@@ -133,7 +136,13 @@ class TestHowellCore:
             st.integers(0, q - 1),
         )
         row = st.lists(entry, min_size=ncols, max_size=ncols)
-        rows = data.draw(st.lists(row, max_size=7))
+        # Zero rows and rows of multiples of p (pivots of positive valuation,
+        # hence annihilator rows), then repeats of drawn rows.
+        times_p = row.map(lambda r: [p * x % q for x in r])
+        kinds = st.one_of(row, st.just([0] * ncols), times_p)
+        rows = data.draw(st.lists(kinds, max_size=max(7, 2 * ncols)))
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=ncols))
         A = ResidueMatrix(p, e, ncols, tuple(tuple(r) for r in rows))
         assert howell_form(A) == reference_howell_form(A)
 
@@ -167,6 +176,81 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             module_membership((1, 0, 0), M(2, 2, [[2, 0]]))
+
+    @given(st.data())
+    def test_contains_matches_exhaustive_span(self, data):
+        # Every vector of Z_q^ncols at once, against the enumerated span.
+        p, e = data.draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))))
+        q = p ** e
+        ncols = data.draw(st.integers(1, 3 if q <= 5 else 2))
+        row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+        A = M(p, e, data.draw(st.lists(row, min_size=1, max_size=4)))
+        span = span_elements(A)
+        vecs = list(itertools.product(range(q), repeat=ncols))
+        member = howell_array(A).contains(np.array(vecs, dtype=np.int64).T)
+        assert member.tolist() == [v in span for v in vecs]
+
+    @given(st.sampled_from(((7, 11), (3, 19), (2, 31))), st.integers(0, 2 ** 32))
+    def test_contains_matches_row_by_row_reduction(self, pe, seed):
+        # Moduli near 2^31, where contains runs only k rows between two
+        # reductions.  The first n > k columns each hold a pivot, so the
+        # periodic reduction runs; the trailing columns are mostly free.
+        p, e = pe
+        q = p ** e
+        k = zpelin._rows_per_reduction(q)
+        rng = random.Random(seed)
+        n = rng.randint(k + 1, k + 3)
+        ncols = n + rng.randint(1, 2)
+
+        def entry():
+            return rng.choice(
+                (0, 1, p, q - p, q - 1, rng.randrange(q - q // 16, q), rng.randrange(q))
+            )
+
+        def vec():
+            return [entry() for _ in range(ncols)]
+
+        rows = []
+        for i in range(n):
+            v = rng.choice((0, rng.randrange(e)))
+            unit = rng.randrange(q // p) * p + rng.randrange(1, p)
+            rows.append([0] * i + [p ** v * unit % q] + vec()[i + 1 :])
+        rows += [vec() for _ in range(rng.randrange(3))]
+        H = howell_array(M(p, e, rows))
+        assert H.pivots[:n] == tuple(range(n))
+
+        form = H.rows.tolist()
+        members = []
+        for _ in range(3):
+            cs = [entry() for _ in form]
+            members.append([sum(c * r[j] for c, r in zip(cs, form)) % q for j in range(ncols)])
+        vecs = np.array(members + [vec() for _ in range(3)]).T
+        expected = reference_contains(H.rows, H.pivots, q, vecs)
+        assert expected[:3] == [True] * 3
+        assert H.contains(vecs).tolist() == expected
+
+    @pytest.mark.parametrize("p, e", [(7, 11), (3, 19), (2, 31)])
+    def test_contains_at_the_worst_case_between_reductions(self, p, e):
+        # Rows e_i + (q-1) e_n: with every coefficient q - 1, each row
+        # subtracts (q-1)^2 from the last coordinate, the most one row can.
+        # 2k + 1 rows need both periodic reductions and the final one.
+        q = p ** e
+        k = zpelin._rows_per_reduction(q)
+        n = 2 * k + 1
+        H = howell_array(M(p, e, [[int(i == j) for j in range(n)] + [q - 1] for i in range(n)]))
+        assert H.pivots == tuple(range(n))
+        member = [q - 1] * n + [n * (q - 1) ** 2 % q]
+        outsider = member[:-1] + [(member[-1] + 1) % q]
+        vecs = np.array([member, outsider]).T
+        assert reference_contains(H.rows, H.pivots, q, vecs) == [True, False]
+        assert H.contains(vecs).tolist() == [True, False]
+
+    def test_rows_per_reduction_bound(self):
+        for q in (2, 3, 4, 2 ** 16, 7 ** 11, 3 ** 19, 2 ** 31):
+            k = zpelin._rows_per_reduction(q)
+            assert k >= 1
+            assert q + k * (q - 1) ** 2 <= 2 ** 63 - 1 < q + (k + 1) * (q - 1) ** 2
+        assert zpelin._rows_per_reduction(7 ** 11) == 2
 
 
 class TestModuleSize:

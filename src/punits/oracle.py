@@ -27,6 +27,12 @@ convolution; blocks can be fanned out to worker threads and fill disjoint
 slices, so parallel and sequential runs agree exactly.  The checks of an
 instance share the map through one ``Units`` object and it is freed with
 that object, so a suite run keeps one power map alive at a time.
+
+The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
+powers one block of columns (1 - g for every g in G, g - 1, or the
+candidate units 1 + p^d y) with the same batched kernels, and reads the
+group's own power map g -> g^m by index arithmetic
+(``zpelin.power_indices``).
 """
 
 from __future__ import annotations
@@ -44,19 +50,19 @@ import numpy as np
 from . import theory
 from .pgroup import (
     GroupSpec,
+    element_from_index,
     element_index,
-    element_pow,
-    enumerate_elements,
     p_valuation,
     socle_elements,
 )
-from .ring import RingElement, RingSpec, _order_exp_bound, from_group_element, one
+from .ring import RingElement, RingSpec, _order_exp_bound
 from .zpelin import (
     gather_table,
     howell_array,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
     nilpotency_index,
+    power_indices,
     socle_ideal_generators,
 )
 
@@ -183,22 +189,18 @@ def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 
 def _batch_order_exps(units: Units, block: np.ndarray, max_exp: int) -> np.ndarray:
-    """Per-column m with u^{p^m} = 1, or -1 if not reached by max_exp."""
+    """Per-column m with u^{p^m} = 1, or -1 if not reached by max_exp.
+
+    The whole block is powered at each step: a column at 1 stays at 1, and
+    compacting the rest would cost more numpy calls than it saves."""
     tbl, q, p = units.table, units.rs.modulus, units.rs.p
     ident = _identity(units.rs)
-    orders = np.full(block.shape[1], -1, dtype=np.int64)
-    done = _matches(block, ident)
-    orders[done] = 0
-    alive = np.flatnonzero(~done)
-    work = block[:, alive]
+    orders = np.where(_matches(block, ident), 0, -1)
     m = 0
-    while alive.size and m < max_exp:
+    while m < max_exp and (orders < 0).any():
         m += 1
-        work = _batch_pow(tbl, q, work, p)
-        done = _matches(work, ident)
-        orders[alive[done]] = m
-        alive = alive[~done]
-        work = work[:, ~done]
+        block = _batch_pow(tbl, q, block, p)
+        orders[(orders < 0) & _matches(block, ident)] = m
     return orders
 
 
@@ -530,38 +532,46 @@ def _check_lemma3(units: Units, params, seed):
     n = int(params["n"])
     group = rs.group
     H = ideal_power_form(rs, n)
-    elements = list(enumerate_elements(group))
-
-    vecs = np.zeros((rs.size, len(elements)), dtype=np.int64)
-    for i, g in enumerate(elements):
-        vecs[element_index(group, g), i] = 1
-    vecs = (vecs - _identity(rs)[:, None]) % rs.modulus
-    member = H.contains(vecs)
-    observed = [list(g) for g, m in zip(elements, member) if m]
+    # Column i is g_i - 1; index order is the lexicographic order of elements.
+    vecs = (np.eye(rs.size, dtype=np.int64) - _identity(rs)[:, None]) % rs.modulus
+    observed = np.flatnonzero(H.contains(vecs))
 
     a = theory.dimension_subgroup(group, rs.e, n)
-    power = group.p ** a
-    agemo = sorted({element_pow(group, g, power) for g in elements})
-    predicted = [list(g) for g in agemo]
-    return {"elements": predicted}, {"elements": observed}
+    agemo = np.zeros(rs.size, dtype=bool)
+    agemo[power_indices(group, group.p ** a)] = True
+    predicted = np.flatnonzero(agemo)
+
+    def listed(indices):
+        return [list(element_from_index(group, i)) for i in indices.tolist()]
+
+    return {"elements": listed(predicted)}, {"elements": listed(observed)}
+
+
+def _lemma2_powers(units: Units) -> dict[int, np.ndarray]:
+    """P[k] for k = e-1 ... e+3, the exponents l - s that lemma2 reads:
+    column j is (1 - g_j)^{p^k}, so column 0 (g = 1) is 0."""
+    rs, tbl = units.rs, units.table
+    p, e, q = rs.p, rs.e, rs.modulus
+    cols = (_identity(rs)[:, None] - np.eye(rs.size, dtype=np.int64)) % q
+    P = {e - 1: _batch_pow(tbl, q, cols, p ** (e - 1))}
+    for k in range(e, e + 4):
+        P[k] = _batch_pow(tbl, q, P[k - 1], p)
+    return P
 
 
 def _check_lemma2(units: Units, params, seed):
+    # (1 - g)^{p^l} against (1 - g^{p^s})^{p^{l-s}}: column j of P[l]
+    # against the column of g_j^{p^s} in P[l - s].
     rs = units.rs
     p, e = rs.p, rs.e
-    unit_one = one(rs)
+    P = _lemma2_powers(units)
     cases = 0
     violations = 0
-    for g in enumerate_elements(rs.group):
-        base = unit_one - from_group_element(rs, g)
-        for l in range(e, e + 4):
-            lhs = base ** (p ** l)
-            for s in range(0, l - e + 2):
-                gs = element_pow(rs.group, g, p ** s)
-                rhs = (unit_one - from_group_element(rs, gs)) ** (p ** (l - s))
-                cases += 1
-                if lhs != rhs:
-                    violations += 1
+    for l in range(e, e + 4):
+        for s in range(0, l - e + 2):
+            rhs = P[l - s][:, power_indices(rs.group, p ** s)]
+            cases += rs.size
+            violations += int(np.count_nonzero(~(P[l] == rhs).all(axis=0)))
     return (
         {"cases": cases, "violations": 0},
         {"cases": cases, "violations": violations},
@@ -603,23 +613,21 @@ def _lemma9_units(units: Units, d: int, seed: int):
     return ys, exceptional, _batch_order_exps(units, block, rs.e - d)
 
 
+def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Per column, the least p-adic valuation of its coefficients in
+    [0, p^e), a zero coefficient counting as e: gcd(column, p^e) is exactly
+    p^that, located among p^0, ..., p^e."""
+    q = p ** e
+    powers = np.array([p ** i for i in range(e + 1)], dtype=np.int64)
+    return np.searchsorted(powers, np.gcd(np.gcd.reduce(ys, axis=0), q))
+
+
 def _check_lemma9(units: Units, params, seed):
     d = int(params["d"])
     p, e = units.rs.p, units.rs.e
     ys, exceptional, measured = _lemma9_units(units, d, seed)
 
-    # Minimal coefficient valuation per row (valuation of 0 taken as e).
-    val = np.zeros_like(ys)
-    zero = ys == 0
-    val[zero] = e
-    rem = np.where(zero, 1, ys)
-    while True:
-        div = rem % p == 0
-        if not div.any():
-            break
-        val[div] += 1
-        rem[div] //= p
-    s = val.min(axis=0)
+    s = _min_valuations(ys, p, e)
     predicted_exp = np.maximum(e - d - s, 0)
 
     bound_violations = int((measured < 0).sum())
@@ -653,7 +661,7 @@ def lemma9_exceptional_census(
     measured = measured[exceptional]
     if (measured < 0).any():
         raise ArithmeticError("exceptional unit order exceeded p^{e-d}")
-    return OrderHistogram(tuple(zip(*np.unique(measured, return_counts=True))))
+    return OrderHistogram(tuple(enumerate(np.bincount(measured).tolist())))
 
 
 # ---------------------------------------------------------------------------

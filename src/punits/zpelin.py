@@ -220,6 +220,18 @@ def gather_table(group: GroupSpec) -> np.ndarray:
     return table
 
 
+def power_indices(group: GroupSpec, m: int) -> np.ndarray:
+    """Entry i is the index of g_i^m: each coordinate times m mod its radix,
+    re-encoded as in ``gather_table``.  m is reduced mod each radix first,
+    so a huge m cannot overflow."""
+    coords = np.indices(group.radices).reshape(group.k, group.order())
+    out = np.zeros(coords.shape[1], dtype=np.intp)
+    for coord, radix in zip(coords, group.radices):
+        out *= radix
+        out += coord * (m % radix) % radix
+    return out
+
+
 class _IdealChain:
     """H(w), H(w^2), ... of one ring, extended on demand."""
 

@@ -5,9 +5,10 @@ dictionary-based convolution instead of the index-table convolution,
 iterated squaring instead of valuation formulas, exhaustive span
 enumeration instead of Howell pivots, a pure-Python Howell elimination
 and exact row-by-row membership reduction instead of the numpy core, the
-direct product construction of w^n instead of the ideal chain, and the
+direct product construction of w^n instead of the ideal chain, the
 inverse of the tuple product table instead of mixed-radix gather
-arithmetic.
+arithmetic, and scalar ring powers case by case instead of lemma2's
+batched columns.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from punits.pgroup import (
     GroupSpec,
     element_mul,
+    element_pow,
     enumerate_elements,
     identity,
     product_index_table,
@@ -173,6 +175,26 @@ def direct_ideal_power_rows(rs: RingSpec, n: int) -> ResidueMatrix:
         for g in enumerate_elements(group):
             rows.append((base * from_group_element(rs, g)).coeffs)
     return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
+
+
+def reference_lemma2(rs: RingSpec) -> tuple[int, int]:
+    """(cases, violations) of (1-g)^{p^l} = (1-g^{p^s})^{p^{l-s}} over all
+    g in G, e <= l <= e+3 and 0 <= s <= l-e+1, one scalar case at a time."""
+    p, e = rs.p, rs.e
+    unit_one = one(rs)
+    cases = 0
+    violations = 0
+    for g in enumerate_elements(rs.group):
+        base = unit_one - from_group_element(rs, g)
+        for l in range(e, e + 4):
+            lhs = base ** (p ** l)
+            for s in range(0, l - e + 2):
+                gs = element_pow(rs.group, g, p ** s)
+                rhs = (unit_one - from_group_element(rs, gs)) ** (p ** (l - s))
+                cases += 1
+                if lhs != rhs:
+                    violations += 1
+    return cases, violations
 
 
 def iterated_element_order(spec: GroupSpec, g) -> int:

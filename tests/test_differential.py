@@ -12,7 +12,11 @@ count, and for e >= 2 its ``chi`` must be the base ring's own full power
 map; the census read from it must equal the scalar ``unit_order`` census,
 every planned check must report the same through one shared ``Units`` as
 through one-shot calls on the RingSpec, and a failed reduction-kernel check
-must fall back to the full map with the same reports.
+must fall back to the full map with the same reports.  The formula checks:
+lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
+counts those of the scalar case-by-case reference; ``_batch_order_exps``
+on lemma9's units 1 + p^d y must match scalar iterated p-th powering under
+any bound; and the gcd valuation must be the per-coefficient minimum.
 """
 
 import functools
@@ -29,24 +33,28 @@ from punits.oracle import (
     _batch_mul,
     _batch_order_exps,
     _batch_pow,
+    _lemma2_powers,
+    _lemma9_candidates,
+    _min_valuations,
     enumerate_units,
     order_histogram,
     plan_checks,
     unit_count,
     verify_check,
 )
-from punits.pgroup import GroupSpec, p_valuation, socle_elements
+from punits.pgroup import GroupSpec, enumerate_elements, p_valuation, socle_elements
 from punits.ring import (
     RingElement,
     RingSpec,
     _order_exp_bound,
+    from_group_element,
     one,
     reduce_mod,
     unit_order,
 )
 from punits.zpelin import gather_table
 
-from .helpers import small_specs
+from .helpers import reference_lemma2, small_specs
 
 # |G| <= 16 keeps the scalar O(|G|^2) reference quick.
 SPECS = [g for g in small_specs(4, primes=(2, 3, 5)) if g.order() <= 16]
@@ -249,3 +257,55 @@ def test_kernel_check_failure_takes_the_full_path(rs, drop_socle_element):
         if check == "theorem1":
             outside = q.observed["outside_socle_form"]
             assert (outside > 0) == drop_socle_element
+
+
+@given(st.sampled_from(RINGS))
+def test_lemma2_columns_match_scalar_powers(rs):
+    powers = _lemma2_powers(Units(rs))
+    assert sorted(powers) == list(range(rs.e - 1, rs.e + 4))
+    elements = list(enumerate_elements(rs.group))
+    for k, block in powers.items():
+        expect = [(one(rs) - from_group_element(rs, g)) ** rs.p ** k for g in elements]
+        assert block.T.tolist() == [list(x.coeffs) for x in expect]
+    cases, violations = reference_lemma2(rs)
+    assert verify_check("lemma2", rs).observed == {"cases": cases, "violations": violations}
+
+
+def _iterated_order_exp(u: RingElement, max_exp: int) -> int:
+    """Least m <= max_exp with u^{p^m} = 1 by repeated p-th powers, else -1."""
+    for m in range(max_exp + 1):
+        if u == one(u.spec):
+            return m
+        u = u ** u.spec.p
+    return -1
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.data())
+def test_lemma9_order_exps_match_scalar_powering(rs, data):
+    # The units 1 + p^d y are not normalized; a bound below their order
+    # leaves -1, exactly as the scalar loop does.
+    d = data.draw(st.integers(1, rs.e - 1))
+    max_exp = data.draw(st.integers(0, rs.e - d))
+    ys = _lemma9_candidates(rs, data.draw(st.integers(0, 2 ** 32 - 1)))
+    picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=12))
+    units = [one(rs) + rs.p ** d * RingElement(rs, tuple(ys[:, j].tolist())) for j in picks]
+    got = _batch_order_exps(Units(rs), _array(units), max_exp)
+    assert got.tolist() == [_iterated_order_exp(u, max_exp) for u in units]
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_min_valuations_match_per_coefficient_minimum(p, e, data):
+    # Entries p^v * c mod p^e: v = e gives 0, and c may itself be a
+    # multiple of p, so every valuation 0..e occurs.
+    q = p ** e
+    n, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, e), st.integers(0, q - 1)),
+            min_size=n * width,
+            max_size=n * width,
+        )
+    )
+    ys = np.array([p ** v * c % q for v, c in entries], dtype=np.int64).reshape(n, width)
+    expect = [min(p_valuation(c, p) if c else e for c in col) for col in ys.T.tolist()]
+    assert _min_valuations(ys, p, e).tolist() == expect

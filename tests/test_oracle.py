@@ -1,6 +1,8 @@
 import os
 import random
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -314,3 +316,39 @@ class TestPlanner:
     def test_v_order_exp_agrees_with_enumeration(self):
         for rs in (Z4C2, Z9C3, Z4V4):
             assert rs.p ** v_order_exp(rs.group, rs.e) == unit_count(rs)
+
+
+def test_formula_checks_leave_numpy_ma_unimported():
+    # Some numpy calls (np.unique among them) import numpy.ma, about 1 MB of
+    # resident memory for the rest of the process.  A suite that plans the
+    # formula checks lemma2, lemma3 and lemma9 must not pull it in.
+    code = textwrap.dedent(
+        """
+        import sys
+        from punits import cli
+        from punits.pgroup import GroupSpec
+
+        config = cli.SuiteConfig(
+            instances=(
+                cli.SuiteInstance(GroupSpec(2, (1, 1)), 2),
+                cli.SuiteInstance(GroupSpec(3, (1,)), 3),
+            )
+        )
+        reports = cli.run_suite(config)
+        cli.emit_report(reports)
+        planned = {c.check_id.split(":")[0] for r in reports for c in r.checks}
+        assert {"lemma2", "lemma3", "lemma9"} <= planned, planned
+        assert all(r.all_pass() for r in reports)
+        assert "numpy.ma" not in sys.modules
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punits import zpelin
-from punits.pgroup import GroupSpec, enumerate_elements
+from punits.pgroup import GroupSpec, element_index, element_pow, enumerate_elements
 from punits.ring import RingSpec, from_group_element, one
 from punits.theory import v_order_exp
 from punits.zpelin import (
@@ -392,6 +392,24 @@ class TestGatherTable:
     def test_refuses_groups_past_the_table_cap(self):
         with pytest.raises(ValueError, match="table cap"):
             zpelin.gather_table(GroupSpec(2, (11,)))
+
+
+class TestPowerIndices:
+    SPECS = small_specs(4, (2, 3, 5))
+
+    @staticmethod
+    def _reference(group: GroupSpec, m: int) -> list[int]:
+        return [element_index(group, element_pow(group, g, m)) for g in enumerate_elements(group)]
+
+    @given(st.sampled_from(SPECS), st.integers(0, 64))
+    def test_matches_element_pow(self, group, m):
+        assert zpelin.power_indices(group, m).tolist() == self._reference(group, m)
+
+    @pytest.mark.parametrize("group", SPECS, ids=GroupSpec.to_text)
+    def test_zero_multiples_of_the_exponent_and_huge_powers(self, group):
+        exponent = group.p ** group.exponent_exp
+        for m in (0, exponent, 3 * exponent, exponent + 1, group.p ** 100 + 1):
+            assert zpelin.power_indices(group, m).tolist() == self._reference(group, m)
 
 
 class TestSocleIdeal:

@@ -4,7 +4,8 @@ Enumerates all of V(Z_{p^e}G) = 1 + w for desk-scale instances, recovers
 the abelian invariants from the order census, and verifies each closed
 form against the theory module.  A unit's enumeration index is the
 base-p^e number formed by its first |G|-1 coefficients (the last one is
-forced by augmentation 1), so V is a range of integers.
+forced by augmentation 1), so V is a range of integers.  That numbering
+and G's own are read through ``pgroup``'s index codec.
 
 V is abelian, so the p-th power map phi(u) = u^p is an endomorphism, and
 for e >= 2 it factors through reduction mod p^{e-1}: the kernel K of
@@ -32,7 +33,7 @@ The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
 powers one block of columns (1 - g for every g in G, g - 1, or the
 candidate units 1 + p^d y) with the same batched kernels, and reads the
 group's own power map g -> g^m by index arithmetic
-(``zpelin.power_indices``).
+(``pgroup.power_indices``).
 """
 
 from __future__ import annotations
@@ -49,20 +50,22 @@ import numpy as np
 
 from . import theory
 from .pgroup import (
+    DENSE_TABLE_CAP,
     GroupSpec,
     element_from_index,
-    element_index,
+    gather_table,
     p_valuation,
-    socle_elements,
+    power_indices,
+    radix_decode,
+    radix_encode,
+    socle_indices,
 )
 from .ring import RingElement, RingSpec, _order_exp_bound
 from .zpelin import (
-    gather_table,
     howell_array,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
     nilpotency_index,
-    power_indices,
     socle_ideal_generators,
 )
 
@@ -125,34 +128,15 @@ def _identity(rs: RingSpec) -> np.ndarray:
     return col
 
 
-def _mixed_radix(idx: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """Write the base-q digits of each index into a column of out, most
-    significant digit in row 0."""
-    for j in range(out.shape[0] - 1, -1, -1):
-        out[j] = idx % q
-        idx = idx // q
-    return out
-
-
 def _units_at(rs: RingSpec, idx: np.ndarray, lift: Optional[int] = None) -> np.ndarray:
     """The units with the given enumeration indices, one per column; with
     ``lift`` = p^{e'} for e' >= e, the last coefficient is forced mod p^{e'},
     which lifts each unit to augmentation 1 in Z_{p^{e'}}G."""
-    n = rs.size
+    n, q = rs.size, rs.modulus
     out = np.empty((n, len(idx)), dtype=np.int64)
-    _mixed_radix(idx, rs.modulus, out[: n - 1])
-    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % (lift or rs.modulus)
+    radix_decode(idx, (q,) * (n - 1), out[: n - 1])
+    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % (lift or q)
     return out
-
-
-def _index_of(rs: RingSpec, units: np.ndarray) -> np.ndarray:
-    """Enumeration index of each unit (column): the inverse of _units_at."""
-    q = rs.modulus
-    idx = np.zeros(units.shape[1], dtype=np.int64)
-    for row in units[:-1]:
-        idx *= q
-        idx += row
-    return idx
 
 
 def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -238,23 +222,21 @@ class Units:
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        """The gather table of G (see ``zpelin.gather_table``)."""
+        """The gather table of G (see ``pgroup.gather_table``)."""
         return gather_table(self.rs.group)
 
     @functools.cached_property
     def kernel(self) -> tuple[int, int]:
         """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
-        reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1} x,
-        x in Z_p G of augmentation 0 (its first |G|-1 coefficients free)."""
+        reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1}(u - 1),
+        u running over the units of Z_p G."""
         _require_budget(self.rs, self.budget)
         rs = self.rs
-        p, n = rs.p, rs.size
-        x = np.empty((n, p ** (n - 1)), dtype=np.int64)
-        _mixed_radix(np.arange(x.shape[1], dtype=np.int64), p, x[: n - 1])
-        x[n - 1] = -x[: n - 1].sum(axis=0)
-        k = (p ** (rs.e - 1) * x + _identity(rs)[:, None]) % rs.modulus
+        p, ident = rs.p, _identity(rs)
+        u = _units_at(RingSpec(rs.group, 1), np.arange(p ** (rs.size - 1), dtype=np.int64))
+        k = (p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None]) % rs.modulus
         kp = _batch_pow(self.table, rs.modulus, k, p)
-        return k.shape[1], int(np.count_nonzero(~_matches(kp, _identity(rs))))
+        return k.shape[1], int(np.count_nonzero(~_matches(kp, ident)))
 
     @functools.cached_property
     def power_map(self) -> PowerMap:
@@ -270,12 +252,13 @@ class Units:
             base, mult = rs, 1
         one = np.empty(unit_count(base), dtype=bool)
         chi = np.empty(len(one), dtype=np.int32)
+        radices = (base.modulus,) * (rs.size - 1)
 
         def fill(lo: int, hi: int) -> None:
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             powers = _batch_pow(tbl, q, reps, rs.p)
             one[lo:hi] = _matches(powers, ident)
-            chi[lo:hi] = _index_of(base, powers % base.modulus)
+            chi[lo:hi] = radix_encode(powers[:-1] % base.modulus, radices)
 
         _map_blocks(fill, len(one), self.workers)
         one.flags.writeable = chi.flags.writeable = False
@@ -436,8 +419,7 @@ def _check_theorem1(units: Units, params, seed):
     rs, pm = units.rs, units.power_map
     torsion = np.flatnonzero(pm.one)
     q1 = rs.p ** (rs.e - 1)
-    socle = [element_index(rs.group, g) for g in socle_elements(rs.group)]
-    socle_cols = np.eye(rs.size, dtype=np.int64)[socle]
+    socle_cols = np.eye(rs.size, dtype=np.int64)[socle_indices(rs.group)]
 
     def scan(block):
         sub = block % q1
@@ -565,11 +547,12 @@ def _check_lemma2(units: Units, params, seed):
     rs = units.rs
     p, e = rs.p, rs.e
     P = _lemma2_powers(units)
+    maps = [power_indices(rs.group, p ** s) for s in range(5)]  # s <= l - e + 1 <= 4
     cases = 0
     violations = 0
     for l in range(e, e + 4):
         for s in range(0, l - e + 2):
-            rhs = P[l - s][:, power_indices(rs.group, p ** s)]
+            rhs = P[l - s][:, maps[s]]
             cases += rs.size
             violations += int(np.count_nonzero(~(P[l] == rhs).all(axis=0)))
     return (
@@ -584,7 +567,7 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
     q, n = rs.modulus, rs.size
     if rs.size <= 4 and rs.e <= 3:
         ys = np.empty((n, q ** n - 1), dtype=np.int64)
-        return _mixed_radix(np.arange(1, q ** n, dtype=np.int64), q, ys)
+        return radix_decode(np.arange(1, q ** n, dtype=np.int64), (q,) * n, ys)
     rng = np.random.default_rng(seed)
     ys = rng.integers(0, q, size=(1000, n), dtype=np.int64)
     while True:
@@ -776,10 +759,13 @@ def plan_checks(
 ) -> list[tuple[str, Optional[dict]]]:
     """Applicable (check, params) pairs for an instance, in report order.
 
-    Checks that enumerate V are planned only when |V| fits the budget and
-    stays below 2^31; the formula-driven checks (lemma2, lemma3, lemma9)
-    have no such limit.
+    Every check reads the |G| x |G| gather table, so none is planned past
+    the dense table cap.  Checks that enumerate V are planned only when |V|
+    fits the budget and stays below 2^31; the formula-driven checks
+    (lemma2, lemma3, lemma9) have no such limit.
     """
+    if rs.size > DENSE_TABLE_CAP:
+        return []
     within = _enumerable(rs, budget)
     return [
         (c.id, params)

@@ -9,6 +9,10 @@ order dividing p^i).
 
 Orders of groups and subgroups are carried as p-adic exponents.  Plain
 magnitudes are materialized only below :data:`GROUP_ORDER_CAP`.
+
+``radix_decode`` and ``radix_encode`` are the one index codec, for G's
+elements (by their coordinates) and V's units (by their coefficients in
+base p^e); G's dense tables, power maps and G[p] are read through it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 GroupElement = tuple[int, ...]
 
@@ -26,8 +32,9 @@ GroupElement = tuple[int, ...]
 # form and have no such limit.
 GROUP_ORDER_CAP = 1 << 20
 
-# Dense multiplication index tables are |G| x |G|; keep them desk-scale.
-_PRODUCT_TABLE_CAP = 1 << 10
+# Dense index tables are |G| x |G|; keep them desk-scale.  Every
+# verification check reads one, so none is planned past this cap.
+DENSE_TABLE_CAP = 1 << 10
 
 
 # Miller-Rabin with these bases decides primality exactly below 2^64, and
@@ -212,15 +219,6 @@ def element_order(spec: GroupSpec, g: GroupElement) -> int:
     return p ** t
 
 
-def socle_elements(spec: GroupSpec) -> list[GroupElement]:
-    """G[p], the elements of order dividing p, in enumeration order.
-
-    >>> socle_elements(GroupSpec(2, (2,)))
-    [(0,), (2,)]
-    """
-    return [g for g in enumerate_elements(spec) if element_order(spec, g) <= spec.p]
-
-
 def enumerate_elements(spec: GroupSpec) -> Iterator[GroupElement]:
     """All elements in mixed-radix order, last coordinate fastest.
 
@@ -234,27 +232,52 @@ def enumerate_elements(spec: GroupSpec) -> Iterator[GroupElement]:
     return itertools.product(*(range(r) for r in spec.radices))
 
 
-def element_index(spec: GroupSpec, g: GroupElement) -> int:
-    """Position of g in enumerate_elements order."""
-    idx = 0
-    for a, r in zip(g, spec.radices):
-        idx = idx * r + a
+def radix_decode(idx, radices: Sequence[int], out):
+    """Write the mixed-radix digits of each index into a column of out and
+    return out: row j holds the digit of radix ``radices[j]``, the most
+    significant in row 0.  A plain int index takes a list for out."""
+    for j in range(len(radices) - 1, -1, -1):
+        idx, out[j] = divmod(idx, radices[j])
+    return out
+
+
+def radix_encode(digits: Iterable, radices: Sequence[int]):
+    """The index of each column of the digit rows, the inverse of
+    ``radix_decode``.  The rows may come from a generator; plain int
+    digits give a plain int index.
+
+    >>> radix_encode(np.array([[1, 2], [0, 1]]), (3, 2)).tolist()
+    [2, 5]
+    """
+    idx = 0  # the first += makes it a new array, then updated in place
+    for row, radix in zip(digits, radices):
+        idx *= radix
+        idx += row
     return idx
 
 
+def element_index(spec: GroupSpec, g: GroupElement) -> int:
+    """Position of g in enumerate_elements order."""
+    return radix_encode(g, spec.radices)
+
+
 def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
-    out = []
-    for r in reversed(spec.radices):
-        idx, a = divmod(idx, r)
-        out.append(a)
-    return tuple(reversed(out))
+    return tuple(radix_decode(idx, spec.radices, [0] * spec.k))
+
+
+def _coordinatewise(spec: GroupSpec, digits: Callable) -> np.ndarray:
+    """The indices whose j-th digit rows are ``digits(c_j, p^lambda_j)``,
+    with c_j the j-th coordinates of G's elements in index order."""
+    order = spec.order()
+    coords = radix_decode(np.arange(order), spec.radices, np.empty((spec.k, order), np.int64))
+    return radix_encode(map(digits, coords, spec.radices), spec.radices)
 
 
 def table_order(spec: GroupSpec) -> int:
     """|G| for a dense |G| x |G| index table; refuses |G| over the cap."""
     order = spec.order()
-    if order > _PRODUCT_TABLE_CAP:
-        raise ValueError(f"|G| = {order} exceeds the dense table cap {_PRODUCT_TABLE_CAP}")
+    if order > DENSE_TABLE_CAP:
+        raise ValueError(f"|G| = {order} exceeds the dense table cap {DENSE_TABLE_CAP}")
     return order
 
 
@@ -262,8 +285,35 @@ def table_order(spec: GroupSpec) -> int:
 def product_index_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Dense table T with T[i][j] = index of (element i) * (element j)."""
     table_order(spec)
-    els = list(enumerate_elements(spec))
-    index = {g: i for i, g in enumerate(els)}
-    return tuple(
-        tuple(index[element_mul(spec, g, h)] for h in els) for g in els
-    )
+    table = _coordinatewise(spec, lambda c, r: (c[:, None] + c) % r)
+    # The rows share one int per index: |G|^2 distinct ints would take more
+    # than three times the memory of the rows, for the life of the cache.
+    ints = tuple(range(len(table)))
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in table)
+
+
+def gather_table(spec: GroupSpec) -> np.ndarray:
+    """Row i maps m to the j with g_i g_j = g_m, so the coefficient vector
+    of x * g_i is x[table[i]]: g_j = g_m g_i^{-1} coordinatewise."""
+    table_order(spec)
+    return _coordinatewise(spec, lambda c, r: (c - c[:, None]) % r)
+
+
+def power_indices(spec: GroupSpec, m: int) -> np.ndarray:
+    """Entry i is the index of g_i^m: each coordinate times m mod its radix.
+    m is reduced mod each radix first, so a huge m cannot overflow."""
+    return _coordinatewise(spec, lambda c, r: c * (m % r) % r)
+
+
+def socle_indices(spec: GroupSpec) -> np.ndarray:
+    """Indices of G[p], the elements with g^p = 1, ascending."""
+    return np.flatnonzero(power_indices(spec, spec.p) == 0)
+
+
+def socle_elements(spec: GroupSpec) -> list[GroupElement]:
+    """G[p], the elements of order dividing p, in enumeration order.
+
+    >>> socle_elements(GroupSpec(2, (2,)))
+    [(0,), (2,)]
+    """
+    return [element_from_index(spec, i) for i in socle_indices(spec).tolist()]

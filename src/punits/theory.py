@@ -153,9 +153,13 @@ def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
     >>> v_invariants(GroupSpec(2, (1,)), 3).entries
     ((1, 1), (2, 1))
     """
+    return _v_invariants(spec, e, *s_and_l(spec))
+
+
+def _v_invariants(spec: GroupSpec, e: int, s: tuple[int, ...], l: int) -> AbelianInvariants:
+    """v_invariants from the complement data (s, l) of ``s_and_l(spec)``."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    s, l = s_and_l(spec)
     inv = AbelianInvariants(
         tuple((lam, 1) for lam in spec.lambdas)
         + ((e - 1, l),)
@@ -225,7 +229,7 @@ def structure_report(spec: GroupSpec, e: int) -> StructureReport:
         e=e,
         s=s,
         l=l,
-        v_invariants=v_invariants(spec, e),
+        v_invariants=_v_invariants(spec, e, s, l),
         v_order_exp=v_order_exp(spec, e),
         v_p_torsion_exp=v_p_torsion_exp(spec, e),
         p_rank=p_rank_vzp(spec),

@@ -43,6 +43,8 @@ element permutes coefficients, so each translate h a_j is one column
 gather.  Since the Howell form is canonical, each level equals the Howell
 form of any other spanning set of w^n.  A chain is extended only up to the
 power asked for and kept for the life of the process.
+
+G's gather table, generators and G[p] are read from ``pgroup``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import GroupSpec, element_index, socle_elements, table_order
+from .pgroup import gather_table, radix_encode, socle_indices
 from .ring import RING_CHAR_CAP, RingSpec, p_valuation
 
 
@@ -207,40 +209,15 @@ def module_size_exp(M: ResidueMatrix) -> int:
     return howell_array(M).size_exp
 
 
-def gather_table(group: GroupSpec) -> np.ndarray:
-    """Row i maps m to the j with g_i g_j = g_m, so the coefficient vector
-    of x * g_i is x[table[i]].  g_j = g_m g_i^{-1} coordinatewise, and j is
-    the mixed-radix number of its coordinates."""
-    order = table_order(group)
-    coords = np.indices(group.radices).reshape(group.k, order)
-    table = np.zeros((order, order), dtype=np.intp)
-    for coord, radix in zip(coords, group.radices):
-        table *= radix
-        table += (coord - coord[:, None]) % radix
-    return table
-
-
-def power_indices(group: GroupSpec, m: int) -> np.ndarray:
-    """Entry i is the index of g_i^m: each coordinate times m mod its radix,
-    re-encoded as in ``gather_table``.  m is reduced mod each radix first,
-    so a huge m cannot overflow."""
-    coords = np.indices(group.radices).reshape(group.k, group.order())
-    out = np.zeros(coords.shape[1], dtype=np.intp)
-    for coord, radix in zip(coords, group.radices):
-        out *= radix
-        out += coord * (m % radix) % radix
-    return out
-
-
 class _IdealChain:
     """H(w), H(w^2), ... of one ring, extended on demand."""
 
     def __init__(self, rs: RingSpec) -> None:
         group, q = rs.group, rs.modulus
         self.rs = rs
-        table = gather_table(group)
-        gens = [tuple(int(i == j) for i in range(group.k)) for j in range(group.k)]
-        self.shifts = [table[element_index(group, g)] for g in gens]
+        # Column j of the identity matrix is the coordinates of a_j.
+        gens = radix_encode(np.eye(group.k, dtype=np.int64), group.radices)
+        self.shifts = gather_table(group)[gens]
         first = np.eye(rs.size, dtype=np.int64)[1:]
         first[:, 0] = q - 1
         self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers
@@ -297,14 +274,9 @@ def nilpotency_index(rs: RingSpec) -> int:
 
 def socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
     """Spanning set of the ideal generated by {h - 1 : h in G[p]}: the
-    translates (h - 1) g over all g in G."""
-    group = rs.group
-    table = gather_table(group)
-    rows = []
-    for h in socle_elements(group):
-        diff = np.zeros(rs.size, dtype=np.int64)
-        diff[element_index(group, h)] += 1
-        diff[0] -= 1
-        if diff.any():
-            rows.extend(diff[table].tolist())
-    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(map(tuple, rows)))
+    translates (h - 1) g over all h != 1 in G[p] and all g in G, h-major,
+    in one gather."""
+    diffs = np.eye(rs.size, dtype=np.int64)[socle_indices(rs.group)[1:]]  # h != 1
+    diffs[:, 0] = -1
+    rows = diffs[:, gather_table(rs.group)].reshape(-1, rs.size)
+    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(map(tuple, rows.tolist())))

@@ -5,14 +5,15 @@ dictionary-based convolution instead of the index-table convolution,
 iterated squaring instead of valuation formulas, exhaustive span
 enumeration instead of Howell pivots, a pure-Python Howell elimination
 and exact row-by-row membership reduction instead of the numpy core, the
-direct product construction of w^n instead of the ideal chain, the
-inverse of the tuple product table instead of mixed-radix gather
-arithmetic, and scalar ring powers case by case instead of lemma2's
-batched columns.
+direct product construction of w^n instead of the ideal chain, a
+product table built with ``element_mul`` and a dictionary, and its
+inverse, instead of the index codec's tables, and scalar ring powers case
+by case instead of lemma2's batched columns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -24,7 +25,6 @@ from punits.pgroup import (
     element_pow,
     enumerate_elements,
     identity,
-    product_index_table,
 )
 from punits.ring import RingElement, RingSpec, from_group_element, one, p_valuation
 from punits.zpelin import ResidueMatrix
@@ -74,10 +74,20 @@ def dict_mul(x: RingElement, y: RingElement) -> RingElement:
     return RingElement(rs, tuple(acc.get(g, 0) for g in els))
 
 
+@functools.cache
+def reference_product_index_table(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """T[i][j] = index of g_i g_j, by element_mul on enumerated elements;
+    cached, because the table and the gather table are both checked
+    against it."""
+    els = list(enumerate_elements(group))
+    index = {g: i for i, g in enumerate(els)}
+    return tuple(tuple(index[element_mul(group, g, h)] for h in els) for g in els)
+
+
 def reference_gather_table(group: GroupSpec) -> np.ndarray:
     """Row i maps m to the j with g_i g_j = g_m, by inverting each row of
-    the product table."""
-    return np.argsort(np.asarray(product_index_table(group)), axis=1)
+    the reference product table."""
+    return np.argsort(np.asarray(reference_product_index_table(group)), axis=1)
 
 
 def span_elements(M: ResidueMatrix):

@@ -257,6 +257,23 @@ class TestVerifyCommand:
         payload = json.loads(target.read_text())
         assert payload["summary"]["all_pass"] is True
 
+    def test_past_the_table_cap_reports_the_closed_forms(self, capsys):
+        # Every check reads the |G| x |G| gather table, so an instance past
+        # its cap reports what invariants reports, with no checks.
+        args = ("--p", "2", "--lambda", "11", "--e", "2", "--format", "json")
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        assert json.loads(out)["instances"][0]["checks"] == []
+        assert out == run(capsys, "invariants", *args)[1]
+
+    def test_check_named_past_the_table_cap_is_not_applicable(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--p", "2", "--lambda", "11", "--e", "2",
+            "--checks", "lemma2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: checks not applicable") and err.count("\n") == 1
+
     def test_same_seed_byte_identical(self, capsys):
         args = (
             "verify", "--p", "2", "--lambda", "1", "--e", "3",
@@ -449,6 +466,18 @@ class TestSuiteCommand:
         assert (3, (1,), 6) in seen
         assert (5, (1,), 3) in seen
         assert (5, (1,), 4) not in seen
+
+    def test_instance_past_the_table_cap_leaves_the_others_checked(self, capsys, tmp_path):
+        small = {"p": 2, "lambda": [1], "e": 2}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"instances": [{"p": 2, "lambda": [11], "e": 2}, small]}))
+        code, out, _ = run(capsys, "suite", "--config", str(path))
+        assert code == 0
+        large, checked = json.loads(out)["instances"]
+        assert large["checks"] == []
+        plan = oracle.plan_checks(RingSpec(GroupSpec(2, (1,)), 2))
+        assert len(checked["checks"]) == len(plan) > 0
+        assert all(c["verdict"] == "pass" for c in checked["checks"])
 
     def test_formula_only_instance_past_the_cap(self, capsys, tmp_path):
         path = tmp_path / "suite.json"

@@ -42,7 +42,13 @@ from punits.oracle import (
     unit_count,
     verify_check,
 )
-from punits.pgroup import GroupSpec, enumerate_elements, p_valuation, socle_elements
+from punits.pgroup import (
+    GroupSpec,
+    enumerate_elements,
+    gather_table,
+    p_valuation,
+    socle_indices,
+)
 from punits.ring import (
     RingElement,
     RingSpec,
@@ -52,7 +58,6 @@ from punits.ring import (
     reduce_mod,
     unit_order,
 )
-from punits.zpelin import gather_table
 
 from .helpers import reference_lemma2, small_specs
 
@@ -238,8 +243,8 @@ def test_kernel_check_failure_takes_the_full_path(rs, drop_socle_element):
     plan = plan_checks(rs)
     with mock.patch.object(
         oracle,
-        "socle_elements",
-        lambda g: socle_elements(g)[: -1 if drop_socle_element else None],
+        "socle_indices",
+        lambda g: socle_indices(g)[: -1 if drop_socle_element else None],
     ):
         quotient = [verify_check(c, rs, params, seed=3) for c, params in plan]
         with _kernel_violation():

@@ -1,4 +1,6 @@
 import doctest
+import re
+from pathlib import Path
 
 import punits.pgroup
 import punits.theory
@@ -18,3 +20,15 @@ def test_theory_doctests():
 def test_zpelin_doctests():
     failures, _ = doctest.testmod(punits.zpelin)
     assert failures == 0
+
+
+def test_readme_library_quick_start():
+    # The python blocks of the README's "Library quick start", in order and
+    # in one namespace, so that an API move breaks this before the README.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

@@ -25,10 +25,9 @@ from punits.oracle import (
     unit_count,
     verify_check,
 )
-from punits.pgroup import GroupSpec
+from punits.pgroup import GroupSpec, gather_table
 from punits.ring import RingSpec, unit_order
 from punits.theory import AbelianInvariants, v_invariants, v_order_exp
-from punits.zpelin import gather_table
 
 from .helpers import partitions, random_normalized_unit
 

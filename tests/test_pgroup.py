@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from punits.pgroup import (
     GroupSpec,
@@ -12,12 +14,24 @@ from punits.pgroup import (
     element_order,
     element_pow,
     enumerate_elements,
+    gather_table,
     identity,
     is_prime,
     omega_order_exp,
+    power_indices,
+    product_index_table,
+    radix_decode,
+    radix_encode,
+    socle_elements,
+    socle_indices,
 )
 
-from .helpers import iterated_element_order, small_specs
+from .helpers import (
+    iterated_element_order,
+    reference_gather_table,
+    reference_product_index_table,
+    small_specs,
+)
 
 
 class TestGroupSpec:
@@ -186,3 +200,76 @@ class TestEnumeration:
             for i, g in enumerate(els):
                 assert element_index(spec, g) == i
                 assert element_from_index(spec, i) == g
+
+
+class TestIndexCodec:
+    """The codec's tables, power maps and G[p] against element-by-element
+    references: every group with |G| <= 64 for p in {2, 3, 5}, C_49, and
+    C_32 x C_32 at the dense table cap."""
+
+    GROUPS = [g for g in small_specs(6, (2, 3, 5)) if g.order() <= 64] + [
+        GroupSpec(7, (2,)),
+        GroupSpec(2, (5, 5)),
+    ]
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GroupSpec.to_text)
+    def test_product_table_matches_element_mul(self, group):
+        assert product_index_table(group) == reference_product_index_table(group)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GroupSpec.to_text)
+    def test_gather_table_matches_the_inverted_product_table(self, group):
+        assert np.array_equal(gather_table(group), reference_gather_table(group))
+
+    @pytest.mark.parametrize("group", GROUPS, ids=GroupSpec.to_text)
+    def test_socle_matches_element_order(self, group):
+        socle = [
+            (i, g) for i, g in enumerate(enumerate_elements(group))
+            if element_order(group, g) <= group.p
+        ]
+        assert socle_indices(group).tolist() == [i for i, _ in socle]
+        assert socle_elements(group) == [g for _, g in socle]
+
+    def test_tables_refuse_groups_past_the_cap(self):
+        for table in (gather_table, product_index_table):
+            with pytest.raises(ValueError, match="table cap"):
+                table(GroupSpec(2, (11,)))
+
+    @given(
+        st.lists(st.integers(1, 50), min_size=1, max_size=6).flatmap(
+            lambda radices: st.tuples(
+                st.just(tuple(radices)),
+                st.lists(
+                    st.tuples(*(st.integers(0, r - 1) for r in radices)),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_round_trip_with_mixed_radices(self, case):
+        radices, columns = case
+        digits = np.array(columns, dtype=np.int64).T
+        idx = radix_encode(digits, radices)
+        assert idx.tolist() == np.ravel_multi_index(digits, radices).tolist()
+        decoded = radix_decode(idx, radices, np.empty_like(digits))
+        assert np.array_equal(decoded, digits)
+
+
+class TestPowerIndices:
+    SPECS = small_specs(4, (2, 3, 5))
+
+    @staticmethod
+    def _reference(group: GroupSpec, m: int) -> list[int]:
+        # Positions in enumeration order, independent of the index codec.
+        index = {g: i for i, g in enumerate(enumerate_elements(group))}
+        return [index[element_pow(group, g, m)] for g in index]
+
+    @given(st.sampled_from(SPECS), st.integers(0, 64))
+    def test_matches_element_pow(self, group, m):
+        assert power_indices(group, m).tolist() == self._reference(group, m)
+
+    @pytest.mark.parametrize("group", SPECS, ids=GroupSpec.to_text)
+    def test_zero_multiples_of_the_exponent_and_huge_powers(self, group):
+        exponent = group.p ** group.exponent_exp
+        for m in (0, exponent, 3 * exponent, exponent + 1, group.p ** 100 + 1):
+            assert power_indices(group, m).tolist() == self._reference(group, m)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from punits import theory
 from punits.pgroup import GroupSpec
 from punits.theory import (
     AbelianInvariants,
@@ -229,3 +230,15 @@ class TestStructureReport:
         assert rep.l + sum(rep.s) == spec.order() - 1
         assert rep.p_rank == p_rank_vzp(spec)
         assert rep.describe().startswith("V ≅ ")
+
+    def test_complement_data_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return s_and_l(spec)
+
+        monkeypatch.setattr(theory, "s_and_l", counted)
+        spec = GroupSpec(3, (2, 1))
+        assert structure_report(spec, 3).v_invariants == v_invariants(spec, 3)
+        assert calls == [spec, spec]  # one per call above

@@ -35,6 +35,7 @@ from .oracle import (
     Units,
     VerificationReport,
     plan_checks,
+    unplanned_reason,
     verify_check,
 )
 from .pgroup import GroupSpec, checked_int, p_valuation
@@ -292,8 +293,8 @@ def load_suite_config(path: str) -> SuiteConfig:
 def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     """Plan every instance, then run the plans in order.
 
-    Raises ValueError, before any check runs, when a check listed
-    explicitly in ``config.checks`` is planned on no instance.
+    Raises ValueError, naming why, before any check runs when a check
+    listed explicitly in ``config.checks`` is planned on no instance.
     """
     enabled = None if config.checks is None else set(config.checks)
     rings = [
@@ -303,12 +304,17 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     plans = [
         [] if rs is None else plan_checks(rs, enabled, config.budget) for rs in rings
     ]
-    missing = (enabled or set()) - {check for plan in plans for check, _ in plan}
+    missing = sorted((enabled or set()) - {check for plan in plans for check, _ in plan})
     if missing:
-        raise ValueError(
-            f"checks not applicable to any instance (or over budget): "
-            f"{', '.join(sorted(missing))}"
-        )
+        reasons = [
+            dict.fromkeys(
+                unplanned_reason(c, rs, config.budget) if rs else "formula_only"
+                for rs in rings
+            )
+            for c in missing
+        ]
+        listed = ", ".join(f"{c} ({'; '.join(r)})" for c, r in zip(missing, reasons))
+        raise ValueError(f"checks not applicable to any instance: {listed}")
     reports = []
     for inst, rs, plan in zip(config.instances, rings, plans):
         rep = structure_report(inst.group, inst.e)

@@ -20,14 +20,17 @@ masks, each representative standing for |K| = p^{|G|-1} units, and the
 torsion checks decode only the representatives of V[p].  The oracle does
 not rely on the lemma it verifies: each e >= 2 instance first powers the
 p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
-(as at e = 1), where ``chi`` is phi and each unit stands for itself.
+(as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
+e = 1 (characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
 
 The map is built one contiguous block of representatives at a time with
 vectorized numpy arithmetic that is bit-identical to the scalar reference
 convolution; blocks can be fanned out to worker threads and fill disjoint
-slices, so parallel and sequential runs agree exactly.  The checks of an
-instance share the map through one ``Units`` object and it is freed with
-that object, so a suite run keeps one power map alive at a time.
+slices, so parallel and sequential runs agree exactly.  The batched
+product reduces its int64 sums mod q = p^e (``pgroup.mod_in_place``) only
+every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
+share the map through one ``Units`` object and it is freed with that
+object, so a suite run keeps one power map alive at a time.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
 powers one block of columns (1 - g for every g in G, g - 1, or the
@@ -54,13 +57,14 @@ from .pgroup import (
     GroupSpec,
     element_from_index,
     gather_table,
+    mod_in_place,
     p_valuation,
     power_indices,
     radix_decode,
     radix_encode,
     socle_indices,
 )
-from .ring import RingElement, RingSpec, _order_exp_bound
+from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
     howell_array,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
@@ -87,19 +91,17 @@ def unit_count(rs: RingSpec) -> int:
     return rs.modulus ** (rs.size - 1)
 
 
-def _enumerable(rs: RingSpec, budget: int) -> bool:
-    return unit_count(rs) <= min(budget, _INDEX_CAP - 1)
+def _over_budget(rs: RingSpec, budget: int) -> Optional[str]:
+    """Why V cannot be enumerated under the budget, or None if it can."""
+    n, head = unit_count(rs), f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds"
+    if n > budget:
+        return f"{head} the enumeration budget {budget}"
+    return f"{head} the int32 enumeration index" if n >= _INDEX_CAP else None
 
 
 def _require_budget(rs: RingSpec, budget: int) -> None:
-    if _enumerable(rs, budget):
-        return
-    limit = (
-        f"the enumeration budget {budget}"
-        if unit_count(rs) > budget
-        else "the int32 enumeration index"
-    )
-    raise BudgetExceededError(f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds {limit}")
+    if reason := _over_budget(rs, budget):
+        raise BudgetExceededError(reason)
 
 
 def enumerate_units(rs: RingSpec, budget: int = DEFAULT_BUDGET):
@@ -135,22 +137,23 @@ def _units_at(rs: RingSpec, idx: np.ndarray, lift: Optional[int] = None) -> np.n
     n, q = rs.size, rs.modulus
     out = np.empty((n, len(idx)), dtype=np.int64)
     radix_decode(idx, (q,) * (n - 1), out[: n - 1])
-    out[n - 1] = (1 - out[: n - 1].sum(axis=0)) % (lift or q)
+    out[n - 1] = mod_in_place(1 - out[: n - 1].sum(axis=0), lift or q)
     return out
 
 
 def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # (xy)_m = sum_i x_i y_{tbl[i][m]}, each product reduced mod q.
+    # (xy)_m = sum_i x_i y_{tbl[i][m]} over residues x, y in [0, q).  Each
+    # product is below (q-1)^2, so the sum is reduced only after every k
+    # added rows and at the end, k = _rows_per_reduction(q) keeping it in int64.
+    k = _rows_per_reduction(q)
     out = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        xi = x[i]
-        if not xi.any():
-            continue
-        term = xi * y[tbl[i]]
-        term %= q
+    for added, i in enumerate(np.flatnonzero(x.any(axis=1)), start=1):
+        term = y[tbl[i]]
+        term *= x[i]
         out += term
-    out %= q
-    return out
+        if added % k == 0:
+            mod_in_place(out, q)
+    return mod_in_place(out, q)
 
 
 def _batch_pow(tbl: np.ndarray, q: int, x: np.ndarray, m: int) -> np.ndarray:
@@ -232,10 +235,10 @@ class Units:
         u running over the units of Z_p G."""
         _require_budget(self.rs, self.budget)
         rs = self.rs
-        p, ident = rs.p, _identity(rs)
+        p, q, ident = rs.p, rs.modulus, _identity(rs)
         u = _units_at(RingSpec(rs.group, 1), np.arange(p ** (rs.size - 1), dtype=np.int64))
-        k = (p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None]) % rs.modulus
-        kp = _batch_pow(self.table, rs.modulus, k, p)
+        k = mod_in_place(p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None], q)
+        kp = _batch_pow(self.table, q, k, p)
         return k.shape[1], int(np.count_nonzero(~_matches(kp, ident)))
 
     @functools.cached_property
@@ -256,9 +259,14 @@ class Units:
 
         def fill(lo: int, hi: int) -> None:
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
-            powers = _batch_pow(tbl, q, reps, rs.p)
+            if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
+                powers = np.zeros_like(reps)
+                np.add.at(powers, power_indices(rs.group, rs.p), reps)
+                mod_in_place(powers, q)
+            else:
+                powers = _batch_pow(tbl, q, reps, rs.p)
             one[lo:hi] = _matches(powers, ident)
-            chi[lo:hi] = radix_encode(powers[:-1] % base.modulus, radices)
+            chi[lo:hi] = radix_encode(mod_in_place(powers[:-1], base.modulus), radices)
 
         _map_blocks(fill, len(one), self.workers)
         one.flags.writeable = chi.flags.writeable = False
@@ -422,7 +430,7 @@ def _check_theorem1(units: Units, params, seed):
     socle_cols = np.eye(rs.size, dtype=np.int64)[socle_indices(rs.group)]
 
     def scan(block):
-        sub = block % q1
+        sub = mod_in_place(block, q1)
         ok = np.zeros(sub.shape[1], dtype=bool)
         for col in socle_cols:
             ok |= _matches(sub, col)
@@ -452,13 +460,11 @@ def _check_lemma4(units: Units, params, seed):
     # At e = 1 the power map's representatives are the units themselves.
     rs = units.rs
     torsion = np.flatnonzero(units.power_map.one)
-    q, p = rs.modulus, rs.p
-    ident = _identity(rs)
+    p, ident = rs.p, _identity(rs)
     H = howell_array(socle_ideal_generators(rs))
 
     def scan(block):
-        vecs = (block - ident[:, None]) % q
-        return [(~H.contains(vecs)).sum()]
+        return [(~H.contains(block - ident[:, None])).sum()]
 
     (outside,) = units.scan(scan, torsion)
 
@@ -479,7 +485,7 @@ def _check_lemma5(units: Units, params, seed):
     def scan(block):
         # 1 + w^{m+1} lies in 1 + w^m, so only the members of one layer
         # are tested against the next.
-        vecs = (block - ident[:, None]) % q
+        vecs = block - ident[:, None]  # contains reduces it mod q
         counts = []
         for H in forms:
             vecs = vecs[:, H.contains(vecs)]
@@ -515,7 +521,7 @@ def _check_lemma3(units: Units, params, seed):
     group = rs.group
     H = ideal_power_form(rs, n)
     # Column i is g_i - 1; index order is the lexicographic order of elements.
-    vecs = (np.eye(rs.size, dtype=np.int64) - _identity(rs)[:, None]) % rs.modulus
+    vecs = np.eye(rs.size, dtype=np.int64) - _identity(rs)[:, None]
     observed = np.flatnonzero(H.contains(vecs))
 
     a = theory.dimension_subgroup(group, rs.e, n)
@@ -534,7 +540,7 @@ def _lemma2_powers(units: Units) -> dict[int, np.ndarray]:
     column j is (1 - g_j)^{p^k}, so column 0 (g = 1) is 0."""
     rs, tbl = units.rs, units.table
     p, e, q = rs.p, rs.e, rs.modulus
-    cols = (_identity(rs)[:, None] - np.eye(rs.size, dtype=np.int64)) % q
+    cols = mod_in_place(_identity(rs)[:, None] - np.eye(rs.size, dtype=np.int64), q)
     P = {e - 1: _batch_pow(tbl, q, cols, p ** (e - 1))}
     for k in range(e, e + 4):
         P[k] = _batch_pow(tbl, q, P[k - 1], p)
@@ -591,8 +597,7 @@ def _lemma9_units(units: Units, d: int, seed: int):
     if p == 2 and d == 1:
         odd_square = (_batch_mul(units.table, q, ys, ys) % 2 == 1).any(axis=0)
         exceptional = odd_square & (ys % 2 == 1).any(axis=0)
-    block = (p ** d) * ys % q
-    block[0] = (block[0] + 1) % q
+    block = mod_in_place(p ** d * ys + _identity(rs)[:, None], q)
     return ys, exceptional, _batch_order_exps(units, block, rs.e - d)
 
 
@@ -678,8 +683,6 @@ class Check:
             raise ValueError(f"{self.id} check requires {self.requirement}; got {got}")
 
     def plans(self, rs: RingSpec) -> list[Optional[dict]]:
-        if self.cap and not (rs.size <= self.cap[0] and rs.e <= self.cap[1]):
-            return []
         if self.param is None:
             return [None] if self.requires(rs, {}) else []
         return [{self.param: v} for v in self.param_range(rs)]
@@ -752,6 +755,18 @@ def verify_check(
     )
 
 
+def unplanned_reason(check: str, rs: RingSpec, budget: int) -> Optional[str]:
+    """Why plan_checks plans no case of check on rs, or None if it does."""
+    c = CHECKS[check]
+    if rs.size > DENSE_TABLE_CAP:
+        return f"|G| = {rs.size} > {DENSE_TABLE_CAP}, the dense table cap"
+    if c.cap and not (rs.size <= c.cap[0] and rs.e <= c.cap[1]):
+        return f"capped at |G| <= {c.cap[0]}, e <= {c.cap[1]}"
+    if c.enumerative and (over := _over_budget(rs, budget)):
+        return over
+    return None if c.plans(rs) else f"requires {c.requirement}"
+
+
 def plan_checks(
     rs: RingSpec,
     enabled: Optional[set[str]] = None,
@@ -764,12 +779,9 @@ def plan_checks(
     fits the budget and stays below 2^31; the formula-driven checks
     (lemma2, lemma3, lemma9) have no such limit.
     """
-    if rs.size > DENSE_TABLE_CAP:
-        return []
-    within = _enumerable(rs, budget)
     return [
         (c.id, params)
         for c in CHECKS.values()
-        if (enabled is None or c.id in enabled) and (within or not c.enumerative)
+        if (enabled is None or c.id in enabled) and not unplanned_reason(c.id, rs, budget)
         for params in c.plans(rs)
     ]

@@ -13,6 +13,7 @@ magnitudes are materialized only below :data:`GROUP_ORDER_CAP`.
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
 base p^e); G's dense tables, power maps and G[p] are read through it.
+``mod_in_place`` is the one reduction of int64 arrays mod q.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ GROUP_ORDER_CAP = 1 << 20
 # Dense index tables are |G| x |G|; keep them desk-scale.  Every
 # verification check reads one, so none is planned past this cap.
 DENSE_TABLE_CAP = 1 << 10
+
+# Arrays below this size are reduced mod q with one ``%`` (``mod_in_place``).
+_SMALL_ARRAY = 1 << 10
 
 
 # Miller-Rabin with these bases decides primality exactly below 2^64, and
@@ -237,7 +241,8 @@ def radix_decode(idx, radices: Sequence[int], out):
     return out: row j holds the digit of radix ``radices[j]``, the most
     significant in row 0.  A plain int index takes a list for out."""
     for j in range(len(radices) - 1, -1, -1):
-        idx, out[j] = divmod(idx, radices[j])
+        idx, rest = idx // radices[j], idx
+        out[j] = rest - idx * radices[j]
     return out
 
 
@@ -254,6 +259,17 @@ def radix_encode(digits: Iterable, radices: Sequence[int]):
         idx *= radix
         idx += row
     return idx
+
+
+def mod_in_place(x: np.ndarray, q: int) -> np.ndarray:
+    """Reduce the int64 array x into [0, q) in place and return it."""
+    # Past about a thousand entries numpy divides int64 by a scalar faster
+    # than it takes % (2 times at 2^16 nonnegative entries, 6 times with
+    # negative ones; numpy 2.4); below that one ufunc call costs less.
+    if x.size < _SMALL_ARRAY:
+        return np.remainder(x, q, out=x)
+    x -= x // q * q
+    return x
 
 
 def element_index(spec: GroupSpec, g: GroupElement) -> int:

@@ -32,6 +32,13 @@ from .pgroup import (
 RING_CHAR_CAP = 1 << 31
 
 
+def _rows_per_reduction(q: int) -> int:
+    # The largest k with q + k(q - 1)^2 <= 2^63 - 1: a residue mod q plus k
+    # products of two residues fits in int64 (k >= 2 for q <= RING_CHAR_CAP),
+    # so the batched kernels reduce a running sum only every k rows.
+    return (2 ** 63 - 1 - q) // (q - 1) ** 2
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """The coefficient ring Z_{p^e} together with the group G."""

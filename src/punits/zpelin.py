@@ -20,15 +20,15 @@ normalized to pivot p^v and swapped to ``top``; then one gather/scatter
 over the pivot row's nonzero columns reduces every other row (Gauss-Jordan
 in the forward pass): active rows, whose entries there are multiples of
 p^v, to 0, and basis rows into [0, p^v).  The annihilator p^{e-v} * row
-goes to ``end``.  Each row operation is reduced mod q = p^e, and q <= 2^31
-keeps each product f * row below 2^62.
+goes to ``end``.  Each row operation is reduced mod q = p^e
+(``pgroup.mod_in_place``), and q <= 2^31 keeps each product f * row below 2^62.
 
 ``HowellArray.contains`` reduces a block of vectors against the rows in
 turn and defers the reduction mod q: it reduces only the pivot entry
 before each row, so that f = v[col] // p^v is exact, and the whole block
 every k rows and at the end.  One row subtracts at most (q-1)^2 from an
-entry, so k is the largest integer with q + k(q-1)^2 <= 2^63 - 1 (k = 2 at
-7^11 and 2^31; every q <= 2^31 has k >= 1).
+entry, so k is ``ring._rows_per_reduction(q)``, as in ``oracle``'s batched
+product: the largest k with q + k(q-1)^2 <= 2^63 - 1 (k >= 2; 2 at 7^11).
 
 The powers of w form one chain per ring.  H(w) is the Howell form of the
 rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import gather_table, radix_encode, socle_indices
-from .ring import RING_CHAR_CAP, RingSpec, p_valuation
+from .pgroup import gather_table, mod_in_place, radix_encode
+from .ring import RING_CHAR_CAP, RingSpec, _rows_per_reduction, p_valuation
 
 
 @dataclass(frozen=True)
@@ -105,25 +105,18 @@ class HowellArray:
         """Boolean mask: which columns of vecs lie in the span."""
         q = self.p ** self.e
         k = _rows_per_reduction(q)
-        v = np.asarray(vecs, dtype=np.int64) % q
+        v = mod_in_place(np.array(vecs, dtype=np.int64), q)
         for i, (row, col) in enumerate(zip(self.rows, self.pivots), start=1):
-            v[col] %= q
+            mod_in_place(v[col], q)
             at = row.nonzero()[0]
             v[at] -= row[at, None] * (v[col] // row[col])
             if i % k == 0:
-                v %= q
-        v %= q
-        return ~v.any(axis=0)
+                mod_in_place(v, q)
+        return ~mod_in_place(v, q).any(axis=0)
 
     def matrix(self) -> ResidueMatrix:
         rows = tuple(map(tuple, self.rows.tolist()))
         return ResidueMatrix(self.p, self.e, self.rows.shape[1], rows)
-
-
-def _rows_per_reduction(q: int) -> int:
-    """The largest k with q + k(q - 1)^2 <= 2^63 - 1: k row operations of
-    ``contains`` fit in int64 between two reductions mod q."""
-    return (2 ** 63 - 1 - q) // (q - 1) ** 2
 
 
 def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
@@ -151,7 +144,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
             first = int((vals % p ** (v + 1)).nonzero()[0][0])  # least valuation
         piv = p ** v
         src = top + int(nz[first])
-        row = buf[src] * pow(int(vals[first]) // piv, -1, q) % q
+        row = mod_in_place(buf[src] * pow(int(vals[first]) // piv, -1, q), q)
         buf[src] = buf[top]
         buf[top] = row
 
@@ -163,15 +156,14 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
         at = row.nonzero()[0]
         block = buf[hit[:, None], at]
         block -= f[hit, None] * row[at]
-        block -= block // q * q  # mod q: numpy's int64 // q is several times faster than %
-        buf[hit[:, None], at] = block
+        buf[hit[:, None], at] = mod_in_place(block, q)
         top += 1
         pivots.append(col)
         size_exp += e - v
         # Annihilator row: p^{e-v} * row spans the part of the span whose
         # leading entries vanish at this column (Howell property).
         if v:
-            ann = row * p ** (e - v) % q
+            ann = mod_in_place(row * p ** (e - v), q)
             if ann.any():
                 buf[end] = ann
                 end += 1
@@ -228,8 +220,8 @@ class _IdealChain:
         rs = self.rs
         while len(self.levels) < n and not self.complete:
             h = self.levels[-1].rows.astype(np.int64)
-            translates = np.vstack([(h[:, s] - h) % rs.modulus for s in self.shifts])
-            H = _howell(translates, rs.p, rs.e)
+            translates = [mod_in_place(h[:, s] - h, rs.modulus) for s in self.shifts]
+            H = _howell(np.vstack(translates), rs.p, rs.e)
             if H.size_exp:
                 self.levels.append(H)
             else:
@@ -273,10 +265,11 @@ def nilpotency_index(rs: RingSpec) -> int:
 
 
 def socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
-    """Spanning set of the ideal generated by {h - 1 : h in G[p]}: the
-    translates (h - 1) g over all h != 1 in G[p] and all g in G, h-major,
-    in one gather."""
-    diffs = np.eye(rs.size, dtype=np.int64)[socle_indices(rs.group)[1:]]  # h != 1
+    """Spanning set of I(G[p]), the ideal generated by {h - 1 : h in G[p]}:
+    the translates (h_j - 1) g, h-major, over the basis h_j = a_j^{p^(lambda_j - 1)}
+    of G[p] and all g in G, as hh' - 1 = (h - 1)h' + (h' - 1)."""
+    basis = np.diag([rs.p ** (l - 1) for l in rs.group.lambdas])
+    diffs = np.eye(rs.size, dtype=np.int64)[radix_encode(basis, rs.group.radices)]
     diffs[:, 0] = -1
     rows = diffs[:, gather_table(rs.group)].reshape(-1, rs.size)
     return ResidueMatrix(rs.p, rs.e, rs.size, tuple(map(tuple, rows.tolist())))

@@ -7,8 +7,9 @@ enumeration instead of Howell pivots, a pure-Python Howell elimination
 and exact row-by-row membership reduction instead of the numpy core, the
 direct product construction of w^n instead of the ideal chain, a
 product table built with ``element_mul`` and a dictionary, and its
-inverse, instead of the index codec's tables, and scalar ring powers case
-by case instead of lemma2's batched columns.
+inverse, instead of the index codec's tables, scalar ring powers case
+by case instead of lemma2's batched columns, and the translates of all of
+G[p] instead of those of a basis.
 """
 
 from __future__ import annotations
@@ -185,6 +186,24 @@ def direct_ideal_power_rows(rs: RingSpec, n: int) -> ResidueMatrix:
         for g in enumerate_elements(group):
             rows.append((base * from_group_element(rs, g)).coeffs)
     return ResidueMatrix(rs.p, rs.e, rs.size, tuple(rows))
+
+
+def reference_socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
+    """The translates (h - 1) g over every h != 1 of G[p] and every g in G,
+    h-major, by element_mul: all (|G[p]| - 1)|G| of them."""
+    group = rs.group
+    elements = list(enumerate_elements(group))
+    index = {g: i for i, g in enumerate(elements)}
+    rows = []
+    for h in elements[1:]:
+        if element_pow(group, h, group.p) != identity(group):
+            continue
+        for g in elements:
+            row = [0] * len(elements)
+            row[index[element_mul(group, h, g)]] += 1
+            row[index[g]] -= 1
+            rows.append(tuple(row))
+    return ResidueMatrix(rs.p, rs.e, len(elements), tuple(rows))
 
 
 def reference_lemma2(rs: RingSpec) -> tuple[int, int]:

@@ -6,6 +6,7 @@ prints a single ``ACCEPTANCE <n> ...: PASS|FAIL`` line (visible with
 ``pytest -s``).
 """
 
+import hashlib
 import time
 
 import pytest
@@ -207,6 +208,15 @@ def test_criterion_11_invariant_recovery_round_trip():
                 inv = AbelianInvariants.from_factor_exps(lams)
                 ok &= invariants_from_histogram(synthetic_census(inv, p), p) == inv
     _declare("11 (census round-trip for all p-groups with size exponent <= 12)", ok)
+
+
+def test_default_suite_json_is_pinned(suite_outcome):
+    # The seed-0 default suite's bytes, as perfbench's reference records
+    # them: a change to any kernel must leave every reported value as it is.
+    config, reports, _ = suite_outcome
+    assert (config.workers, config.seed) == (1, 0)
+    digest = hashlib.sha256(emit_report(reports, "json").encode()).hexdigest()
+    assert digest == "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
 
 
 def test_criterion_12_suite_determinism(suite_outcome):

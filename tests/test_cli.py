@@ -273,6 +273,36 @@ class TestVerifyCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: checks not applicable") and err.count("\n") == 1
+        assert "lemma2 (|G| = 2048 > 1024, the dense table cap)" in err
+
+    @pytest.mark.parametrize(
+        "instances, checks, budget, reason",
+        [
+            ([{"p": 2, "lambda": [1], "e": 1}], ["theorem1"], None, "theorem1 (requires e >= 2)"),
+            ([{"p": 2, "lambda": [1], "e": 1}], ["lemma9"], None, "lemma9 (requires 1 <= d < e)"),
+            ([{"p": 2, "lambda": [4], "e": 2}], ["lemma5"], None,
+             "lemma5 (capped at |G| <= 8, e <= 2)"),
+            ([{"p": 3, "lambda": [1], "e": 2}], ["theorem2"], 80,
+             "theorem2 (|V| = 3^4 exceeds the enumeration budget 80)"),
+            ([{"p": 2, "lambda": [1], "e": 2, "formula_only": True}], ["lemma2"], None,
+             "lemma2 (formula_only)"),
+            # one reason per distinct cause, in instance order
+            ([{"p": 2, "lambda": [1], "e": 1}, {"p": 3, "lambda": [1], "e": 1},
+              {"p": 2, "lambda": [11], "e": 2}], ["lemma6"], None,
+             "lemma6 (requires e >= 2; |G| = 2048 > 1024, the dense table cap)"),
+        ],
+    )
+    def test_unplanned_check_names_its_reason(
+        self, capsys, tmp_path, instances, checks, budget, reason
+    ):
+        config = {"instances": instances, "checks": checks}
+        if budget is not None:
+            config["budget"] = budget
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "suite", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: checks not applicable to any instance: {reason}\n"
 
     def test_same_seed_byte_identical(self, capsys):
         args = (

@@ -8,8 +8,8 @@ characteristic near 2^31, where unreduced sums of products overflow int64.
 Random small rings with |V| <= 4096: the power map ``Units.power_map``
 must send each lifted representative to its scalar p-th power (reduced to
 the base ring, and compared with 1) whatever the block size and worker
-count, and for e >= 2 its ``chi`` must be the base ring's own full power
-map; the census read from it must equal the scalar ``unit_order`` census,
+count, at e = 1 its Frobenius scatter must equal the batched p-th power,
+and for e >= 2 its ``chi`` must be the base ring's own full power map; the census read from it must equal the scalar ``unit_order`` census,
 every planned check must report the same through one shared ``Units`` as
 through one-shot calls on the RingSpec, and a failed reduction-kernel check
 must fall back to the full map with the same reports.  The formula checks:
@@ -35,7 +35,9 @@ from punits.oracle import (
     _batch_pow,
     _lemma2_powers,
     _lemma9_candidates,
+    _matches,
     _min_valuations,
+    _units_at,
     enumerate_units,
     order_histogram,
     plan_checks,
@@ -47,6 +49,7 @@ from punits.pgroup import (
     enumerate_elements,
     gather_table,
     p_valuation,
+    radix_encode,
     socle_indices,
 )
 from punits.ring import (
@@ -178,6 +181,18 @@ def test_power_map_matches_scalar_power(rs):
     powers = [_lift(u, rs) ** rs.p for u in enumerate_units(pm.base)]
     assert pm.chi.tolist() == [_scalar_index(reduce_mod(w, pm.base.e)) for w in powers]
     assert pm.one.tolist() == [w == one(rs) for w in powers]
+
+
+def test_frobenius_map_matches_batched_power_at_e1():
+    # At e = 1 the power map scatters each unit's coefficients along
+    # g -> g^p; the batched p-th power of every unit must give the same map.
+    for rs in [rs for rs in RINGS if rs.e == 1]:
+        q, n = rs.modulus, rs.size
+        units = _units_at(rs, np.arange(unit_count(rs), dtype=np.int64))
+        powers = _batch_pow(gather_table(rs.group), q, units, rs.p)
+        pm = Units(rs).power_map
+        assert np.array_equal(pm.one, _matches(powers, np.eye(n, dtype=np.int64)[0]))
+        assert np.array_equal(pm.chi, radix_encode(powers[:-1], (q,) * (n - 1)))
 
 
 @given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]))

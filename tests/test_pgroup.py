@@ -17,6 +17,7 @@ from punits.pgroup import (
     gather_table,
     identity,
     is_prime,
+    mod_in_place,
     omega_order_exp,
     power_indices,
     product_index_table,
@@ -273,3 +274,19 @@ class TestPowerIndices:
         exponent = group.p ** group.exponent_exp
         for m in (0, exponent, 3 * exponent, exponent + 1, group.p ** 100 + 1):
             assert power_indices(group, m).tolist() == self._reference(group, m)
+
+
+@given(
+    st.sampled_from([2, 3, 5 ** 4, 3 ** 19, 7 ** 11, 2 ** 31]),
+    st.lists(st.integers(-(2 ** 62), 2 ** 62), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_mod_in_place_matches_remainder(q, values, large):
+    # Small arrays take one %, large ones the floor-division form.
+    if large:
+        values = values * (2048 // len(values) + 1)
+    x = np.array(values, dtype=np.int64)
+    expect = x % q
+    assert mod_in_place(x, q) is x
+    assert np.array_equal(x, expect)
+    assert x.tolist() == [v % q for v in values]

@@ -5,8 +5,10 @@ import pytest
 
 from punits.pgroup import GroupSpec, enumerate_elements
 from punits.ring import (
+    RING_CHAR_CAP,
     RingElement,
     RingSpec,
+    _rows_per_reduction,
     augmentation,
     binomial_p_power,
     from_group_element,
@@ -284,3 +286,13 @@ class TestText:
     def test_refuses_unknown_and_repeated_keys(self, text):
         with pytest.raises(ValueError):
             RingElement.from_text(text)
+
+
+def test_rows_per_reduction_bound():
+    for q in (2, 3, 4, 2 ** 16, 7 ** 11, 3 ** 19, 2 ** 31):
+        k = _rows_per_reduction(q)
+        assert k >= 1
+        assert q + k * (q - 1) ** 2 <= 2 ** 63 - 1 < q + (k + 1) * (q - 1) ** 2
+    assert _rows_per_reduction(7 ** 11) == 2
+    # k falls as q grows: the batched kernels always add two rows per reduction.
+    assert _rows_per_reduction(RING_CHAR_CAP) >= 2

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punits import zpelin
-from punits.pgroup import GroupSpec, enumerate_elements
-from punits.ring import RingSpec, from_group_element, one
+from punits.pgroup import GroupSpec, enumerate_elements, is_prime
+from punits.ring import RingSpec, _rows_per_reduction, from_group_element, one
 from punits.theory import v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
@@ -25,6 +25,7 @@ from .helpers import (
     direct_ideal_power_rows,
     reference_contains,
     reference_howell_form,
+    reference_socle_ideal_generators,
     small_specs,
     span_elements,
 )
@@ -196,7 +197,7 @@ class TestMembership:
         # periodic reduction runs; the trailing columns are mostly free.
         p, e = pe
         q = p ** e
-        k = zpelin._rows_per_reduction(q)
+        k = _rows_per_reduction(q)
         rng = random.Random(seed)
         n = rng.randint(k + 1, k + 3)
         ncols = n + rng.randint(1, 2)
@@ -234,7 +235,7 @@ class TestMembership:
         # subtracts (q-1)^2 from the last coordinate, the most one row can.
         # 2k + 1 rows need both periodic reductions and the final one.
         q = p ** e
-        k = zpelin._rows_per_reduction(q)
+        k = _rows_per_reduction(q)
         n = 2 * k + 1
         H = howell_array(M(p, e, [[int(i == j) for j in range(n)] + [q - 1] for i in range(n)]))
         assert H.pivots == tuple(range(n))
@@ -243,13 +244,6 @@ class TestMembership:
         vecs = np.array([member, outsider]).T
         assert reference_contains(H.rows, H.pivots, q, vecs) == [True, False]
         assert H.contains(vecs).tolist() == [True, False]
-
-    def test_rows_per_reduction_bound(self):
-        for q in (2, 3, 4, 2 ** 16, 7 ** 11, 3 ** 19, 2 ** 31):
-            k = zpelin._rows_per_reduction(q)
-            assert k >= 1
-            assert q + k * (q - 1) ** 2 <= 2 ** 63 - 1 < q + (k + 1) * (q - 1) ** 2
-        assert zpelin._rows_per_reduction(7 ** 11) == 2
 
 
 class TestModuleSize:
@@ -388,3 +382,23 @@ class TestSocleIdeal:
         # I(G[p]) has p^{|G| - |G^p|} elements
         rs = RingSpec(GroupSpec(2, (2,)), 1)
         assert module_size_exp(socle_ideal_generators(rs)) == 4 - 2
+
+    @pytest.mark.parametrize(
+        "rs",
+        [
+            RingSpec(g, e)
+            for g in small_specs(6, primes=[p for p in range(2, 64) if is_prime(p)])
+            if g.p ** g.size_exp <= 64
+            for e in (1, 2)
+        ],
+        ids=RingSpec.to_text,
+    )
+    def test_basis_translates_span_the_all_translates_ideal(self, rs):
+        # Every group with |G| <= 64: the k|G| translates of the basis of
+        # G[p] and the (|G[p]| - 1)|G| translates of all of G[p] have one
+        # Howell form.
+        rows = socle_ideal_generators(rs)
+        assert rows.nrows == rs.group.k * rs.size
+        got, want = howell_array(rows), howell_array(reference_socle_ideal_generators(rs))
+        assert np.array_equal(got.rows, want.rows)
+        assert (got.pivots, got.size_exp) == (want.pivots, want.size_exp)

@@ -32,11 +32,16 @@ from .pgroup import (
 RING_CHAR_CAP = 1 << 31
 
 
-def _rows_per_reduction(q: int) -> int:
+def _rows_per_reduction(q: int, signed: bool = False) -> int:
     # The largest k with q + k(q - 1)^2 <= 2^63 - 1: a residue mod q plus k
     # products of two residues fits in int64 (k >= 2 for q <= RING_CHAR_CAP),
     # so the batched kernels reduce a running sum only every k rows.
-    return (2 ** 63 - 1 - q) // (q - 1) ** 2
+    # signed: an entry in (-q, q) less k products f * r of a residue r and
+    # an |f| <= q - 1 (an entry in (-q, q) floor-divided by a pivot), where
+    # the floor reduction x - (x // q) q of a negative x also dips q - 1
+    # below x.  Taking |f| <= q covers the dip, as kq(q - 1) >= k(q - 1)^2 +
+    # (q - 1): the largest k with q + kq(q - 1) <= 2^63 - 1 (again k >= 2).
+    return (2 ** 63 - 1 - q) // ((q - 1) * (q if signed else q - 1))
 
 
 @dataclass(frozen=True)

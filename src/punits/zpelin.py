@@ -23,12 +23,32 @@ p^v, to 0, and basis rows into [0, p^v).  The annihilator p^{e-v} * row
 goes to ``end``.  Each row operation is reduced mod q = p^e
 (``pgroup.mod_in_place``), and q <= 2^31 keeps each product f * row below 2^62.
 
-``HowellArray.contains`` reduces a block of vectors against the rows in
-turn and defers the reduction mod q: it reduces only the pivot entry
-before each row, so that f = v[col] // p^v is exact, and the whole block
-every k rows and at the end.  One row subtracts at most (q-1)^2 from an
-entry, so k is ``ring._rows_per_reduction(q)``, as in ``oracle``'s batched
-product: the largest k with q + k(q-1)^2 <= 2^63 - 1 (k >= 2; 2 at 7^11).
+Membership by the dual.  Z_{p^e} is a Frobenius ring, so a submodule M
+of Z_{p^e}^n is its own double annihilator: with M^perp = {y : h . y = 0
+for every h in M}, M = {x : A x = 0} for any A whose rows span M^perp,
+and |M| |M^perp| = p^{en}.  If the rows of H span M, the rows of
+[H^T | I] span {(Hy, y) : y in Z_{p^e}^n}; its elements with Hy = 0 are
+(0, y) for y in M^perp, and by the Howell property they are spanned by
+the Howell rows whose pivot lies in the identity block.  Those rows,
+restricted to that block, are the Howell form of M^perp
+(``HowellArray.dual``, built on first use and checked: the sizes multiply
+to p^{en} and H A^T = 0).
+
+``HowellArray.contains`` takes a block of vectors, one per column with
+entries in (-q, q), and answers it one of two ways:
+
+- a block at least ``_DUAL_WIDTH`` times as wide as it is long (the
+  lemma4 and lemma5 unit scans) by one product A x mod q with A the dual's
+  rows, whose inner dimension is reduced every ``ring._rows_per_reduction(q)``
+  columns, the bound of ``oracle``'s batched product (q + k(q-1)^2 <=
+  2^63 - 1; k >= 2, and 2 at 7^11);
+- a narrower one (lemma3's |G| columns, ``module_membership``'s one) by
+  elimination, so the dual is never built for it: the block is reduced
+  against the rows in turn.  Only the pivot entry is reduced before a row,
+  so that f = v[col] // p^v stays below q, and the whole block every k
+  rows and at the end; no reduction is needed before the first row or the
+  first after a whole-block one.  k is ``ring._rows_per_reduction(q,
+  signed=True)``, as the entries and f may be negative.
 
 The powers of w form one chain per ring.  H(w) is the Howell form of the
 rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
@@ -49,6 +69,7 @@ G's gather table, generators and G[p] are read from ``pgroup``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -56,6 +77,10 @@ import numpy as np
 
 from .pgroup import gather_table, mod_in_place, radix_encode
 from .ring import RING_CHAR_CAP, RingSpec, _rows_per_reduction, p_valuation
+
+# Blocks of vectors at least this many times wider than long (columns
+# against coordinates) are tested against the dual (``HowellArray.contains``).
+_DUAL_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -101,22 +126,64 @@ class HowellArray:
     pivots: tuple[int, ...]
     size_exp: int
 
+    @functools.cached_property
+    def dual(self) -> HowellArray:
+        """The Howell form of the annihilator {y : h . y = 0 for every row h};
+        see "Membership by the dual" in the module docstring."""
+        p, e, (r, n) = self.p, self.e, self.rows.shape
+        H = self.rows.astype(np.int64)
+        aug = _howell(np.hstack([H.T, np.eye(n, dtype=np.int64)]), p, e)
+        start = bisect.bisect_left(aug.pivots, r)
+        rows = aug.rows[start:, r:].copy()
+        rows.flags.writeable = False
+        pivots = tuple(c - r for c in aug.pivots[start:])
+        size_exp = sum(e - p_valuation(int(rows[i, c]), p) for i, c in enumerate(pivots))
+        if self.size_exp + size_exp != e * n:
+            raise ArithmeticError(
+                f"|M| |M^perp| = {p}^{self.size_exp + size_exp}, expected {p}^{e * n}"
+            )
+        if _product_mod(rows.astype(np.int64), H.T, p ** e).any():
+            raise ArithmeticError("the annihilator's rows are not orthogonal to the span")
+        return HowellArray(p, e, rows, pivots, size_exp)
+
     def contains(self, vecs: np.ndarray) -> np.ndarray:
-        """Boolean mask: which columns of vecs lie in the span."""
+        """Boolean mask: which columns of vecs lie in the span.
+
+        vecs is int64, one vector per column, with entries in (-q, q).
+        """
         q = self.p ** self.e
-        k = _rows_per_reduction(q)
-        v = mod_in_place(np.array(vecs, dtype=np.int64), q)
-        for i, (row, col) in enumerate(zip(self.rows, self.pivots), start=1):
-            mod_in_place(v[col], q)
+        n, width = vecs.shape
+        if width >= _DUAL_WIDTH * n:
+            return ~_product_mod(self.dual.rows.astype(np.int64), vecs, q).any(axis=0)
+        k = _rows_per_reduction(q, signed=True)
+        v = vecs.copy()
+        for i, (row, col) in enumerate(zip(self.rows, self.pivots)):
+            if i % k:  # rows since the last reduction changed v[col]
+                mod_in_place(v[col], q)
             at = row.nonzero()[0]
             v[at] -= row[at, None] * (v[col] // row[col])
-            if i % k == 0:
+            if (i + 1) % k == 0:
                 mod_in_place(v, q)
         return ~mod_in_place(v, q).any(axis=0)
 
     def matrix(self) -> ResidueMatrix:
         rows = tuple(map(tuple, self.rows.tolist()))
         return ResidueMatrix(self.p, self.e, self.rows.shape[1], rows)
+
+
+def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """A X mod q for int64 A with entries in [0, q) and X in (-q, q).
+
+    The running sum is reduced before each further chunk of k columns of A,
+    k = ``ring._rows_per_reduction(q)``: it then lies in [0, q), and a chunk
+    adds at most k(q-1)^2 in magnitude.
+    """
+    k = _rows_per_reduction(q)
+    out = A[:, :k] @ X[:k]
+    for lo in range(k, A.shape[1], k):
+        mod_in_place(out, q)
+        out += A[:, lo : lo + k] @ X[lo : lo + k]
+    return mod_in_place(out, q)
 
 
 def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:

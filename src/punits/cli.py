@@ -119,6 +119,8 @@ class SuiteConfig:
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a file name, got {self.out!r}")
+        if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
+            raise ValueError(f"cannot write {self.out}: its directory does not exist")
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +209,20 @@ def parse_report_json(text: str) -> list[InstanceReport]:
 
 
 def _write_atomic(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".punits-")
+    """Write data to path through a temporary file beside it; an OSError
+    names path, not the temporary file."""
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".punits-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +506,16 @@ def _cmd_reduce(args) -> int:
 def _cmd_dimsub(args) -> int:
     group = _parse_group(args)
     index = theory.dimension_subgroup(group, args.e, args.n)
-    p = group.p
-    if index == 0:
-        print(f"D_{args.n} = G")
-    else:
-        print(f"D_{args.n} = G^{p ** index}")
-    if not args.oracle:
-        return 0
-    rs = RingSpec(group, args.e)
-    report = verify_check("lemma3", rs, {"n": args.n})
-    print(f"oracle agreement: {report.verdict}")
-    return 0 if report.passed else 1
+    text = f"D_{args.n} = G\n" if index == 0 else f"D_{args.n} = G^{group.p ** index}\n"
+    passed = True
+    # As in _cmd_invariants, the whole text is built before any of it is
+    # written, so a failing oracle run leaves only the error line.
+    if args.oracle:
+        report = verify_check("lemma3", RingSpec(group, args.e), {"n": args.n})
+        text += f"oracle agreement: {report.verdict}\n"
+        passed = report.passed
+    sys.stdout.write(text)
+    return 0 if passed else 1
 
 
 _COMMANDS = {

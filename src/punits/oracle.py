@@ -17,7 +17,9 @@ each representative it stores whether its p-th power is 1 (``one``) and
 the base index of that power reduced mod p^{e-1} (``chi``), which is the
 base ring's own phi.  The order census reads kernels of phi^m off these
 masks, each representative standing for |K| = p^{|G|-1} units, and the
-torsion checks decode only the representatives of V[p].  The oracle does
+torsion checks (theorem1, lemma4) decode only the representatives of V[p],
+in one call (``Units.p_torsion``); besides the map, lemma5's ``Units.scan``
+is the only pass over blocks of V.  The oracle does
 not rely on the lemma it verifies: each e >= 2 instance first powers the
 p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
 (as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
@@ -66,7 +68,7 @@ from .pgroup import (
 )
 from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
-    howell_array,
+    _howell,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
     nilpotency_index,
@@ -272,25 +274,26 @@ class Units:
         one.flags.writeable = chi.flags.writeable = False
         return PowerMap(base, mult, one, chi)
 
-    def scan(self, count: Callable, indices: Optional[np.ndarray] = None) -> list[int]:
-        """Sum of count(block) over blocks of units, one per column: all of
-        V, or the power map's representatives with the given indices.
+    def p_torsion(self) -> np.ndarray:
+        """V[p]'s representatives in the power map, one per column, lifted
+        mod p^e: decoded in one call and kept by no one.  Bounded: lemma4
+        runs only at e = 1, where no budget admits |V| >= 2^31, so |V| <= 7^6;
+        on theorem1's quotient path there are |G[p]| of them when Theorem 1
+        holds, and never more than the power map's length."""
+        pm = self.power_map
+        return _units_at(pm.base, np.flatnonzero(pm.one), self.rs.modulus)
+
+    def scan(self, count: Callable) -> list[int]:
+        """Sum of count(block) over blocks of the units of V, one per column.
         count returns a fixed-length sequence of counts, which add up the
         same for any number of workers."""
         rs = self.rs
-        if indices is None:
-            _require_budget(rs, self.budget)
-            total = unit_count(rs)
+        _require_budget(rs, self.budget)
 
-            def part(lo: int, hi: int):
-                return count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
-        else:
-            base, total = self.power_map.base, len(indices)
+        def part(lo: int, hi: int):
+            return count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
 
-            def part(lo: int, hi: int):
-                return count(_units_at(base, indices[lo:hi], rs.modulus))
-
-        return np.sum(_map_blocks(part, total, self.workers), axis=0).tolist()
+        return np.sum(_map_blocks(part, unit_count(rs), self.workers), axis=0).tolist()
 
     def census(self) -> OrderHistogram:
         """Exact-order census of V from the sizes of the kernels of phi^m.
@@ -423,28 +426,22 @@ def _check_theorem2(units: Units, params, seed):
 
 def _check_theorem1(units: Units, params, seed):
     # Each representative of V[p] stands for mult units, all with its
-    # residue mod p^{e-1}, which is all the socle test reads.
+    # residue mod p^{e-1}, which is all the socle test reads: a residue has
+    # the socle form iff it is the group element h at its largest entry and
+    # h lies in G[p].
     rs, pm = units.rs, units.power_map
-    torsion = np.flatnonzero(pm.one)
-    q1 = rs.p ** (rs.e - 1)
-    socle_cols = np.eye(rs.size, dtype=np.int64)[socle_indices(rs.group)]
-
-    def scan(block):
-        sub = mod_in_place(block, q1)
-        ok = np.zeros(sub.shape[1], dtype=bool)
-        for col in socle_cols:
-            ok |= _matches(sub, col)
-        return [(~ok).sum()]
-
-    (bad,) = units.scan(scan, torsion)
+    residues = mod_in_place(units.p_torsion(), rs.p ** (rs.e - 1))
+    h = residues.argmax(axis=0)
+    socle = np.isin(h, socle_indices(rs.group))
+    socle &= (residues == np.eye(rs.size, dtype=np.int64)[:, h]).all(axis=0)
 
     predicted = {
         "order_dividing_p": rs.p ** theory.v_p_torsion_exp(rs.group, rs.e),
         "outside_socle_form": 0,
     }
     observed = {
-        "order_dividing_p": pm.mult * len(torsion),
-        "outside_socle_form": pm.mult * bad,
+        "order_dividing_p": pm.mult * residues.shape[1],
+        "outside_socle_form": pm.mult * int(np.count_nonzero(~socle)),
     }
     return predicted, observed
 
@@ -459,17 +456,12 @@ def _check_lemma6(units: Units, params, seed):
 def _check_lemma4(units: Units, params, seed):
     # At e = 1 the power map's representatives are the units themselves.
     rs = units.rs
-    torsion = np.flatnonzero(units.power_map.one)
-    p, ident = rs.p, _identity(rs)
-    H = howell_array(socle_ideal_generators(rs))
+    torsion = units.p_torsion()
+    H = _howell(socle_ideal_generators(rs), rs.p, rs.e)
+    outside = int(np.count_nonzero(~H.contains(torsion - _identity(rs)[:, None])))
 
-    def scan(block):
-        return [(~H.contains(block - ident[:, None])).sum()]
-
-    (outside,) = units.scan(scan, torsion)
-
-    predicted = {"unit_count": p ** H.size_exp, "outside_ideal": 0}
-    observed = {"unit_count": len(torsion), "outside_ideal": outside}
+    predicted = {"unit_count": rs.p ** H.size_exp, "outside_ideal": 0}
+    observed = {"unit_count": torsion.shape[1], "outside_ideal": outside}
     return predicted, observed
 
 

@@ -64,7 +64,8 @@ gather.  Since the Howell form is canonical, each level equals the Howell
 form of any other spanning set of w^n.  A chain is extended only up to the
 power asked for and kept for the life of the process.
 
-G's gather table, generators and G[p] are read from ``pgroup``.
+G's gather table, generators and G[p] are read from ``pgroup``.  Matrices
+are int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
 """
 
 from __future__ import annotations
@@ -331,12 +332,11 @@ def nilpotency_index(rs: RingSpec) -> int:
     return len(chain.levels) + 1
 
 
-def socle_ideal_generators(rs: RingSpec) -> ResidueMatrix:
+def socle_ideal_generators(rs: RingSpec) -> np.ndarray:
     """Spanning set of I(G[p]), the ideal generated by {h - 1 : h in G[p]}:
     the translates (h_j - 1) g, h-major, over the basis h_j = a_j^{p^(lambda_j - 1)}
     of G[p] and all g in G, as hh' - 1 = (h - 1)h' + (h' - 1)."""
     basis = np.diag([rs.p ** (l - 1) for l in rs.group.lambdas])
     diffs = np.eye(rs.size, dtype=np.int64)[radix_encode(basis, rs.group.radices)]
-    diffs[:, 0] = -1
-    rows = diffs[:, gather_table(rs.group)].reshape(-1, rs.size)
-    return ResidueMatrix(rs.p, rs.e, rs.size, tuple(map(tuple, rows.tolist())))
+    diffs[:, 0] = rs.modulus - 1
+    return diffs[:, gather_table(rs.group)].reshape(-1, rs.size)

@@ -213,6 +213,45 @@ class TestDimsubCommand:
         assert "oracle agreement: pass" in out
 
 
+    @pytest.mark.parametrize("e", ["1", "40"])
+    def test_oracle_failure_leaves_only_the_error_line(self, capsys, e):
+        # |G| = 2048 is past the dense table cap, and 2^40 past the
+        # characteristic cap; the formula's line must not come out alone.
+        code, out, err = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "5,6", "--e", e, "--n", "2",
+            "--oracle",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--p", "2", "--lambda", "1", "--e", "1"), ("suite",)]
+    )
+    def test_missing_directory_fails_before_any_check(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        target = str(tmp_path / "missing" / "x.json")
+        runs = []
+        monkeypatch.setattr(cli, "run_suite", runs.append)
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert (code, out, runs) == (2, "", [])
+        assert err == f"error: cannot write {target}: its directory does not exist\n"
+
+    def test_write_error_names_the_given_path(self, capsys, tmp_path):
+        # A directory as --out fails at the final rename; the error names
+        # it, not the temporary file, and no temporary file is left.
+        code, out, err = run(
+            capsys, "verify", "--p", "2", "--lambda", "1", "--e", "1",
+            "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_single_check_passes(self, capsys):
         code, out, _ = run(

@@ -12,7 +12,11 @@ count, at e = 1 its Frobenius scatter must equal the batched p-th power,
 and for e >= 2 its ``chi`` must be the base ring's own full power map; the census read from it must equal the scalar ``unit_order`` census,
 every planned check must report the same through one shared ``Units`` as
 through one-shot calls on the RingSpec, and a failed reduction-kernel check
-must fall back to the full map with the same reports.  The formula checks:
+must fall back to the full map with the same reports.  theorem1 and lemma4
+read V[p] off the power map: their counts must equal scalar ones from
+``unit_order``, also with an element of G[p] dropped so that they are
+nonzero, for any block size and worker count, and no V[p] block may
+outlive its check.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference; ``_batch_order_exps``
 on lemma9's units 1 + p^d y must match scalar iterated p-th powering under
@@ -21,6 +25,7 @@ any bound; and the gcd valuation must be the per-coefficient minimum.
 
 import functools
 import sys
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -29,6 +34,7 @@ from hypothesis import given, strategies as st
 
 from punits import oracle
 from punits.oracle import (
+    CHECKS,
     Units,
     _batch_mul,
     _batch_order_exps,
@@ -46,8 +52,11 @@ from punits.oracle import (
 )
 from punits.pgroup import (
     GroupSpec,
+    element_mul,
+    element_pow,
     enumerate_elements,
     gather_table,
+    identity,
     p_valuation,
     radix_encode,
     socle_indices,
@@ -61,6 +70,7 @@ from punits.ring import (
     reduce_mod,
     unit_order,
 )
+from punits.zpelin import socle_ideal_generators
 
 from .helpers import reference_lemma2, small_specs
 
@@ -152,10 +162,27 @@ def _scalar_index(u: RingElement) -> int:
 
 
 @functools.cache
+def _scalar_orders(rs: RingSpec) -> list[tuple[RingElement, int]]:
+    """Every unit with its order, from the scalar unit_order."""
+    return [(u, unit_order(u)) for u in enumerate_units(rs)]
+
+
+@functools.cache
 def _scalar_census(rs: RingSpec) -> dict[int, int]:
     """Order exponent -> number of units, from the scalar unit_order."""
-    orders = Counter(unit_order(u) for u in enumerate_units(rs))
+    orders = Counter(order for _, order in _scalar_orders(rs))
     return {p_valuation(order, rs.p): count for order, count in orders.items()}
+
+
+def _scalar_p_torsion(rs: RingSpec) -> list[RingElement]:
+    """V[p]: the units of order 1 or p."""
+    return [u for u, order in _scalar_orders(rs) if order <= rs.p]
+
+
+def _scalar_socle(group: GroupSpec) -> list:
+    """G[p] by element_pow, in enumeration order."""
+    ident = identity(group)
+    return [g for g in enumerate_elements(group) if element_pow(group, g, group.p) == ident]
 
 
 def _lift(u: RingElement, rs: RingSpec) -> RingElement:
@@ -210,24 +237,33 @@ def test_census_matches_scalar_unit_orders(rs):
     assert order_histogram(rs).as_dict() == _scalar_census(rs)
 
 
+def _map_and_torsion_reports(units: Units):
+    """The power map, and the theorem1 or lemma4 report read from it."""
+    checks = [c for c in ("theorem1", "lemma4") if CHECKS[c].requires(units.rs, {})]
+    return units.power_map, [verify_check(c, units) for c in checks]
+
+
 @given(st.sampled_from(RINGS))
 def test_power_map_independent_of_blocks_and_workers(rs):
     # Worker threads fill disjoint slices of one array: more workers than
-    # cores, many small blocks and frequent thread switches must not change it.
+    # cores, many small blocks and frequent thread switches must not change
+    # it, nor the V[p] checks that read it.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [Units(rs, workers=w).power_map for w in (1, 2, 4)]
+        runs = [_map_and_torsion_reports(Units(rs, workers=w)) for w in (1, 2, 4)]
         with mock.patch.object(oracle, "_BLOCK", 5):
-            runs.append(Units(rs, workers=4).power_map)
-            runs.append(Units(rs).power_map)
+            runs.append(_map_and_torsion_reports(Units(rs, workers=4)))
+            runs.append(_map_and_torsion_reports(Units(rs)))
     finally:
         sys.setswitchinterval(interval)
-    first = runs[0]
-    for pm in runs[1:]:
+    first, first_reports = runs[0]
+    assert len(first_reports) == 1 and first_reports[0].passed
+    for pm, reports in runs[1:]:
         assert (pm.base, pm.mult) == (first.base, first.mult)
         assert np.array_equal(pm.one, first.one)
         assert np.array_equal(pm.chi, first.chi)
+        assert reports == first_reports
 
 
 @given(st.lists(st.sampled_from(RINGS), min_size=2, max_size=2, unique=True))
@@ -277,6 +313,85 @@ def test_kernel_check_failure_takes_the_full_path(rs, drop_socle_element):
         if check == "theorem1":
             outside = q.observed["outside_socle_form"]
             assert (outside > 0) == drop_socle_element
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.booleans())
+def test_theorem1_counts_match_scalar_reference(rs, drop_socle_element):
+    # Count the units of order dividing p whose residue mod p^{e-1} is no
+    # element of G[p], with the last element of G[p] dropped or not.
+    socle = _scalar_socle(rs.group)[: -1 if drop_socle_element else None]
+    q1 = rs.p ** (rs.e - 1)
+    allowed = {tuple(c % q1 for c in from_group_element(rs, g).coeffs) for g in socle}
+    torsion = _scalar_p_torsion(rs)
+    outside = sum(tuple(c % q1 for c in u.coeffs) not in allowed for u in torsion)
+    with mock.patch.object(
+        oracle,
+        "socle_indices",
+        lambda g: socle_indices(g)[: -1 if drop_socle_element else None],
+    ):
+        report = verify_check("theorem1", rs)
+    assert report.observed == {
+        "order_dividing_p": len(torsion),
+        "outside_socle_form": outside,
+    }
+    assert (outside > 0) == drop_socle_element
+
+
+def _coset_key(group: GroupSpec, subgroup: list):
+    """g -> the least element of the coset g H, for H the given subgroup."""
+    return {
+        g: min(element_mul(group, g, h) for h in subgroup)
+        for g in enumerate_elements(group)
+    }
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e == 1]), st.booleans())
+def test_lemma4_counts_match_scalar_reference(rs, drop_basis_element):
+    # The ideal generated by h - 1 over a subgroup H is the kernel of
+    # Z_p G -> Z_p[G/H], so u - 1 lies in it iff u has the coset sums of 1.
+    # Dropping the last basis element h_k = a_k^{p^(lambda_k - 1)} of G[p]
+    # (the generators' last |G| rows) leaves H = {h in G[p] : h_k-coordinate 0}.
+    group = rs.group
+    subgroup = [h for h in _scalar_socle(group) if not drop_basis_element or h[-1] == 0]
+    key = _coset_key(group, subgroup)
+    elements = list(enumerate_elements(group))
+
+    def coset_sums(u: RingElement) -> dict:
+        sums = Counter()
+        for g, c in zip(elements, u.coeffs):
+            sums[key[g]] += c
+        return {k: c % rs.modulus for k, c in sums.items() if c % rs.modulus}
+
+    torsion = _scalar_p_torsion(rs)
+    outside = sum(coset_sums(u) != coset_sums(one(rs)) for u in torsion)
+    with mock.patch.object(
+        oracle,
+        "socle_ideal_generators",
+        lambda r: socle_ideal_generators(r)[: -r.size if drop_basis_element else None],
+    ):
+        report = verify_check("lemma4", rs)
+    assert report.observed == {"unit_count": len(torsion), "outside_ideal": outside}
+    assert (outside > 0) == drop_basis_element
+
+
+@given(st.sampled_from(RINGS))
+def test_no_p_torsion_block_outlives_its_check(rs):
+    # Units.p_torsion decodes a fresh block for each check that asks; none
+    # may stay on the Units, or anywhere else, once the checks are done.
+    refs = []
+    decode = Units.p_torsion
+
+    def recorded(self):
+        block = decode(self)
+        refs.append(weakref.ref(block))
+        return block
+
+    units = Units(rs)
+    with mock.patch.object(Units, "p_torsion", recorded):
+        for check, params in plan_checks(rs):
+            assert verify_check(check, units, params).passed
+    assert refs and all(ref() is None for ref in refs)
+    assert [k for k, v in vars(units).items() if isinstance(v, np.ndarray)] == ["table"]
 
 
 @given(st.sampled_from(RINGS))

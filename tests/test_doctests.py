@@ -1,10 +1,17 @@
 import doctest
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import punits.pgroup
 import punits.theory
 import punits.zpelin
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_pgroup_doctests():
@@ -25,10 +32,26 @@ def test_zpelin_doctests():
 def test_readme_library_quick_start():
     # The python blocks of the README's "Library quick start", in order and
     # in one namespace, so that an API move breaks this before the README.
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     section = readme.read_text().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, re.S)
     assert len(blocks) == 2
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(readme), "exec"), namespace)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    # The README's demo scripts, each in a fresh interpreter on this
+    # checkout's sources, so that an API move breaks this before them.
+    src = str(ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

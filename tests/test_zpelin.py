@@ -12,6 +12,7 @@ from punits.ring import RingSpec, _rows_per_reduction, from_group_element, one
 from punits.theory import v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
+    _howell,
     howell_array,
     howell_form,
     ideal_power_form,
@@ -512,12 +513,13 @@ class TestSocleIdeal:
     def test_z2_klein_socle_ideal_is_whole_augmentation_ideal(self):
         # G[2] = G for C_2 x C_2, so I(G[2]) = w
         rs = RingSpec(GroupSpec(2, (1, 1)), 1)
-        assert module_size_exp(socle_ideal_generators(rs)) == v_order_exp(rs.group, rs.e)
+        H = _howell(socle_ideal_generators(rs), rs.p, rs.e)
+        assert H.size_exp == v_order_exp(rs.group, rs.e)
 
     def test_z2c4_socle_ideal_size(self):
         # I(G[p]) has p^{|G| - |G^p|} elements
         rs = RingSpec(GroupSpec(2, (2,)), 1)
-        assert module_size_exp(socle_ideal_generators(rs)) == 4 - 2
+        assert _howell(socle_ideal_generators(rs), rs.p, rs.e).size_exp == 4 - 2
 
     @pytest.mark.parametrize(
         "rs",
@@ -534,7 +536,9 @@ class TestSocleIdeal:
         # G[p] and the (|G[p]| - 1)|G| translates of all of G[p] have one
         # Howell form.
         rows = socle_ideal_generators(rs)
-        assert rows.nrows == rs.group.k * rs.size
-        got, want = howell_array(rows), howell_array(reference_socle_ideal_generators(rs))
+        assert rows.dtype == np.int64 and rows.shape == (rs.group.k * rs.size, rs.size)
+        assert rows.min() >= 0 and rows.max() < rs.modulus
+        got = _howell(rows, rs.p, rs.e)
+        want = howell_array(reference_socle_ideal_generators(rs))
         assert np.array_equal(got.rows, want.rows)
         assert (got.pivots, got.size_exp) == (want.pivots, want.size_exp)

@@ -14,7 +14,13 @@ Exit codes: 0 success / all checks pass, 1 at least one check failed,
 
 JSON is the machine contract: reports are emitted with sorted keys, no
 wall-clock data, and orders as (base, exponent) pairs, so identical
-invocations (same seed, any worker count) are byte-identical.
+invocations (same seed, any worker count) are byte-identical.  Every JSON
+output is written by ``_dump_json``, punits' own emitter: its bytes equal
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, without the
+stdlib's pure-Python indent encoder.  It accepts str, int, bool, None,
+list, tuple and dict with str keys, and raises TypeError on anything else
+(a float, a numpy scalar, a non-str key, a set).  The stdlib ``json``
+module only parses reports and suite configs.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from . import theory
@@ -121,6 +128,8 @@ class SuiteConfig:
             raise ValueError(f"out must be a file name, got {self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ValueError(f"cannot write {self.out}: its directory does not exist")
+        if self.out and os.path.isdir(self.out):
+            raise ValueError(f"cannot write {self.out}: it is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,63 @@ def _instance_from_json(d: dict) -> InstanceReport:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    r"""The report's bytes: equal to ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\n"``, for the types a report carries.
+
+    Accepts str, int, bool, None, list, tuple and dict with str keys, and
+    raises TypeError on anything else (a float such as a wall time, a numpy
+    scalar, a non-str key, a set), so no such value changes the bytes.
+
+    >>> print(_dump_json({"name": "Zürich", "b": {"e": [], "ok": True}}), end="")
+    {
+      "b": {
+        "e": [],
+        "ok": true
+      },
+      "name": "Z\u00fcrich"
+    }
+    """
+    out: list[str] = []
+    _emit_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(obj, out: list[str], newline: str) -> None:
+    # newline is the line break and indent of obj's own level.
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int):
+        # bool is an int: test for it first; int.__repr__ keeps the
+        # int-to-str digit limit.
+        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # _quote raises TypeError on a key that is not a str.
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _emit_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a JSON report cannot hold {type(obj).__name__} {obj!r}")
 
 
 def emit_report(reports: Sequence[InstanceReport], fmt: str = "json") -> str:

@@ -6,7 +6,10 @@ import sys
 import time
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from punits import cli, oracle, theory
 from punits.cli import (
@@ -21,11 +24,33 @@ from punits.cli import (
 from punits.pgroup import GroupSpec
 from punits.ring import RingSpec
 
+from .helpers import partitions
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdlib_json(obj) -> str:
+    """The rendering cli._dump_json must match byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """Every (payload, text) pair that cli._dump_json makes in the test."""
+    pairs = []
+    dump = cli._dump_json
+
+    def recording(obj):
+        text = dump(obj)
+        pairs.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    return pairs
 
 
 class TestInvariantsCommand:
@@ -129,7 +154,7 @@ class TestInvariantsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "640 digits" in err
 
-    def test_number_at_the_digit_limit_still_prints(self, capsys):
+    def test_number_at_the_digit_limit_still_prints(self, capsys, dumped):
         # e(|G| - 1) = 2^2200 - 1 has exactly 663 digits.
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(663)
@@ -138,10 +163,28 @@ class TestInvariantsCommand:
                 capsys, "invariants", "--p", "2", "--lambda", "2200", "--e", "1",
                 "--format", "json",
             )
+            [(payload, text)] = dumped
+            assert out == text == stdlib_json(payload)
         finally:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert json.loads(out)["instances"][0]["v_order"]["exp"] == 2 ** 2200 - 1
+
+    def test_json_is_the_stdlib_rendering(self, dumped):
+        # What `invariants --format json` prints for every closed-form query
+        # with p = 2, |lambda| <= 6 and p = 3, |lambda| <= 4, each at e = 1, 2, 3.
+        queries = [
+            (GroupSpec(p, lam), e)
+            for p, top in ((2, 6), (3, 4))
+            for n in range(1, top + 1)
+            for lam in partitions(n)
+            for e in (1, 2, 3)
+        ]
+        for group, e in queries:
+            rep = theory.structure_report(group, e)
+            instance = cli.InstanceReport(group, e, rep.v_order_exp, rep.v_invariants)
+            assert emit_report([instance], "json") == stdlib_json(dumped[-1][0])
+        assert len(dumped) == len(queries) == 120
 
 
 class TestOrderCommand:
@@ -159,7 +202,7 @@ class TestOrderCommand:
             "--coeffs", "7,2", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out) == {"order": {"base": 2, "exp": 2}}
+        assert out == stdlib_json({"order": {"base": 2, "exp": 2}})
 
     def test_non_unit_is_usage_error(self, capsys):
         code, _, err = run(
@@ -239,16 +282,22 @@ class TestOutPath:
         assert (code, out, runs) == (2, "", [])
         assert err == f"error: cannot write {target}: its directory does not exist\n"
 
-    def test_write_error_names_the_given_path(self, capsys, tmp_path):
-        # A directory as --out fails at the final rename; the error names
-        # it, not the temporary file, and no temporary file is left.
-        code, out, err = run(
-            capsys, "verify", "--p", "2", "--lambda", "1", "--e", "1",
-            "--out", str(tmp_path),
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {tmp_path}: ")
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--p", "2", "--lambda", "1", "--e", "1"), ("suite",)]
+    )
+    def test_directory_fails_before_any_check(self, capsys, monkeypatch, tmp_path, argv):
+        runs = []
+        monkeypatch.setattr(cli, "run_suite", runs.append)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out, runs) == (2, "", [])
+        assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+
+    def test_write_error_names_the_given_path(self, tmp_path):
+        # A directory as the target fails at the final rename; the error
+        # names it, not the temporary file, and no temporary file is left.
+        with pytest.raises(OSError) as info:
+            cli._write_atomic(str(tmp_path), "x")
+        assert str(info.value).startswith(f"cannot write {tmp_path}: ")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -387,6 +436,64 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Quotes, backslashes, control characters, non-ASCII in the BMP, astral
+# characters and a lone surrogate: every kind of escape the report can need.
+_JSON_TEXT = st.text(
+    st.sampled_from('az"\\/\b\f\n\r\t\x00\x1f\x7f' "é\u2028\uffff\U0001f600\U0010ffff\udc00")
+)
+_JSON_INT = (
+    st.integers(-(2 ** 70), 2 ** 70)
+    | st.integers(min_value=2 ** 63)
+    | st.integers(max_value=-(2 ** 63) - 1)
+)
+_JSON_TREE = st.recursive(
+    st.none() | st.booleans() | _JSON_INT | _JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _report_observing(value) -> cli.InstanceReport:
+    group = GroupSpec(2, (1,))
+    rep = theory.structure_report(group, 1)
+    check = oracle.VerificationReport(
+        "theorem2", group, 1, predicted={}, observed={"x": [value]},
+        verdict="pass", seed=0,
+    )
+    return cli.InstanceReport(group, 1, rep.v_order_exp, rep.v_invariants, (check,))
+
+
+class TestJsonEmitter:
+    @given(_JSON_TREE)
+    def test_matches_the_stdlib_rendering(self, obj):
+        assert cli._dump_json(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.25, np.int64(1), {1: "x"}, {1}],
+        ids=["float", "numpy-int64", "int-key", "set"],
+    )
+    def test_refuses_what_a_report_does_not_carry(self, value):
+        with pytest.raises(TypeError):
+            cli._dump_json(value)
+        with pytest.raises(TypeError):
+            emit_report([_report_observing(value)], "json")
+
+    def test_keeps_the_int_to_str_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as ours:
+                cli._dump_json({"exp": 10 ** 640})
+            with pytest.raises(ValueError) as stdlib:
+                stdlib_json({"exp": 10 ** 640})
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(ours.value) == str(stdlib.value)
 
 
 class TestReportSerialization:

@@ -7,11 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import punits.cli
 import punits.pgroup
 import punits.theory
 import punits.zpelin
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cli_doctests():
+    failures, _ = doctest.testmod(punits.cli)
+    assert failures == 0
 
 
 def test_pgroup_doctests():

@@ -45,7 +45,7 @@ from .oracle import (
     unplanned_reason,
     verify_check,
 )
-from .pgroup import GroupSpec, checked_int, p_valuation
+from .pgroup import GroupSpec, checked_int, int_list, p_valuation
 from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_order
 from .theory import AbelianInvariants, structure_report
 
@@ -424,7 +424,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse_group(args) -> GroupSpec:
-    return GroupSpec(args.p, tuple(int(x) for x in args.lambdas.split(",")))
+    return GroupSpec(args.p, int_list(args.lambdas, "--lambda"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +546,7 @@ def _cmd_suite(args) -> int:
 def _cmd_order(args) -> int:
     group = _parse_group(args)
     rs = RingSpec(group, args.e)
-    coeffs = tuple(int(x) for x in args.coeffs.split(","))
+    coeffs = int_list(args.coeffs, "--coeffs")
     element = RingElement(rs, coeffs)
     if not is_normalized_unit(element):
         raise ValueError("element is not a normalized unit (augmentation != 1)")
@@ -562,7 +562,7 @@ def _cmd_order(args) -> int:
 def _cmd_reduce(args) -> int:
     group = _parse_group(args)
     rs = RingSpec(group, args.e)
-    coeffs = tuple(int(x) for x in args.coeffs.split(","))
+    coeffs = int_list(args.coeffs, "--coeffs")
     element = RingElement(rs, coeffs)
     print(reduce_mod(element, args.to).to_text())
     return 0

@@ -57,7 +57,6 @@ from . import theory
 from .pgroup import (
     DENSE_TABLE_CAP,
     GroupSpec,
-    element_from_index,
     gather_table,
     mod_in_place,
     p_valuation,
@@ -458,7 +457,8 @@ def _check_lemma4(units: Units, params, seed):
     rs = units.rs
     torsion = units.p_torsion()
     H = _howell(socle_ideal_generators(rs), rs.p, rs.e)
-    outside = int(np.count_nonzero(~H.contains(torsion - _identity(rs)[:, None])))
+    torsion[0] -= 1  # u - 1, in place: the block is this check's own
+    outside = int(np.count_nonzero(~H.contains(torsion)))
 
     predicted = {"unit_count": rs.p ** H.size_exp, "outside_ideal": 0}
     observed = {"unit_count": torsion.shape[1], "outside_ideal": outside}
@@ -467,8 +467,7 @@ def _check_lemma4(units: Units, params, seed):
 
 def _check_lemma5(units: Units, params, seed):
     rs = units.rs
-    q, p = rs.modulus, rs.p
-    ident = _identity(rs)
+    p = rs.p
 
     nu = nilpotency_index(rs)
     forms = [ideal_power_form(rs, m) for m in range(1, nu + 1)]  # w^nu = 0
@@ -476,11 +475,14 @@ def _check_lemma5(units: Units, params, seed):
 
     def scan(block):
         # 1 + w^{m+1} lies in 1 + w^m, so only the members of one layer
-        # are tested against the next.
-        vecs = block - ident[:, None]  # contains reduces it mod q
-        counts = []
+        # are tested against the next.  A layer that keeps every column
+        # (1 + w keeps all of V) is not copied.
+        block[0] -= 1  # u - 1, in place: contains reduces it mod q
+        vecs, counts = block, []
         for H in forms:
-            vecs = vecs[:, H.contains(vecs)]
+            member = H.contains(vecs)
+            if not member.all():
+                vecs = vecs[:, member]
             counts.append(vecs.shape[1])
         return counts
 
@@ -522,7 +524,8 @@ def _check_lemma3(units: Units, params, seed):
     predicted = np.flatnonzero(agemo)
 
     def listed(indices):
-        return [list(element_from_index(group, i)) for i in indices.tolist()]
+        out = np.empty((group.k, len(indices)), dtype=np.int64)
+        return radix_decode(indices, group.radices, out).T.tolist()
 
     return {"elements": listed(predicted)}, {"elements": listed(observed)}
 

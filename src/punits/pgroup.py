@@ -73,6 +73,15 @@ def checked_int(value, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def int_list(text: str, name: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; a malformed one is refused
+    with a message that names it (name is the flag or field it came from)."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{name}: expected comma-separated integers, got {text!r}") from None
+
+
 def p_valuation(m: int, p: int) -> int:
     """Exponent of the largest power of p dividing m (m != 0)."""
     if m == 0:
@@ -151,7 +160,7 @@ class GroupSpec:
         try:
             fields = text_fields(text, ("p", "lambda"))
             p = int(fields["p"])
-            lams = tuple(int(x) for x in fields["lambda"].split(","))
+            lams = int_list(fields["lambda"], "lambda")
         except ValueError as exc:
             raise ValueError(f"malformed group spec text {text!r}: {exc}") from exc
         return cls(p, lams)

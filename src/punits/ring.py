@@ -21,6 +21,7 @@ from .pgroup import (
     GroupSpec,
     checked_int,
     element_index,
+    int_list,
     is_prime,
     p_valuation,
     product_index_table,
@@ -42,6 +43,14 @@ def _rows_per_reduction(q: int, signed: bool = False) -> int:
     # below x.  Taking |f| <= q covers the dip, as kq(q - 1) >= k(q - 1)^2 +
     # (q - 1): the largest k with q + kq(q - 1) <= 2^63 - 1 (again k >= 2).
     return (2 ** 63 - 1 - q) // ((q - 1) * (q if signed else q - 1))
+
+
+def _float_terms(q: int) -> int:
+    # The largest k with k(q - 1)^2 <= 2^53: a sum of k products of two
+    # numbers in (-q, q) is then exact in float64 whatever the order of its
+    # additions, as every partial sum is an integer of magnitude <= 2^53.
+    # 0 once (q - 1)^2 > 2^53, i.e. q above about 9.5 * 10^7.
+    return 2 ** 53 // (q - 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ class RingElement:
             fields = text_fields(text, ("p", "lambda", "e", "coeffs"))
             group = GroupSpec.from_text(f"p={fields['p']};lambda={fields['lambda']}")
             spec = RingSpec(group, int(fields["e"]))
-            coeffs = tuple(int(x) for x in fields["coeffs"].split(","))
+            coeffs = int_list(fields["coeffs"], "coeffs")
         except ValueError as exc:
             raise ValueError(f"malformed ring element text {text!r}: {exc}") from exc
         return cls(spec, coeffs)

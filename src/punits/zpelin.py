@@ -39,16 +39,30 @@ entries in (-q, q), and answers it one of two ways:
 
 - a block at least ``_DUAL_WIDTH`` times as wide as it is long (the
   lemma4 and lemma5 unit scans) by one product A x mod q with A the dual's
-  rows, whose inner dimension is reduced every ``ring._rows_per_reduction(q)``
-  columns, the bound of ``oracle``'s batched product (q + k(q-1)^2 <=
-  2^63 - 1; k >= 2, and 2 at 7^11);
-- a narrower one (lemma3's |G| columns, ``module_membership``'s one) by
-  elimination, so the dual is never built for it: the block is reduced
-  against the rows in turn.  Only the pivot entry is reduced before a row,
-  so that f = v[col] // p^v stays below q, and the whole block every k
-  rows and at the end; no reduction is needed before the first row or the
-  first after a whole-block one.  k is ``ring._rows_per_reduction(q,
-  signed=True)``, as the entries and f may be negative.
+  rows;
+- a narrower one (lemma3's |G| columns, ``module_membership``'s one)
+  against the form's own rows, so the dual is never built for it.  Every
+  entry above a pivot 1 is reduced into [0, 1), so it is 0, and every
+  entry below a pivot is 0: a unit-pivot row's coefficient in the
+  reduction of x is x's own entry at its pivot column, whatever the other
+  rows are.  So all of those rows come off at once, by one product
+  x - H_u^T x[unit pivot columns] (at e = 1 every pivot is 1, and that is
+  the whole test).  The rows with pivot p^v, v >= 1 (``unit`` marks which
+  are which), follow in turn by elimination.  The whole block is reduced
+  before the first of them, as the product leaves entries in (-2q + 1, q),
+  then before every k-th, k = ``ring._rows_per_reduction(q, signed=True)``
+  (entries and f may be negative), and at the end; before the others only
+  the pivot entry is, so that f = v[col] // p^v stays below q.
+
+Both products are ``_product_mod``.  It multiplies in float64 (BLAS),
+chunk by chunk of k = ``ring._float_terms(q)`` inner columns, the largest k
+with k(q-1)^2 <= 2^53: every partial sum of a chunk is then an integer of
+magnitude at most 2^53, exact in any order of addition.  Each chunk goes to
+int64 and joins the running sum, which is reduced before the next.  Past q
+of about 9.5 * 10^7 (2^27, 3^17, 5^12, 7^10 and up) not one product is
+exact in float64, and the chunks are int64 products of
+``ring._rows_per_reduction(q)`` columns, the bound of ``oracle``'s batched
+product (q + k(q-1)^2 <= 2^63 - 1; k >= 2, and 2 at 7^11).
 
 The powers of w form one chain per ring.  H(w) is the Howell form of the
 rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
@@ -77,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pgroup import gather_table, mod_in_place, radix_encode
-from .ring import RING_CHAR_CAP, RingSpec, _rows_per_reduction, p_valuation
+from .ring import RING_CHAR_CAP, RingSpec, _float_terms, _rows_per_reduction, p_valuation
 
 # Blocks of vectors at least this many times wider than long (columns
 # against coordinates) are tested against the dual (``HowellArray.contains``).
@@ -117,14 +131,16 @@ class HowellArray:
     """A Howell form as arrays.
 
     ``rows`` is read-only with dtype ``np.min_scalar_type(q - 1)``, one row
-    per pivot; ``pivots`` holds each row's pivot column, and the span has
-    p^``size_exp`` elements.
+    per pivot; ``pivots`` holds each row's pivot column, ``unit`` (a
+    read-only boolean array) marks the rows whose pivot entry is 1, and the
+    span has p^``size_exp`` elements.
     """
 
     p: int
     e: int
     rows: np.ndarray
     pivots: tuple[int, ...]
+    unit: np.ndarray
     size_exp: int
 
     @functools.cached_property
@@ -138,14 +154,15 @@ class HowellArray:
         rows = aug.rows[start:, r:].copy()
         rows.flags.writeable = False
         pivots = tuple(c - r for c in aug.pivots[start:])
+        unit = aug.unit[start:]
         size_exp = sum(e - p_valuation(int(rows[i, c]), p) for i, c in enumerate(pivots))
         if self.size_exp + size_exp != e * n:
             raise ArithmeticError(
                 f"|M| |M^perp| = {p}^{self.size_exp + size_exp}, expected {p}^{e * n}"
             )
-        if _product_mod(rows.astype(np.int64), H.T, p ** e).any():
+        if _product_mod(rows, H.T, p ** e).any():
             raise ArithmeticError("the annihilator's rows are not orthogonal to the span")
-        return HowellArray(p, e, rows, pivots, size_exp)
+        return HowellArray(p, e, rows, pivots, unit, size_exp)
 
     def contains(self, vecs: np.ndarray) -> np.ndarray:
         """Boolean mask: which columns of vecs lie in the span.
@@ -155,16 +172,19 @@ class HowellArray:
         q = self.p ** self.e
         n, width = vecs.shape
         if width >= _DUAL_WIDTH * n:
-            return ~_product_mod(self.dual.rows.astype(np.int64), vecs, q).any(axis=0)
+            return ~_product_mod(self.dual.rows, vecs, q).any(axis=0)
+        cols, unit = np.array(self.pivots, dtype=np.intp), self.unit
+        # A unit-pivot row's coefficient is the vector's own entry at its
+        # pivot column; v lies in (-2q + 1, q) until its first reduction.
+        v = vecs - _product_mod(self.rows[unit].T, vecs[cols[unit]], q)
         k = _rows_per_reduction(q, signed=True)
-        v = vecs.copy()
-        for i, (row, col) in enumerate(zip(self.rows, self.pivots)):
+        for i, (row, col) in enumerate(zip(self.rows[~unit], cols[~unit])):
             if i % k:  # rows since the last reduction changed v[col]
                 mod_in_place(v[col], q)
+            else:  # the first row and every k-th: the whole block
+                mod_in_place(v, q)
             at = row.nonzero()[0]
             v[at] -= row[at, None] * (v[col] // row[col])
-            if (i + 1) % k == 0:
-                mod_in_place(v, q)
         return ~mod_in_place(v, q).any(axis=0)
 
     def matrix(self) -> ResidueMatrix:
@@ -173,17 +193,33 @@ class HowellArray:
 
 
 def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
-    """A X mod q for int64 A with entries in [0, q) and X in (-q, q).
+    """A X mod q, as int64, for integer A with entries in [0, q) and X in
+    (-q, q).
 
-    The running sum is reduced before each further chunk of k columns of A,
-    k = ``ring._rows_per_reduction(q)``: it then lies in [0, q), and a chunk
-    adds at most k(q-1)^2 in magnitude.
+    The product runs in float64, chunk by chunk of k = ``ring._float_terms(q)``
+    columns of A: each chunk is exact, a sum of k products of magnitude at
+    most (q-1)^2, so at most 2^53 in all.  Past q of about 9.5 * 10^7, where
+    not even one product is exact, it runs in int64 with k =
+    ``ring._rows_per_reduction(q)``.  The running sum, in int64, is reduced
+    before each further chunk.
     """
-    k = _rows_per_reduction(q)
-    out = A[:, :k] @ X[:k]
+    k, dtype = _float_terms(q), np.float64
+    if k < 1:
+        k, dtype = _rows_per_reduction(q), np.int64
+
+    def chunk(lo: int) -> np.ndarray:
+        # The operands' float64 copies are freed before the product is
+        # converted.  Held until then, those of lemma5's 2^16-column blocks
+        # made glibc trim its heap and refault it on every call (about 1600
+        # minor faults a call; twice the time of the int64 product).
+        a, x = A[:, lo : lo + k], X[lo : lo + k]
+        product = a.astype(dtype, copy=False) @ x.astype(dtype, copy=False)
+        return product.astype(np.int64, copy=False)
+
+    out = chunk(0)
     for lo in range(k, A.shape[1], k):
         mod_in_place(out, q)
-        out += A[:, lo : lo + k] @ X[lo : lo + k]
+        out += chunk(lo)
     return mod_in_place(out, q)
 
 
@@ -194,7 +230,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
     buf = np.empty((nrows + ncols, ncols), dtype=np.int64)
     buf[:nrows] = A
     top, end = 0, nrows
-    pivots, size_exp = [], 0
+    pivots, unit, size_exp = [], [], 0
 
     for col in range(ncols):
         if top == end:
@@ -227,6 +263,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
         buf[hit[:, None], at] = mod_in_place(block, q)
         top += 1
         pivots.append(col)
+        unit.append(v == 0)
         size_exp += e - v
         # Annihilator row: p^{e-v} * row spans the part of the span whose
         # leading entries vanish at this column (Howell property).
@@ -237,8 +274,9 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
                 end += 1
 
     rows = buf[:top].astype(np.min_scalar_type(q - 1))
-    rows.flags.writeable = False
-    return HowellArray(p, e, rows, tuple(pivots), size_exp)
+    unit = np.array(unit, dtype=bool)
+    rows.flags.writeable = unit.flags.writeable = False
+    return HowellArray(p, e, rows, tuple(pivots), unit, size_exp)
 
 
 def howell_array(M: ResidueMatrix) -> HowellArray:

@@ -438,6 +438,23 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("invariants", "--p", "2", "--lambda", "1,,2", "--e", "1"), "--lambda", "1,,2"),
+            (("dimsub", "--p", "2", "--lambda", "2,", "--e", "1", "--n", "1"), "--lambda", "2,"),
+            (("order", "--p", "2", "--lambda", "1", "--e", "3", "--coeffs", "7,,2"),
+             "--coeffs", "7,,2"),
+            (("reduce", "--p", "2", "--lambda", "1", "--e", "3", "--to", "1", "--coeffs", "7,x"),
+             "--coeffs", "7,x"),
+        ],
+    )
+    def test_bad_comma_list_names_its_flag(self, capsys, argv, flag, text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: expected comma-separated integers, got {text!r}\n"
+
+
 # Quotes, backslashes, control characters, non-ASCII in the BMP, astral
 # characters and a lone surrogate: every kind of escape the report can need.
 _JSON_TEXT = st.text(
@@ -697,6 +714,7 @@ class TestMalformedInput:
             {"instances": [_ONE], "seed": "0"},
             {"instances": [_ONE], "out": 5},
             {"instances": [{"group": "p=2;lambda=1;e=3", "e": 1}]},
+            {"instances": [{"group": "p=2;lambda=1,,2", "e": 1}]},
             # the cap on |G| still holds where coefficient vectors are built
             {"instances": [{"p": 2, "lambda": [21], "e": 2}]},
         ],

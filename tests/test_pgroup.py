@@ -74,6 +74,11 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec.from_text(text)
 
+    def test_text_bad_lambda_list_names_the_field(self):
+        message = "lambda: expected comma-separated integers, got '1,,2'"
+        with pytest.raises(ValueError, match=message):
+            GroupSpec.from_text("p=2;lambda=1,,2")
+
 
 def _trial_division(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -8,6 +8,7 @@ from punits.ring import (
     RING_CHAR_CAP,
     RingElement,
     RingSpec,
+    _float_terms,
     _rows_per_reduction,
     augmentation,
     binomial_p_power,
@@ -287,6 +288,11 @@ class TestText:
         with pytest.raises(ValueError):
             RingElement.from_text(text)
 
+    def test_bad_coeffs_list_names_the_field(self):
+        message = "coeffs: expected comma-separated integers, got '3,'"
+        with pytest.raises(ValueError, match=message):
+            RingElement.from_text("p=2;lambda=1;e=2;coeffs=3,")
+
 
 def test_rows_per_reduction_bound():
     for q in (2, 3, 4, 2 ** 16, 7 ** 11, 3 ** 19, 2 ** 31):
@@ -296,3 +302,13 @@ def test_rows_per_reduction_bound():
     assert _rows_per_reduction(7 ** 11) == 2
     # k falls as q grows: the batched kernels always add two rows per reduction.
     assert _rows_per_reduction(RING_CHAR_CAP) >= 2
+
+
+def test_float_terms_bound():
+    # The float64 product's chunk: the largest k with k(q-1)^2 <= 2^53.
+    for q in (2, 3, 4, 9, 2 ** 16, 2 ** 26, 3 ** 16, 5 ** 11, 7 ** 9, 2 ** 27, 7 ** 11, 2 ** 31):
+        k = _float_terms(q)
+        assert k * (q - 1) ** 2 <= 2 ** 53 < (k + 1) * (q - 1) ** 2
+    # int64 takes over just past each p's largest float-path modulus.
+    for p, e in ((2, 26), (3, 16), (5, 11), (7, 9)):
+        assert _float_terms(p ** e) >= 1 and _float_terms(p ** (e + 1)) == 0

@@ -8,11 +8,18 @@ from hypothesis import given, strategies as st
 from punits import zpelin
 from punits.oracle import verify_check
 from punits.pgroup import GroupSpec, enumerate_elements, is_prime
-from punits.ring import RingSpec, _rows_per_reduction, from_group_element, one
+from punits.ring import (
+    RingSpec,
+    _float_terms,
+    _rows_per_reduction,
+    from_group_element,
+    one,
+)
 from punits.theory import v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
     _howell,
+    _product_mod,
     howell_array,
     howell_form,
     ideal_power_form,
@@ -39,6 +46,11 @@ CHAIN_RINGS = [
     for spec in small_specs(4, (2,)) + small_specs(2, (3,)) + small_specs(1, (5,))
     for e in (1, 2, 3)
 ]
+
+
+# Moduli of the narrow-membership test: small ones, each p's largest on
+# the float64 product (2^26, 3^16, 7^9) and two on the int64 one (7^11, 2^31).
+NARROW_MODULI = ((2, 1), (3, 2), (2, 26), (3, 16), (7, 9), (7, 11), (2, 31))
 
 
 def M(p, e, rows):
@@ -251,6 +263,94 @@ class TestMembership:
             assert H.contains(vecs).tolist() == [True, False]
 
 
+    @given(st.data())
+    def test_narrow_contains_matches_the_reference(self, data):
+        # Echelon rows with unit pivots, with pivots p^v of any v < e, or
+        # all multiples of p: their Howell forms have all, some or none of
+        # their pivots units.  The unit rows are one product and only the
+        # others are eliminated in turn.
+        p, e = data.draw(st.sampled_from(NARROW_MODULI))
+        q = p ** e
+        kind = data.draw(st.sampled_from(("unit", "mixed", "none")))
+        ncols = data.draw(st.integers(1, 8))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+
+        def entry():
+            near_q = rng.randrange(q - 1 - q // 16, q)
+            return rng.choice((0, 1, p, q - p, q - 1, near_q, rng.randrange(q)))
+
+        rows = []
+        for col in sorted(rng.sample(range(ncols), rng.randint(1, ncols))):
+            v = 0 if kind == "unit" else rng.randrange(e)
+            unit = rng.randrange(q // p) * p + rng.randrange(1, p)
+            row = [0] * col + [p ** v * unit % q] + [entry() for _ in range(col + 1, ncols)]
+            rows.append([p * x % q for x in row] if kind == "none" else row)
+        H = howell_array(M(p, e, rows))
+        if kind == "unit" or e == 1:
+            assert H.unit.all()
+        elif kind == "none":
+            assert not H.unit.any()
+
+        form = H.rows.tolist()
+        width = data.draw(st.integers(1, 24))
+        vecs = []
+        for i in range(width):
+            if i % 2 or not form:
+                vec = [entry() for _ in range(ncols)]
+            else:
+                cs = [entry() for _ in form]
+                vec = [sum(c * r[j] for c, r in zip(cs, form)) % q for j in range(ncols)]
+            vecs.append([x - q if x and rng.random() < 0.5 else x for x in vec])
+        vecs = np.array(vecs, dtype=np.int64).T
+        expected = reference_contains(H.rows, H.pivots, q, vecs)
+        assert all(expected[::2]) or not form
+        assert H.contains(vecs).tolist() == expected
+        assert "dual" not in H.__dict__
+
+    @pytest.mark.parametrize("p, e", [(7, 11), (3, 19), (2, 31)])
+    def test_non_unit_rows_across_reductions(self, p, e):
+        # Rows p e_i + (q - p) e_n have pivot p, so each is eliminated in
+        # turn, and with coefficients +-(q - 1) // p each moves the last
+        # entry by about q^2 / p.  That is 1/p of the most a row can, so the
+        # 2pk + 1 rows here pass int64 unless the loop reduces every k rows.
+        q = p ** e
+        k = _rows_per_reduction(q, signed=True)
+        n = 2 * p * k + 1
+        rows = [[p * int(i == j) for j in range(n)] + [q - p] for i in range(n)]
+        H = howell_array(M(p, e, rows))
+        assert H.pivots == tuple(range(n)) and not H.unit.any()
+        c = (q - 1) // p
+        for sign in (1, -1):
+            last = sign * (n * c * (q - p) % q)
+            member = [sign * p * c] * n + [last]
+            outsider = member[:-1] + [last + sign]
+            vecs = np.array([member, outsider]).T
+            assert reference_contains(H.rows, H.pivots, q, vecs) == [True, False]
+            assert H.contains(vecs).tolist() == [True, False]
+
+
+class TestProductMod:
+    @pytest.mark.parametrize("p, e", [(2, 26), (3, 16), (5, 11), (7, 9)])
+    def test_float_product_at_the_worst_case(self, p, e):
+        # Each p's largest modulus on the float64 path.  Entries +-(q - 1) of
+        # one sign make every chunk of k columns sum to k (q - 1)^2, as near
+        # 2^53 as the bound allows; 3k + 1 columns make four chunks.
+        q = p ** e
+        k = _float_terms(q)
+        assert k >= 1 and _float_terms(p * q) == 0
+        inner = 3 * k + 1
+        rng = random.Random(q)
+        A = [[q - 1] * inner, [rng.choice((q - 1, q - 2, 0)) for _ in range(inner)]]
+        signs = [(1, -1, (-1) ** j, rng.choice((1, -1))) for j in range(inner)]
+        X = [[s * (q - 1) for s in row] + [rng.randrange(1 - q, q)] for row in signs]
+        expected = [
+            [sum(a[j] * X[j][c] for j in range(inner)) % q for c in range(len(X[0]))] for a in A
+        ]
+        out = _product_mod(np.array(A, dtype=np.int64), np.array(X, dtype=np.int64), q)
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
+
 class TestDual:
     """Membership by the dual module against elimination and the reference."""
 
@@ -363,6 +463,30 @@ class TestDualTraffic:
             assert verify_check("lemma3", rs, {"n": n}).passed
         chain = zpelin._chain(rs)
         assert not any("dual" in H.__dict__ for H in chain.levels + [chain.zero])
+
+    def test_lemma3_at_e1_is_one_product(self, monkeypatch):
+        # At e = 1 every pivot is a unit, so each membership block is one
+        # product: its one reduction and the final one, and no row step.
+        rs = RingSpec(GroupSpec(3, (1, 1)), 1)
+        nu = nilpotency_index(rs)
+        assert all(zpelin._chain(rs).level(n).unit.all() for n in range(1, nu))
+        calls = []
+        product, reduce = zpelin._product_mod, zpelin.mod_in_place
+
+        def counted_product(*args):
+            calls.append("product")
+            return product(*args)
+
+        def counted_reduce(*args):
+            calls.append("reduce")
+            return reduce(*args)
+
+        monkeypatch.setattr(zpelin, "_product_mod", counted_product)
+        monkeypatch.setattr(zpelin, "mod_in_place", counted_reduce)
+        for n in range(1, nu + 1):
+            calls.clear()
+            assert verify_check("lemma3", rs, {"n": n}).passed
+            assert calls == ["product", "reduce", "reduce"]
 
     def test_lemma5_builds_at_most_one_dual_per_level(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)

@@ -38,6 +38,7 @@ from . import theory
 from .oracle import (
     CHECK_IDS,
     DEFAULT_BUDGET,
+    SEED_MAX,
     BudgetExceededError,
     Units,
     VerificationReport,
@@ -123,7 +124,7 @@ class SuiteConfig:
             object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "budget", checked_int(self.budget, "budget", 1))
         object.__setattr__(self, "workers", checked_int(self.workers, "workers", 1))
-        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed", 0, SEED_MAX))
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a file name, got {self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):

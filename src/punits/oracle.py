@@ -15,12 +15,15 @@ kept over a base ring, V(Z_{p^{e-1}}G), with one representative per coset
 of K: the base unit u-bar with its last coefficient lifted mod p^e.  For
 each representative it stores whether its p-th power is 1 (``one``) and
 the base index of that power reduced mod p^{e-1} (``chi``), which is the
-base ring's own phi.  The order census reads kernels of phi^m off these
-masks, each representative standing for |K| = p^{|G|-1} units, and the
-torsion checks (theorem1, lemma4) decode only the representatives of V[p],
-in one call (``Units.p_torsion``); besides the map, lemma5's ``Units.scan``
-is the only pass over blocks of V.  The oracle does
-not rely on the lemma it verifies: each e >= 2 instance first powers the
+base ring's own phi.  The order census reads the size of the kernel of
+phi^{m+1} as the number of base indices that chi^m sends to a
+representative ``one`` marks, each standing for |K| = p^{|G|-1} units.
+Those counts are pushed forward along chi, restricted at each step to
+chi^m's image, which only shrinks (``_image_counts``): pure counting, no
+fact about V.  The torsion checks (theorem1, lemma4) decode only the
+representatives of V[p], in one call (``Units.p_torsion``); besides the
+map, lemma5's ``Units.scan`` is the only pass over blocks of V.  The
+oracle does not rely on the lemma it verifies: each e >= 2 instance first powers the
 p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
 (as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
 e = 1 (characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
@@ -29,16 +32,25 @@ The map is built one contiguous block of representatives at a time with
 vectorized numpy arithmetic that is bit-identical to the scalar reference
 convolution; blocks can be fanned out to worker threads and fill disjoint
 slices, so parallel and sequential runs agree exactly.  The batched
-product reduces its int64 sums mod q = p^e (``pgroup.mod_in_place``) only
-every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
-share the map through one ``Units`` object and it is freed with that
-object, so a suite run keeps one power map alive at a time.
+product is one gathered einsum, reduced mod q = p^e once
+(``pgroup.mod_in_place``), when its |G| products per entry fit one int64
+sum and the gathered operand fits ``_BLOCK_ENTRIES``; otherwise it adds
+one row at a time and reduces only every ``ring._rows_per_reduction(q)``
+rows.  The checks of an instance share the map through one ``Units``
+object and it is freed with that object, so a suite run keeps one power
+map alive at a time.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
-powers one block of columns (1 - g for every g in G, g - 1, or the
-candidate units 1 + p^d y) with the same batched kernels, and reads the
-group's own power map g -> g^m by index arithmetic
-(``pgroup.power_indices``).
+powers one block of columns (1 - g for every g in G, or g - 1) with the
+same batched kernels, and reads the group's own power map g -> g^m by
+index arithmetic (``pgroup.power_indices``).  lemma9 is planned once per
+d = 1 ... e-1 but computed once per instance and base seed
+(``Units.lemma9``): each d draws its candidates y with its own derived
+seed, and the units 1 + p^d y of every d are stacked in ascending d into
+blocks of at most ``_BLOCK_ENTRIES`` entries (one block on small rings)
+and powered together, a column stopping at its bound p^{e-d}.  The least valuation s of each y is
+read off by divisibility tests.  The first d's report therefore carries
+the pass's wall time.
 """
 
 from __future__ import annotations
@@ -57,6 +69,7 @@ from . import theory
 from .pgroup import (
     DENSE_TABLE_CAP,
     GroupSpec,
+    checked_int,
     gather_table,
     mod_in_place,
     p_valuation,
@@ -76,6 +89,20 @@ from .zpelin import (
 
 DEFAULT_BUDGET = 1 << 22
 _BLOCK = 1 << 16
+
+# lemma9 draws this many random candidates y per d on rings too large to
+# try every y.
+_LEMMA9_SAMPLES = 1000
+
+# The most entries a batched kernel builds in one array: one d's lemma9
+# block at the dense-table cap, |G| rows of _LEMMA9_SAMPLES columns.  It
+# bounds the gathered operand of ``_batch_mul``'s one-product path and the
+# lemma9 block of stacked d's (``_lemma9_chunks``).
+_BLOCK_ENTRIES = DENSE_TABLE_CAP * _LEMMA9_SAMPLES
+
+# Seeds are mixed into a 32-bit CRC (``_derive_seed``); a wider range
+# would alias.
+SEED_MAX = (1 << 32) - 1
 
 # Enumeration indices are stored as int32 (the power map keeps one per
 # representative, and on the fallback path every unit is one), so no budget
@@ -144,9 +171,14 @@ def _units_at(rs: RingSpec, idx: np.ndarray, lift: Optional[int] = None) -> np.n
 
 def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # (xy)_m = sum_i x_i y_{tbl[i][m]} over residues x, y in [0, q).  Each
-    # product is below (q-1)^2, so the sum is reduced only after every k
-    # added rows and at the end, k = _rows_per_reduction(q) keeping it in int64.
-    k = _rows_per_reduction(q)
+    # product is below (q-1)^2.  When all |G| of them fit one int64 sum and
+    # the gathered operand y[tbl] holds at most _BLOCK_ENTRIES entries, one
+    # einsum forms every sum; otherwise the rows are added one at a time and
+    # the sum reduced after every k rows and at the end, k =
+    # _rows_per_reduction(q) keeping it in int64.
+    n, k = len(tbl), _rows_per_reduction(q)
+    if n <= k and n * y.size <= _BLOCK_ENTRIES:
+        return mod_in_place(np.einsum("ic,imc->mc", x, y[tbl]), q)
     out = np.zeros_like(x)
     for added, i in enumerate(np.flatnonzero(x.any(axis=1)), start=1):
         term = y[tbl[i]]
@@ -176,19 +208,25 @@ def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
     return (x == col[:, None]).all(axis=0)
 
 
-def _batch_order_exps(units: Units, block: np.ndarray, max_exp: int) -> np.ndarray:
-    """Per-column m with u^{p^m} = 1, or -1 if not reached by max_exp.
+def _batch_order_exps(units: Units, block: np.ndarray, bounds) -> np.ndarray:
+    """Per column j, the least m <= bounds[j] with u^{p^m} = 1, or -1.
 
-    The whole block is powered at each step: a column at 1 stays at 1, and
-    compacting the rest would cost more numpy calls than it saves."""
+    ``bounds`` is one int for every column or one per column, and must not
+    increase along the block: the columns still to power after m steps,
+    those with a bound above m, are then a prefix, which is powered as a
+    view with no copy.  A column at 1 inside that prefix stays at 1 and is
+    powered with the rest, as compacting it out would cost more numpy
+    calls than it saves."""
     tbl, q, p = units.table, units.rs.modulus, units.rs.p
+    bounds = np.broadcast_to(bounds, block.shape[1:])
     ident = _identity(units.rs)
     orders = np.where(_matches(block, ident), 0, -1)
     m = 0
-    while m < max_exp and (orders < 0).any():
+    while (live := int(np.count_nonzero(bounds > m))) and (orders[:live] < 0).any():
         m += 1
-        block = _batch_pow(tbl, q, block, p)
-        orders[(orders < 0) & _matches(block, ident)] = m
+        block = _batch_pow(tbl, q, block[:, :live], p)
+        prefix = orders[:live]
+        prefix[(prefix < 0) & _matches(block, ident)] = m
     return orders
 
 
@@ -217,12 +255,16 @@ class PowerMap:
 @dataclass(eq=False)
 class Units:
     """V(Z_{p^e}G) of one instance: the gather table, the reduction-kernel
-    check and the power map are built on first use and live as long as the
-    object."""
+    check, the power map and one seed's lemma9 pass are built on first use
+    and live as long as the object.  A ``one_shot`` Units serves a single
+    check (``verify_check`` on a bare RingSpec), so its lemma9 pass covers
+    only the d asked for."""
 
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
     workers: int = 1
+    one_shot: bool = False
+    _lemma9: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -299,17 +341,49 @@ class Units:
 
         u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, and for m >= 1 that depends on
         phi(u) only through its reduction to the base, so the kernel of
-        phi^{m+1} is the kernel of phi^m gathered along chi.
+        phi^{m+1} has, per representative, as many units as ``one`` marks
+        among the base indices that chi^m sends there (``_image_counts``).
         """
         pm, total = self.power_map, unit_count(self.rs)
-        ker = pm.one
-        sizes = [1, pm.mult * int(np.count_nonzero(ker))]
+        sizes = [1, pm.mult * int(np.count_nonzero(pm.one))]
+        counts = _image_counts(pm.chi)
         while sizes[-1] < total and len(sizes) <= _order_exp_bound(self.rs):
-            ker = ker[pm.chi]
-            sizes.append(pm.mult * int(np.count_nonzero(ker)))
+            sup, w = next(counts)
+            sizes.append(pm.mult * int(w[pm.one[sup]].sum()))
         if sizes[-1] < total:
             raise ArithmeticError("unit order exceeded the p-torsion bound")
         return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
+
+    def lemma9(self, seed: int, d: int) -> Lemma9Units:
+        """lemma9's units for d, drawn with the seed the check derives from
+        the base ``seed``.  The first call for a seed runs one pass over the
+        candidates of every d = 1 ... e-1 (only d's on a one-shot Units),
+        and the object keeps that one pass."""
+        if (seed, d) not in self._lemma9:
+            ds = [d] if self.one_shot else range(1, self.rs.e)
+            seeds = {k: _derive_seed(seed, "lemma9", self.rs, {"d": k}) for k in ds}
+            self._lemma9 = {(seed, k): v for k, v in _lemma9_pass(self, seeds).items()}
+        return self._lemma9[(seed, d)]
+
+
+def _image_counts(chi: np.ndarray):
+    """Yield (sup, w) for m = 1, 2, ...: sup is the image of chi^m and w[k]
+    the number of indices that chi^m sends to sup[k], in float64, exact as
+    every count is below 2^31.
+
+    Counts are pushed forward along chi restricted to the support, which
+    only shrinks: chi(chi^m(X)) is inside chi^m(X) for any map chi of X to
+    itself.  The full bincount is reused as the index array that renumbers
+    the support."""
+    pos = np.bincount(chi, minlength=len(chi))
+    sup = np.flatnonzero(pos)
+    w = pos[sup]
+    while True:
+        yield sup, w
+        pos[sup] = np.arange(len(sup))
+        w = np.bincount(pos[chi[sup]], weights=w, minlength=len(sup))
+        keep = np.flatnonzero(w)
+        sup, w = sup[keep], w[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -562,62 +636,111 @@ def _check_lemma2(units: Units, params, seed):
     )
 
 
+def _lemma9_exhaustive(rs: RingSpec) -> bool:
+    """Whether lemma9 tries every nonzero y, not _LEMMA9_SAMPLES random ones."""
+    return rs.size <= 4 and rs.e <= 3
+
+
 def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
-    """All nonzero y for small instances, else 1000 seeded random ones; one
-    per column."""
+    """All nonzero y for small instances, else _LEMMA9_SAMPLES seeded random
+    ones; one per column."""
     q, n = rs.modulus, rs.size
-    if rs.size <= 4 and rs.e <= 3:
+    if _lemma9_exhaustive(rs):
         ys = np.empty((n, q ** n - 1), dtype=np.int64)
         return radix_decode(np.arange(1, q ** n, dtype=np.int64), (q,) * n, ys)
     rng = np.random.default_rng(seed)
-    ys = rng.integers(0, q, size=(1000, n), dtype=np.int64)
+    ys = rng.integers(0, q, size=(_LEMMA9_SAMPLES, n), dtype=np.int64)
     while True:
         zero = ~ys.any(axis=1)
         if not zero.any():
+            # Row-major, as the stacked block inherits this layout and its
+            # reductions over rows (_matches) are many times slower on a
+            # column-major one.
             return np.ascontiguousarray(ys.T)
         ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
 
 
-def _lemma9_units(units: Units, d: int, seed: int):
-    """(ys, exceptional, measured) for the units 1 + p^d y.
+def _lemma9_chunks(rs: RingSpec, ds) -> list[list[int]]:
+    """The d's of ds, ascending, in runs whose stacked lemma9 block (|G|
+    rows, one column per candidate) holds at most _BLOCK_ENTRIES entries.
+    One d alone always fits: |G| <= DENSE_TABLE_CAP rows of _LEMMA9_SAMPLES
+    columns, or at most 4 rows when every y is tried."""
+    cols = rs.modulus ** rs.size - 1 if _lemma9_exhaustive(rs) else _LEMMA9_SAMPLES
+    per_chunk = max(1, _BLOCK_ENTRIES // (rs.size * cols))
+    ds = sorted(ds)
+    return [ds[i : i + per_chunk] for i in range(0, len(ds), per_chunk)]
 
-    ``exceptional`` marks the rows where the closed form is silent (p = 2,
-    d = 1, and both y and y^2 have an odd coefficient); ``measured`` holds
-    each unit's order exponent, or -1 when it exceeds p^{e-d}.
+
+@dataclass(frozen=True, eq=False)
+class Lemma9Units:
+    """lemma9's units 1 + p^d y for one d, one entry per candidate y.
+
+    ``s`` is the least valuation of y's coefficients; ``exceptional`` marks
+    where the closed form is silent (p = 2, d = 1, s = 0 and y^2 has an odd
+    coefficient); ``measured`` is each unit's order exponent, or -1 when it
+    exceeds p^{e-d}.
     """
-    rs = units.rs
-    p, q = rs.p, rs.modulus
-    ys = _lemma9_candidates(rs, seed)
-    exceptional = np.zeros(ys.shape[1], dtype=bool)
-    if p == 2 and d == 1:
-        odd_square = (_batch_mul(units.table, q, ys, ys) % 2 == 1).any(axis=0)
-        exceptional = odd_square & (ys % 2 == 1).any(axis=0)
-    block = mod_in_place(p ** d * ys + _identity(rs)[:, None], q)
-    return ys, exceptional, _batch_order_exps(units, block, rs.e - d)
+
+    s: np.ndarray
+    exceptional: np.ndarray
+    measured: np.ndarray
+
+
+def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
+    """lemma9's units for every d in ``seeds`` (d -> that d's derived seed).
+
+    The candidates of a run of d's (``_lemma9_chunks``) are stacked in
+    ascending d and powered as one block, each column up to its own bound
+    e - d, so the columns still live after m steps are a prefix."""
+    rs, out = units.rs, {}
+    p, e, q = rs.p, rs.e, rs.modulus
+    for ds in _lemma9_chunks(rs, seeds):
+        ys = np.concatenate([_lemma9_candidates(rs, seeds[d]) for d in ds], axis=1)
+        w = ys.shape[1] // len(ds)  # every d draws as many candidates
+        col_d = np.repeat(np.array(ds, dtype=np.int64), w)
+        block = ys * p ** col_d
+        block[0] += 1
+        measured = _batch_order_exps(units, mod_in_place(block, q), e - col_d)
+        del block
+        s = _min_valuations(ys, p, e)
+        exceptional = np.zeros(len(s), dtype=bool)
+        if p == 2 and ds[0] == 1:
+            y1 = ys[:, :w]
+            odd_square = (_batch_mul(units.table, q, y1, y1) % 2 == 1).any(axis=0)
+            exceptional[:w] = odd_square & (s[:w] == 0)
+        for i, d in enumerate(ds):
+            cut = slice(i * w, (i + 1) * w)
+            out[d] = Lemma9Units(s[cut], exceptional[cut], measured[cut])
+    return out
 
 
 def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:
     """Per column, the least p-adic valuation of its coefficients in
-    [0, p^e), a zero coefficient counting as e: gcd(column, p^e) is exactly
-    p^that, located among p^0, ..., p^e."""
-    q = p ** e
-    powers = np.array([p ** i for i in range(e + 1)], dtype=np.int64)
-    return np.searchsorted(powers, np.gcd(np.gcd.reduce(ys, axis=0), q))
+    [0, p^e), a zero coefficient counting as e: the number of t = 1 ... e
+    with p^t dividing every coefficient.  Only the columns p^{t-1} divides
+    are tested against p^t."""
+    s = np.zeros(ys.shape[1], dtype=np.int64)
+    cols = np.arange(ys.shape[1])
+    for t in range(1, e + 1):
+        divides = (ys % p ** t == 0).all(axis=0)
+        cols, ys = cols.compress(divides), ys.compress(divides, axis=1)
+        if not len(cols):
+            break
+        s[cols] += 1
+    return s
 
 
 def _check_lemma9(units: Units, params, seed):
     d = int(params["d"])
-    p, e = units.rs.p, units.rs.e
-    ys, exceptional, measured = _lemma9_units(units, d, seed)
-
-    s = _min_valuations(ys, p, e)
-    predicted_exp = np.maximum(e - d - s, 0)
+    lem = units.lemma9(seed, d)
+    measured, exceptional = lem.measured, lem.exceptional
+    predicted_exp = np.maximum(units.rs.e - d - lem.s, 0)
 
     bound_violations = int((measured < 0).sum())
     mismatches = int(
         (~exceptional & (measured >= 0) & (measured != predicted_exp)).sum()
     )
-    base = {"cases": ys.shape[1], "exceptional": int(exceptional.sum())}
+    base = {"cases": len(measured), "exceptional": int(exceptional.sum())}
     predicted = {**base, "mismatches": 0, "order_bound_violations": 0}
     observed = {
         **base,
@@ -633,15 +756,15 @@ def lemma9_exceptional_census(
     """Measured orders of the exceptional units 1 + p^d y.
 
     The closed form stays silent when p = 2, d = 1 and y^2 has an odd
-    coefficient; this census records what those orders actually are, using
-    the same candidate generation as the lemma9 check (exhaustive for
-    |G| <= 4, e <= 3, else seeded random).  Purely observational: no closed
-    form is asserted, and the distribution is empty whenever the
-    exceptional condition cannot occur.
+    coefficient; this census records what those orders actually are, on
+    the candidates the lemma9 check draws for d with the same seed
+    (exhaustive for |G| <= 4, e <= 3, else seeded random).  Purely
+    observational: no closed form is asserted, and the distribution is
+    empty whenever the exceptional condition cannot occur.
     """
     CHECKS["lemma9"].require(rs, {"d": d})
-    _, exceptional, measured = _lemma9_units(Units(rs), d, seed)
-    measured = measured[exceptional]
+    lem = Units(rs, one_shot=True).lemma9(seed, d)
+    measured = lem.measured[lem.exceptional]
     if (measured < 0).any():
         raise ArithmeticError("exceptional unit order exceeded p^{e-d}")
     return OrderHistogram(tuple(enumerate(np.bincount(measured).tolist())))
@@ -655,7 +778,9 @@ def lemma9_exceptional_census(
 class Check:
     """A verification check and the instances it applies to.
 
-    ``run(units, params, seed)`` returns the (predicted, observed) pair.
+    ``run(units, params, seed)`` returns the (predicted, observed) pair;
+    ``seed`` is the base seed, from which a check that draws at random
+    derives its own (``_derive_seed``).
     ``requires`` is the mathematical precondition on (ring, params), which
     verify_check enforces; ``requirement`` states it.  The planner adds two
     limits: an enumerative check scans all of V, so |V| must fit the
@@ -715,8 +840,13 @@ def _format_check_id(check: str, params: Optional[dict]) -> str:
 
 
 def _derive_seed(seed: int, check: str, rs: RingSpec, params: Optional[dict]) -> int:
-    desc = f"{check}|{rs.to_text()}|{sorted((params or {}).items())}"
-    return zlib.crc32(desc.encode()) ^ (seed & 0xFFFFFFFF)
+    """The check's own seed: a 32-bit CRC of its case xor the base seed,
+    which is refused outside [0, SEED_MAX] rather than wrapped.  Parameters
+    are read as ints, so a numpy integer d derives what lemma9's pass draws
+    with."""
+    case = sorted((k, int(v)) for k, v in (params or {}).items())
+    desc = f"{check}|{rs.to_text()}|{case}"
+    return zlib.crc32(desc.encode()) ^ checked_int(seed, "seed", 0, SEED_MAX)
 
 
 def verify_check(
@@ -727,8 +857,12 @@ def verify_check(
     seed: int = 0,
 ) -> VerificationReport:
     """Run one named check; verdict is exact predicted == observed.  A bare
-    RingSpec is checked through a one-shot Units."""
-    units = rs_or_units if isinstance(rs_or_units, Units) else Units(rs_or_units)
+    RingSpec is checked through a one-shot Units.  ``seed`` must lie in
+    [0, SEED_MAX]; the report carries the seed derived from it."""
+    if isinstance(rs_or_units, Units):
+        units = rs_or_units
+    else:
+        units = Units(rs_or_units, one_shot=True)
     rs = units.rs
     spec = CHECKS.get(check)
     if spec is None:
@@ -736,7 +870,7 @@ def verify_check(
     spec.require(rs, params or {})
     derived = _derive_seed(seed, check, rs, params)
     start = time.perf_counter()
-    predicted, observed = spec.run(units, params or {}, derived)
+    predicted, observed = spec.run(units, params or {}, seed)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         check_id=_format_check_id(check, params),

@@ -62,14 +62,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def checked_int(value, name: str, minimum: Optional[int] = None) -> int:
-    """value as an int; bools, floats and strings are refused, not coerced."""
+def checked_int(
+    value, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
+    """value as an int in [minimum, maximum] (either may be None); bools,
+    floats and strings are refused, not coerced."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 

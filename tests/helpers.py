@@ -8,8 +8,10 @@ and exact row-by-row membership reduction instead of the numpy core, the
 direct product construction of w^n instead of the ideal chain, a
 product table built with ``element_mul`` and a dictionary, and its
 inverse, instead of the index codec's tables, scalar ring powers case
-by case instead of lemma2's batched columns, and the translates of all of
-G[p] instead of those of a basis.
+by case instead of lemma2's batched columns, the translates of all of
+G[p] instead of those of a basis, and the order census by gathering the
+kernel mask along the power map once per exponent instead of pushing
+counts along its image.
 """
 
 from __future__ import annotations
@@ -224,6 +226,20 @@ def reference_lemma2(rs: RingSpec) -> tuple[int, int]:
                 if lhs != rhs:
                     violations += 1
     return cases, violations
+
+
+def iterated_gather_census(one, chi, mult: int, total: int) -> dict[int, int]:
+    """Order exponent -> number of units, from a power map's masks: the
+    kernel of phi^{m+1} is the kernel of phi^m read at chi, one gather per
+    exponent, each index standing for mult units of the total."""
+    ker = np.asarray(one)
+    sizes = [1, mult * int(np.count_nonzero(ker))]
+    while sizes[-1] < total:
+        if len(sizes) > 64:
+            raise ArithmeticError("no exponent kills every unit")
+        ker = ker[chi]
+        sizes.append(mult * int(np.count_nonzero(ker)))
+    return {m: b - a for m, (a, b) in enumerate(zip([0, *sizes], sizes)) if b > a}
 
 
 def iterated_element_order(spec: GroupSpec, g) -> int:

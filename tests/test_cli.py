@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -744,6 +745,26 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [1 << 32, -1])
+    @pytest.mark.parametrize("source", ["verify", "suite", "config"])
+    def test_seed_outside_32_bits(self, capsys, tmp_path, source, seed):
+        # Seeds are mixed into a 32-bit CRC, so 2^32 would repeat seed 0 and
+        # -1 seed 2^32 - 1: both are refused, naming the seed, before any check.
+        if source == "config":
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps({"instances": [_ONE], "seed": seed}))
+            argv = ("suite", "--config", str(path))
+        elif source == "suite":
+            argv = ("suite", f"--seed={seed}")
+        else:
+            argv = ("verify", "--p", "2", "--lambda", "1", "--e", "5",
+                    "--checks", "lemma9", f"--seed={seed}", "--format", "json")
+        with mock.patch.object(cli, "run_suite") as run_suite:
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be ") and err.count("\n") == 1
+        assert not run_suite.called
 
     def test_python_dash_m_entry_point(self, tmp_path):
         path = tmp_path / "suite.json"

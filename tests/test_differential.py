@@ -3,14 +3,20 @@
 Random small (p, lambda, e) and random normalized units: ``_batch_mul``,
 ``_batch_pow`` and ``_batch_order_exps`` must agree exactly with
 ``RingElement.__mul__`` (the ``_convolve`` reference), ``__pow__`` and
-``unit_order``.  ``_batch_mul`` and ``_batch_pow`` also on rings of
-characteristic near 2^31, where unreduced sums of products overflow int64.
+``unit_order``; ``_batch_mul`` also on blocks just inside and just past
+the size bound of its one gathered product, and with ``_batch_pow`` on
+rings of characteristic near 2^31, where unreduced sums of products
+overflow int64 and the rows are added one at a time.
 Random small rings with |V| <= 4096: the power map ``Units.power_map``
 must send each lifted representative to its scalar p-th power (reduced to
 the base ring, and compared with 1) whatever the block size and worker
 count, at e = 1 its Frobenius scatter must equal the batched p-th power,
-and for e >= 2 its ``chi`` must be the base ring's own full power map; the census read from it must equal the scalar ``unit_order`` census,
-every planned check must report the same through one shared ``Units`` as
+and for e >= 2 its ``chi`` must be the base ring's own full power map.
+The census read from it by pushing counts along chi must equal the scalar
+``unit_order`` census and the census gathered along chi once per
+exponent, also on the full path, and the pushed counts must be those of
+every iterate of any map.  Every planned check must report the same
+through one shared ``Units`` as
 through one-shot calls on the RingSpec, and a failed reduction-kernel check
 must fall back to the full map with the same reports.  theorem1 and lemma4
 read V[p] off the power map: their counts must equal scalar ones from
@@ -19,10 +25,14 @@ nonzero, for any block size and worker count, and no V[p] block may
 outlive its check.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference; ``_batch_order_exps``
-on lemma9's units 1 + p^d y must match scalar iterated p-th powering under
-any bound; and the gcd valuation must be the per-coefficient minimum.
+on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
+p-th powering under per-column bounds that fall along the block; the
+lemma9 pass of every d at once must report, per d, the scalar orders,
+valuations and exceptional marks of that d's own candidates; and the
+divisibility valuation must be the per-coefficient minimum.
 """
 
+import contextlib
 import functools
 import sys
 import weakref
@@ -35,10 +45,13 @@ from hypothesis import given, strategies as st
 from punits import oracle
 from punits.oracle import (
     CHECKS,
+    SEED_MAX,
     Units,
     _batch_mul,
     _batch_order_exps,
     _batch_pow,
+    _derive_seed,
+    _image_counts,
     _lemma2_powers,
     _lemma9_candidates,
     _matches,
@@ -72,7 +85,7 @@ from punits.ring import (
 )
 from punits.zpelin import socle_ideal_generators
 
-from .helpers import reference_lemma2, small_specs
+from .helpers import iterated_gather_census, reference_lemma2, small_specs
 
 # |G| <= 16 keeps the scalar O(|G|^2) reference quick.
 SPECS = [g for g in small_specs(4, primes=(2, 3, 5)) if g.order() <= 16]
@@ -129,6 +142,27 @@ def test_batch_order_exps_match_unit_order(batch):
     rs, xs = batch
     exps = _batch_order_exps(Units(rs), _array(xs), _order_exp_bound(rs))
     assert [rs.p ** int(m) for m in exps] == [unit_order(x) for x in xs]
+
+
+@given(unit_batches(), st.randoms(use_true_random=False), st.booleans())
+def test_gathered_product_matches_scalar_product_at_the_bound(batch, rng, past):
+    # The units tiled to the widest block whose gathered operand y[tbl]
+    # fits _BLOCK_ENTRIES, or one column wider: one einsum inside the
+    # bound, the row loop past it, and the scalar products either way.
+    rs, xs = batch
+    ys = list(xs)
+    rng.shuffle(ys)
+    n = rs.size
+    width = oracle._BLOCK_ENTRIES // (n * n) + past
+    reps = -(-width // len(xs))
+
+    def tiled(block):
+        return np.tile(block, reps)[:, :width]
+
+    with mock.patch.object(oracle.np, "einsum", wraps=np.einsum) as einsum:
+        got = _batch_mul(gather_table(rs.group), rs.modulus, tiled(_array(xs)), tiled(_array(ys)))
+    assert einsum.called != past
+    assert np.array_equal(got, tiled(_array([x * y for x, y in zip(xs, ys)])))
 
 
 @given(unit_batches(st.sampled_from(WIDE_RINGS)), st.integers(1, 40))
@@ -235,6 +269,37 @@ def test_quotient_map_is_the_base_rings_own_power_map(rs):
 @given(st.sampled_from(RINGS))
 def test_census_matches_scalar_unit_orders(rs):
     assert order_histogram(rs).as_dict() == _scalar_census(rs)
+
+
+@given(st.sampled_from(RINGS), st.booleans())
+def test_pushed_census_matches_iterated_gather(rs, full):
+    # full: the reduction-kernel check fails, so the map is over V itself.
+    with _kernel_violation() if full else contextlib.nullcontext():
+        units = Units(rs)
+        census = units.census().as_dict()
+    pm = units.power_map
+    assert (pm.mult == 1) == (full or rs.e == 1)
+    assert census == _scalar_census(rs)
+    assert census == iterated_gather_census(pm.one, pm.chi, pm.mult, unit_count(rs))
+
+
+@given(st.data())
+def test_image_counts_are_those_of_every_iterate(data):
+    # Any map of a set to itself: the support of the pushed counts after m
+    # steps is the image of chi^m, and the counts its fibre sizes.
+    size = data.draw(st.integers(1, 40))
+    chi = np.array(
+        data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)),
+        dtype=np.int32,
+    )
+    counts = _image_counts(chi)
+    power = np.arange(size)
+    for _ in range(size + 2):
+        power = chi[power]
+        sup, w = next(counts)
+        fibres = np.bincount(power, minlength=size)
+        assert sup.tolist() == np.flatnonzero(fibres).tolist()
+        assert w.tolist() == fibres[sup].tolist()
 
 
 def _map_and_torsion_reports(units: Units):
@@ -415,17 +480,53 @@ def _iterated_order_exp(u: RingElement, max_exp: int) -> int:
     return -1
 
 
+def _lemma9_unit(rs: RingSpec, d: int, y) -> RingElement:
+    return one(rs) + rs.p ** d * RingElement(rs, tuple(y))
+
+
 @given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.data())
 def test_lemma9_order_exps_match_scalar_powering(rs, data):
-    # The units 1 + p^d y are not normalized; a bound below their order
-    # leaves -1, exactly as the scalar loop does.
-    d = data.draw(st.integers(1, rs.e - 1))
-    max_exp = data.draw(st.integers(0, rs.e - d))
-    ys = _lemma9_candidates(rs, data.draw(st.integers(0, 2 ** 32 - 1)))
-    picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=12))
-    units = [one(rs) + rs.p ** d * RingElement(rs, tuple(ys[:, j].tolist())) for j in picks]
-    got = _batch_order_exps(Units(rs), _array(units), max_exp)
-    assert got.tolist() == [_iterated_order_exp(u, max_exp) for u in units]
+    # Units 1 + p^d y stacked in ascending d, each column under its own
+    # bound, the bounds falling along the block.  The units are not
+    # normalized; a bound below a unit's order leaves -1, exactly as the
+    # scalar loop does.
+    cols = data.draw(
+        st.lists(
+            st.integers(1, rs.e - 1).flatmap(
+                lambda d: st.tuples(
+                    st.just(d),
+                    st.integers(0, rs.e - d),
+                    st.lists(st.integers(0, rs.modulus - 1), min_size=rs.size, max_size=rs.size),
+                )
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    cols.sort(key=lambda c: -c[1])
+    units = [_lemma9_unit(rs, d, y) for d, _, y in cols]
+    bounds = np.array([bound for _, bound, _ in cols])
+    got = _batch_order_exps(Units(rs), _array(units), bounds)
+    assert got.tolist() == [_iterated_order_exp(u, b) for u, b in zip(units, bounds)]
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.integers(0, SEED_MAX), st.data())
+def test_lemma9_pass_matches_scalar_per_d(rs, seed, data):
+    # One pass powers every d's candidates together; each d must still
+    # report on the candidates drawn with its own derived seed.
+    units = Units(rs)
+    for d in range(1, rs.e):
+        lem = units.lemma9(seed, d)
+        ys = _lemma9_candidates(rs, _derive_seed(seed, "lemma9", rs, {"d": d}))
+        assert len(lem.measured) == len(lem.s) == len(lem.exceptional) == ys.shape[1]
+        picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=8))
+        for j in picks:
+            y = ys[:, j].tolist()
+            s = min(p_valuation(c, rs.p) if c else rs.e for c in y)
+            square = RingElement(rs, tuple(y)) * RingElement(rs, tuple(y))
+            odd = rs.p == 2 and d == 1 and s == 0 and any(c % 2 for c in square.coeffs)
+            expect = _iterated_order_exp(_lemma9_unit(rs, d, y), rs.e - d)
+            assert (lem.measured[j], lem.s[j], lem.exceptional[j]) == (expect, s, odd)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())

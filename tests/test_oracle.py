@@ -209,6 +209,96 @@ class TestChecks:
         assert a == b
         assert a.seed != c.seed
 
+    @pytest.mark.parametrize(
+        "rs", [RingSpec(GroupSpec(2, (1,)), 5), RingSpec(GroupSpec(2, (2, 1)), 3)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 29, oracle.SEED_MAX])
+    def test_exceptional_census_draws_the_checks_candidates(self, rs, seed):
+        # Random candidates: the census must draw what the check draws for
+        # d = 1 with the same base seed, so the totals agree for any seed.
+        from punits.oracle import lemma9_exceptional_census
+
+        census = lemma9_exceptional_census(rs, 1, seed=seed)
+        report = verify_check("lemma9", rs, {"d": 1}, seed=seed)
+        assert report.observed["cases"] == oracle._LEMMA9_SAMPLES
+        assert census.total() == report.observed["exceptional"] > 0
+
+    def test_lemma9_draws_once_per_d(self, monkeypatch):
+        from punits.cli import SuiteConfig, SuiteInstance, run_suite
+        from punits.oracle import lemma9_exceptional_census
+
+        seeds = []
+        draw = oracle._lemma9_candidates
+
+        def counted(rs, seed):
+            seeds.append(seed)
+            return draw(rs, seed)
+
+        monkeypatch.setattr(oracle, "_lemma9_candidates", counted)
+        rs = RingSpec(GroupSpec(2, (1,)), 5)
+        # A single-d caller draws, and powers, only its own d.
+        report = verify_check("lemma9", rs, {"d": 2}, seed=3)
+        assert seeds == [report.seed]
+        seeds.clear()
+        lemma9_exceptional_census(rs, 1, seed=3)
+        assert len(seeds) == 1
+        # A suite run draws every d once, with the seed each report carries.
+        seeds.clear()
+        config = SuiteConfig((SuiteInstance(rs.group, rs.e),), checks=("lemma9",), seed=3)
+        (inst,) = run_suite(config)
+        assert seeds == [c.seed for c in inst.checks] and len(seeds) == rs.e - 1
+
+    @pytest.mark.parametrize(
+        "rs",
+        [
+            RingSpec(GroupSpec(2, (5, 5)), 6),  # the dense-table cap
+            RingSpec(GroupSpec(2, (9,)), 8),
+            RingSpec(GroupSpec(3, (2,)), 9),
+            RingSpec(GroupSpec(2, (1,)), 20),
+            RingSpec(GroupSpec(2, (2,)), 3),  # every y is tried
+        ],
+    )
+    def test_stacked_lemma9_block_is_bounded(self, rs):
+        # Planned only, never run: no chunk of stacked d's holds more entries
+        # than one d's block at the dense-table cap, and small rings stack
+        # every d in one block.
+        ds = range(1, rs.e)
+        chunks = oracle._lemma9_chunks(rs, ds)
+        assert [d for chunk in chunks for d in chunk] == list(ds)
+        exhaustive = rs.size <= 4 and rs.e <= 3
+        cols = rs.modulus ** rs.size - 1 if exhaustive else oracle._LEMMA9_SAMPLES
+        assert oracle._BLOCK_ENTRIES == oracle.DENSE_TABLE_CAP * oracle._LEMMA9_SAMPLES
+        assert all(rs.size * cols * len(chunk) <= oracle._BLOCK_ENTRIES for chunk in chunks)
+        if rs.size <= 8:
+            assert len(chunks) == 1
+
+    def test_report_seed_is_the_seed_that_drew(self, monkeypatch):
+        # The report names the seed the candidates were drawn with, also
+        # when d is a numpy integer.
+        seeds = []
+        draw = oracle._lemma9_candidates
+
+        def recorded(rs, seed):
+            seeds.append(seed)
+            return draw(rs, seed)
+
+        monkeypatch.setattr(oracle, "_lemma9_candidates", recorded)
+        rs = RingSpec(GroupSpec(2, (1,)), 5)
+        for d in (2, np.int64(2)):
+            seeds.clear()
+            assert verify_check("lemma9", rs, {"d": d}, seed=3).seed == seeds[0]
+
+    def test_seed_outside_32_bits_is_refused(self):
+        from punits.oracle import lemma9_exceptional_census
+
+        rs = RingSpec(GroupSpec(2, (1,)), 5)
+        for seed in (-1, 1 << 32, True):
+            with pytest.raises(ValueError, match="seed"):
+                verify_check("lemma9", rs, {"d": 1}, seed=seed)
+            with pytest.raises(ValueError, match="seed"):
+                lemma9_exceptional_census(rs, 1, seed=seed)
+        assert verify_check("lemma9", rs, {"d": 1}, seed=oracle.SEED_MAX).passed
+
     def test_lemma9_exceptional_census(self):
         from punits.oracle import lemma9_exceptional_census
 

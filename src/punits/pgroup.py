@@ -277,6 +277,10 @@ def radix_encode(digits: Iterable, radices: Sequence[int]):
 
 def mod_in_place(x: np.ndarray, q: int) -> np.ndarray:
     """Reduce the int64 array x into [0, q) in place and return it."""
+    # For q a power of 2 the residue is x's low bits, in two's complement
+    # also for negative x: one pass, where the division below takes three.
+    if not q & (q - 1):
+        return np.bitwise_and(x, q - 1, out=x)
     # Past about a thousand entries numpy divides int64 by a scalar faster
     # than it takes % (2 times at 2^16 nonnegative entries, 6 times with
     # negative ones; numpy 2.4); below that one ufunc call costs less.

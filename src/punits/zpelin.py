@@ -11,16 +11,47 @@ Conventions here: pivots are exact powers of p (unit parts divided out),
 pivot columns strictly increase, entries above a pivot p^v are reduced
 into [0, p^v), and zero rows are dropped.
 
-One numpy core computes every form, in one int64 buffer of nrows + ncols
-rows: the input rows, then room for one annihilator row per pivot.  Rows
-[0, top) are the basis found so far and rows [top, end) are still to be
-reduced; nothing is copied or deleted per pivot, and rows that fall to
-zero stay where they are.  At each column the row of least valuation v is
-normalized to pivot p^v and swapped to ``top``; then one gather/scatter
-over the pivot row's nonzero columns reduces every other row (Gauss-Jordan
-in the forward pass): active rows, whose entries there are multiples of
-p^v, to 0, and basis rows into [0, p^v).  The annihilator p^{e-v} * row
-goes to ``end``.  Each row operation is reduced mod q = p^e
+Every form starts with an echelon block E: for each column that leads a
+row of the input with a unit entry, one such row (any), scaled to lead
+with 1, in increasing lead order.  U = E[:, leads] is then unit upper
+triangular, and U^{-1} E is E's reduced form.  If no row of U has more than
+one entry off the diagonal, that is a back-substitution along pointers:
+with X_i row i of E on the columns off E's leads, ptr_i the row whose lead
+holds row i's one off-diagonal entry u_i, and c_i = -u_i (c_i = 0 for a
+row without one), the reduced rows satisfy
+
+    R_i = X_i + c_i R_{ptr_i}.
+
+One round of pointer jumping,
+
+    X_i += c_i X_{ptr_i},  c_i *= c_{ptr_i},  ptr_i = ptr_{ptr_i},
+
+all on the old values and reduced mod q, keeps this invariant and doubles
+the length of the chain each pointer skips, so after ceil(log2 depth) + 1
+rounds every c_i is 0 and X_i = R_i.  X and c hold residues, so c_i X_{ptr_i}
++ X_i <= (q - 1)^2 + (q - 1) < q^2 <= 2^62 fits int64 (q <= 2^31 =
+``RING_CHAR_CAP``).  The other rows are then reduced against E in one
+``_product_mod``: E's reduced rows are 1 at their own lead and 0 at the
+others', so a row's entries at E's leads are its coefficients, and what is
+left of it is 0 there.  If nothing is left, E is the form.  Otherwise the
+sequential core below takes what is left (its pivots, units or p^v, fall
+off E's leads), E's rows are reduced by the core's rows the way
+``HowellArray.contains`` reduces a vector, and the two sets of rows are
+merged by pivot column.  That is the Howell form of the whole: an element x
+of the span is sum a_i R_i + y with a_i = x at lead i and y in the core's
+span, so the core's Howell property carries over.  If a row of U has two or
+more entries off the diagonal, E stays empty and the core takes every row.
+
+The sequential core works in one int64 buffer of nrows + ncols rows: the
+input rows, then room for one annihilator row per pivot.  Rows [0, top) are
+the basis found so far and rows [top, end) are still to be reduced; nothing
+is copied or deleted per pivot, and rows that fall to zero stay where they
+are.  It walks the columns that hold a nonzero.  At each the row of least
+valuation v is normalized to pivot p^v and swapped to ``top``; then one
+gather/scatter over the pivot row's nonzero columns reduces every other row
+(Gauss-Jordan in the forward pass): active rows, whose entries there are
+multiples of p^v, to 0, and basis rows into [0, p^v).  The annihilator
+p^{e-v} * row goes to ``end``.  Each row operation is reduced mod q = p^e
 (``pgroup.mod_in_place``), and q <= 2^31 keeps each product f * row below 2^62.
 
 Membership by the dual.  Z_{p^e} is a Frobenius ring, so a submodule M
@@ -65,18 +96,33 @@ exact in float64, and the chunks are int64 products of
 product (q + k(q-1)^2 <= 2^63 - 1; k >= 2, and 2 at 7^11).
 
 The powers of w form one chain per ring.  H(w) is the Howell form of the
-rows g - 1 (g in G), and with a_1, ..., a_k the canonical generators of G
+rows g - g_last (g in G, g_last the last element in index order), and with
+a_1, ..., a_k the canonical generators of G
 
-    H(w^{n+1}) = Howell{(a_j - 1) h : h a row of H(w^n), j = 1..k}.
+    H(w^{n+1}) = Howell{(a_j^{-1} - 1) h : h a row of H(w^n), j = 1..k}.
 
 These rows span w^{n+1}.  As an ideal, w is generated by the a_j - 1
 (xy - 1 = x(y - 1) + (x - 1)); w^n is an ideal, so w^{n+1} = sum_j
-(a_j - 1) w^n; and multiplication by a fixed element is module-linear, so
-the products (a_j - 1) h span (a_j - 1) w^n.  Multiplying by a group
-element permutes coefficients, so each translate h a_j is one column
-gather.  Since the Howell form is canonical, each level equals the Howell
-form of any other spanning set of w^n.  A chain is extended only up to the
-power asked for and kept for the life of the process.
+(a_j - 1) w^n; and (a_j^{-1} - 1) w^n = (a_j - 1) (-a_j^{-1} w^n) =
+(a_j - 1) w^n, as -a_j^{-1} is a unit and w^n an ideal.  Multiplication by
+a fixed element is module-linear, so the products (a_j^{-1} - 1) h span
+that.  Multiplying by a group element permutes coefficients, so each
+translate h a_j^{-1} is one column gather (the inverse permutation of a_j's
+row of the gather table).  Since the Howell form is canonical, each level
+equals the Howell form of any other spanning set of w^n.
+
+The inverses are chosen for the echelon block.  h a_j^{-1} moves each
+coefficient of h one step down in coordinate j, so where h leads with 1 at
+the column of an element g whose coordinate j is not 0, h a_j^{-1} - h
+leads with 1 at the column of g a_j^{-1}, which comes before g's in index
+order, where h is still 0 (with a_j, h a_j - h would lead at g's column,
+like h itself).  A level's rows therefore arrive with unit
+leads, and on every chain measured (all levels of the ``ideals`` rings and
+of rings up to |G| = 1024) each row of their U has at most one entry off
+the diagonal; at e = 1 the whole level is one block.  The rows g - g_last
+lead with 1 at g and are 0 off g and the last column, which no row leads:
+they are their own reduced block.  A chain is extended only up to the power
+asked for and kept for the life of the process.
 
 G's gather table, generators and G[p] are read from ``pgroup``.  Matrices
 are int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
@@ -227,12 +273,110 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
     """Howell form of the rows of the int64 matrix A (entries in [0, p^e))."""
     q = p ** e
     nrows, ncols = A.shape
+    nz = A != 0
+    lead = nz.argmax(axis=1)
+    lead_val = A[np.arange(nrows), lead]
+    # The echelon block E: one row of A per column that leads a row with a
+    # unit entry there (any one of them), in increasing lead order.
+    cand = np.flatnonzero(lead_val % p)
+    if not cand.size:
+        return _howell_array(*_howell_core(A, p, e), p, e)
+    slot = np.full(ncols, -1)
+    slot[lead[cand]] = cand
+    leads = np.flatnonzero(slot >= 0)
+    picked = slot[leads]
+    r = leads.size
+    idx = np.arange(r)
+    U = np.take(nz[picked], leads, axis=1)
+    U[idx, idx] = False
+    deps = U.sum(axis=1)
+    if deps.max() > 1:
+        return _howell_array(*_howell_core(A, p, e), p, e)
+
+    others = np.ones(ncols, dtype=bool)
+    others[leads] = False
+    cols = np.flatnonzero(others)
+    ptr = U.argmax(axis=1)
+    c = A[picked, leads[ptr]] * deps  # the off-diagonal entry of U, or 0
+    X = np.take(A[picked], cols, axis=1)
+    scale = lead_val[picked]
+    if (scale != 1).any():  # pivots to 1
+        inv = _unit_inverses(scale, p, e)
+        c *= inv
+        X = mod_in_place(X * inv[:, None], q)
+    c = mod_in_place(-c, q)
+    # Back-substitution by pointer jumping: E's reduced row i, restricted to
+    # the columns off E's leads, is R_i = X_i + c_i R_{ptr_i}.
+    while c.any():
+        X += c[:, None] * X[ptr]
+        mod_in_place(X, q)
+        c = mod_in_place(c * c[ptr], q)
+        ptr = ptr[ptr]
+
+    # The other rows, reduced against E: their entries at E's leads are
+    # the coefficients, and they vanish there after the reduction.
+    keep = nz.any(axis=1)
+    keep[picked] = False
+    L = A[keep]
+    Y = np.take(L, cols, axis=1)
+    Y -= _product_mod(np.take(L, leads, axis=1), X, q)
+    Y = mod_in_place(Y, q)
+    Y = Y[Y.any(axis=1)]
+    if not Y.size:
+        out = np.zeros((r, ncols), dtype=np.int64)
+        out[idx, leads] = 1
+        out[:, cols] = X
+        return _howell_array(out, leads.tolist(), np.ones(r, dtype=bool), r * e, p, e)
+
+    C, cpiv, cunit, csize = _howell_core(Y, p, e)
+    cpiv = np.array(cpiv, dtype=np.intp)
+    cunit = np.array(cunit, dtype=bool)
+    # E's rows reduced by the core's, as HowellArray.contains does.
+    if cunit.any():
+        X = mod_in_place(X - _product_mod(X[:, cpiv[cunit]], C[cunit], q), q)
+    for row, col in zip(C[~cunit], cpiv[~cunit]):
+        X -= (X[:, col] // row[col])[:, None] * row
+        mod_in_place(X, q)
+    out = np.zeros((r + len(C), ncols), dtype=np.int64)
+    out[idx, leads] = 1
+    out[:r, cols] = X
+    out[r:, cols] = C
+    pivots = np.concatenate([leads, cols[cpiv]])
+    order = np.argsort(pivots)
+    unit = np.concatenate([np.ones(r, dtype=bool), cunit])[order]
+    return _howell_array(out[order], pivots[order].tolist(), unit, r * e + csize, p, e)
+
+
+def _howell_array(rows, pivots, unit, size_exp, p, e) -> HowellArray:
+    rows = rows.astype(np.min_scalar_type(p ** e - 1))
+    unit = np.array(unit, dtype=bool)
+    rows.flags.writeable = unit.flags.writeable = False
+    return HowellArray(p, e, rows, tuple(pivots), unit, size_exp)
+
+
+def _unit_inverses(u: np.ndarray, p: int, e: int) -> np.ndarray:
+    """The inverses mod p^e of the units u, as u^(phi(p^e) - 1)."""
+    q, n = p ** e, p ** (e - 1) * (p - 1) - 1
+    out, base = np.ones_like(u), u % q
+    while n:
+        if n & 1:
+            out = out * base % q
+        base = base * base % q
+        n >>= 1
+    return out
+
+
+def _howell_core(A: np.ndarray, p: int, e: int):
+    """The sequential elimination: Howell rows (int64), pivot columns, unit
+    flags and size exponent of the rows of A."""
+    q = p ** e
+    nrows, ncols = A.shape
     buf = np.empty((nrows + ncols, ncols), dtype=np.int64)
     buf[:nrows] = A
     top, end = 0, nrows
     pivots, unit, size_exp = [], [], 0
 
-    for col in range(ncols):
+    for col in np.flatnonzero(A.any(axis=0)).tolist():
         if top == end:
             break
         vals = buf[top:end, col]
@@ -273,10 +417,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
                 buf[end] = ann
                 end += 1
 
-    rows = buf[:top].astype(np.min_scalar_type(q - 1))
-    unit = np.array(unit, dtype=bool)
-    rows.flags.writeable = unit.flags.writeable = False
-    return HowellArray(p, e, rows, tuple(pivots), unit, size_exp)
+    return buf[:top], pivots, unit, size_exp
 
 
 def howell_array(M: ResidueMatrix) -> HowellArray:
@@ -315,9 +456,10 @@ class _IdealChain:
         self.rs = rs
         # Column j of the identity matrix is the coordinates of a_j.
         gens = radix_encode(np.eye(group.k, dtype=np.int64), group.radices)
-        self.shifts = gather_table(group)[gens]
-        first = np.eye(rs.size, dtype=np.int64)[1:]
-        first[:, 0] = q - 1
+        # x a_j^{-1} is x[shifts[j]]: the inverse of a_j's gather.
+        self.shifts = np.argsort(gather_table(group)[gens], axis=1)
+        first = np.eye(rs.size, dtype=np.int64)[:-1]
+        first[:, -1] = q - 1
         self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers
         self.zero = _howell(first[:0], rs.p, rs.e)
         self.complete = False
@@ -325,9 +467,12 @@ class _IdealChain:
     def level(self, n: int) -> HowellArray:
         rs = self.rs
         while len(self.levels) < n and not self.complete:
-            h = self.levels[-1].rows.astype(np.int64)
-            translates = [mod_in_place(h[:, s] - h, rs.modulus) for s in self.shifts]
-            H = _howell(np.vstack(translates), rs.p, rs.e)
+            h = self.levels[-1].rows
+            # Block j holds the rows h a_j^{-1} - h.
+            translates = np.empty((len(self.shifts),) + h.shape, dtype=np.int64)
+            np.subtract(h[:, self.shifts].transpose(1, 0, 2), h, out=translates, dtype=np.int64)
+            translates = mod_in_place(translates.reshape(-1, rs.size), rs.modulus)
+            H = _howell(translates, rs.p, rs.e)
             if H.size_exp:
                 self.levels.append(H)
             else:

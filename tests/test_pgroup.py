@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punits.pgroup import (
+    _SMALL_ARRAY,
     GroupSpec,
     agemo_order_exp,
     cyclic_factor_count,
@@ -282,7 +283,7 @@ class TestPowerIndices:
 
 
 @given(
-    st.sampled_from([2, 3, 5 ** 4, 3 ** 19, 7 ** 11, 2 ** 31]),
+    st.sampled_from([2, 3, 5 ** 4, 2 ** 26, 3 ** 19, 7 ** 11, 2 ** 31]),
     st.lists(st.integers(-(2 ** 62), 2 ** 62), min_size=1, max_size=40),
     st.booleans(),
 )
@@ -295,3 +296,17 @@ def test_mod_in_place_matches_remainder(q, values, large):
     assert mod_in_place(x, q) is x
     assert np.array_equal(x, expect)
     assert x.tolist() == [v % q for v in values]
+
+
+@pytest.mark.parametrize("q", [2, 2 ** 26, 2 ** 31])
+@pytest.mark.parametrize("size", [_SMALL_ARRAY - 1, _SMALL_ARRAY, 4 * _SMALL_ARRAY])
+def test_mod_in_place_at_powers_of_two(q, size):
+    # Powers of 2 take the low bits, which is the residue also for negative
+    # entries in two's complement; both sides of the small-array cut.
+    rng = np.random.default_rng(size + q)
+    x = rng.integers(-(2 ** 62), 2 ** 62, size, dtype=np.int64)
+    x[:4] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, -q]
+    expect = x % q
+    assert mod_in_place(x, q) is x
+    assert np.array_equal(x, expect)
+    assert (x >= 0).all() and (x < q).all()

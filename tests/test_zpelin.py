@@ -133,6 +133,26 @@ class TestHowellForm:
         assert module_size_exp(M(2, 2, [[0, 0]])) == 0
 
 
+def bidiagonal_rows(data, p, e, depth_exp):
+    """2^depth_exp + 1 rows with unit leads on the diagonal and a nonzero
+    superdiagonal, so that each row depends on the next one and the first
+    one on every later one; then random columns that no row leads."""
+    q = p ** e
+    m = 2 ** depth_exp + 1
+    extra = data.draw(st.integers(0, 3))
+    unit = st.integers(1, q - 1).filter(lambda x: x % p)
+    rows = []
+    for i in range(m):
+        row = [0] * (m + extra)
+        row[i] = data.draw(unit)
+        if i + 1 < m + extra:
+            row[i + 1] = data.draw(st.integers(1, q - 1))
+        for j in range(m, m + extra):
+            row[j] = data.draw(st.integers(0, q - 1))
+        rows.append(row)
+    return rows
+
+
 class TestHowellCore:
     """The numpy core against the pure-Python elimination it replaced."""
 
@@ -144,21 +164,105 @@ class TestHowellCore:
             st.sampled_from(((2, 1), (2, 3), (3, 2), (5, 2), (2, 31), (7, 11), (3, 19)))
         )
         q = p ** e
-        ncols = data.draw(st.integers(1, 5))
-        entry = st.one_of(
-            st.sampled_from((0, 1, q - 1, p, q - p, p ** (e // 2))),
-            st.integers(0, q - 1),
-        )
-        row = st.lists(entry, min_size=ncols, max_size=ncols)
-        # Zero rows and rows of multiples of p (pivots of positive valuation,
-        # hence annihilator rows), then repeats of drawn rows.
-        times_p = row.map(lambda r: [p * x % q for x in r])
-        kinds = st.one_of(row, st.just([0] * ncols), times_p)
-        rows = data.draw(st.lists(kinds, max_size=max(7, 2 * ncols)))
+        kind = data.draw(st.sampled_from(("random", "unit leads", "bidiagonal", "two deps")))
+        if kind == "random":
+            ncols = data.draw(st.integers(1, 5))
+            entry = st.one_of(
+                st.sampled_from((0, 1, q - 1, p, q - p, p ** (e // 2))),
+                st.integers(0, q - 1),
+            )
+            row = st.lists(entry, min_size=ncols, max_size=ncols)
+            # Zero rows and rows of multiples of p (pivots of positive
+            # valuation, hence annihilator rows), then repeats of drawn rows.
+            times_p = row.map(lambda r: [p * x % q for x in r])
+            kinds = st.one_of(row, st.just([0] * ncols), times_p)
+            rows = data.draw(st.lists(kinds, max_size=max(7, 2 * ncols)))
+        elif kind == "unit leads":
+            # Every row leads with a unit, in distinct columns, and is
+            # sparse, so that most draws form one echelon block.
+            ncols = data.draw(st.integers(1, 7))
+            leads = sorted(data.draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+            entry = st.one_of(st.just(0), st.just(0), st.integers(0, q - 1))
+            rows = []
+            for c in leads:
+                row = [0] * c + [data.draw(st.integers(1, q - 1).filter(lambda x: x % p))]
+                rows.append(row + [data.draw(entry) for _ in range(ncols - c - 1)])
+        else:
+            # Every pointer-jumping round runs on 2^k + 1 rows; "two deps"
+            # makes the first row depend on two later rows as well.
+            rows = bidiagonal_rows(data, p, e, data.draw(st.integers(0, 3)))
+            if kind == "two deps" and len(rows) > 2:
+                rows[0][2] = data.draw(st.integers(1, q - 1))
         if rows:
+            # Rows left over: combinations of drawn rows, and random rows and
+            # their multiples by p, which reach the sequential core and
+            # interleave its pivots with the block's.
+            ncols = len(rows[0])
+            for _ in range(data.draw(st.integers(0, 3))):
+                a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+                f, g = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+                rows.append([(f * x + g * y) % q for x, y in zip(a, b)])
             rows += data.draw(st.lists(st.sampled_from(rows), max_size=ncols))
+            row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+            for r in data.draw(st.lists(row, max_size=2)):
+                rows.append([p * x % q for x in r] if data.draw(st.booleans()) else r)
+            rows = data.draw(st.permutations(rows))
+        else:
+            ncols = 1
         A = ResidueMatrix(p, e, ncols, tuple(tuple(r) for r in rows))
         assert howell_form(A) == reference_howell_form(A)
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (2, 31), (7, 11), (3, 19)])
+    def test_bidiagonal_block_skips_the_core(self, p, e, monkeypatch):
+        # 2^4 + 1 rows: row 0 depends on all 16 others, through four rounds
+        # of pointer jumping, with entries and factors up to q - 1.
+        rng = random.Random(17)
+        q, m = p ** e, 17
+        rows = []
+        for i in range(m):
+            row = [0] * i + [rng.choice([1, q - 1, p + 1])]
+            row += [q - 1 if rng.randrange(2) else rng.randrange(1, q) for _ in range(m + 2 - i)]
+            row[i + 2 : m] = [0] * max(0, m - i - 2)
+            rows.append(row)
+        A = M(p, e, rows)
+        monkeypatch.setattr(zpelin, "_howell_core", None)
+        H = howell_array(A)
+        assert H.matrix() == reference_howell_form(A)
+        assert H.pivots == tuple(range(m)) and H.unit.all()
+
+    @pytest.mark.parametrize("p, e", [(2, 2), (3, 3), (2, 31), (7, 11)])
+    def test_block_rows_reduced_by_non_unit_core_rows(self, p, e):
+        # Unit-lead rows, then multiples of p of random rows: the core's
+        # pivots p^v fall between the block's leads, and reducing a block
+        # row by them takes entries below 0 before the final reduction.
+        rng = random.Random(p + e)
+        q = p ** e
+        assert howell_form(M(2, 2, [[1, 3, 0, 0], [0, 2, 0, 2]])).rows == ((1, 1, 0, 2), (0, 2, 0, 2))
+        for _ in range(20):
+            ncols = rng.randrange(3, 8)
+            leads = sorted(rng.sample(range(ncols), rng.randrange(1, ncols)))
+            rows = []
+            for c in leads:  # reduced: 0 at the other leads
+                row = [0] * ncols
+                row[c] = 1
+                for j in range(c + 1, ncols):
+                    row[j] = 0 if j in leads else rng.randrange(q)
+                rows.append(row)
+            rows += [[p * rng.randrange(q) % q for _ in range(ncols)] for _ in range(3)]
+            A = M(p, e, rows)
+            assert howell_form(A) == reference_howell_form(A)
+
+    def test_a_row_with_two_dependencies_takes_the_core(self, monkeypatch):
+        A = M(3, 2, [[1, 4, 5, 0, 2], [0, 1, 0, 7, 0], [0, 0, 1, 3, 8], [0, 0, 0, 1, 1]])
+        core, seen = zpelin._howell_core, []
+
+        def counted(B, p, e):
+            seen.append(B.shape)
+            return core(B, p, e)
+
+        monkeypatch.setattr(zpelin, "_howell_core", counted)
+        assert howell_form(A) == reference_howell_form(A)
+        assert seen == [(4, 5)]
 
     def test_modulus_over_the_cap_is_refused(self):
         with pytest.raises(ValueError):
@@ -610,6 +714,23 @@ class TestIdealChain:
             assert form.size_exp == module_size_exp(expected)
             assert not form.rows.flags.writeable
         assert nilpotency_index(rs) == nu
+
+    @pytest.mark.parametrize("rs", [rs for rs in CHAIN_RINGS if rs.e == 1], ids=RingSpec.to_text)
+    def test_levels_at_e1_take_no_pivot_from_the_core(self, rs, monkeypatch):
+        # The a_j^-1 translates of a level lead with distinct units, so at
+        # e = 1 each level is one echelon block and the rows left over
+        # reduce to 0 against it.
+        core, pivots = zpelin._howell_core, []
+
+        def counted(A, p, e):
+            out = core(A, p, e)
+            pivots.extend(out[1])
+            return out
+
+        monkeypatch.setattr(zpelin, "_howell_core", counted)
+        zpelin._chain.cache_clear()
+        nilpotency_index(rs)
+        assert pivots == []
 
     def test_alternating_rings_keep_their_own_forms(self):
         for pair in (

@@ -219,23 +219,30 @@ class HowellArray:
         n, width = vecs.shape
         if width >= _DUAL_WIDTH * n:
             return ~_product_mod(self.dual.rows, vecs, q).any(axis=0)
-        cols, unit = np.array(self.pivots, dtype=np.intp), self.unit
-        # A unit-pivot row's coefficient is the vector's own entry at its
-        # pivot column; v lies in (-2q + 1, q) until its first reduction.
-        v = vecs - _product_mod(self.rows[unit].T, vecs[cols[unit]], q)
-        k = _rows_per_reduction(q, signed=True)
-        for i, (row, col) in enumerate(zip(self.rows[~unit], cols[~unit])):
-            if i % k:  # rows since the last reduction changed v[col]
-                mod_in_place(v[col], q)
-            else:  # the first row and every k-th: the whole block
-                mod_in_place(v, q)
-            at = row.nonzero()[0]
-            v[at] -= row[at, None] * (v[col] // row[col])
-        return ~mod_in_place(v, q).any(axis=0)
+        return ~_reduced(vecs, self.rows, self.pivots, self.unit, q).any(axis=0)
 
     def matrix(self) -> ResidueMatrix:
         rows = tuple(map(tuple, self.rows.tolist()))
         return ResidueMatrix(self.p, self.e, self.rows.shape[1], rows)
+
+
+def _reduced(vecs, rows, pivots, unit, q: int) -> np.ndarray:
+    """The columns of vecs (int64, entries in (-q, q)) reduced mod q by the
+    Howell rows ``rows`` with pivot columns ``pivots`` and unit flags ``unit``.
+    """
+    cols = np.array(pivots, dtype=np.intp)
+    # A unit-pivot row's coefficient is the vector's own entry at its
+    # pivot column; v lies in (-2q + 1, q) until its first reduction.
+    v = vecs - _product_mod(rows[unit].T, vecs[cols[unit]], q)
+    k = _rows_per_reduction(q, signed=True)
+    for i, (row, col) in enumerate(zip(rows[~unit], cols[~unit])):
+        if i % k:  # rows since the last reduction changed v[col]
+            mod_in_place(v[col], q)
+        else:  # the first row and every k-th: the whole block
+            mod_in_place(v, q)
+        at = row.nonzero()[0]
+        v[at] -= row[at, None] * (v[col] // row[col])
+    return mod_in_place(v, q)
 
 
 def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
@@ -293,9 +300,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
     if deps.max() > 1:
         return _howell_array(*_howell_core(A, p, e), p, e)
 
-    others = np.ones(ncols, dtype=bool)
-    others[leads] = False
-    cols = np.flatnonzero(others)
+    cols = np.flatnonzero(slot < 0)
     ptr = U.argmax(axis=1)
     c = A[picked, leads[ptr]] * deps  # the off-diagonal entry of U, or 0
     X = np.take(A[picked], cols, axis=1)
@@ -329,17 +334,10 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
         return _howell_array(out, leads.tolist(), np.ones(r, dtype=bool), r * e, p, e)
 
     C, cpiv, cunit, csize = _howell_core(Y, p, e)
-    cpiv = np.array(cpiv, dtype=np.intp)
     cunit = np.array(cunit, dtype=bool)
-    # E's rows reduced by the core's, as HowellArray.contains does.
-    if cunit.any():
-        X = mod_in_place(X - _product_mod(X[:, cpiv[cunit]], C[cunit], q), q)
-    for row, col in zip(C[~cunit], cpiv[~cunit]):
-        X -= (X[:, col] // row[col])[:, None] * row
-        mod_in_place(X, q)
     out = np.zeros((r + len(C), ncols), dtype=np.int64)
     out[idx, leads] = 1
-    out[:r, cols] = X
+    out[:r, cols] = _reduced(X.T, C, cpiv, cunit, q).T  # E's rows by the core's
     out[r:, cols] = C
     pivots = np.concatenate([leads, cols[cpiv]])
     order = np.argsort(pivots)
@@ -348,6 +346,7 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
 
 
 def _howell_array(rows, pivots, unit, size_exp, p, e) -> HowellArray:
+    """The read-only HowellArray of Howell rows given as int64."""
     rows = rows.astype(np.min_scalar_type(p ** e - 1))
     unit = np.array(unit, dtype=bool)
     rows.flags.writeable = unit.flags.writeable = False

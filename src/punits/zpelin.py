@@ -322,9 +322,9 @@ def _howell(A: np.ndarray, p: int, e: int) -> HowellArray:
     # the coefficients, and they vanish there after the reduction.
     keep = nz.any(axis=1)
     keep[picked] = False
-    L = A[keep]
-    Y = np.take(L, cols, axis=1)
-    Y -= _product_mod(np.take(L, leads, axis=1), X, q)
+    rest = np.flatnonzero(keep)[:, None]
+    Y = A[rest, cols]
+    Y -= _product_mod(A[rest, leads], X, q)
     Y = mod_in_place(Y, q)
     Y = Y[Y.any(axis=1)]
     if not Y.size:

@@ -39,7 +39,6 @@ from .oracle import (
     CHECK_IDS,
     DEFAULT_BUDGET,
     SEED_MAX,
-    BudgetExceededError,
     Units,
     VerificationReport,
     plan_checks,
@@ -51,21 +50,26 @@ from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_or
 from .theory import AbelianInvariants, structure_report
 
 
+def _check_digits(base: int, exp: int, what: str) -> None:
+    """Refuse base**exp, named ``what``, if it has more digits than Python's
+    int-to-str limit prints; it is built only when its bit length puts it
+    near the limit, where that is cheap."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or base < 2 or exp * base.bit_length() <= 3 * limit:
+        return  # below 2^(3 limit) < 10^limit
+    # 2^(4 limit) > 10^limit
+    if exp * (base.bit_length() - 1) >= 4 * limit or base**exp >= 10**limit:
+        raise ValueError(f"{what} has more than {limit} digits, past the int-to-str limit")
+
+
 def _check_printable(group: GroupSpec, e: int) -> None:
     """Refuse an instance whose answer holds a number too long to print.
 
     The largest number an answer prints is the exponent e(|G| - 1) of |V|,
     so its digit count decides, before the closed forms build the agemo
-    sizes.  It costs O(sum of lambda) bits; 10^limit is built only when the
-    exponent is about as long.
+    sizes.  It costs O(sum of lambda) bits.
     """
-    limit = sys.get_int_max_str_digits()
-    exp = theory.v_order_exp(group, e)
-    if limit and exp.bit_length() > 3 * limit and exp >= 10 ** limit:
-        raise ValueError(
-            f"the exponent e(|G| - 1) of |V| has more than {limit} digits, "
-            f"past the int-to-str limit"
-        )
+    _check_digits(theory.v_order_exp(group, e), 1, "the exponent e(|G| - 1) of |V|")
 
 
 @dataclass(frozen=True)
@@ -353,8 +357,11 @@ def _config_instance(raw) -> SuiteInstance:
 
 def load_suite_config(path: str) -> SuiteConfig:
     """Map a JSON suite config onto SuiteConfig, which validates it."""
-    with open(path) as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"cannot read suite config {path}: {exc}") from None
     keys = {f.name for f in fields(SuiteConfig)}
     raw = _json_fields(raw, "suite config", keys, set())
     instances = raw.get("instances", [])
@@ -363,8 +370,21 @@ def load_suite_config(path: str) -> SuiteConfig:
     return SuiteConfig(**{**raw, "instances": [_config_instance(i) for i in instances]})
 
 
+def _run_instance(task) -> InstanceReport:
+    """(instance, ring or None, plan, budget, seed) -> its InstanceReport."""
+    inst, rs, plan, budget, seed = task
+    rep = structure_report(inst.group, inst.e)
+    # The checks share one Units, and so one power map, freed on return.
+    units = None if rs is None else Units(rs, budget)
+    checks = tuple(verify_check(check, units, params, seed=seed) for check, params in plan)
+    return InstanceReport(inst.group, inst.e, rep.v_order_exp, rep.v_invariants, checks)
+
+
 def run_suite(config: SuiteConfig) -> list[InstanceReport]:
-    """Plan every instance, then run the plans in order.
+    """Plan every instance, then run the plans: in a pool of P = min(workers,
+    instances, CPUs) forked processes if P > 1 and ``fork`` exists, else
+    here.  Reports, and a check's exception, come as from a serial run; a
+    pool process that dies raises ``BrokenProcessPool``, a RuntimeError.
 
     Raises ValueError, naming why, before any check runs when a check
     listed explicitly in ``config.checks`` is planned on no instance.
@@ -388,25 +408,22 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
         ]
         listed = ", ".join(f"{c} ({'; '.join(r)})" for c, r in zip(missing, reasons))
         raise ValueError(f"checks not applicable to any instance: {listed}")
-    reports = []
-    for inst, rs, plan in zip(config.instances, rings, plans):
-        rep = structure_report(inst.group, inst.e)
-        # One Units per instance: its checks share one power map, which is
-        # freed when the next instance rebinds ``units``.
-        units = None if rs is None else Units(rs, config.budget, config.workers)
-        checks = [
-            verify_check(check, units, params, seed=config.seed) for check, params in plan
-        ]
-        reports.append(
-            InstanceReport(
-                group=inst.group,
-                e=inst.e,
-                v_order_exp=rep.v_order_exp,
-                invariants=rep.v_invariants,
-                checks=tuple(checks),
-            )
-        )
-    return reports
+    tasks = [
+        (inst, rs, plan, config.budget, config.seed)
+        for inst, rs, plan in zip(config.instances, rings, plans)
+    ]
+    procs = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if procs < 2 or not hasattr(os, "fork"):
+        return [_run_instance(task) for task in tasks]
+    # Imported only here: loading the pool machinery costs 20-40 ms and
+    # about 1 MB of RSS, which a one-worker run and ``import punits`` skip.
+    # Forked, as a spawned process would import numpy and punits again and
+    # build the plans' ideal chains anew.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_instance, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +589,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_dimsub(args) -> int:
     group = _parse_group(args)
     index = theory.dimension_subgroup(group, args.e, args.n)
+    _check_digits(group.p, index, f"D_{args.n} = G^({group.p}^{index}): {group.p}^{index}")
     text = f"D_{args.n} = G\n" if index == 0 else f"D_{args.n} = G^{group.p ** index}\n"
     passed = True
     # As in _cmd_invariants, the whole text is built before any of it is
@@ -602,10 +620,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    # RuntimeError covers BudgetExceededError and a broken process pool.
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

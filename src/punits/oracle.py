@@ -28,17 +28,17 @@ p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
 (as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
 e = 1 (characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
 
-The map is built one contiguous block of representatives at a time with
-vectorized numpy arithmetic that is bit-identical to the scalar reference
-convolution; blocks can be fanned out to worker threads and fill disjoint
-slices, so parallel and sequential runs agree exactly.  The batched
-product is one gathered einsum, reduced mod q = p^e once
-(``pgroup.mod_in_place``), when its |G| products per entry fit one int64
-sum and the gathered operand fits ``_BLOCK_ENTRIES``; otherwise it adds
-one row at a time and reduces only every ``ring._rows_per_reduction(q)``
-rows.  The checks of an instance share the map through one ``Units``
-object and it is freed with that object, so a suite run keeps one power
-map alive at a time.
+The map is built one contiguous block of representatives at a time, in
+order, with vectorized numpy arithmetic that is bit-identical to the
+scalar reference convolution.  The batched product is one gathered
+einsum, reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G|
+products per entry fit one int64 sum and the gathered operand fits
+``_BLOCK_ENTRIES``; otherwise it adds one row at a time and reduces only
+every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
+share the map through one ``Units`` object and it is freed with that
+object.  The oracle computes one instance at a time; ``cli.run_suite``
+may run instances side by side, in separate processes, each of which
+keeps one power map alive at a time.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
 powers one block of columns (1 - g for every g in G, or g - 1) with the
@@ -59,7 +59,6 @@ import functools
 import itertools
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -230,13 +229,9 @@ def _batch_order_exps(units: Units, block: np.ndarray, bounds) -> np.ndarray:
     return orders
 
 
-def _map_blocks(fn: Callable, total: int, workers: int) -> list:
-    """[fn(lo, hi)] over the blocks of _BLOCK items covering [0, total)."""
-    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    if workers <= 1:
-        return [fn(*b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), blocks))
+def _blocks(total: int):
+    """The index ranges [lo, hi) of _BLOCK items covering [0, total), in order."""
+    return ((lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +257,6 @@ class Units:
 
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
-    workers: int = 1
     one_shot: bool = False
     _lemma9: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -299,8 +293,7 @@ class Units:
         one = np.empty(unit_count(base), dtype=bool)
         chi = np.empty(len(one), dtype=np.int32)
         radices = (base.modulus,) * (rs.size - 1)
-
-        def fill(lo: int, hi: int) -> None:
+        for lo, hi in _blocks(len(one)):
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
                 powers = np.zeros_like(reps)
@@ -310,8 +303,6 @@ class Units:
                 powers = _batch_pow(tbl, q, reps, rs.p)
             one[lo:hi] = _matches(powers, ident)
             chi[lo:hi] = radix_encode(mod_in_place(powers[:-1], base.modulus), radices)
-
-        _map_blocks(fill, len(one), self.workers)
         one.flags.writeable = chi.flags.writeable = False
         return PowerMap(base, mult, one, chi)
 
@@ -326,15 +317,14 @@ class Units:
 
     def scan(self, count: Callable) -> list[int]:
         """Sum of count(block) over blocks of the units of V, one per column.
-        count returns a fixed-length sequence of counts, which add up the
-        same for any number of workers."""
+        count returns a fixed-length sequence of counts."""
         rs = self.rs
         _require_budget(rs, self.budget)
-
-        def part(lo: int, hi: int):
-            return count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
-
-        return np.sum(_map_blocks(part, unit_count(rs), self.workers), axis=0).tolist()
+        parts = [
+            count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
+            for lo, hi in _blocks(unit_count(rs))
+        ]
+        return np.sum(parts, axis=0).tolist()
 
     def census(self) -> OrderHistogram:
         """Exact-order census of V from the sizes of the kernels of phi^m.
@@ -410,11 +400,9 @@ class OrderHistogram:
         return dict(self.counts)
 
 
-def order_histogram(
-    rs: RingSpec, *, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> OrderHistogram:
+def order_histogram(rs: RingSpec, *, budget: int = DEFAULT_BUDGET) -> OrderHistogram:
     """Exact-order census of V (see ``Units.census``)."""
-    return Units(rs, budget, workers).census()
+    return Units(rs, budget).census()
 
 
 def _exact_p_log(n: int, p: int) -> int:

@@ -210,21 +210,27 @@ def test_criterion_11_invariant_recovery_round_trip():
     _declare("11 (census round-trip for all p-groups with size exponent <= 12)", ok)
 
 
+# The seed-0 default suite's bytes, as perfbench's reference records them:
+# a change to any kernel must leave every reported value as it is.
+_SUITE_SHA256 = "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
+
+
+def _suite_sha256(reports) -> str:
+    return hashlib.sha256(emit_report(reports, "json").encode()).hexdigest()
+
+
 def test_default_suite_json_is_pinned(suite_outcome):
-    # The seed-0 default suite's bytes, as perfbench's reference records
-    # them: a change to any kernel must leave every reported value as it is.
     config, reports, _ = suite_outcome
     assert (config.workers, config.seed) == (1, 0)
-    digest = hashlib.sha256(emit_report(reports, "json").encode()).hexdigest()
-    assert digest == "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
+    assert _suite_sha256(reports) == _SUITE_SHA256
 
 
 def test_criterion_12_suite_determinism(suite_outcome):
+    # Two and four workers fan the instances out over forked processes.
     config, reports, _ = suite_outcome
     assert config.workers == 1
-    bytes_w1 = emit_report(reports, "json")
-    bytes_w4 = emit_report(
-        run_suite(default_suite_config(workers=4, seed=0)), "json"
-    )
-    ok = bytes_w1 == bytes_w4
-    _declare("12 (suite JSON byte-identical for workers 1 and 4, same seed)", ok)
+    digests = [_suite_sha256(reports)] + [
+        _suite_sha256(run_suite(default_suite_config(workers=w, seed=0))) for w in (2, 4)
+    ]
+    ok = digests == [_SUITE_SHA256] * 3
+    _declare("12 (suite JSON pinned and byte-identical for workers 1, 2 and 4, same seed)", ok)

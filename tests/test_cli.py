@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,26 @@ class TestDimsubCommand:
         assert "oracle agreement: pass" in out
 
 
+    @pytest.mark.parametrize("e", ["20000", "1000000"])
+    def test_answer_past_the_digit_limit_is_refused(self, capsys, e):
+        # D_2 = G^(2^e), and 2^20000 has 6021 digits, past the default
+        # int-to-str limit of 4300: refused before the power is built.
+        code, out, err = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "1", "--e", e, "--n", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: D_2 = G^(2^{e}): 2^{e} has more than 4300 digits, "
+            f"past the int-to-str limit\n"
+        )
+
+    def test_answer_below_the_digit_limit_prints(self, capsys):
+        # 2^14000 has 4215 digits.
+        code, out, _ = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "1", "--e", "14000", "--n", "2",
+        )
+        assert (code, out) == (0, f"D_2 = G^{2 ** 14000}\n")
+
     @pytest.mark.parametrize("e", ["1", "40"])
     def test_oracle_failure_leaves_only_the_error_line(self, capsys, e):
         # |G| = 2048 is past the dense table cap, and 2^40 past the
@@ -267,6 +288,37 @@ class TestDimsubCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _past_digit_limit(base: int, exp: int) -> bool:
+    try:
+        cli._check_digits(base, exp, "x")
+    except ValueError as exc:
+        assert str(exc).startswith("x has more than ")
+        return True
+    return False
+
+
+def test_digit_limit_predicate():
+    # base**exp is refused iff it is at least 10^limit, decided exactly
+    # next to the limit and without building it far from it.
+    assert _past_digit_limit(2, 10 ** 30)
+    assert _past_digit_limit(2 ** 64 - 59, 10 ** 30)
+    assert not _past_digit_limit(0, 10 ** 30)
+    assert not _past_digit_limit(1, 10 ** 30)
+    assert not _past_digit_limit(10 ** 30, 0)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for base in (2, 3, 7, 10, 99, 2 ** 61 - 1, 10 ** 640 - 1, 10 ** 640):
+            near = round(640 / math.log10(base))
+            for exp in range(max(near - 2, 0), near + 3):
+                expected = base ** exp >= 10 ** 640
+                assert _past_digit_limit(base, exp) == expected, (base, exp)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert not _past_digit_limit(2, 10 ** 30)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestOutPath:
@@ -726,6 +778,16 @@ class TestMalformedInput:
         code, out, err = run(capsys, "suite", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [b"", b"{'instances': []}", b"\xff{}"])
+    def test_unreadable_config_names_the_file(self, capsys, tmp_path, data):
+        # Not JSON, or not UTF-8.
+        path = tmp_path / "suite.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "suite", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read suite config {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

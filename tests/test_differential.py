@@ -34,7 +34,6 @@ divisibility valuation must be the per-coefficient minimum.
 
 import contextlib
 import functools
-import sys
 import weakref
 from collections import Counter
 from unittest import mock
@@ -309,26 +308,17 @@ def _map_and_torsion_reports(units: Units):
 
 
 @given(st.sampled_from(RINGS))
-def test_power_map_independent_of_blocks_and_workers(rs):
-    # Worker threads fill disjoint slices of one array: more workers than
-    # cores, many small blocks and frequent thread switches must not change
-    # it, nor the V[p] checks that read it.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [_map_and_torsion_reports(Units(rs, workers=w)) for w in (1, 2, 4)]
-        with mock.patch.object(oracle, "_BLOCK", 5):
-            runs.append(_map_and_torsion_reports(Units(rs, workers=4)))
-            runs.append(_map_and_torsion_reports(Units(rs)))
-    finally:
-        sys.setswitchinterval(interval)
-    first, first_reports = runs[0]
+def test_power_map_independent_of_blocks(rs):
+    # Each block fills its own slice of one array: many small blocks must
+    # not change it, nor the V[p] checks that read it.
+    first, first_reports = _map_and_torsion_reports(Units(rs))
+    with mock.patch.object(oracle, "_BLOCK", 5):
+        pm, reports = _map_and_torsion_reports(Units(rs))
     assert len(first_reports) == 1 and first_reports[0].passed
-    for pm, reports in runs[1:]:
-        assert (pm.base, pm.mult) == (first.base, first.mult)
-        assert np.array_equal(pm.one, first.one)
-        assert np.array_equal(pm.chi, first.chi)
-        assert reports == first_reports
+    assert (pm.base, pm.mult) == (first.base, first.mult)
+    assert np.array_equal(pm.one, first.one)
+    assert np.array_equal(pm.chi, first.chi)
+    assert reports == first_reports
 
 
 @given(st.lists(st.sampled_from(RINGS), min_size=2, max_size=2, unique=True))
@@ -339,11 +329,11 @@ def test_alternating_instances_get_their_own_power_map(pair):
         assert order_histogram(rs).as_dict() == _scalar_census(rs)
 
 
-@given(st.sampled_from(RINGS), st.sampled_from([1, 2]))
-def test_shared_units_report_as_one_shot_calls(rs, workers):
+@given(st.sampled_from(RINGS))
+def test_shared_units_report_as_one_shot_calls(rs):
     # The checks of one instance share one Units (its kernel check and power
     # map); each must report exactly what it reports on a fresh Units of its own.
-    shared = Units(rs, workers=workers)
+    shared = Units(rs)
     plan = plan_checks(rs)
     assert [verify_check(c, shared, params, seed=3) for c, params in plan] == [
         verify_check(c, rs, params, seed=3) for c, params in plan

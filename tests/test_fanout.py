@@ -9,7 +9,7 @@ as it does with one worker, that no child process outlives a run, that a
 BLAS call before the fork does not hang the children, and that importing
 punits loads none of the pool machinery.
 
-No test here starts more than four processes.
+No test here starts more than two processes.
 """
 
 import concurrent.futures

@@ -39,6 +39,7 @@ from .oracle import (
     CHECK_IDS,
     DEFAULT_BUDGET,
     SEED_MAX,
+    BudgetExceededError,
     Units,
     VerificationReport,
     plan_checks,
@@ -384,7 +385,7 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     """Plan every instance, then run the plans: in a pool of P = min(workers,
     instances, CPUs) forked processes if P > 1 and ``fork`` exists, else
     here.  Reports, and a check's exception, come as from a serial run; a
-    pool process that dies raises ``BrokenProcessPool``, a RuntimeError.
+    pool process that dies raises OSError.
 
     Raises ValueError, naming why, before any check runs when a check
     listed explicitly in ``config.checks`` is planned on no instance.
@@ -421,9 +422,13 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     # build the plans' ideal chains anew.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_instance, tasks))
+        try:
+            return list(pool.map(_run_instance, tasks))
+        except BrokenProcessPool as exc:
+            raise OSError(f"a worker process died: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    # RuntimeError covers BudgetExceededError and a broken process pool.
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -168,7 +168,20 @@ def test_dying_pool_process_is_one_error_line(monkeypatch, capsys, config_path):
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bug_in_a_check_keeps_its_traceback(monkeypatch, config_path, workers):
+    # Exit 2 means refused input or budget; an internal error is not that.
+    def bug(units):
+        raise NotImplementedError(f"injected bug on e = {units.rs.e}")
+
+    _patch_lemma2(monkeypatch, bug)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(NotImplementedError, match="injected bug on e = 3"):
+        main(["suite", "--config", config_path, "--workers", workers])
+    assert multiprocessing.active_children() == []
 
 
 def _fresh_python(code: str, env: dict, timeout: float) -> subprocess.CompletedProcess:

@@ -18,11 +18,16 @@ the base index of that power reduced mod p^{e-1} (``chi``), which is the
 base ring's own phi.  The order census reads the size of the kernel of
 phi^{m+1} as the number of base indices that chi^m sends to a
 representative ``one`` marks, each standing for |K| = p^{|G|-1} units.
-Those counts are pushed forward along chi, restricted at each step to
-chi^m's image, which only shrinks (``_image_counts``): pure counting, no
-fact about V.  The torsion checks (theorem1, lemma4) decode only the
-representatives of V[p], in one call (``Units.p_torsion``); besides the
-map, lemma5's ``Units.scan`` is the only pass over blocks of V.  The
+chi is the p-th power map of an abelian group, so chi^m is an
+endomorphism and each of its fibres holds N / |im chi^m| of the N base
+indices: the count is that fibre size times the number of elements of
+im chi^m that ``one`` marks.  The images come from one N-byte mask,
+im chi^{m+1} = chi(im chi^m) being cleared and set inside im chi^m, which
+only shrinks (``_image_sets``).  The census checks |ker chi| |im chi| = N
+once and raises ArithmeticError if that fails.  The torsion checks
+(theorem1, lemma4) decode only the representatives of V[p], in one call
+(``Units.p_torsion``); besides the map, lemma5's ``Units.scan`` is the
+only pass over blocks of V.  The
 oracle does not rely on the lemma it verifies: each e >= 2 instance first powers the
 p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
 (as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
@@ -48,9 +53,10 @@ d = 1 ... e-1 but computed once per instance and base seed
 (``Units.lemma9``): each d draws its candidates y with its own derived
 seed, and the units 1 + p^d y of every d are stacked in ascending d into
 blocks of at most ``_BLOCK_ENTRIES`` entries (one block on small rings)
-and powered together, a column stopping at its bound p^{e-d}.  The least valuation s of each y is
-read off by divisibility tests.  The first d's report therefore carries
-the pass's wall time.
+and powered together, a column stopping at its bound p^{e-d}.  The least
+valuation s of each y is read off by divisibility tests, once per drawn
+set: where every y is tried, the d's share one set.  The first d's report
+therefore carries the pass's wall time.
 """
 
 from __future__ import annotations
@@ -293,11 +299,13 @@ class Units:
         one = np.empty(unit_count(base), dtype=bool)
         chi = np.empty(len(one), dtype=np.int32)
         radices = (base.modulus,) * (rs.size - 1)
+        frobenius = power_indices(rs.group, rs.p)
         for lo, hi in _blocks(len(one)):
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
                 powers = np.zeros_like(reps)
-                np.add.at(powers, power_indices(rs.group, rs.p), reps)
+                for i, gp in enumerate(frobenius):
+                    powers[gp] += reps[i]
                 mod_in_place(powers, q)
             else:
                 powers = _batch_pow(tbl, q, reps, rs.p)
@@ -331,15 +339,27 @@ class Units:
 
         u^{p^{m+1}} = 1 iff phi(u)^{p^m} = 1, and for m >= 1 that depends on
         phi(u) only through its reduction to the base, so the kernel of
-        phi^{m+1} has, per representative, as many units as ``one`` marks
-        among the base indices that chi^m sends there (``_image_counts``).
+        phi^{m+1} has ``mult`` units per base index that chi^m sends to a
+        representative ``one`` marks.  chi^m is an endomorphism of the
+        base's units, so each of its fibres has N / |im chi^m| indices, N
+        the map's length.  That rests on chi being one, which is checked
+        once: |ker chi| |im chi| must be N, else ArithmeticError.
         """
         pm, total = self.power_map, unit_count(self.rs)
+        n, radices = len(pm.chi), (pm.base.modulus,) * (self.rs.size - 1)
+        ident = radix_encode(_identity(pm.base)[:-1].tolist(), radices)
+        kernel = int(np.count_nonzero(pm.chi == ident))
         sizes = [1, pm.mult * int(np.count_nonzero(pm.one))]
-        counts = _image_counts(pm.chi)
+        images = _image_sets(pm.chi)
+        image = next(images)
+        if kernel * len(image) != n:
+            raise ArithmeticError(
+                f"the power map is no endomorphism: |ker| {kernel} x |im| {len(image)} != {n}"
+            )
         while sizes[-1] < total and len(sizes) <= _order_exp_bound(self.rs):
-            sup, w = next(counts)
-            sizes.append(pm.mult * int(w[pm.one[sup]].sum()))
+            fibre = pm.mult * (n // len(image))
+            sizes.append(fibre * int(np.count_nonzero(pm.one[image])))
+            image = next(images)
         if sizes[-1] < total:
             raise ArithmeticError("unit order exceeded the p-torsion bound")
         return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
@@ -356,24 +376,21 @@ class Units:
         return self._lemma9[(seed, d)]
 
 
-def _image_counts(chi: np.ndarray):
-    """Yield (sup, w) for m = 1, 2, ...: sup is the image of chi^m and w[k]
-    the number of indices that chi^m sends to sup[k], in float64, exact as
-    every count is below 2^31.
+def _image_sets(chi: np.ndarray):
+    """Yield im chi^m for m = 1, 2, ..., ascending indices, for any map chi
+    of range(len(chi)) to itself.
 
-    Counts are pushed forward along chi restricted to the support, which
-    only shrinks: chi(chi^m(X)) is inside chi^m(X) for any map chi of X to
-    itself.  The full bincount is reused as the index array that renumbers
-    the support."""
-    pos = np.bincount(chi, minlength=len(chi))
-    sup = np.flatnonzero(pos)
-    w = pos[sup]
+    im chi^{m+1} = chi(im chi^m) lies inside im chi^m, so one mask of
+    len(chi) bytes holds the image: it is cleared and set only on the
+    current image, which only shrinks, and read back there."""
+    mask = np.zeros(len(chi), dtype=bool)
+    mask[chi] = True
+    image = np.flatnonzero(mask)
     while True:
-        yield sup, w
-        pos[sup] = np.arange(len(sup))
-        w = np.bincount(pos[chi[sup]], weights=w, minlength=len(sup))
-        keep = np.flatnonzero(w)
-        sup, w = sup[keep], w[keep]
+        yield image
+        mask[image] = False
+        mask[chi[image]] = True
+        image = image[mask[image]]
 
 
 # ---------------------------------------------------------------------------
@@ -679,26 +696,34 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
 
     The candidates of a run of d's (``_lemma9_chunks``) are stacked in
     ascending d and powered as one block, each column up to its own bound
-    e - d, so the columns still live after m steps are a prefix."""
+    e - d, so the columns still live after m steps are a prefix.  When
+    every y is tried, the d's share one decoded candidate set and its
+    valuations, which do not depend on d."""
     rs, out = units.rs, {}
     p, e, q = rs.p, rs.e, rs.modulus
+    exhaustive = _lemma9_exhaustive(rs)
+    if exhaustive:
+        ys = _lemma9_candidates(rs, 0)  # every y: no seed is read
+        shared = (ys, _min_valuations(ys, p, e))
     for ds in _lemma9_chunks(rs, seeds):
-        ys = np.concatenate([_lemma9_candidates(rs, seeds[d]) for d in ds], axis=1)
-        w = ys.shape[1] // len(ds)  # every d draws as many candidates
+        if exhaustive:
+            draws = [shared] * len(ds)
+        else:
+            draws = [(ys, _min_valuations(ys, p, e))
+                     for ys in (_lemma9_candidates(rs, seeds[d]) for d in ds)]
+        w = draws[0][0].shape[1]  # every d draws as many candidates
         col_d = np.repeat(np.array(ds, dtype=np.int64), w)
-        block = ys * p ** col_d
+        block = np.concatenate([ys for ys, _ in draws], axis=1)
+        block *= p**col_d
         block[0] += 1
         measured = _batch_order_exps(units, mod_in_place(block, q), e - col_d)
         del block
-        s = _min_valuations(ys, p, e)
-        exceptional = np.zeros(len(s), dtype=bool)
-        if p == 2 and ds[0] == 1:
-            y1 = ys[:, :w]
-            odd_square = (_batch_mul(units.table, q, y1, y1) % 2 == 1).any(axis=0)
-            exceptional[:w] = odd_square & (s[:w] == 0)
-        for i, d in enumerate(ds):
-            cut = slice(i * w, (i + 1) * w)
-            out[d] = Lemma9Units(s[cut], exceptional[cut], measured[cut])
+        for i, (d, (ys, s)) in enumerate(zip(ds, draws)):
+            exceptional = np.zeros(w, dtype=bool)
+            if p == 2 and d == 1:
+                odd_square = (_batch_mul(units.table, q, ys, ys) % 2 == 1).any(axis=0)
+                exceptional = odd_square & (s == 0)
+            out[d] = Lemma9Units(s, exceptional, measured[i * w : (i + 1) * w])
     return out
 
 

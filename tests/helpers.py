@@ -10,8 +10,8 @@ product table built with ``element_mul`` and a dictionary, and its
 inverse, instead of the index codec's tables, scalar ring powers case
 by case instead of lemma2's batched columns, the translates of all of
 G[p] instead of those of a basis, and the order census by gathering the
-kernel mask along the power map once per exponent instead of pushing
-counts along its image.
+kernel mask along the power map once per exponent instead of reading
+fibre sizes off its images.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ must send each lifted representative to its scalar p-th power (reduced to
 the base ring, and compared with 1) whatever the block size and worker
 count, at e = 1 its Frobenius scatter must equal the batched p-th power,
 and for e >= 2 its ``chi`` must be the base ring's own full power map.
-The census read from it by pushing counts along chi must equal the scalar
+The census read from it through the images of chi must equal the scalar
 ``unit_order`` census and the census gathered along chi once per
-exponent, also on the full path, and the pushed counts must be those of
-every iterate of any map.  Every planned check must report the same
+exponent, also on the full path; the image sets must be those of every
+iterate of any map, and a map with one entry sent to the identity, no
+longer an endomorphism, must be refused.  Every planned check must report the same
 through one shared ``Units`` as
 through one-shot calls on the RingSpec, and a failed reduction-kernel check
 must fall back to the full map with the same reports.  theorem1 and lemma4
@@ -39,7 +40,8 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, strategies as st
 
 from punits import oracle
 from punits.oracle import (
@@ -50,7 +52,7 @@ from punits.oracle import (
     _batch_order_exps,
     _batch_pow,
     _derive_seed,
-    _image_counts,
+    _image_sets,
     _lemma2_powers,
     _lemma9_candidates,
     _matches,
@@ -283,22 +285,36 @@ def test_pushed_census_matches_iterated_gather(rs, full):
 
 
 @given(st.data())
-def test_image_counts_are_those_of_every_iterate(data):
-    # Any map of a set to itself: the support of the pushed counts after m
-    # steps is the image of chi^m, and the counts its fibre sizes.
+def test_image_sets_are_those_of_every_iterate(data):
+    # Any map of a set to itself: the m-th set is the image of chi^m.
     size = data.draw(st.integers(1, 40))
     chi = np.array(
         data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)),
         dtype=np.int32,
     )
-    counts = _image_counts(chi)
+    images = _image_sets(chi)
     power = np.arange(size)
     for _ in range(size + 2):
         power = chi[power]
-        sup, w = next(counts)
-        fibres = np.bincount(power, minlength=size)
-        assert sup.tolist() == np.flatnonzero(fibres).tolist()
-        assert w.tolist() == fibres[sup].tolist()
+        assert next(images).tolist() == np.unique(power).tolist()
+
+
+@given(st.sampled_from(RINGS), st.booleans())
+def test_census_refuses_a_map_that_is_no_endomorphism(rs, full):
+    # Sending one more index to the identity grows the kernel, while every
+    # image keeps a fibre of at least p indices, so |ker| |im| != N.  A map
+    # that sends everything to the identity has no index left to send.
+    with _kernel_violation() if full else contextlib.nullcontext():
+        units = Units(rs)
+        pm = units.power_map
+    ident = pm.chi[np.argmax(pm.one)]  # one marks units with phi(u) = 1
+    moved = np.flatnonzero(pm.chi != ident)
+    assume(len(moved))
+    chi = pm.chi.copy()
+    chi[moved[0]] = ident
+    units.power_map = oracle.PowerMap(pm.base, pm.mult, pm.one, chi)
+    with pytest.raises(ArithmeticError, match="endomorphism"):
+        units.census()
 
 
 def _map_and_torsion_reports(units: Units):

@@ -136,6 +136,24 @@ class TestHistogram:
         monkeypatch.setattr(oracle, "_BLOCK", 5)
         assert order_histogram(Z4V4) == whole
 
+    def test_census_allocates_a_mask_and_the_first_image(self):
+        # Past the power map, the census holds one byte per representative
+        # and the image of chi (at most N / p of them, as |ker chi| >= p) as
+        # int64: a count per representative (8 N) would not fit.
+        import tracemalloc
+
+        rs = RingSpec(GroupSpec(2, (1,)), 18)
+        units = Units(rs)
+        n = len(units.power_map.chi)
+        assert n == 1 << 17
+        tracemalloc.start()
+        try:
+            units.census()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + 8 / rs.p) * n + (64 << 10)
+
 
 class TestInvariantRecovery:
     def test_examples(self):

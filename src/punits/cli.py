@@ -307,14 +307,9 @@ _CATALOG = (
 )
 
 
-def default_suite_config(
-    *,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-    seed: int = 0,
-    out: Optional[str] = None,
-) -> SuiteConfig:
-    """The built-in catalog: every desk-scale (p, lambda, e) instance.
+def default_suite_config(**settings) -> SuiteConfig:
+    """The built-in catalog: every desk-scale (p, lambda, e) instance, with
+    SuiteConfig's other fields (budget, workers, seed, out) given by name.
 
     Instances whose |V| exceeds the enumeration budget still appear (their
     closed forms and the non-enumerative checks run); the enumeration
@@ -327,13 +322,7 @@ def default_suite_config(
             per_e = group.order() - 1
             for e in range(1, cap_exp // per_e + 1):
                 instances.append(SuiteInstance(group=group, e=e))
-    return SuiteConfig(
-        instances=tuple(instances),
-        budget=budget,
-        workers=workers,
-        seed=seed,
-        out=out,
-    )
+    return SuiteConfig(instances=tuple(instances), **settings)
 
 
 def _json_fields(raw, what: str, keys: set[str], required: set[str]) -> dict:
@@ -361,8 +350,9 @@ def load_suite_config(path: str) -> SuiteConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"cannot read suite config {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
+        why = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read suite config {path}: {why}") from None
     keys = {f.name for f in fields(SuiteConfig)}
     raw = _json_fields(raw, "suite config", keys, set())
     instances = raw.get("instances", [])
@@ -446,6 +436,14 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--e", type=int, required=True, help="coefficient ring is Z_{p^e}")
 
 
+def _add_run_args(sub: argparse.ArgumentParser, what: str) -> None:
+    """verify's and suite's flags that override the SuiteConfig field of
+    the same name (``_run_config``); unset, they leave it as it is."""
+    for name in ("budget", "workers", "seed"):
+        sub.add_argument(f"--{name}", type=int)
+    sub.add_argument("--out", help=f"write the JSON {what} to this file (atomic)")
+
+
 def _parse_group(args) -> GroupSpec:
     return GroupSpec(args.p, int_list(args.lambdas, "--lambda"))
 
@@ -465,18 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="run verification checks")
     _add_instance_args(sub)
     sub.add_argument("--checks", help="comma-separated check ids (default: all applicable)")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", help="write the JSON report to this file (atomic)")
+    _add_run_args(sub, "report")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = subs.add_parser("suite", help="run the default or a configured catalog")
     sub.add_argument("--config", help="JSON suite configuration file")
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="write the JSON summary to this file (atomic)")
+    _add_run_args(sub, "summary")
 
     sub = subs.add_parser("order", help="order of a normalized unit")
     _add_instance_args(sub)
@@ -526,44 +518,36 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = SuiteConfig(
-        instances=(SuiteInstance(_parse_group(args), args.e),),
-        checks=None if args.checks is None else tuple(args.checks.split(",")),
-        budget=args.budget,
-        workers=args.workers,
-        seed=args.seed,
-        out=args.out,
-    )
+def _run_config(args, config: SuiteConfig) -> int:
+    """The body of verify and suite: run config with the run flags given,
+    write the JSON report to ``out`` if that is set, and print it.  verify
+    --format text prints the text report instead, and suite one summary
+    line when it writes ``out``."""
+    flags = {name: getattr(args, name) for name in ("budget", "workers", "seed", "out")}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     reports = run_suite(config)
-    payload = emit_report(reports, "json")
+    text = payload = emit_report(reports, "json")
     if config.out:
         _write_atomic(config.out, payload)
-    sys.stdout.write(payload if args.format == "json" else emit_report(reports, "text"))
-    return 0 if reports[0].all_pass() else 1
+    if getattr(args, "format", "json") == "text":
+        text = emit_report(reports, "text")
+    elif args.command == "suite" and config.out:
+        failures = sum(1 for r in reports for c in r.checks if not c.passed)
+        total = sum(len(r.checks) for r in reports)
+        text = f"{len(reports)} instances, {total} checks, {failures} failures -> {config.out}\n"
+    sys.stdout.write(text)
+    return 0 if all(r.all_pass() for r in reports) else 1
+
+
+def _cmd_verify(args) -> int:
+    checks = None if args.checks is None else tuple(args.checks.split(","))
+    return _run_config(args, SuiteConfig((SuiteInstance(_parse_group(args), args.e),), checks))
 
 
 def _cmd_suite(args) -> int:
-    config = load_suite_config(args.config) if args.config else default_suite_config()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("budget", "workers", "seed", "out")
-        if getattr(args, name) is not None
-    }
-    config = replace(config, **overrides)
-    reports = run_suite(config)
-    payload = emit_report(reports, "json")
-    if config.out:
-        _write_atomic(config.out, payload)
-        failures = sum(1 for r in reports for c in r.checks if not c.passed)
-        total = sum(len(r.checks) for r in reports)
-        print(
-            f"{len(reports)} instances, {total} checks, {failures} failures "
-            f"-> {config.out}"
-        )
-    else:
-        sys.stdout.write(payload)
-    return 0 if all(r.all_pass() for r in reports) else 1
+    return _run_config(
+        args, load_suite_config(args.config) if args.config else default_suite_config()
+    )
 
 
 def _cmd_order(args) -> int:

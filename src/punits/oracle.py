@@ -589,8 +589,7 @@ def _check_lemma5(units: Units, params, seed):
 
 
 def _check_lemma3(units: Units, params, seed):
-    rs = units.rs
-    n = int(params["n"])
+    rs, n = units.rs, params["n"]
     group = rs.group
     H = ideal_power_form(rs, n)
     # Column i is g_i - 1; index order is the lexicographic order of elements.
@@ -744,7 +743,7 @@ def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:
 
 
 def _check_lemma9(units: Units, params, seed):
-    d = int(params["d"])
+    d = params["d"]
     lem = units.lemma9(seed, d)
     measured, exceptional = lem.measured, lem.exceptional
     predicted_exp = np.maximum(units.rs.e - d - lem.s, 0)
@@ -775,7 +774,7 @@ def lemma9_exceptional_census(
     observational: no closed form is asserted, and the distribution is
     empty whenever the exceptional condition cannot occur.
     """
-    CHECKS["lemma9"].require(rs, {"d": d})
+    d = CHECKS["lemma9"].require(rs, {"d": d})["d"]
     lem = Units(rs, one_shot=True).lemma9(seed, d)
     measured = lem.measured[lem.exceptional]
     if (measured < 0).any():
@@ -791,11 +790,12 @@ def lemma9_exceptional_census(
 class Check:
     """A verification check and the instances it applies to.
 
-    ``run(units, params, seed)`` returns the (predicted, observed) pair;
-    ``seed`` is the base seed, from which a check that draws at random
-    derives its own (``_derive_seed``).
-    ``requires`` is the mathematical precondition on (ring, params), which
-    verify_check enforces; ``requirement`` states it.  The planner adds two
+    ``run(units, params, seed)`` returns the (predicted, observed) pair for
+    params that ``require`` has validated; ``seed`` is the base seed, from
+    which a check that draws at random derives its own (``_derive_seed``).
+    A check takes at most one parameter, ``param``, a positive int.
+    ``requires`` is the mathematical precondition on (ring, params), read
+    only after that; ``requirement`` states it.  The planner adds two
     limits: an enumerative check scans all of V, so |V| must fit the
     budget, and ``cap`` = (max |G|, max e) keeps the plan desk-scale.  A
     check with a ``param`` is planned once per value in ``param_range(rs)``.
@@ -810,10 +810,23 @@ class Check:
     param: Optional[str] = None
     param_range: Callable[[RingSpec], range] = lambda rs: range(0)
 
-    def require(self, rs: RingSpec, params: dict) -> None:
+    def require(self, rs: RingSpec, params: Optional[dict]) -> dict:
+        """The params the check runs with on rs, or ValueError naming the
+        check: the keys must be exactly ``param`` (none without one), its
+        value an int >= 1 (a numpy integer is read as an int; a bool, float
+        or str is refused), and ``requires`` must hold."""
+        params, names = params or {}, () if self.param is None else (self.param,)
+        if tuple(params) != names:
+            want = f"one parameter, {self.param}" if self.param else "no parameter"
+            got = ", ".join(f"{k}={v!r}" for k, v in params.items()) or "none"
+            raise ValueError(f"{self.id} check takes {want}; got {got}")
+        if self.param:
+            name = f"{self.id} parameter {self.param}"
+            params = {self.param: checked_int(params[self.param], name, 1)}
         if not self.requires(rs, params):
             got = ", ".join(f"{k}={v}" for k, v in {"e": rs.e, **params}.items())
             raise ValueError(f"{self.id} check requires {self.requirement}; got {got}")
+        return params
 
     def plans(self, rs: RingSpec) -> list[Optional[dict]]:
         if self.param is None:
@@ -845,6 +858,13 @@ CHECKS: dict[str, Check] = {
 CHECK_IDS = tuple(sorted(CHECKS))
 
 
+def _lookup(check: str) -> Check:
+    """The registry's entry for a check id, or ValueError naming it."""
+    if check not in CHECKS:
+        raise ValueError(f"unknown check id {check!r}; known: {', '.join(CHECK_IDS)}")
+    return CHECKS[check]
+
+
 def _format_check_id(check: str, params: Optional[dict]) -> str:
     if not params:
         return check
@@ -852,12 +872,11 @@ def _format_check_id(check: str, params: Optional[dict]) -> str:
     return f"{check}:{inner}"
 
 
-def _derive_seed(seed: int, check: str, rs: RingSpec, params: Optional[dict]) -> int:
-    """The check's own seed: a 32-bit CRC of its case xor the base seed,
-    which is refused outside [0, SEED_MAX] rather than wrapped.  Parameters
-    are read as ints, so a numpy integer d derives what lemma9's pass draws
-    with."""
-    case = sorted((k, int(v)) for k, v in (params or {}).items())
+def _derive_seed(seed: int, check: str, rs: RingSpec, params: dict) -> int:
+    """The check's own seed: a 32-bit CRC of its case, the params
+    ``Check.require`` returned, xor the base seed, which is refused outside
+    [0, SEED_MAX] rather than wrapped."""
+    case = sorted(params.items())
     desc = f"{check}|{rs.to_text()}|{case}"
     return zlib.crc32(desc.encode()) ^ checked_int(seed, "seed", 0, SEED_MAX)
 
@@ -870,20 +889,22 @@ def verify_check(
     seed: int = 0,
 ) -> VerificationReport:
     """Run one named check; verdict is exact predicted == observed.  A bare
-    RingSpec is checked through a one-shot Units.  ``seed`` must lie in
-    [0, SEED_MAX]; the report carries the seed derived from it."""
+    RingSpec is checked through a one-shot Units.  ``params`` pass
+    ``Check.require``, which refuses, with a ValueError naming the check,
+    a missing or stray key, a value that is no int >= 1 and a precondition
+    that fails; the check, its id and its seed read what it returns.
+    ``seed`` must lie in [0, SEED_MAX]; the report carries the seed
+    derived from it."""
     if isinstance(rs_or_units, Units):
         units = rs_or_units
     else:
         units = Units(rs_or_units, one_shot=True)
     rs = units.rs
-    spec = CHECKS.get(check)
-    if spec is None:
-        raise ValueError(f"unknown check id {check!r}; known: {', '.join(CHECK_IDS)}")
-    spec.require(rs, params or {})
+    spec = _lookup(check)
+    params = spec.require(rs, params)
     derived = _derive_seed(seed, check, rs, params)
     start = time.perf_counter()
-    predicted, observed = spec.run(units, params or {}, seed)
+    predicted, observed = spec.run(units, params, seed)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         check_id=_format_check_id(check, params),
@@ -899,7 +920,7 @@ def verify_check(
 
 def unplanned_reason(check: str, rs: RingSpec, budget: int) -> Optional[str]:
     """Why plan_checks plans no case of check on rs, or None if it does."""
-    c = CHECKS[check]
+    c = _lookup(check)
     if rs.size > DENSE_TABLE_CAP:
         return f"|G| = {rs.size} > {DENSE_TABLE_CAP}, the dense table cap"
     if c.cap and not (rs.size <= c.cap[0] and rs.e <= c.cap[1]):
@@ -916,14 +937,16 @@ def plan_checks(
 ) -> list[tuple[str, Optional[dict]]]:
     """Applicable (check, params) pairs for an instance, in report order.
 
-    Every check reads the |G| x |G| gather table, so none is planned past
-    the dense table cap.  Checks that enumerate V are planned only when |V|
-    fits the budget and stays below 2^31; the formula-driven checks
-    (lemma2, lemma3, lemma9) have no such limit.
+    ``enabled`` None means every check; an unknown id in it is refused as
+    by verify_check.  Every check reads the |G| x |G| gather table, so none
+    is planned past the dense table cap.  Checks that enumerate V are
+    planned only when |V| fits the budget and stays below 2^31; the
+    formula-driven checks (lemma2, lemma3, lemma9) have no such limit.
     """
+    chosen = CHECKS if enabled is None else {_lookup(c).id for c in enabled}
     return [
         (c.id, params)
         for c in CHECKS.values()
-        if (enabled is None or c.id in enabled) and not unplanned_reason(c.id, rs, budget)
+        if c.id in chosen and not unplanned_reason(c.id, rs, budget)
         for params in c.plans(rs)
     ]

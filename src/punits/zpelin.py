@@ -136,7 +136,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import gather_table, mod_in_place, radix_encode
+from .pgroup import checked_int, gather_table, mod_in_place, radix_encode
 from .ring import RING_CHAR_CAP, RingSpec, _float_terms, _rows_per_reduction, p_valuation
 
 # Blocks of vectors at least this many times wider than long (columns
@@ -486,10 +486,8 @@ def _chain(rs: RingSpec) -> _IdealChain:
 
 def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
     """The Howell form of w^n as arrays; it has no rows once n reaches the
-    nilpotency index."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _chain(rs).level(n)
+    nilpotency index.  n must be an int >= 1 (see ``pgroup.checked_int``)."""
+    return _chain(rs).level(checked_int(n, "n", 1))
 
 
 def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:

@@ -257,6 +257,13 @@ class TestDimsubCommand:
         assert code == 0
         assert "oracle agreement: pass" in out
 
+    def test_oracle_past_the_nilpotency_index(self, capsys):
+        # lemma3 takes any n >= 1, not only the planned 1 ... nu (nu = 4 here).
+        code, out, _ = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "2", "--e", "1", "--n", "9",
+            "--oracle",
+        )
+        assert (code, out) == (0, "D_9 = G^16\noracle agreement: pass\n")
 
     @pytest.mark.parametrize("e", ["20000", "1000000"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, e):
@@ -784,6 +791,15 @@ class TestMalformedInput:
         # Not JSON, or not UTF-8.
         path = tmp_path / "suite.json"
         path.write_bytes(data)
+        code, out, err = run(capsys, "suite", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read suite config {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_config_that_cannot_be_opened_names_the_file(self, capsys, tmp_path, missing):
+        # A file that does not exist, or a directory.
+        path = tmp_path / "suite.json" if missing else tmp_path
         code, out, err = run(capsys, "suite", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read suite config {path}: ")

@@ -342,6 +342,38 @@ class TestChecks:
         with pytest.raises(ValueError):
             verify_check("lemma9", Z4C2, {"d": 2})
 
+    @pytest.mark.parametrize(
+        "call, check",
+        [
+            (lambda rs: verify_check("lemma9", rs, {"d": 1.5}), "lemma9"),
+            (lambda rs: verify_check("lemma9", rs, {"d": True}), "lemma9"),
+            (lambda rs: verify_check("lemma9", rs, {"d": "1"}), "lemma9"),
+            (lambda rs: verify_check("lemma9", rs), "lemma9"),
+            (lambda rs: verify_check("lemma3", rs), "lemma3"),
+            (lambda rs: verify_check("theorem2", rs, {"d": 1}), "theorem2"),
+            (lambda rs: verify_check("lemma3", rs, {"n": 2, "x": 3}), "lemma3"),
+            (lambda rs: oracle.lemma9_exceptional_census(rs, 1.5), "lemma9"),
+            (lambda rs: oracle.lemma9_exceptional_census(rs, True), "lemma9"),
+            (lambda rs: plan_checks(rs, {"theorm2"}), "theorm2"),
+        ],
+        ids=["float", "bool", "str", "no d", "no n", "stray d", "stray x",
+             "census float", "census bool", "unknown id"],
+    )
+    def test_params_are_refused_naming_the_check(self, call, check):
+        # The registry's gate: no report computed at another parameter or
+        # seeded by a stray key, no KeyError or TypeError, no empty plan.
+        with pytest.raises(ValueError) as info:
+            call(RingSpec(GroupSpec(2, (2,)), 3))
+        assert check in str(info.value) and "\n" not in str(info.value)
+
+    def test_numpy_int_param_reads_as_int(self):
+        rs = RingSpec(GroupSpec(2, (2,)), 3)
+        report = verify_check("lemma9", rs, {"d": 1})
+        assert verify_check("lemma9", rs, {"d": np.int64(1)}) == report
+        assert report.check_id == "lemma9:d=1" and report.passed
+        census = oracle.lemma9_exceptional_census(rs, np.int64(1))
+        assert census.counts == ((1, 256), (2, 2816))
+
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             verify_check("theorem2", Units(Z9C3, budget=80))

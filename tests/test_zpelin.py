@@ -696,6 +696,12 @@ class TestIdealPowers:
         with pytest.raises(ValueError):
             ideal_power_generators(rs, 0)
 
+    @pytest.mark.parametrize("n", [1.5, True, "1"])
+    def test_rejects_a_power_that_is_no_int(self, n):
+        # True was read as n = 1, and 1.5 raised TypeError from a list index.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ideal_power_form(RingSpec(GroupSpec(2, (2,)), 1), n)
+
 
 class TestIdealChain:
     """The chain's forms against the direct product construction."""

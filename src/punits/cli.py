@@ -26,6 +26,7 @@ module only parses reports and suite configs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,20 +47,22 @@ from .oracle import (
     unplanned_reason,
     verify_check,
 )
-from .pgroup import GroupSpec, checked_int, int_list, p_valuation
+from .pgroup import GroupSpec, checked_int, int_list, p_valuation, power_exceeds
 from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_order
 from .theory import AbelianInvariants, structure_report
 
 
+@functools.lru_cache(maxsize=1)
+def _largest_printable(limit: int) -> int:
+    """The largest int that an int-to-str limit of ``limit`` digits prints."""
+    return 10**limit - 1
+
+
 def _check_digits(base: int, exp: int, what: str) -> None:
     """Refuse base**exp, named ``what``, if it has more digits than Python's
-    int-to-str limit prints; it is built only when its bit length puts it
-    near the limit, where that is cheap."""
+    int-to-str limit prints; ``power_exceeds`` builds it only near the limit."""
     limit = sys.get_int_max_str_digits()
-    if not limit or base < 2 or exp * base.bit_length() <= 3 * limit:
-        return  # below 2^(3 limit) < 10^limit
-    # 2^(4 limit) > 10^limit
-    if exp * (base.bit_length() - 1) >= 4 * limit or base**exp >= 10**limit:
+    if limit and power_exceeds(base, exp, _largest_printable(limit)):
         raise ValueError(f"{what} has more than {limit} digits, past the int-to-str limit")
 
 
@@ -68,9 +71,12 @@ def _check_printable(group: GroupSpec, e: int) -> None:
 
     The largest number an answer prints is the exponent e(|G| - 1) of |V|,
     so its digit count decides, before the closed forms build the agemo
-    sizes.  It costs O(sum of lambda) bits.
+    sizes.  It has at least the digits of |G| = p^s, which is no power of
+    10, so p^s is tested from s first and built only once it is printable.
     """
-    _check_digits(theory.v_order_exp(group, e), 1, "the exponent e(|G| - 1) of |V|")
+    what = "the exponent e(|G| - 1) of |V|"
+    _check_digits(group.p, group.size_exp, what)
+    _check_digits(e * (group.p**group.size_exp - 1), 1, what)
 
 
 @dataclass(frozen=True)
@@ -208,16 +214,11 @@ def _dump_json(obj) -> str:
 
 
 def _emit_json(obj, out: list[str], newline: str) -> None:
-    # newline is the line break and indent of obj's own level.
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, int):
-        # bool is an int: test for it first; int.__repr__ keeps the
-        # int-to-str digit limit.
-        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, dict):
+    # newline is the line break and indent of obj's own level.  A dict or
+    # list writes a child whose type is exactly int or str inline; any other
+    # child, a bool or an int or str subclass among them, takes one call of
+    # its own, and so the isinstance tests and their TypeError.
+    if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -225,8 +226,15 @@ def _emit_json(obj, out: list[str], newline: str) -> None:
         sep = "{" + inner
         # _quote raises TypeError on a key that is not a str.
         for key in sorted(obj):
-            out.append(sep + _quote(key) + ": ")
-            _emit_json(obj[key], out, inner)
+            value = obj[key]
+            kind = type(value)
+            if kind is int:
+                out.append(f"{sep}{_quote(key)}: {int.__repr__(value)}")
+            elif kind is str:
+                out.append(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _emit_json(value, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -236,10 +244,24 @@ def _emit_json(obj, out: list[str], newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
-            out.append(sep)
-            _emit_json(item, out, inner)
+            kind = type(item)
+            if kind is int:
+                out.append(sep + int.__repr__(item))
+            elif kind is str:
+                out.append(sep + _quote(item))
+            else:
+                out.append(sep)
+                _emit_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int):
+        # bool is an int: test for it first; int.__repr__ keeps the
+        # int-to-str digit limit.
+        out.append("true" if obj is True else "false" if obj is False else int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
     else:
         raise TypeError(f"a JSON report cannot hold {type(obj).__name__} {obj!r}")
 
@@ -448,8 +470,17 @@ def _parse_group(args) -> GroupSpec:
     return GroupSpec(args.p, int_list(args.lambdas, "--lambda"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, its subparsers' too, end in one
+    ``error:`` line and exit 2, as every other refusal does; --help prints
+    as argparse's does."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="punits",
         description="Structure of the normalized unit group V(Z_{p^e}G) "
         "of a finite abelian p-group, with exhaustive verification.",

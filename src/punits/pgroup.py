@@ -78,6 +78,25 @@ def checked_int(
     return value
 
 
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp > cap, for base >= 2, exp >= 0 and cap >= 0.
+
+    The bit lengths decide first: base**exp has more than exp(b - 1) and
+    at most exp*b bits, b the bit length of base.  So base**exp is built
+    only when that range holds cap's bit length, and then has fewer than
+    twice its bits; a huge exp costs nothing.
+
+    >>> power_exceeds(2, 20, 1 << 20), power_exceeds(3, 10 ** 30, 1 << 20)
+    (False, True)
+    """
+    bits, cap_bits = base.bit_length(), cap.bit_length()
+    if exp * (bits - 1) >= cap_bits:
+        return True  # base**exp >= 2^(exp(b - 1)) > cap
+    if exp * bits < cap_bits:
+        return False  # base**exp < 2^(exp b) <= 2^(cap_bits - 1) <= cap
+    return base**exp > cap
+
+
 def int_list(text: str, name: str) -> tuple[int, ...]:
     """The integers of a comma-separated list; a malformed one is refused
     with a message that names it (name is the flag or field it came from)."""
@@ -147,13 +166,10 @@ class GroupSpec:
 
     def order(self) -> int:
         """|G| as a plain integer; refuses to exceed GROUP_ORDER_CAP."""
-        n = self.p ** self.size_exp
-        if n > GROUP_ORDER_CAP:
-            raise ValueError(
-                f"|G| = {self.p}^{self.size_exp} exceeds the materialization "
-                f"cap {GROUP_ORDER_CAP}"
-            )
-        return n
+        p, m = self.p, self.size_exp
+        if power_exceeds(p, m, GROUP_ORDER_CAP):
+            raise ValueError(f"|G| = {p}^{m} exceeds the materialization cap {GROUP_ORDER_CAP}")
+        return p**m
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``p=2;lambda=2,1``."""

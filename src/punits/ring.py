@@ -24,6 +24,7 @@ from .pgroup import (
     int_list,
     is_prime,
     p_valuation,
+    power_exceeds,
     product_index_table,
     text_fields,
 )
@@ -62,9 +63,7 @@ class RingSpec:
 
     def __post_init__(self) -> None:
         e = checked_int(self.e, "e", 1)
-        # p >= 2, so any e past the cap's bit length is over the cap; testing
-        # that first keeps a huge e from being raised to a power.
-        if e >= RING_CHAR_CAP.bit_length() or self.group.p ** e > RING_CHAR_CAP:
+        if power_exceeds(self.group.p, e, RING_CHAR_CAP):
             raise ValueError(
                 f"characteristic {self.group.p}^{e} exceeds cap {RING_CHAR_CAP}"
             )

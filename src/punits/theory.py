@@ -11,22 +11,18 @@ minus the number of cyclic direct factors of order p^i of G itself, and
 l = |G| - 1 - sum(s_i).  The exhaustive oracle suite adjudicates these
 formulas on every desk-scale instance.
 
-The invariants come as (order_exp, multiplicity) pairs straight from these
-counts in O(lambda_1 * k) work; |G| is an exact integer here, never capped.
+The agemo orders come from one pass down the conjugate partition of
+lambda, and the invariants as (order_exp, multiplicity) pairs straight
+from these counts, in O(lambda_1 + k) steps on exact integers; |G| is
+never capped here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pgroup import (
-    GroupSpec,
-    agemo_order_exp,
-    cyclic_factor_count,
-    omega_order_exp,
-)
+from .pgroup import GroupSpec, checked_int, omega_order_exp
 
 # describe() writes a cyclic order p^k in decimal up to this k and as
 # ``p^k`` above it, so that a huge p^k is never built.
@@ -47,12 +43,13 @@ class AbelianInvariants:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        counts: Counter[int] = Counter()
+        counts: dict[int, int] = {}
         for exp, mult in self.entries:
             if exp < 0 or mult < 0:
                 raise ValueError("negative entry in abelian invariants")
             if exp > 0 and mult > 0:
-                counts[int(exp)] += int(mult)
+                exp = int(exp)
+                counts[exp] = counts.get(exp, 0) + int(mult)
         object.__setattr__(self, "entries", tuple(sorted(counts.items())))
 
     @classmethod
@@ -104,15 +101,27 @@ class AbelianInvariants:
 
 def v_order_exp(spec: GroupSpec, e: int) -> int:
     """m with |V(Z_{p^e}G)| = p^m, namely e(|G| - 1)."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    return e * (spec.p ** spec.size_exp - 1)
+    return checked_int(e, "e", 1) * (spec.p ** spec.size_exp - 1)
+
+
+def _agemo_sizes(spec: GroupSpec) -> list[int]:
+    """|G^{p^i}| for i = 0..n+1, n = lambda_1, in one pass down the conjugate
+    partition of lambda: |G^{p^{i-1}}| = |G^{p^i}| p^{#{j : lambda_j >= i}}."""
+    p, lams = spec.p, spec.lambdas
+    sizes = [1, 1]  # |G^{p^{n+1}}| and |G^{p^n}|
+    at_least = 0  # #{j : lambda_j >= i}; lambda is descending
+    for i in range(spec.exponent_exp, 0, -1):
+        while at_least < len(lams) and lams[at_least] >= i:
+            at_least += 1
+        sizes.append(sizes[-1] * p ** at_least)
+    sizes.reverse()
+    return sizes
 
 
 def p_rank_vzp(spec: GroupSpec) -> int:
     """p-rank of V(Z_p G): |G| - |G^p| as a plain integer."""
-    p = spec.p
-    return p ** spec.size_exp - p ** agemo_order_exp(spec, 1)
+    sizes = _agemo_sizes(spec)
+    return sizes[0] - sizes[1]
 
 
 def vzp_factor_counts(spec: GroupSpec) -> list[int]:
@@ -120,28 +129,28 @@ def vzp_factor_counts(spec: GroupSpec) -> list[int]:
 
     t_i = |G^{p^{i-1}}| - 2 |G^{p^i}| + |G^{p^{i+1}}| for i = 1..n.
     """
-    p, n = spec.p, spec.exponent_exp
-    sizes = [p ** agemo_order_exp(spec, i) for i in range(n + 2)]
-    counts = [sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, n + 1)]
-    if any(t < 0 for t in counts):
+    sizes = _agemo_sizes(spec)
+    counts = [
+        sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, spec.exponent_exp + 1)
+    ]
+    if min(counts) < 0:
         raise ArithmeticError(f"negative factor count for {spec}: {counts}")
-    if sum(counts) != p_rank_vzp(spec):
+    if sum(counts) != sizes[0] - sizes[1]:
         raise ArithmeticError("factor counts do not sum to the p-rank")
     return counts
 
 
 def s_and_l(spec: GroupSpec) -> tuple[tuple[int, ...], int]:
     """Complement data (s_1..s_n, l) of the decomposition V = G x L."""
-    counts = vzp_factor_counts(spec)
-    s = tuple(
-        t - cyclic_factor_count(spec, i) for i, t in enumerate(counts, start=1)
-    )
-    if any(si < 0 for si in s):
-        raise ArithmeticError(f"negative complement multiplicity for {spec}: {s}")
+    s = vzp_factor_counts(spec)
+    for lam in spec.lambdas:  # s_i = t_i - #{j : lambda_j = i}
+        s[lam - 1] -= 1
+    if min(s) < 0:
+        raise ArithmeticError(f"negative complement multiplicity for {spec}: {tuple(s)}")
     l = spec.p ** spec.size_exp - 1 - sum(s)
     if l < 0:
         raise ArithmeticError(f"negative l for {spec}")
-    return s, l
+    return tuple(s), l
 
 
 def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
@@ -153,19 +162,19 @@ def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
     >>> v_invariants(GroupSpec(2, (1,)), 3).entries
     ((1, 1), (2, 1))
     """
+    e = checked_int(e, "e", 1)
     return _v_invariants(spec, e, *s_and_l(spec))
 
 
 def _v_invariants(spec: GroupSpec, e: int, s: tuple[int, ...], l: int) -> AbelianInvariants:
-    """v_invariants from the complement data (s, l) of ``s_and_l(spec)``."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    """v_invariants from a checked e and the complement data (s, l) of
+    ``s_and_l(spec)``, whose l + sum(s) is |G| - 1."""
     inv = AbelianInvariants(
         tuple((lam, 1) for lam in spec.lambdas)
         + ((e - 1, l),)
         + tuple((i + e - 1, si) for i, si in enumerate(s, start=1))
     )
-    if inv.size_exp() != v_order_exp(spec, e):
+    if inv.size_exp() != e * (l + sum(s)):
         raise ArithmeticError(
             f"invariant size exponent {inv.size_exp()} != e(|G|-1) for {spec}, e={e}"
         )
@@ -179,9 +188,7 @@ def v_p_torsion_exp(spec: GroupSpec, e: int) -> int:
     |G[p]| * p^{|G|-1}; for e = 1 it is 1 + I(G[p]), of order
     p^{|G| - |G^p|}.
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if e == 1:
+    if checked_int(e, "e", 1) == 1:
         return p_rank_vzp(spec)
     return omega_order_exp(spec, 1) + spec.p ** spec.size_exp - 1
 
@@ -192,10 +199,8 @@ def dimension_subgroup(spec: GroupSpec, e: int, n: int) -> int:
     n = 1 gives the whole group; for n >= 2 the index is e + i where i is
     the unique integer with p^i < n <= p^{i+1}.
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    e = checked_int(e, "e", 1)
+    n = checked_int(n, "n", 1)
     if n == 1:
         return 0
     p = spec.p
@@ -223,14 +228,21 @@ class StructureReport:
 
 
 def structure_report(spec: GroupSpec, e: int) -> StructureReport:
+    """The closed forms of (G, e), all read off one ``s_and_l(spec)``:
+    l + sum(s) is |G| - 1, and sum(s) + k the p-rank sum(t) of V(Z_p G)."""
+    e = checked_int(e, "e", 1)
     s, l = s_and_l(spec)
+    s_total = sum(s)
+    size_less_one = l + s_total
+    p_rank = s_total + spec.k
     return StructureReport(
         group=spec,
         e=e,
         s=s,
         l=l,
         v_invariants=_v_invariants(spec, e, s, l),
-        v_order_exp=v_order_exp(spec, e),
-        v_p_torsion_exp=v_p_torsion_exp(spec, e),
-        p_rank=p_rank_vzp(spec),
+        v_order_exp=e * size_less_one,
+        # as v_p_torsion_exp: |G[p]| = p^k
+        v_p_torsion_exp=p_rank if e == 1 else spec.k + size_less_one,
+        p_rank=p_rank,
     )

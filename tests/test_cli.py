@@ -1,3 +1,4 @@
+import enum
 import functools
 import json
 import math
@@ -473,6 +474,49 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_subcommand_help_is_argparse_usage(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: punits {command} [-h]")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a value of the wrong type, on each subcommand
+            (("invariants", "--p", "2", "--lambda", "1", "--e", "x"),
+             "argument --e: invalid int value: 'x'"),
+            (("verify", "--p", "2", "--lambda", "1", "--e", "2", "--budget", "x"),
+             "argument --budget: invalid int value: 'x'"),
+            (("suite", "--workers", "2.5"), "argument --workers: invalid int value: '2.5'"),
+            (("order", "--p", "two", "--lambda", "1", "--e", "2", "--coeffs", "1,0"),
+             "argument --p: invalid int value: 'two'"),
+            (("reduce", "--p", "2", "--lambda", "1", "--e", "2", "--coeffs", "1,0", "--to", "x"),
+             "argument --to: invalid int value: 'x'"),
+            (("dimsub", "--p", "2", "--lambda", "1", "--e", "2", "--n", ""),
+             "argument --n: invalid int value: ''"),
+            (("invariants", "--p", "2", "--lambda", "1", "--e", "2", "--format", "xml"),
+             "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+            # a missing required flag; suite has none, so a flag without its value
+            (("invariants", "--p", "2", "--lambda", "1"),
+             "the following arguments are required: --e"),
+            (("verify", "--p", "2", "--e", "2"),
+             "the following arguments are required: --lambda"),
+            (("suite", "--config"), "argument --config: expected one argument"),
+            (("order", "--p", "2", "--lambda", "1", "--e", "2"),
+             "the following arguments are required: --coeffs"),
+            (("reduce", "--p", "2", "--lambda", "1", "--e", "2", "--coeffs", "1,0"),
+             "the following arguments are required: --to"),
+            (("dimsub", "--lambda", "1", "--e", "2", "--n", "2"),
+             "the following arguments are required: --p"),
+            ((), "the following arguments are required: command"),
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_composite_p(self, capsys):
         code, _, err = run(
             capsys, "invariants", "--p", "6", "--lambda", "1", "--e", "1",
@@ -515,6 +559,51 @@ class TestUsageErrors:
         assert err == f"error: {flag}: expected comma-separated integers, got {text!r}\n"
 
 
+# Inputs whose |G| = p^s has far more digits than the int-to-str limit
+# prints: each size test must decide from s alone, as building p^s would
+# take minutes or more memory than the child may have.
+_HUGE_ARGVS = [
+    ["invariants", "--p", "2", "--lambda", "4294967296", "--e", "2"],
+    ["invariants", "--p", "2", "--lambda", "99999999999999999999", "--e", "2"],
+    ["invariants", "--p", "7", "--lambda", "4294967296", "--e", "2"],
+    ["verify", "--p", "2", "--lambda", "4294967296", "--e", "2"],
+    ["order", "--p", "2", "--lambda", "4294967296", "--e", "2", "--coeffs", "1,1"],
+]
+
+# Run in a child, which caps its own address space at 1 GiB before it
+# imports punits, so that a regression fails the test, not the host.
+_REFUSE_IN_CHILD = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from punits.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, out.getvalue(), err.getvalue(), time.perf_counter() - start))
+print(json.dumps(results))
+"""
+
+
+def test_huge_groups_are_refused_at_once_under_an_address_space_limit():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSE_IN_CHILD, json.dumps(_HUGE_ARGVS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv, (code, out, err, seconds) in zip(_HUGE_ARGVS, json.loads(proc.stdout)):
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert seconds < 1, argv
+
+
 # Quotes, backslashes, control characters, non-ASCII in the BMP, astral
 # characters and a lone surrogate: every kind of escape the report can need.
 _JSON_TEXT = st.text(
@@ -544,9 +633,37 @@ def _report_observing(value) -> cli.InstanceReport:
     return cli.InstanceReport(group, 1, rep.v_order_exp, rep.v_invariants, (check,))
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 1 << 70
+
+
+class _Name(str):
+    pass
+
+
 class TestJsonEmitter:
     @given(_JSON_TREE)
     def test_matches_the_stdlib_rendering(self, obj):
+        assert cli._dump_json(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [True, False, None, 0, 1],
+            {"a": True, "b": [False], "c": {"d": True}},
+            _Level.HIGH,
+            [_Level.LOW, {"level": _Level.HIGH}],
+            _Name("x\u00e9"),
+            {"name": _Name("y"), _Name("key"): [_Name("z\n")]},
+            (True, ("x", 1)),
+        ],
+        ids=["bools-in-a-list", "bools-in-dicts", "int-enum", "int-enums-inside",
+             "str-subclass", "str-subclasses-inside", "tuples"],
+    )
+    def test_subclasses_of_int_and_str_match_the_stdlib_rendering(self, obj):
+        # Only exact int and str children are written inline; these take
+        # the isinstance tests and must still render as the stdlib does.
         assert cli._dump_json(obj) == stdlib_json(obj)
 
     @pytest.mark.parametrize(

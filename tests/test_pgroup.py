@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from punits.pgroup import (
     is_prime,
     mod_in_place,
     omega_order_exp,
+    power_exceeds,
     power_indices,
     product_index_table,
     radix_decode,
@@ -79,6 +81,32 @@ class TestGroupSpec:
         message = "lambda: expected comma-separated integers, got '1,,2'"
         with pytest.raises(ValueError, match=message):
             GroupSpec.from_text("p=2;lambda=1,,2")
+
+
+class TestPowerExceeds:
+    @given(st.integers(2, 1000), st.integers(0, 200), st.integers(0, 1 << 300))
+    def test_agrees_with_the_built_power(self, base, exp, cap):
+        assert power_exceeds(base, exp, cap) == (base**exp > cap)
+
+    @pytest.mark.parametrize("base", [2, 3, 1 << 64, 10])
+    def test_boundaries(self, base):
+        for exp in range(8):
+            power = base**exp
+            assert not power_exceeds(base, exp, power)
+            assert power_exceeds(base, exp, power - 1)
+
+    def test_huge_exponent_costs_nothing(self):
+        start = time.perf_counter()
+        assert power_exceeds(2, 1 << 40, 1 << 20)
+        assert power_exceeds(7, 10 ** 20, 10 ** 4300)
+        assert not power_exceeds(2, 20, 1 << 20)
+        assert time.perf_counter() - start < 0.1
+
+    def test_order_refuses_huge_groups_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="materialization cap"):
+            GroupSpec(2, (1 << 40,)).order()
+        assert time.perf_counter() - start < 0.1
 
 
 def _trial_division(n: int) -> bool:

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from punits import theory
-from punits.pgroup import GroupSpec
+from punits.pgroup import GroupSpec, agemo_order_exp, cyclic_factor_count, omega_order_exp
 from punits.theory import (
     AbelianInvariants,
     dimension_subgroup,
@@ -242,3 +242,44 @@ class TestStructureReport:
         spec = GroupSpec(3, (2, 1))
         assert structure_report(spec, 3).v_invariants == v_invariants(spec, 3)
         assert calls == [spec, spec]  # one per call above
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: v_invariants(spec, True),
+        lambda spec: v_order_exp(spec, 2.5),
+        lambda spec: dimension_subgroup(spec, 1, 1.5),
+        lambda spec: structure_report(spec, "2"),
+        lambda spec: v_p_torsion_exp(spec, 0),
+    ],
+    ids=["bool-e", "float-e", "float-n", "str-e", "zero-e"],
+)
+def test_e_and_n_must_be_ints_of_at_least_one(call):
+    with pytest.raises(ValueError):
+        call(GroupSpec(2, (2, 1)))
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+    lams=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    e=st.integers(1, 4),
+)
+def test_one_pass_equals_the_definitional_sums(p, lams, e):
+    # The one pass down the conjugate partition against each agemo order
+    # and factor count summed from its definition, also on groups far past
+    # the materialization cap.
+    spec = GroupSpec(p, tuple(lams))
+    n = spec.exponent_exp
+    sizes = [p ** agemo_order_exp(spec, i) for i in range(n + 2)]
+    t = [sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, n + 1)]
+    s = tuple(t[i - 1] - cyclic_factor_count(spec, i) for i in range(1, n + 1))
+    l = p ** spec.size_exp - 1 - sum(s)
+    assert vzp_factor_counts(spec) == t
+    assert s_and_l(spec) == (s, l)
+    assert p_rank_vzp(spec) == sizes[0] - sizes[1]
+    rep = structure_report(spec, e)
+    assert (rep.s, rep.l, rep.p_rank) == (s, l, sizes[0] - sizes[1])
+    assert rep.v_order_exp == e * (p ** spec.size_exp - 1)
+    torsion = rep.p_rank if e == 1 else omega_order_exp(spec, 1) + p ** spec.size_exp - 1
+    assert rep.v_p_torsion_exp == torsion == v_p_torsion_exp(spec, e)

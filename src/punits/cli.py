@@ -37,12 +37,12 @@ from typing import Optional, Sequence
 
 from . import theory
 from .oracle import (
-    CHECK_IDS,
     DEFAULT_BUDGET,
     SEED_MAX,
     BudgetExceededError,
     Units,
     VerificationReport,
+    _lookup,
     plan_checks,
     unplanned_reason,
     verify_check,
@@ -111,7 +111,9 @@ class SuiteInstance:
 @dataclass(frozen=True)
 class SuiteConfig:
     """A validated suite run.  ``checks`` None means every applicable check;
-    a check listed explicitly must be planned on at least one instance."""
+    else it is a nonempty list of ids, each of which ``run_suite`` reads
+    through ``oracle._lookup``, the one refusal of an unknown id, and must
+    plan on at least one instance."""
 
     instances: tuple[SuiteInstance, ...]
     checks: Optional[tuple[str, ...]] = None
@@ -129,9 +131,6 @@ class SuiteConfig:
                 raise ValueError(
                     f"checks must be a nonempty list of check ids, got {self.checks!r}"
                 )
-            unknown = [c for c in self.checks if c not in CHECK_IDS]
-            if unknown:
-                raise ValueError(f"unknown check ids: {', '.join(map(repr, unknown))}")
             object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "budget", checked_int(self.budget, "budget", 1))
         object.__setattr__(self, "workers", checked_int(self.workers, "workers", 1))
@@ -266,13 +265,17 @@ def _emit_json(obj, out: list[str], newline: str) -> None:
         raise TypeError(f"a JSON report cannot hold {type(obj).__name__} {obj!r}")
 
 
+def _tally(reports: Sequence[InstanceReport]) -> tuple[int, int]:
+    """(checks, failures) over the reports: the one count behind the JSON
+    summary, suite's summary line and the exit code."""
+    checks = [c for r in reports for c in r.checks]
+    return len(checks), sum(not c.passed for c in checks)
+
+
 def emit_report(reports: Sequence[InstanceReport], fmt: str = "json") -> str:
     """Serialize instance reports; JSON is byte-stable, text is for humans."""
     if fmt == "json":
-        total = sum(len(r.checks) for r in reports)
-        failures = sum(
-            1 for r in reports for c in r.checks if not c.passed
-        )
+        total, failures = _tally(reports)
         payload = {
             "instances": [_instance_to_json(r) for r in reports],
             "summary": {
@@ -400,9 +403,10 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
     pool process that dies raises OSError.
 
     Raises ValueError, naming why, before any check runs when a check
-    listed explicitly in ``config.checks`` is planned on no instance.
+    listed explicitly in ``config.checks`` is unknown (``oracle._lookup``)
+    or planned on no instance.
     """
-    enabled = None if config.checks is None else set(config.checks)
+    enabled = None if config.checks is None else {_lookup(c).id for c in config.checks}
     rings = [
         None if inst.formula_only else RingSpec(inst.group, inst.e)
         for inst in config.instances
@@ -521,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_invariants(args) -> int:
     group = _parse_group(args)
-    _check_printable(group, args.e)
+    SuiteInstance(group, args.e)  # validates e and refuses what cannot print
     rep = structure_report(group, args.e)
     instance = InstanceReport(
         group=group,
@@ -557,17 +561,16 @@ def _run_config(args, config: SuiteConfig) -> int:
     flags = {name: getattr(args, name) for name in ("budget", "workers", "seed", "out")}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     reports = run_suite(config)
+    total, failures = _tally(reports)
     text = payload = emit_report(reports, "json")
     if config.out:
         _write_atomic(config.out, payload)
     if getattr(args, "format", "json") == "text":
         text = emit_report(reports, "text")
     elif args.command == "suite" and config.out:
-        failures = sum(1 for r in reports for c in r.checks if not c.passed)
-        total = sum(len(r.checks) for r in reports)
         text = f"{len(reports)} instances, {total} checks, {failures} failures -> {config.out}\n"
     sys.stdout.write(text)
-    return 0 if all(r.all_pass() for r in reports) else 1
+    return 1 if failures else 0
 
 
 def _cmd_verify(args) -> int:

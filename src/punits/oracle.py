@@ -26,12 +26,12 @@ im chi^{m+1} = chi(im chi^m) being cleared and set inside im chi^m, which
 only shrinks (``_image_sets``).  The census checks |ker chi| |im chi| = N
 once and raises ArithmeticError if that fails.  The torsion checks
 (theorem1, lemma4) decode only the representatives of V[p], in one call
-(``Units.p_torsion``); besides the map, lemma5's ``Units.scan`` is the
-only pass over blocks of V.  The
-oracle does not rely on the lemma it verifies: each e >= 2 instance first powers the
-p^{|G|-1} elements of K, and if any k^p != 1 the base is the ring itself
-(as at e = 1), where ``chi`` is phi and each unit stands for itself.  At
-e = 1 (characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
+(``Units.p_torsion``); besides the map, lemma5's layer count is the only
+pass over blocks of V.  The oracle does not rely on the lemma it
+verifies: each e >= 2 instance first powers the p^{|G|-1} elements of K,
+and if any k^p != 1 the base is the ring itself (as at e = 1), where
+``chi`` is phi and each unit stands for itself.  At e = 1 (characteristic
+p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
 
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
@@ -77,11 +77,13 @@ from .pgroup import (
     checked_int,
     gather_table,
     mod_in_place,
+    over_table_cap,
     p_valuation,
     power_indices,
     radix_decode,
     radix_encode,
     socle_indices,
+    table_order,
 )
 from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
@@ -323,17 +325,6 @@ class Units:
         pm = self.power_map
         return _units_at(pm.base, np.flatnonzero(pm.one), self.rs.modulus)
 
-    def scan(self, count: Callable) -> list[int]:
-        """Sum of count(block) over blocks of the units of V, one per column.
-        count returns a fixed-length sequence of counts."""
-        rs = self.rs
-        _require_budget(rs, self.budget)
-        parts = [
-            count(_units_at(rs, np.arange(lo, hi, dtype=np.int64)))
-            for lo, hi in _blocks(unit_count(rs))
-        ]
-        return np.sum(parts, axis=0).tolist()
-
     def census(self) -> OrderHistogram:
         """Exact-order census of V from the sizes of the kernels of phi^m.
 
@@ -547,25 +538,25 @@ def _check_lemma4(units: Units, params, seed):
 def _check_lemma5(units: Units, params, seed):
     rs = units.rs
     p = rs.p
+    _require_budget(rs, units.budget)
 
     nu = nilpotency_index(rs)
     forms = [ideal_power_form(rs, m) for m in range(1, nu + 1)]  # w^nu = 0
     size_exps = [H.size_exp for H in forms]
 
-    def scan(block):
-        # 1 + w^{m+1} lies in 1 + w^m, so only the members of one layer
-        # are tested against the next.  A layer that keeps every column
-        # (1 + w keeps all of V) is not copied.
-        block[0] -= 1  # u - 1, in place: contains reduces it mod q
-        vecs, counts = block, []
-        for H in forms:
+    # totals[m - 1] = |1 + w^m|, counted over blocks of V.  1 + w^{m+1}
+    # lies in 1 + w^m, so only the members of one layer are tested against
+    # the next.  A layer that keeps every column (1 + w keeps all of V) is
+    # not copied.
+    totals = [0] * nu
+    for lo, hi in _blocks(unit_count(rs)):
+        vecs = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
+        vecs[0] -= 1  # u - 1, in place: contains reduces it mod q
+        for m, H in enumerate(forms):
             member = H.contains(vecs)
             if not member.all():
                 vecs = vecs[:, member]
-            counts.append(vecs.shape[1])
-        return counts
-
-    totals = units.scan(scan)
+            totals[m] += vecs.shape[1]
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:
@@ -795,10 +786,12 @@ class Check:
     which a check that draws at random derives its own (``_derive_seed``).
     A check takes at most one parameter, ``param``, a positive int.
     ``requires`` is the mathematical precondition on (ring, params), read
-    only after that; ``requirement`` states it.  The planner adds two
-    limits: an enumerative check scans all of V, so |V| must fit the
-    budget, and ``cap`` = (max |G|, max e) keeps the plan desk-scale.  A
-    check with a ``param`` is planned once per value in ``param_range(rs)``.
+    only after that; ``requirement`` states it.  Every check reads the
+    |G| x |G| gather table, so none runs past the dense table cap
+    (``pgroup.over_table_cap``).  The planner adds two limits: an
+    enumerative check scans all of V, so |V| must fit the budget, and
+    ``cap`` = (max |G|, max e) keeps the plan desk-scale.  A check with a
+    ``param`` is planned once per value in ``param_range(rs)``.
     """
 
     id: str
@@ -811,10 +804,14 @@ class Check:
     param_range: Callable[[RingSpec], range] = lambda rs: range(0)
 
     def require(self, rs: RingSpec, params: Optional[dict]) -> dict:
-        """The params the check runs with on rs, or ValueError naming the
-        check: the keys must be exactly ``param`` (none without one), its
-        value an int >= 1 (a numpy integer is read as an int; a bool, float
-        or str is refused), and ``requires`` must hold."""
+        """The params the check runs with on rs, or ValueError: the one gate
+        of a check's call.  G must lie within the dense table cap
+        (``pgroup.table_order``, which decides a huge |G| from its exponent,
+        before any table or power of p is built).  The keys must be exactly
+        ``param`` (none without one), its value an int >= 1 (a numpy integer
+        is read as an int; a bool, float or str is refused), and
+        ``requires`` must hold; these refusals name the check."""
+        table_order(rs.group)
         params, names = params or {}, () if self.param is None else (self.param,)
         if tuple(params) != names:
             want = f"one parameter, {self.param}" if self.param else "no parameter"
@@ -859,8 +856,9 @@ CHECK_IDS = tuple(sorted(CHECKS))
 
 
 def _lookup(check: str) -> Check:
-    """The registry's entry for a check id, or ValueError naming it."""
-    if check not in CHECKS:
+    """The registry's entry for a check id, or ValueError naming it: the one
+    refusal of an unknown id (of any type; no hash is taken before it)."""
+    if check not in CHECK_IDS:
         raise ValueError(f"unknown check id {check!r}; known: {', '.join(CHECK_IDS)}")
     return CHECKS[check]
 
@@ -889,12 +887,13 @@ def verify_check(
     seed: int = 0,
 ) -> VerificationReport:
     """Run one named check; verdict is exact predicted == observed.  A bare
-    RingSpec is checked through a one-shot Units.  ``params`` pass
-    ``Check.require``, which refuses, with a ValueError naming the check,
-    a missing or stray key, a value that is no int >= 1 and a precondition
-    that fails; the check, its id and its seed read what it returns.
-    ``seed`` must lie in [0, SEED_MAX]; the report carries the seed
-    derived from it."""
+    RingSpec is checked through a one-shot Units.  An unknown id is refused
+    by ``_lookup``; the ring and ``params`` pass ``Check.require``, which
+    refuses, with a ValueError, a G past the dense table cap before any
+    work, and, naming the check, a missing or stray key, a value that is
+    no int >= 1 and a precondition that fails; the check, its id and its
+    seed read what it returns.  ``seed`` must lie in [0, SEED_MAX]; the
+    report carries the seed derived from it."""
     if isinstance(rs_or_units, Units):
         units = rs_or_units
     else:
@@ -921,7 +920,7 @@ def verify_check(
 def unplanned_reason(check: str, rs: RingSpec, budget: int) -> Optional[str]:
     """Why plan_checks plans no case of check on rs, or None if it does."""
     c = _lookup(check)
-    if rs.size > DENSE_TABLE_CAP:
+    if over_table_cap(rs.group):
         return f"|G| = {rs.size} > {DENSE_TABLE_CAP}, the dense table cap"
     if c.cap and not (rs.size <= c.cap[0] and rs.e <= c.cap[1]):
         return f"capped at |G| <= {c.cap[0]}, e <= {c.cap[1]}"

@@ -323,12 +323,18 @@ def _coordinatewise(spec: GroupSpec, digits: Callable) -> np.ndarray:
     return radix_encode(map(digits, coords, spec.radices), spec.radices)
 
 
+def over_table_cap(spec: GroupSpec) -> bool:
+    """Whether G is too large for a dense |G| x |G| index table: |G| >
+    DENSE_TABLE_CAP.  |G| is read by ``order``, which refuses one past the
+    materialization cap from its exponent, so this never builds a huge |G|."""
+    return spec.order() > DENSE_TABLE_CAP
+
+
 def table_order(spec: GroupSpec) -> int:
     """|G| for a dense |G| x |G| index table; refuses |G| over the cap."""
-    order = spec.order()
-    if order > DENSE_TABLE_CAP:
-        raise ValueError(f"|G| = {order} exceeds the dense table cap {DENSE_TABLE_CAP}")
-    return order
+    if over_table_cap(spec):
+        raise ValueError(f"|G| = {spec.order()} exceeds the dense table cap {DENSE_TABLE_CAP}")
+    return spec.order()
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,17 @@ by case instead of lemma2's batched columns, the translates of all of
 G[p] instead of those of a basis, and the order census by gathering the
 kernel mask along the power map once per exponent instead of reading
 fibre sizes off its images.
+
+``alarm`` bounds the wall time of a call that must refuse at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
+import signal
 
 import numpy as np
 
@@ -278,3 +282,27 @@ def legendre_binomial_valuation(p: int, top: int, j: int) -> int:
         return total
 
     return fact_val(top) - fact_val(j) - fact_val(top - j)
+
+
+class Hang(BaseException):
+    """Raised by ``alarm``.  Not an Exception, so no handler of the code
+    under test turns it into a result (``cli.main`` catches OSError, and
+    TimeoutError is one)."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Raise Hang in the block once it has run for ``seconds`` of wall time.
+    A signal is handled between bytecodes, so one long C call, such as a
+    huge power, is interrupted only when it returns."""
+
+    def fire(signum, frame):
+        raise Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,8 +1,11 @@
+import contextlib
 import enum
 import functools
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from punits import cli, oracle, theory
@@ -27,7 +30,7 @@ from punits.cli import (
 from punits.pgroup import GroupSpec
 from punits.ring import RingSpec
 
-from .helpers import partitions
+from .helpers import alarm, partitions
 
 
 def run(capsys, *argv):
@@ -568,6 +571,7 @@ _HUGE_ARGVS = [
     ["invariants", "--p", "7", "--lambda", "4294967296", "--e", "2"],
     ["verify", "--p", "2", "--lambda", "4294967296", "--e", "2"],
     ["order", "--p", "2", "--lambda", "4294967296", "--e", "2", "--coeffs", "1,1"],
+    ["dimsub", "--p", "3", "--lambda", "4294967296", "--e", "2", "--n", "2", "--oracle"],
 ]
 
 # Run in a child, which caps its own address space at 1 GiB before it
@@ -870,6 +874,7 @@ class TestMalformedInput:
         "config",
         [
             {"instances": [_ONE], "checks": ["theorm2"]},
+            {"instances": [_ONE], "checks": [["theorem2"]]},
             {"instances": [_ONE], "checks": "theorem2"},
             {"instances": [_ONE], "checks": []},
             {"instances": [{**_ONE, "formula_only": "false"}]},
@@ -961,6 +966,14 @@ class TestMalformedInput:
         assert err.startswith("error: seed must be ") and err.count("\n") == 1
         assert not run_suite.called
 
+    def test_unknown_check_is_refused_with_no_instance_to_plan(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        config = {"instances": [{**_ONE, "formula_only": True}], "checks": ["lemma1"]}
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "suite", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "unknown check" in err and err.startswith("error: ") and err.count("\n") == 1
+
     def test_python_dash_m_entry_point(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text(json.dumps({"instances": [3]}))
@@ -985,3 +998,125 @@ class TestMalformedInput:
         code, out, _ = run(capsys, "suite", "--config", str(path))
         assert code == 0
         assert json.loads(out)["summary"]["total_checks"] == 1
+
+
+# The CLI fuzz: an argv names one subcommand and one of a few instances,
+# and takes each flag's value from the instance or the flag's pool or, one
+# time in five, from a pool of hostile values.  suite always gets a
+# --config, so no argv runs the whole default catalog, and every instance
+# here is small enough that each valid call ends in well under a second.
+_HOSTILE = ["0", "-1", "-7", "1.5", "", "x", "xml", "1e3", "1,,2", ",", "4294967296",
+            "99999999999999999999", str(2 ** 89 - 1)]
+# (--p, --lambda, --e, |G|): |G| = 2048 is past the dense table cap, and
+# 2^61 - 1 a prime past the characteristic cap, whose ring is refused before
+# any --coeffs are read (so its 1 only sizes them).
+_FUZZ_INSTANCES = [("2", "1", "2", 2), ("3", "1", "2", 3), ("2", "1,1", "1", 4),
+                   ("2", "2,1", "3", 8), ("5", "1", "1", 5), ("2", "1", "31", 2),
+                   ("2", "11", "2", 2048), (str(2 ** 61 - 1), "1", "1", 1)]
+_FLAG_POOLS = {
+    "--checks": [*oracle.CHECK_IDS, "theorem2,lemma3", "lemma9,lemma9", "lemma1"],
+    "--budget": ["4194304", "80"],
+    "--workers": ["1", "2"],
+    "--seed": ["0", "5", str(1 << 32)],
+    "--format": ["json", "text"],
+    "--to": ["1", "2"],
+    "--n": ["2", "1", "9"],
+}
+_INSTANCE_FLAGS = ("--p", "--lambda", "--e")
+_RUN_FLAGS = ("--budget", "--workers", "--seed", "--out")
+# Each subcommand's (required, optional) flags.
+_SUBCOMMANDS = {
+    "invariants": (_INSTANCE_FLAGS, ("--format",)),
+    "verify": (_INSTANCE_FLAGS, ("--checks", *_RUN_FLAGS, "--format")),
+    "suite": ((), _RUN_FLAGS),
+    "order": ((*_INSTANCE_FLAGS, "--coeffs"), ("--format",)),
+    "reduce": ((*_INSTANCE_FLAGS, "--coeffs", "--to"), ()),
+    "dimsub": ((*_INSTANCE_FLAGS, "--n"), ("--oracle",)),
+}
+# Suite configs by file name; "checks" names checks explicitly.
+_FUZZ_CONFIGS = {
+    "plain.json": {"instances": [_ONE, {"group": "p=3;lambda=1", "e": 1,
+                                        "formula_only": True}]},
+    "named.json": {"instances": [_ONE], "checks": ["theorem1", "lemma9"]},
+    "unplanned.json": {"instances": [{**_ONE, "e": 1}], "checks": ["theorem1"]},
+    "unknown.json": {"instances": [{**_ONE, "formula_only": True}], "checks": ["lemma1"]},
+}
+_REPORT_LINE = re.compile(r"  ([a-z0-9]+)(?::\S+)?: (?:pass|fail)  \(")
+
+
+@st.composite
+def _fuzz_argvs(draw, directory):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    required, optional = _SUBCOMMANDS[command]
+    p, lambdas, e, size = draw(st.sampled_from(_FUZZ_INSTANCES))
+    units = [",".join(["1"] + ["0"] * (size - 1)), ",".join(["0", "1"] + ["0"] * (size - 2))]
+    pools = {**_FLAG_POOLS, "--p": [p], "--lambda": [lambdas], "--e": [e],
+             "--coeffs": [*units, ",".join(["2"] + ["0"] * (size - 1))]}
+    argv = [command]
+    if command == "suite":
+        names = [*_FUZZ_CONFIGS, "missing.json", ""]
+        argv += ["--config", str(directory / draw(st.sampled_from(names)))]
+    for flag in required + optional:
+        # A required flag is left out one time in twenty, an optional one
+        # about half the time.
+        if draw(st.integers(0, 19)) >= (19 if flag in required else 10):
+            continue
+        if flag == "--oracle":
+            argv.append(flag)
+        elif flag == "--out":
+            name = draw(st.sampled_from(["out.json", "missing/out.json", ""]))
+            argv += [flag, str(directory / name) if name else ""]
+        else:
+            hostile = draw(st.integers(0, 4)) == 4
+            argv += [flag, draw(st.sampled_from(_HOSTILE if hostile else pools[flag]))]
+    return argv
+
+
+def _named_checks(argv, directory) -> set[str]:
+    """The check ids that argv names explicitly, by --checks or its config."""
+    if "--checks" in argv:
+        return set(argv[argv.index("--checks") + 1].split(","))
+    if "--config" in argv:
+        name = os.path.relpath(argv[argv.index("--config") + 1], directory)
+        return set(_FUZZ_CONFIGS.get(name, {}).get("checks", ()))
+    return set()
+
+
+def _reported_checks(out: str, directory) -> set[str]:
+    """The check ids of the report that out prints or, for suite's summary
+    line, names."""
+    if out.startswith("{"):
+        payload = json.loads(out)
+    elif " -> " in out:
+        payload = json.loads((directory / "out.json").read_text())
+    else:
+        return set(_REPORT_LINE.findall(out))
+    return {c["id"].split(":")[0] for r in payload["instances"] for c in r["checks"]}
+
+
+def test_cli_fuzz(tmp_path):
+    # Every call ends in exit 0, 1 or 2; exit 2 exactly when stderr is one
+    # error line; no traceback; and a check named explicitly appears in any
+    # report printed, so one planned nowhere prints none.
+    for name, config in _FUZZ_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+
+    @settings(max_examples=300)
+    @example(["dimsub", "--p", "3", "--lambda", "4294967296", "--e", "2", "--n", "2",
+              "--oracle"])
+    @given(_fuzz_argvs(tmp_path))
+    def call(argv):
+        (tmp_path / "out.json").unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert (code == 2) == (err.startswith("error: ") and err.count("\n") == 1), argv
+        assert "Traceback" not in out + err, argv
+        if code == 2:
+            assert out == "", argv
+        elif named := _named_checks(argv, tmp_path):
+            assert named <= _reported_checks(out, tmp_path), argv
+
+    call()

@@ -29,7 +29,7 @@ from punits.pgroup import GroupSpec, gather_table
 from punits.ring import RingSpec, unit_order
 from punits.theory import AbelianInvariants, v_invariants, v_order_exp
 
-from .helpers import partitions, random_normalized_unit
+from .helpers import alarm, partitions, random_normalized_unit
 
 Z2C2 = RingSpec(GroupSpec(2, (1,)), 1)
 Z4C2 = RingSpec(GroupSpec(2, (1,)), 2)
@@ -333,6 +333,13 @@ class TestChecks:
     def test_unknown_check_id(self):
         with pytest.raises(ValueError):
             verify_check("lemma1", Z4C2)
+
+    @pytest.mark.parametrize("check, params", [("lemma3", {"n": 2}), ("lemma5", None)])
+    def test_huge_group_is_refused_at_once(self, check, params):
+        # |G| = 3^(2^32): the gate decides from the exponent, before the
+        # ideal chain builds G's radices.
+        with alarm(5), pytest.raises(ValueError, match="materialization cap"):
+            verify_check(check, RingSpec(GroupSpec(3, (2 ** 32,)), 2), params)
 
     def test_check_requirements(self):
         with pytest.raises(ValueError):

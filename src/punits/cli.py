@@ -48,7 +48,7 @@ from .oracle import (
     verify_check,
 )
 from .pgroup import GroupSpec, checked_int, int_list, p_valuation, power_exceeds
-from .ring import RingElement, RingSpec, is_normalized_unit, reduce_mod, unit_order
+from .ring import RingElement, RingSpec, reduce_mod, unit_order
 from .theory import AbelianInvariants, structure_report
 
 
@@ -584,28 +584,23 @@ def _cmd_suite(args) -> int:
     )
 
 
+def _parse_element(args) -> RingElement:
+    """The element of Z_{p^e}G given by --p, --lambda, --e and --coeffs."""
+    return RingElement(RingSpec(_parse_group(args), args.e), int_list(args.coeffs, "--coeffs"))
+
+
 def _cmd_order(args) -> int:
-    group = _parse_group(args)
-    rs = RingSpec(group, args.e)
-    coeffs = int_list(args.coeffs, "--coeffs")
-    element = RingElement(rs, coeffs)
-    if not is_normalized_unit(element):
-        raise ValueError("element is not a normalized unit (augmentation != 1)")
-    order = unit_order(element)
+    element = _parse_element(args)
+    order, p = unit_order(element), element.spec.p  # unit_order refuses a non-unit
     if args.format == "json":
-        exp = p_valuation(order, group.p)
-        sys.stdout.write(_dump_json({"order": {"base": group.p, "exp": exp}}))
+        sys.stdout.write(_dump_json({"order": {"base": p, "exp": p_valuation(order, p)}}))
     else:
         print(order)
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    group = _parse_group(args)
-    rs = RingSpec(group, args.e)
-    coeffs = int_list(args.coeffs, "--coeffs")
-    element = RingElement(rs, coeffs)
-    print(reduce_mod(element, args.to).to_text())
+    print(reduce_mod(_parse_element(args), args.to).to_text())
     return 0
 
 

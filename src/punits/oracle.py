@@ -75,6 +75,7 @@ from .pgroup import (
     DENSE_TABLE_CAP,
     GroupSpec,
     checked_int,
+    checked_prime,
     gather_table,
     mod_in_place,
     over_table_cap,
@@ -127,7 +128,9 @@ def unit_count(rs: RingSpec) -> int:
 
 
 def _over_budget(rs: RingSpec, budget: int) -> Optional[str]:
-    """Why V cannot be enumerated under the budget, or None if it can."""
+    """Why V cannot be enumerated under the budget, an int >= 1, or None if
+    it can."""
+    budget = checked_int(budget, "budget", 1)
     n, head = unit_count(rs), f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds"
     if n > budget:
         return f"{head} the enumeration budget {budget}"
@@ -427,6 +430,7 @@ def invariants_from_histogram(h: OrderHistogram, p: int) -> theory.AbelianInvari
     of C_{p^i} is 2*ell_i - ell_{i-1} - ell_{i+1} (ell held constant past
     the top exponent).  Exact for finite abelian p-groups.
     """
+    p = checked_prime(p)
     counts = h.as_dict()
     if counts.get(0) != 1:
         raise ValueError("histogram must contain exactly one element of order 1")
@@ -451,6 +455,7 @@ def invariants_from_histogram(h: OrderHistogram, p: int) -> theory.AbelianInvari
 
 def synthetic_census(inv: theory.AbelianInvariants, p: int) -> OrderHistogram:
     """Order census of an abelian p-group given by its invariants."""
+    p = checked_prime(p)
     top = inv.exponent_exp()
     cum = [
         p ** sum(min(e, i) * m for e, m in inv.entries) for i in range(top + 1)
@@ -921,8 +926,8 @@ def unplanned_reason(check: str, rs: RingSpec, budget: int) -> Optional[str]:
     """Why plan_checks plans no case of check on rs, or None if it does."""
     c = _lookup(check)
     if over_table_cap(rs.group):
-        return f"|G| = {rs.size} > {DENSE_TABLE_CAP}, the dense table cap"
-    if c.cap and not (rs.size <= c.cap[0] and rs.e <= c.cap[1]):
+        return f"|G| = {rs.p}^{rs.group.size_exp} > {DENSE_TABLE_CAP}, the dense table cap"
+    if c.cap and not (table_order(rs.group) <= c.cap[0] and rs.e <= c.cap[1]):
         return f"capped at |G| <= {c.cap[0]}, e <= {c.cap[1]}"
     if c.enumerative and (over := _over_budget(rs, budget)):
         return over

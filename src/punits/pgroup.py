@@ -8,7 +8,15 @@ provides the arithmetic and the counting formulas for the power subgroups
 order dividing p^i).
 
 Orders of groups and subgroups are carried as p-adic exponents.  Plain
-magnitudes are materialized only below :data:`GROUP_ORDER_CAP`.
+magnitudes are materialized only below :data:`GROUP_ORDER_CAP`, and a size
+past a cap is decided from its exponent (``power_exceeds``) and named as
+``p^m`` in the refusal.
+
+Each input rule is stated once, here or in ``ring``, and every public entry
+reads that statement: ``checked_int`` takes an int (a numpy integer is read
+as one; a bool, float or str is refused, never coerced) within bounds,
+``checked_prime`` a prime p, ``residues`` a vector of ints mod q, and
+``ring.checked_modulus_exp`` an e with 1 <= e and p^e <= ``RING_CHAR_CAP``.
 
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -70,12 +79,27 @@ def checked_int(
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
+        value = operator.index(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def checked_prime(p) -> int:
+    """p as an int, or ValueError unless it is a prime (decided below 2^64,
+    ``is_prime``)."""
+    p = checked_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
+
+
+def residues(values, q: int, name: str) -> tuple[int, ...]:
+    """Each of values, an int (``checked_int``; an exact int takes no call),
+    reduced into [0, q)."""
+    return tuple((v if type(v) is int else checked_int(v, name)) % q for v in values)
 
 
 def power_exceeds(base: int, exp: int, cap: int) -> bool:
@@ -134,9 +158,7 @@ class GroupSpec:
     lambdas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = checked_int(self.p, "p")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        p = checked_prime(self.p)
         if not isinstance(self.lambdas, (list, tuple)) or not self.lambdas:
             raise ValueError(f"lambda must be a nonempty list, got {self.lambdas!r}")
         lams = tuple(
@@ -201,23 +223,19 @@ def text_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:
 
 def agemo_order_exp(spec: GroupSpec, i: int) -> int:
     """m with |G^{p^i}| = p^m, namely sum_j max(lambda_j - i, 0)."""
-    if i < 0:
-        raise ValueError("i must be nonnegative")
+    i = checked_int(i, "i", 0)
     return sum(max(l - i, 0) for l in spec.lambdas)
 
 
 def omega_order_exp(spec: GroupSpec, i: int) -> int:
     """m with |G[p^i]| = p^m, namely sum_j min(lambda_j, i)."""
-    if i < 0:
-        raise ValueError("i must be nonnegative")
+    i = checked_int(i, "i", 0)
     return sum(min(l, i) for l in spec.lambdas)
 
 
 def cyclic_factor_count(spec: GroupSpec, i: int) -> int:
     """Number of cyclic direct factors of order exactly p^i."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return spec.lambdas.count(i)
+    return spec.lambdas.count(checked_int(i, "i", 1))
 
 
 def identity(spec: GroupSpec) -> GroupElement:
@@ -226,7 +244,7 @@ def identity(spec: GroupSpec) -> GroupElement:
 
 def element(spec: GroupSpec, exponents) -> GroupElement:
     """Build a reduced element tuple, validating the length."""
-    exps = tuple(int(x) for x in exponents)
+    exps = tuple(checked_int(x, "exponent") for x in exponents)
     if len(exps) != spec.k:
         raise ValueError(f"expected {spec.k} exponents, got {len(exps)}")
     return tuple(x % r for x, r in zip(exps, spec.radices))
@@ -238,8 +256,7 @@ def element_mul(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupEleme
 
 def element_pow(spec: GroupSpec, g: GroupElement, m: int) -> GroupElement:
     """g^m by componentwise multiplication of exponents."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = checked_int(m, "m", 0)
     return tuple((m * a) % r for a, r in zip(g, spec.radices))
 
 
@@ -312,6 +329,7 @@ def element_index(spec: GroupSpec, g: GroupElement) -> int:
 
 
 def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
+    idx = checked_int(idx, "index", 0, spec.order() - 1)
     return tuple(radix_decode(idx, spec.radices, [0] * spec.k))
 
 
@@ -324,17 +342,19 @@ def _coordinatewise(spec: GroupSpec, digits: Callable) -> np.ndarray:
 
 
 def over_table_cap(spec: GroupSpec) -> bool:
-    """Whether G is too large for a dense |G| x |G| index table: |G| >
-    DENSE_TABLE_CAP.  |G| is read by ``order``, which refuses one past the
-    materialization cap from its exponent, so this never builds a huge |G|."""
-    return spec.order() > DENSE_TABLE_CAP
+    """Whether G is too large for a dense |G| x |G| index table: |G| = p^m >
+    DENSE_TABLE_CAP, decided from (p, m) (``power_exceeds``), so a |G| of
+    any size is answered and none is built."""
+    return power_exceeds(spec.p, spec.size_exp, DENSE_TABLE_CAP)
 
 
 def table_order(spec: GroupSpec) -> int:
     """|G| for a dense |G| x |G| index table; refuses |G| over the cap."""
     if over_table_cap(spec):
-        raise ValueError(f"|G| = {spec.order()} exceeds the dense table cap {DENSE_TABLE_CAP}")
-    return spec.order()
+        raise ValueError(
+            f"|G| = {spec.p}^{spec.size_exp} exceeds the dense table cap {DENSE_TABLE_CAP}"
+        )
+    return spec.p**spec.size_exp
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +377,9 @@ def gather_table(spec: GroupSpec) -> np.ndarray:
 
 def power_indices(spec: GroupSpec, m: int) -> np.ndarray:
     """Entry i is the index of g_i^m: each coordinate times m mod its radix.
-    m is reduced mod each radix first, so a huge m cannot overflow."""
+    m, an int of any sign, is reduced mod each radix first, so a huge m
+    cannot overflow."""
+    m = checked_int(m, "m")
     return _coordinatewise(spec, lambda c, r: c * (m % r) % r)
 
 

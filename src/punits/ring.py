@@ -20,18 +20,28 @@ from .pgroup import (
     GroupElement,
     GroupSpec,
     checked_int,
+    checked_prime,
     element_index,
     int_list,
-    is_prime,
     p_valuation,
     power_exceeds,
     product_index_table,
+    residues,
     text_fields,
 )
 
 # p^e must stay below 2^31 so that a product of two residues fits in a
 # 64-bit intermediate; keeps the batch enumeration paths big-integer free.
 RING_CHAR_CAP = 1 << 31
+
+
+def checked_modulus_exp(p: int, e) -> int:
+    """e as an int >= 1 with p^e <= RING_CHAR_CAP, for a prime p; p^e is
+    decided from e (``power_exceeds``), not built."""
+    e = checked_int(e, "e", 1)
+    if power_exceeds(p, e, RING_CHAR_CAP):
+        raise ValueError(f"e = {e}: characteristic {p}^{e} exceeds cap {RING_CHAR_CAP}")
+    return e
 
 
 def _rows_per_reduction(q: int, signed: bool = False) -> int:
@@ -62,12 +72,7 @@ class RingSpec:
     e: int
 
     def __post_init__(self) -> None:
-        e = checked_int(self.e, "e", 1)
-        if power_exceeds(self.group.p, e, RING_CHAR_CAP):
-            raise ValueError(
-                f"characteristic {self.group.p}^{e} exceeds cap {RING_CHAR_CAP}"
-            )
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", checked_modulus_exp(self.group.p, self.e))
 
     @property
     def p(self) -> int:
@@ -109,8 +114,7 @@ class RingElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        q = self.spec.modulus
-        coeffs = tuple(int(c) % q for c in self.coeffs)
+        coeffs = residues(self.coeffs, self.spec.modulus, "coefficient")
         if len(coeffs) != self.spec.size:
             raise ValueError(
                 f"expected {self.spec.size} coefficients, got {len(coeffs)}"
@@ -148,8 +152,8 @@ class RingElement:
         return NotImplemented
 
     def __pow__(self, m: int) -> "RingElement":
-        if m < 0:
-            raise ValueError("negative powers are not defined; use unit_inverse")
+        """self^m for an int m >= 0 (negative powers: ``unit_inverse``)."""
+        m = checked_int(m, "m", 0)
         result = one(self.spec)
         base = self
         while m:
@@ -256,9 +260,7 @@ def reduce_mod(x: RingElement, e_target: int) -> RingElement:
     A surjective ring homomorphism for e_target <= e; maps normalized
     units to normalized units.
     """
-    if not 1 <= e_target <= x.spec.e:
-        raise ValueError(f"e_target must be in [1, {x.spec.e}], got {e_target}")
-    target = RingSpec(x.spec.group, e_target)
+    target = RingSpec(x.spec.group, checked_int(e_target, "e_target", 1, x.spec.e))
     return RingElement(target, x.coeffs)
 
 
@@ -303,13 +305,11 @@ def binomial_p_power(p: int, n: int, j: int) -> int:
     """t such that p^t exactly divides binomial(p^n, j), for 1 <= j <= p^n.
 
     Equals n - v_p(j); computed from the valuation of j alone, with no
-    large factorials.
+    large factorials.  j <= p^n is decided from n (``power_exceeds``), so
+    p^n is not built for a huge n.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 1 <= j <= p ** n:
+    p, n, j = checked_prime(p), checked_int(n, "n", 0), checked_int(j, "j", 1)
+    if not power_exceeds(p, n, j - 1):
         raise ValueError(f"j must be in [1, {p}^{n}], got {j}")
     return n - p_valuation(j, p)
 
@@ -326,8 +326,7 @@ def lemma9_predicted_order(d: int, y: RingElement) -> Optional[int]:
     p, e = spec.p, spec.e
     if y.is_zero():
         raise ValueError("y must be nonzero")
-    if not 1 <= d < e:
-        raise ValueError(f"d must satisfy 1 <= d < e, got d={d}, e={e}")
+    d = checked_int(d, f"d (with e = {e})", 1, e - 1)
     s = min(p_valuation(c, p) for c in y.coeffs if c)
     if p == 2 and d == 1 and s == 0:
         ysq = y * y

@@ -136,8 +136,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import checked_int, gather_table, mod_in_place, radix_encode
-from .ring import RING_CHAR_CAP, RingSpec, _float_terms, _rows_per_reduction, p_valuation
+from .pgroup import checked_int, checked_prime, gather_table, mod_in_place, radix_encode, residues
+from .ring import RingSpec, _float_terms, _rows_per_reduction, checked_modulus_exp, p_valuation
 
 # Blocks of vectors at least this many times wider than long (columns
 # against coordinates) are tested against the dual (``HowellArray.contains``).
@@ -146,7 +146,13 @@ _DUAL_WIDTH = 64
 
 @dataclass(frozen=True)
 class ResidueMatrix:
-    """A rectangular matrix over Z_{p^e}, rows as canonical residues."""
+    """A rectangular matrix over Z_{p^e}, rows as canonical residues.
+
+    p must be prime (``pgroup.checked_prime``), e an int >= 1 with p^e <=
+    ``RING_CHAR_CAP`` (``ring.checked_modulus_exp``, decided from e before
+    p^e is built), ncols an int >= 1 and every entry an int
+    (``pgroup.residues``), reduced mod p^e; each row has ncols entries.
+    """
 
     p: int
     e: int
@@ -154,14 +160,14 @@ class ResidueMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        q = self.modulus
-        if q > RING_CHAR_CAP:
-            raise ValueError(f"modulus {self.p}^{self.e} exceeds cap {RING_CHAR_CAP}")
-        rows = tuple(tuple(int(c) % q for c in row) for row in self.rows)
-        for row in rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows in residue matrix")
-        object.__setattr__(self, "rows", rows)
+        p = checked_prime(self.p)
+        e = checked_modulus_exp(p, self.e)
+        ncols = checked_int(self.ncols, "ncols", 1)
+        rows = tuple(residues(row, p**e, "entry") for row in self.rows)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows in residue matrix")
+        for name, value in (("p", p), ("e", e), ("ncols", ncols), ("rows", rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def modulus(self) -> int:
@@ -438,7 +444,7 @@ def module_membership(v, M: ResidueMatrix) -> bool:
     """
     if len(v) != M.ncols:
         raise ValueError(f"expected {M.ncols} coordinates, got {len(v)}")
-    vec = np.array([int(c) % M.modulus for c in v], dtype=np.int64)
+    vec = np.array(residues(v, M.modulus, "entry"), dtype=np.int64)
     return bool(howell_array(M).contains(vec.reshape(-1, 1))[0])
 
 
@@ -453,10 +459,11 @@ class _IdealChain:
     def __init__(self, rs: RingSpec) -> None:
         group, q = rs.group, rs.modulus
         self.rs = rs
+        table = gather_table(group)  # refuses a G past the table cap before its radices
         # Column j of the identity matrix is the coordinates of a_j.
         gens = radix_encode(np.eye(group.k, dtype=np.int64), group.radices)
         # x a_j^{-1} is x[shifts[j]]: the inverse of a_j's gather.
-        self.shifts = np.argsort(gather_table(group)[gens], axis=1)
+        self.shifts = np.argsort(table[gens], axis=1)
         first = np.eye(rs.size, dtype=np.int64)[:-1]
         first[:, -1] = q - 1
         self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers

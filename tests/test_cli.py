@@ -409,23 +409,26 @@ class TestVerifyCommand:
         payload = json.loads(target.read_text())
         assert payload["summary"]["all_pass"] is True
 
-    def test_past_the_table_cap_reports_the_closed_forms(self, capsys):
+    # |G| = 2^21 lies past the materialization cap too; the table cap is
+    # decided from |G|'s exponent, so it is answered as 2^11 is.
+    @pytest.mark.parametrize("lam", ["11", "21"])
+    def test_past_the_table_cap_reports_the_closed_forms(self, capsys, lam):
         # Every check reads the |G| x |G| gather table, so an instance past
         # its cap reports what invariants reports, with no checks.
-        args = ("--p", "2", "--lambda", "11", "--e", "2", "--format", "json")
+        args = ("--p", "2", "--lambda", lam, "--e", "2", "--format", "json")
         code, out, _ = run(capsys, "verify", *args)
         assert code == 0
         assert json.loads(out)["instances"][0]["checks"] == []
         assert out == run(capsys, "invariants", *args)[1]
 
-    def test_check_named_past_the_table_cap_is_not_applicable(self, capsys):
+    @pytest.mark.parametrize("lam, check", [("11", "lemma2"), ("21", "theorem2")])
+    def test_check_named_past_the_table_cap_is_not_applicable(self, capsys, lam, check):
         code, out, err = run(
-            capsys, "verify", "--p", "2", "--lambda", "11", "--e", "2",
-            "--checks", "lemma2",
+            capsys, "verify", "--p", "2", "--lambda", lam, "--e", "2", "--checks", check,
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: checks not applicable") and err.count("\n") == 1
-        assert "lemma2 (|G| = 2048 > 1024, the dense table cap)" in err
+        assert f"{check} (|G| = 2^{lam} > 1024, the dense table cap)" in err
 
     @pytest.mark.parametrize(
         "instances, checks, budget, reason",
@@ -441,7 +444,7 @@ class TestVerifyCommand:
             # one reason per distinct cause, in instance order
             ([{"p": 2, "lambda": [1], "e": 1}, {"p": 3, "lambda": [1], "e": 1},
               {"p": 2, "lambda": [11], "e": 2}], ["lemma6"], None,
-             "lemma6 (requires e >= 2; |G| = 2048 > 1024, the dense table cap)"),
+             "lemma6 (requires e >= 2; |G| = 2^11 > 1024, the dense table cap)"),
         ],
     )
     def test_unplanned_check_names_its_reason(
@@ -853,6 +856,17 @@ class TestSuiteCommand:
         assert len(checked["checks"]) == len(plan) > 0
         assert all(c["verdict"] == "pass" for c in checked["checks"])
 
+    def test_instance_past_the_materialization_cap_reports_the_closed_forms(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"instances": [{"p": 2, "lambda": [21], "e": 2}]}))
+        code, out, _ = run(capsys, "suite", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["instances"][0]["checks"] == []
+        args = ("--p", "2", "--lambda", "21", "--e", "2", "--format", "json")
+        assert out == run(capsys, "invariants", *args)[1]
+
     def test_formula_only_instance_past_the_cap(self, capsys, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text(
@@ -897,8 +911,6 @@ class TestMalformedInput:
             {"instances": [_ONE], "out": 5},
             {"instances": [{"group": "p=2;lambda=1;e=3", "e": 1}]},
             {"instances": [{"group": "p=2;lambda=1,,2", "e": 1}]},
-            # the cap on |G| still holds where coefficient vectors are built
-            {"instances": [{"p": 2, "lambda": [21], "e": 2}]},
         ],
     )
     def test_suite_config(self, capsys, tmp_path, config):

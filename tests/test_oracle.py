@@ -338,7 +338,7 @@ class TestChecks:
     def test_huge_group_is_refused_at_once(self, check, params):
         # |G| = 3^(2^32): the gate decides from the exponent, before the
         # ideal chain builds G's radices.
-        with alarm(5), pytest.raises(ValueError, match="materialization cap"):
+        with alarm(5), pytest.raises(ValueError, match="dense table cap"):
             verify_check(check, RingSpec(GroupSpec(3, (2 ** 32,)), 2), params)
 
     def test_check_requirements(self):

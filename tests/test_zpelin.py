@@ -31,6 +31,7 @@ from punits.zpelin import (
 )
 
 from .helpers import (
+    alarm,
     direct_ideal_power_rows,
     reference_contains,
     reference_howell_form,
@@ -701,6 +702,16 @@ class TestIdealPowers:
         # True was read as n = 1, and 1.5 raised TypeError from a list index.
         with pytest.raises(ValueError, match="n must be an integer"):
             ideal_power_form(RingSpec(GroupSpec(2, (2,)), 1), n)
+
+    @pytest.mark.parametrize(
+        "call",
+        [nilpotency_index, lambda rs: ideal_power_form(rs, 1)],
+        ids=["nilpotency_index", "ideal_power_form"],
+    )
+    def test_huge_group_is_refused_at_once(self, call):
+        # |G| = 3^(2^32): the table cap is tested before G's radices are built.
+        with alarm(5), pytest.raises(ValueError, match="dense table cap"):
+            call(RingSpec(GroupSpec(3, (2 ** 32,)), 2))
 
 
 class TestIdealChain:

@@ -76,7 +76,7 @@ def _check_printable(group: GroupSpec, e: int) -> None:
     """
     what = "the exponent e(|G| - 1) of |V|"
     _check_digits(group.p, group.size_exp, what)
-    _check_digits(e * (group.p**group.size_exp - 1), 1, what)
+    _check_digits(theory.v_order_exp(group, e), 1, what)
 
 
 @dataclass(frozen=True)
@@ -386,12 +386,23 @@ def load_suite_config(path: str) -> SuiteConfig:
     return SuiteConfig(**{**raw, "instances": [_config_instance(i) for i in instances]})
 
 
+def _ring(inst: SuiteInstance) -> RingSpec | str:
+    """The ring the instance's checks run on, or why it has none:
+    ``formula_only``, or e past the characteristic cap that RingSpec reads
+    (``ring.checked_modulus_exp``)."""
+    try:
+        return "formula_only" if inst.formula_only else RingSpec(inst.group, inst.e)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _run_instance(task) -> InstanceReport:
-    """(instance, ring or None, plan, budget, seed) -> its InstanceReport."""
+    """(instance, ring, plan, budget, seed) -> its InstanceReport; the ring
+    is read only if the plan is not empty."""
     inst, rs, plan, budget, seed = task
     rep = structure_report(inst.group, inst.e)
     # The checks share one Units, and so one power map, freed on return.
-    units = None if rs is None else Units(rs, budget)
+    units = Units(rs, budget) if plan else None
     checks = tuple(verify_check(check, units, params, seed=seed) for check, params in plan)
     return InstanceReport(inst.group, inst.e, rep.v_order_exp, rep.v_invariants, checks)
 
@@ -404,21 +415,20 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
 
     Raises ValueError, naming why, before any check runs when a check
     listed explicitly in ``config.checks`` is unknown (``oracle._lookup``)
-    or planned on no instance.
+    or planned on no instance.  An instance with no ring (``_ring``) plans
+    no check and still reports its closed forms.
     """
     enabled = None if config.checks is None else {_lookup(c).id for c in config.checks}
-    rings = [
-        None if inst.formula_only else RingSpec(inst.group, inst.e)
-        for inst in config.instances
-    ]
+    rings = [_ring(inst) for inst in config.instances]
     plans = [
-        [] if rs is None else plan_checks(rs, enabled, config.budget) for rs in rings
+        [] if isinstance(rs, str) else plan_checks(rs, enabled, config.budget)
+        for rs in rings
     ]
     missing = sorted((enabled or set()) - {check for plan in plans for check, _ in plan})
     if missing:
         reasons = [
             dict.fromkeys(
-                unplanned_reason(c, rs, config.budget) if rs else "formula_only"
+                rs if isinstance(rs, str) else unplanned_reason(c, rs, config.budget)
                 for rs in rings
             )
             for c in missing
@@ -544,7 +554,7 @@ def _cmd_invariants(args) -> int:
             for line in (
                 f"{group.to_text()};e={args.e}",
                 f"|V| = {p}^{rep.v_order_exp}",
-                f"V ≅ {rep.v_invariants.describe(p)}",
+                rep.describe(),
                 f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {rep.p_rank}",
                 f"|V[{p}]| = {p}^{rep.v_p_torsion_exp}",
             )

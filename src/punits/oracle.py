@@ -76,6 +76,7 @@ from .pgroup import (
     GroupSpec,
     checked_int,
     checked_prime,
+    count_pairs,
     gather_table,
     mod_in_place,
     over_table_cap,
@@ -304,7 +305,7 @@ class Units:
         one = np.empty(unit_count(base), dtype=bool)
         chi = np.empty(len(one), dtype=np.int32)
         radices = (base.modulus,) * (rs.size - 1)
-        frobenius = power_indices(rs.group, rs.p)
+        frobenius = power_indices(rs.group, rs.p) if rs.e == 1 else None
         for lo, hi in _blocks(len(one)):
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
@@ -393,16 +394,15 @@ def _image_sets(chi: np.ndarray):
 
 @dataclass(frozen=True)
 class OrderHistogram:
-    """Counts of elements per exact order exponent: (k, #elements of order p^k)."""
+    """Counts of elements per exact order exponent: (k, #elements of order p^k),
+    ints >= 0 (``pgroup.count_pairs``; never coerced), the zero counts
+    dropped."""
 
     counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "counts",
-            tuple(sorted((int(k), int(c)) for k, c in self.counts if c)),
-        )
+        pairs = count_pairs(self.counts, ("order exponent", "count"))
+        object.__setattr__(self, "counts", tuple(sorted(kc for kc in pairs if kc[1])))
 
     def total(self) -> int:
         return sum(c for _, c in self.counts)

@@ -15,8 +15,10 @@ past a cap is decided from its exponent (``power_exceeds``) and named as
 Each input rule is stated once, here or in ``ring``, and every public entry
 reads that statement: ``checked_int`` takes an int (a numpy integer is read
 as one; a bool, float or str is refused, never coerced) within bounds,
-``checked_prime`` a prime p, ``residues`` a vector of ints mod q, and
-``ring.checked_modulus_exp`` an e with 1 <= e and p^e <= ``RING_CHAR_CAP``.
+``checked_prime`` a prime p, ``residues`` a vector of ints mod q,
+``count_pairs`` the (exponent, count) pairs of invariants and order
+censuses, and ``ring.checked_modulus_exp`` an e with 1 <= e and p^e <=
+``RING_CHAR_CAP``.
 
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
@@ -102,6 +104,16 @@ def residues(values, q: int, name: str) -> tuple[int, ...]:
     return tuple((v if type(v) is int else checked_int(v, name)) % q for v in values)
 
 
+def count_pairs(pairs, names: tuple[str, str]) -> list[tuple[int, int]]:
+    """Each of pairs as two ints >= 0, named by names (``checked_int``; an
+    exact int >= 0 takes no call)."""
+    return [
+        (a if type(a) is int and a >= 0 else checked_int(a, names[0], 0),
+         b if type(b) is int and b >= 0 else checked_int(b, names[1], 0))
+        for a, b in pairs
+    ]
+
+
 def power_exceeds(base: int, exp: int, cap: int) -> bool:
     """Whether base**exp > cap, for base >= 2, exp >= 0 and cap >= 0.
 
@@ -131,7 +143,11 @@ def int_list(text: str, name: str) -> tuple[int, ...]:
 
 
 def p_valuation(m: int, p: int) -> int:
-    """Exponent of the largest power of p dividing m (m != 0)."""
+    """Exponent of the largest power of p dividing m, for m != 0 and p >= 2
+    (a p < 2 would never end the loop; the library's callers pass a prime
+    that ``checked_prime`` read)."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     if m == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0

@@ -15,6 +15,13 @@ The agemo orders come from one pass down the conjugate partition of
 lambda, and the invariants as (order_exp, multiplicity) pairs straight
 from these counts, in O(lambda_1 + k) steps on exact integers; |G| is
 never capped here.
+
+``structure_report`` is the one derivation of an instance's closed forms:
+the invariants of V (with their size check), |V[p]| and the p-rank of
+V(Z_p G) are built there only, and ``v_invariants``, ``v_p_torsion_exp``
+and ``p_rank_vzp`` return its fields.  ``v_order_exp`` is the one
+statement of |V|'s exponent e(|G| - 1), in O(1) steps: it never walks
+lambda.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pgroup import GroupSpec, checked_int, omega_order_exp
+from .pgroup import GroupSpec, checked_int, count_pairs
 
 # describe() writes a cyclic order p^k in decimal up to this k and as
 # ``p^k`` above it, so that a huge p^k is never built.
@@ -33,8 +40,9 @@ _DECIMAL_ORDER_EXP_MAX = 64
 class AbelianInvariants:
     """Multiset of cyclic factor orders of a finite abelian p-group.
 
-    Stored as (order_exp, multiplicity) pairs, ascending in order_exp,
-    with trivial factors (order_exp 0) and empty multiplicities dropped.
+    Stored as (order_exp, multiplicity) pairs of ints >= 0 (``count_pairs``;
+    never coerced), ascending in order_exp, with trivial factors
+    (order_exp 0) and empty multiplicities dropped.
 
     >>> AbelianInvariants.from_factor_exps([2, 1, 0, 1]).entries
     ((1, 2), (2, 1))
@@ -44,12 +52,9 @@ class AbelianInvariants:
 
     def __post_init__(self) -> None:
         counts: dict[int, int] = {}
-        for exp, mult in self.entries:
-            if exp < 0 or mult < 0:
-                raise ValueError("negative entry in abelian invariants")
-            if exp > 0 and mult > 0:
-                exp = int(exp)
-                counts[exp] = counts.get(exp, 0) + int(mult)
+        for exp, mult in count_pairs(self.entries, ("order_exp", "multiplicity")):
+            if exp and mult:
+                counts[exp] = counts.get(exp, 0) + mult
         object.__setattr__(self, "entries", tuple(sorted(counts.items())))
 
     @classmethod
@@ -104,35 +109,22 @@ def v_order_exp(spec: GroupSpec, e: int) -> int:
     return checked_int(e, "e", 1) * (spec.p ** spec.size_exp - 1)
 
 
-def _agemo_sizes(spec: GroupSpec) -> list[int]:
-    """|G^{p^i}| for i = 0..n+1, n = lambda_1, in one pass down the conjugate
-    partition of lambda: |G^{p^{i-1}}| = |G^{p^i}| p^{#{j : lambda_j >= i}}."""
-    p, lams = spec.p, spec.lambdas
+def vzp_factor_counts(spec: GroupSpec) -> list[int]:
+    """t_1..t_n: multiplicity of C_{p^i} in V(Z_p G) from agemo orders.
+
+    t_i = |G^{p^{i-1}}| - 2 |G^{p^i}| + |G^{p^{i+1}}| for i = 1..n, with
+    sizes[i] = |G^{p^i}| read in one pass down the conjugate partition of
+    lambda: |G^{p^{i-1}}| = |G^{p^i}| p^{#{j : lambda_j >= i}}.
+    """
+    p, lams, n = spec.p, spec.lambdas, spec.exponent_exp
     sizes = [1, 1]  # |G^{p^{n+1}}| and |G^{p^n}|
     at_least = 0  # #{j : lambda_j >= i}; lambda is descending
-    for i in range(spec.exponent_exp, 0, -1):
+    for i in range(n, 0, -1):
         while at_least < len(lams) and lams[at_least] >= i:
             at_least += 1
         sizes.append(sizes[-1] * p ** at_least)
     sizes.reverse()
-    return sizes
-
-
-def p_rank_vzp(spec: GroupSpec) -> int:
-    """p-rank of V(Z_p G): |G| - |G^p| as a plain integer."""
-    sizes = _agemo_sizes(spec)
-    return sizes[0] - sizes[1]
-
-
-def vzp_factor_counts(spec: GroupSpec) -> list[int]:
-    """t_1..t_n: multiplicity of C_{p^i} in V(Z_p G) from agemo orders.
-
-    t_i = |G^{p^{i-1}}| - 2 |G^{p^i}| + |G^{p^{i+1}}| for i = 1..n.
-    """
-    sizes = _agemo_sizes(spec)
-    counts = [
-        sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, spec.exponent_exp + 1)
-    ]
+    counts = [sizes[i - 1] - 2 * sizes[i] + sizes[i + 1] for i in range(1, n + 1)]
     if min(counts) < 0:
         raise ArithmeticError(f"negative factor count for {spec}: {counts}")
     if sum(counts) != sizes[0] - sizes[1]:
@@ -154,43 +146,22 @@ def s_and_l(spec: GroupSpec) -> tuple[tuple[int, ...], int]:
 
 
 def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
-    """Invariant factors of V(Z_{p^e}G) = G x L.
-
-    One factor C_{p^lambda_j} per group factor, l copies of C_{p^{e-1}}
-    (trivial, hence dropped, when e = 1) and s_i copies of C_{p^{i+e-1}}.
+    """Invariant factors of V(Z_{p^e}G) = G x L (``structure_report``).
 
     >>> v_invariants(GroupSpec(2, (1,)), 3).entries
     ((1, 1), (2, 1))
     """
-    e = checked_int(e, "e", 1)
-    return _v_invariants(spec, e, *s_and_l(spec))
+    return structure_report(spec, e).v_invariants
 
 
-def _v_invariants(spec: GroupSpec, e: int, s: tuple[int, ...], l: int) -> AbelianInvariants:
-    """v_invariants from a checked e and the complement data (s, l) of
-    ``s_and_l(spec)``, whose l + sum(s) is |G| - 1."""
-    inv = AbelianInvariants(
-        tuple((lam, 1) for lam in spec.lambdas)
-        + ((e - 1, l),)
-        + tuple((i + e - 1, si) for i, si in enumerate(s, start=1))
-    )
-    if inv.size_exp() != e * (l + sum(s)):
-        raise ArithmeticError(
-            f"invariant size exponent {inv.size_exp()} != e(|G|-1) for {spec}, e={e}"
-        )
-    return inv
+def p_rank_vzp(spec: GroupSpec) -> int:
+    """p-rank of V(Z_p G), |G| - |G^p| (``structure_report``)."""
+    return structure_report(spec, 1).p_rank
 
 
 def v_p_torsion_exp(spec: GroupSpec, e: int) -> int:
-    """m with |V(Z_{p^e}G)[p]| = p^m.
-
-    For e >= 2 the p-torsion is G[p] x (1 + p^{e-1} w), of order
-    |G[p]| * p^{|G|-1}; for e = 1 it is 1 + I(G[p]), of order
-    p^{|G| - |G^p|}.
-    """
-    if checked_int(e, "e", 1) == 1:
-        return p_rank_vzp(spec)
-    return omega_order_exp(spec, 1) + spec.p ** spec.size_exp - 1
+    """m with |V(Z_{p^e}G)[p]| = p^m (``structure_report``)."""
+    return structure_report(spec, e).v_p_torsion_exp
 
 
 def dimension_subgroup(spec: GroupSpec, e: int, n: int) -> int:
@@ -228,21 +199,37 @@ class StructureReport:
 
 
 def structure_report(spec: GroupSpec, e: int) -> StructureReport:
-    """The closed forms of (G, e), all read off one ``s_and_l(spec)``:
-    l + sum(s) is |G| - 1, and sum(s) + k the p-rank sum(t) of V(Z_p G)."""
+    """The closed forms of (G, e), all read off one ``s_and_l(spec)``.
+
+    V = G x L has one factor C_{p^lambda_j} per group factor, l copies of
+    C_{p^{e-1}} (trivial, hence dropped, when e = 1) and s_i copies of
+    C_{p^{i+e-1}}; their sizes must add up to ``v_order_exp``.  The p-rank
+    sum(t) of V(Z_p G) is sum(s) + k.  V[p] is 1 + I(G[p]) of order
+    p^{|G| - |G^p|}, the p-rank, for e = 1, and for e >= 2 it is
+    G[p] x (1 + p^{e-1} w) of order p^k p^{|G| - 1}, as l + sum(s) is
+    |G| - 1.
+    """
     e = checked_int(e, "e", 1)
     s, l = s_and_l(spec)
+    order_exp = v_order_exp(spec, e)
+    inv = AbelianInvariants(
+        tuple((lam, 1) for lam in spec.lambdas)
+        + ((e - 1, l),)
+        + tuple((i + e - 1, si) for i, si in enumerate(s, start=1))
+    )
+    if inv.size_exp() != order_exp:
+        raise ArithmeticError(
+            f"invariant size exponent {inv.size_exp()} != e(|G|-1) for {spec}, e={e}"
+        )
     s_total = sum(s)
-    size_less_one = l + s_total
     p_rank = s_total + spec.k
     return StructureReport(
         group=spec,
         e=e,
         s=s,
         l=l,
-        v_invariants=_v_invariants(spec, e, s, l),
-        v_order_exp=e * size_less_one,
-        # as v_p_torsion_exp: |G[p]| = p^k
-        v_p_torsion_exp=p_rank if e == 1 else spec.k + size_less_one,
+        v_invariants=inv,
+        v_order_exp=order_exp,
+        v_p_torsion_exp=p_rank if e == 1 else spec.k + l + s_total,
         p_rank=p_rank,
     )

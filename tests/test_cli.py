@@ -410,25 +410,34 @@ class TestVerifyCommand:
         assert payload["summary"]["all_pass"] is True
 
     # |G| = 2^21 lies past the materialization cap too; the table cap is
-    # decided from |G|'s exponent, so it is answered as 2^11 is.
-    @pytest.mark.parametrize("lam", ["11", "21"])
-    def test_past_the_table_cap_reports_the_closed_forms(self, capsys, lam):
+    # decided from |G|'s exponent, so it is answered as 2^11 is.  Only the
+    # checks need the ring Z_{p^e}G, so p^e = 2^(10^12), past the
+    # characteristic cap, is answered so too.
+    @pytest.mark.parametrize("lam, e", [("11", "2"), ("21", "2"), ("1", str(10 ** 12))])
+    def test_past_a_cap_reports_the_closed_forms(self, capsys, lam, e):
         # Every check reads the |G| x |G| gather table, so an instance past
         # its cap reports what invariants reports, with no checks.
-        args = ("--p", "2", "--lambda", lam, "--e", "2", "--format", "json")
+        args = ("--p", "2", "--lambda", lam, "--e", e, "--format", "json")
         code, out, _ = run(capsys, "verify", *args)
         assert code == 0
         assert json.loads(out)["instances"][0]["checks"] == []
         assert out == run(capsys, "invariants", *args)[1]
 
-    @pytest.mark.parametrize("lam, check", [("11", "lemma2"), ("21", "theorem2")])
-    def test_check_named_past_the_table_cap_is_not_applicable(self, capsys, lam, check):
+    @pytest.mark.parametrize(
+        "lam, e, check, reason",
+        [
+            ("11", "2", "lemma2", "|G| = 2^11 > 1024, the dense table cap"),
+            ("21", "2", "theorem2", "|G| = 2^21 > 1024, the dense table cap"),
+            ("1", str(10 ** 12), "lemma2",
+             f"e = {10 ** 12}: characteristic 2^{10 ** 12} exceeds cap 2147483648"),
+        ],
+    )
+    def test_check_named_past_a_cap_is_not_applicable(self, capsys, lam, e, check, reason):
         code, out, err = run(
-            capsys, "verify", "--p", "2", "--lambda", lam, "--e", "2", "--checks", check,
+            capsys, "verify", "--p", "2", "--lambda", lam, "--e", e, "--checks", check,
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: checks not applicable") and err.count("\n") == 1
-        assert f"{check} (|G| = 2^{lam} > 1024, the dense table cap)" in err
+        assert err == f"error: checks not applicable to any instance: {check} ({reason})\n"
 
     @pytest.mark.parametrize(
         "instances, checks, budget, reason",
@@ -445,6 +454,8 @@ class TestVerifyCommand:
             ([{"p": 2, "lambda": [1], "e": 1}, {"p": 3, "lambda": [1], "e": 1},
               {"p": 2, "lambda": [11], "e": 2}], ["lemma6"], None,
              "lemma6 (requires e >= 2; |G| = 2^11 > 1024, the dense table cap)"),
+            ([{"p": 2, "lambda": [1], "e": 10 ** 12}], ["lemma2"], None,
+             f"lemma2 (e = {10 ** 12}: characteristic 2^{10 ** 12} exceeds cap 2147483648)"),
         ],
     )
     def test_unplanned_check_names_its_reason(
@@ -947,7 +958,6 @@ class TestMalformedInput:
             ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--budget", "-5"),
             ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--workers", "0"),
             ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--checks", ""),
-            ("verify", "--p", "2", "--lambda", "1", "--e", str(10 ** 12)),
             # |V| = 2^31 fits the budget but not the int32 enumeration index
             ("verify", "--p", "2", "--lambda", "1", "--e", "31",
              "--budget", str(1 << 40), "--checks", "theorem2"),

@@ -29,7 +29,9 @@ counts those of the scalar case-by-case reference; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
 lemma9 pass of every d at once must report, per d, the scalar orders,
-valuations and exceptional marks of that d's own candidates; and the
+valuations and exceptional marks of that d's own candidates; on those
+candidates ``ring.lemma9_predicted_order`` must be p^max(e-d-s, 0), and
+None exactly where the pass marks them exceptional; and the
 divisibility valuation must be the per-coefficient minimum.
 """
 
@@ -80,6 +82,7 @@ from punits.ring import (
     RingSpec,
     _order_exp_bound,
     from_group_element,
+    lemma9_predicted_order,
     one,
     reduce_mod,
     unit_order,
@@ -533,6 +536,23 @@ def test_lemma9_pass_matches_scalar_per_d(rs, seed, data):
             odd = rs.p == 2 and d == 1 and s == 0 and any(c % 2 for c in square.coeffs)
             expect = _iterated_order_exp(_lemma9_unit(rs, d, y), rs.e - d)
             assert (lem.measured[j], lem.s[j], lem.exceptional[j]) == (expect, s, odd)
+
+
+@given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.integers(0, SEED_MAX), st.data())
+def test_lemma9_closed_form_on_the_drawn_candidates(rs, seed, data):
+    # The lemma9 check measures orders against its own vectorized copy of
+    # the rule; the scalar closed form must agree with that copy on the
+    # candidates the pass draws, the exceptional ones among them.
+    d = data.draw(st.integers(1, rs.e - 1))
+    lem = Units(rs, one_shot=True).lemma9(seed, d)
+    ys = _lemma9_candidates(rs, _derive_seed(seed, "lemma9", rs, {"d": d}))
+    picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=8))
+    for j in picks + np.flatnonzero(lem.exceptional)[:8].tolist():
+        predicted = lemma9_predicted_order(d, RingElement(rs, tuple(ys[:, j].tolist())))
+        if lem.exceptional[j]:
+            assert predicted is None
+        else:
+            assert predicted == rs.p ** max(rs.e - d - int(lem.s[j]), 0)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())

@@ -29,6 +29,7 @@ from punits.pgroup import (
     element_pow,
     is_prime,
     omega_order_exp,
+    p_valuation,
     power_indices,
 )
 from punits.ring import (
@@ -111,6 +112,14 @@ _ENTRIES = [
           _prime()),
     Entry("synthetic_census", "p",
           lambda v: synthetic_census(AbelianInvariants(((1, 2),)), v).counts, _prime()),
+    Entry("AbelianInvariants.order_exp", "order_exp",
+          lambda v: AbelianInvariants(((v, 2),)).entries, _int_in(0)),
+    Entry("AbelianInvariants.multiplicity", "multiplicity",
+          lambda v: AbelianInvariants(((1, v),)).entries, _int_in(0)),
+    Entry("OrderHistogram.order_exponent", "order exponent",
+          lambda v: OrderHistogram(((v, 2), (0, 1))).counts, _int_in(0)),
+    Entry("OrderHistogram.count", "count",
+          lambda v: OrderHistogram(((1, v), (0, 1))).counts, _int_in(0)),
 ]
 
 
@@ -142,3 +151,10 @@ def test_entry_reads_its_rule(entry, value):
             entry.call(value)
         # a prime test refuses p >= 2^64 in is_prime's own words
         assert re.search(rf"\b{entry.param}\b|^primes", str(info.value)), info.value
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_p_valuation_refuses_p_below_2(p):
+    # p = 1 divides every m, so the division loop would never end.
+    with alarm(1), pytest.raises(ValueError, match=r"\bp\b"):
+        p_valuation(5, p)

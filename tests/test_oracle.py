@@ -154,6 +154,17 @@ class TestHistogram:
             tracemalloc.stop()
         assert peak <= (1 + 8 / rs.p) * n + (64 << 10)
 
+    def test_power_map_reads_g_to_the_p_only_in_characteristic_p(self, monkeypatch):
+        # At e >= 2 the map powers units by products; only e = 1 scatters
+        # along g -> g^p.
+        built = []
+        real = oracle.power_indices
+        monkeypatch.setattr(oracle, "power_indices", lambda g, m: built.append(m) or real(g, m))
+        Units(Z4V4).power_map
+        assert built == []
+        Units(RingSpec(GroupSpec(2, (1, 1)), 1)).power_map
+        assert built == [2]
+
 
 class TestInvariantRecovery:
     def test_examples(self):

@@ -231,6 +231,23 @@ class TestStructureReport:
         assert rep.p_rank == p_rank_vzp(spec)
         assert rep.describe().startswith("V ≅ ")
 
+    def test_the_other_closed_forms_are_its_fields(self, monkeypatch):
+        # v_invariants, v_p_torsion_exp and p_rank_vzp derive nothing of
+        # their own: each returns a field of one structure_report call.
+        spec = GroupSpec(3, (2, 1))
+        rep = structure_report(spec, 2)
+        calls = []
+
+        def counted(spec, e):
+            calls.append(e)
+            return rep
+
+        monkeypatch.setattr(theory, "structure_report", counted)
+        assert v_invariants(spec, 2) is rep.v_invariants
+        assert v_p_torsion_exp(spec, 2) is rep.v_p_torsion_exp
+        assert p_rank_vzp(spec) is rep.p_rank
+        assert calls == [2, 2, 1]
+
     def test_complement_data_computed_once(self, monkeypatch):
         calls = []
 

@@ -15,12 +15,14 @@ Exit codes: 0 success / all checks pass, 1 at least one check failed,
 JSON is the machine contract: reports are emitted with sorted keys, no
 wall-clock data, and orders as (base, exponent) pairs, so identical
 invocations (same seed, any worker count) are byte-identical.  Every JSON
-output is written by ``_dump_json``, punits' own emitter: its bytes equal
-``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, without the
-stdlib's pure-Python indent encoder.  It accepts str, int, bool, None,
-list, tuple and dict with str keys, and raises TypeError on anything else
-(a float, a numpy scalar, a non-str key, a set).  The stdlib ``json``
-module only parses reports and suite configs.
+output's bytes equal ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
+newline, without the stdlib's pure-Python indent encoder.  ``emit_report``
+writes the report's skeleton itself, straight from the reports' fields
+with the schema's keys as literals; ``_emit_json`` (``_dump_json``) writes
+the free-form check payloads in it and ``order --format json``.  Both
+accept str, int, bool, None, list, tuple and dict with str keys, and raise
+TypeError on anything else (a float, a numpy scalar, a non-str key, a
+set).  The stdlib ``json`` module only parses reports and suite configs.
 """
 
 from __future__ import annotations
@@ -147,48 +149,6 @@ class SuiteConfig:
 # Serialization.
 
 
-def _instance_to_json(r: InstanceReport) -> dict:
-    return {
-        "group": {"p": r.group.p, "lambda": list(r.group.lambdas)},
-        "e": r.e,
-        "v_order": {"base": r.group.p, "exp": r.v_order_exp},
-        "invariants": r.invariants.to_pairs(),
-        "checks": [
-            {
-                "id": c.check_id,
-                "verdict": c.verdict,
-                "predicted": c.predicted,
-                "observed": c.observed,
-                "seed": c.seed,
-            }
-            for c in r.checks
-        ],
-    }
-
-
-def _instance_from_json(d: dict) -> InstanceReport:
-    group = GroupSpec(d["group"]["p"], tuple(d["group"]["lambda"]))
-    checks = tuple(
-        VerificationReport(
-            check_id=c["id"],
-            group=group,
-            e=d["e"],
-            predicted=c["predicted"],
-            observed=c["observed"],
-            verdict=c["verdict"],
-            seed=c["seed"],
-        )
-        for c in d["checks"]
-    )
-    return InstanceReport(
-        group=group,
-        e=d["e"],
-        v_order_exp=d["v_order"]["exp"],
-        invariants=AbelianInvariants.from_pairs(d["invariants"]),
-        checks=checks,
-    )
-
-
 def _dump_json(obj) -> str:
     r"""The report's bytes: equal to ``json.dumps(obj, indent=2,
     sort_keys=True) + "\n"``, for the types a report carries.
@@ -272,19 +232,64 @@ def _tally(reports: Sequence[InstanceReport]) -> tuple[int, int]:
     return len(checks), sum(not c.passed for c in checks)
 
 
+# The line break and indent of level n of the report, n = 1..5.
+_L1, _L2, _L3, _L4, _L5 = ("\n" + "  " * n for n in range(1, 6))
+
+
+def _scalar(value, newline: str) -> str:
+    """value as _emit_json writes it at the level whose line break is
+    newline; an exact int takes no _emit_json call."""
+    if type(value) is int:
+        return int.__repr__(value)
+    out: list[str] = []
+    _emit_json(value, out, newline)
+    return "".join(out)
+
+
+def _array(items: list[str], newline: str) -> str:
+    """The JSON array of items, each written with its own line break, at
+    the level whose line break is newline."""
+    return "[" + ",".join(items) + newline + "]" if items else "[]"
+
+
 def emit_report(reports: Sequence[InstanceReport], fmt: str = "json") -> str:
-    """Serialize instance reports; JSON is byte-stable, text is for humans."""
+    """Serialize instance reports; JSON is byte-stable, text is for humans.
+
+    The JSON is written straight from the reports' fields in one pass, with
+    the schema's keys as literals in their sorted order: its bytes are
+    ``_dump_json``'s of the README schema.  A check entry goes through
+    ``_emit_json``, and so do ``e`` and ``v_order_exp`` unless their type
+    is exactly int.
+    """
     if fmt == "json":
         total, failures = _tally(reports)
-        payload = {
-            "instances": [_instance_to_json(r) for r in reports],
-            "summary": {
-                "total_checks": total,
-                "failures": failures,
-                "all_pass": failures == 0,
-            },
-        }
-        return _dump_json(payload)
+        instances = []
+        for r in reports:
+            # GroupSpec and AbelianInvariants hold only exact ints (checked_int).
+            p = int.__repr__(r.group.p)
+            lams = f",{_L5}".join(map(int.__repr__, r.group.lambdas))
+            pairs = [
+                f'{_L4}{{{_L5}"multiplicity": {int.__repr__(m)},'
+                f'{_L5}"order_exp": {int.__repr__(x)}{_L4}}}'
+                for x, m in r.invariants.entries
+            ]
+            checks = [
+                _L4 + _scalar({"id": c.check_id, "observed": c.observed, "predicted": c.predicted,
+                               "seed": c.seed, "verdict": c.verdict}, _L4)
+                for c in r.checks
+            ]
+            instances.append(
+                f'{_L2}{{{_L3}"checks": {_array(checks, _L3)},{_L3}"e": {_scalar(r.e, _L3)},'
+                f'{_L3}"group": {{{_L4}"lambda": [{_L5}{lams}{_L4}],{_L4}"p": {p}{_L3}}},'
+                f'{_L3}"invariants": {_array(pairs, _L3)},{_L3}"v_order": {{{_L4}"base": {p},'
+                f'{_L4}"exp": {_scalar(r.v_order_exp, _L4)}{_L3}}}{_L2}}}'
+            )
+        all_pass = "true" if failures == 0 else "false"
+        return (
+            f'{{{_L1}"instances": {_array(instances, _L1)},{_L1}"summary": {{'
+            f'{_L2}"all_pass": {all_pass},{_L2}"failures": {failures},'
+            f'{_L2}"total_checks": {total}{_L1}}}\n}}\n'
+        )
     if fmt == "text":
         lines = []
         for r in reports:
@@ -298,10 +303,47 @@ def emit_report(reports: Sequence[InstanceReport], fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _no_float(text: str):
+    raise ValueError(f"a report holds no floats, got {text}")
+
+
 def parse_report_json(text: str) -> list[InstanceReport]:
-    """Inverse of emit_report(..., 'json'), up to wall-clock data."""
-    payload = json.loads(text)
-    return [_instance_from_json(d) for d in payload["instances"]]
+    """Inverse of emit_report(..., 'json'), up to wall-clock data.
+
+    What it cannot invert (a missing or stray key, a value of the wrong
+    type, a float, a ``v_order.base`` other than p, a summary that the
+    checks do not add up to) is one ValueError naming the field.
+    """
+    payload = json.loads(text, parse_float=_no_float, parse_constant=_no_float)
+    payload = _json_fields(payload, "report", {"instances", "summary"})
+    reports = []
+    for d in _json_list(payload["instances"], "instances"):
+        d = _json_fields(d, "report instance", {"checks", "e", "group", "invariants", "v_order"})
+        g = _json_fields(d["group"], "group", {"p", "lambda"})
+        group, e = GroupSpec(g["p"], g["lambda"]), checked_int(d["e"], "e", 1)
+        order = _json_fields(d["v_order"], "v_order", {"base", "exp"})
+        if order["base"] != group.p:
+            raise ValueError(f"v_order.base must be p = {group.p}, got {order['base']!r}")
+        invariants = AbelianInvariants.from_pairs(
+            _json_fields(x, "invariants entry", {"order_exp", "multiplicity"})
+            for x in _json_list(d["invariants"], "invariants")
+        )
+        checks = tuple(
+            VerificationReport(c["id"], group, e, c["predicted"], c["observed"], c["verdict"],
+                               checked_int(c["seed"], "check seed", 0))
+            for c in (
+                _json_fields(c, "check", {"id", "observed", "predicted", "seed", "verdict"})
+                for c in _json_list(d["checks"], "checks")
+            )
+        )
+        exp = checked_int(order["exp"], "v_order.exp", 0)
+        reports.append(InstanceReport(group, e, exp, invariants, checks))
+    total, failures = _tally(reports)
+    summary = {"all_pass": failures == 0, "failures": failures, "total_checks": total}
+    # Compared as written, so that an all_pass of 1 is not taken for true.
+    if _dump_json(payload["summary"]) != _dump_json(summary):
+        raise ValueError(f"summary must be {summary} for these checks, got {payload['summary']!r}")
+    return reports
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -350,13 +392,22 @@ def default_suite_config(**settings) -> SuiteConfig:
     return SuiteConfig(instances=tuple(instances), **settings)
 
 
-def _json_fields(raw, what: str, keys: set[str], required: set[str]) -> dict:
+def _json_fields(raw, what: str, keys: set[str], required: Optional[set[str]] = None) -> dict:
+    """raw as a JSON object with no key outside keys and every key of
+    required (default: every key of keys)."""
+    required = keys if required is None else required
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
     if raw.keys() - keys:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(raw.keys() - keys))}")
     if required - raw.keys():
         raise ValueError(f"{what} lacks {', '.join(sorted(required - raw.keys()))}")
+    return raw
+
+
+def _json_list(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"{what} must be a list, got {type(raw).__name__}")
     return raw
 
 
@@ -380,9 +431,7 @@ def load_suite_config(path: str) -> SuiteConfig:
         raise ValueError(f"cannot read suite config {path}: {why}") from None
     keys = {f.name for f in fields(SuiteConfig)}
     raw = _json_fields(raw, "suite config", keys, set())
-    instances = raw.get("instances", [])
-    if not isinstance(instances, list):
-        raise ValueError(f"instances must be a list, got {type(instances).__name__}")
+    instances = _json_list(raw.get("instances", []), "instances")
     return SuiteConfig(**{**raw, "instances": [_config_instance(i) for i in instances]})
 
 

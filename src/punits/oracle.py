@@ -395,14 +395,13 @@ def _image_sets(chi: np.ndarray):
 @dataclass(frozen=True)
 class OrderHistogram:
     """Counts of elements per exact order exponent: (k, #elements of order p^k),
-    ints >= 0 (``pgroup.count_pairs``; never coerced), the zero counts
-    dropped."""
+    ints >= 0 (``pgroup.count_pairs``; never coerced), ascending in k, the
+    counts of a repeated k added up and the zero counts dropped."""
 
     counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = count_pairs(self.counts, ("order exponent", "count"))
-        object.__setattr__(self, "counts", tuple(sorted(kc for kc in pairs if kc[1])))
+        object.__setattr__(self, "counts", count_pairs(self.counts, ("order exponent", "count")))
 
     def total(self) -> int:
         return sum(c for _, c in self.counts)

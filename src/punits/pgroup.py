@@ -17,8 +17,8 @@ reads that statement: ``checked_int`` takes an int (a numpy integer is read
 as one; a bool, float or str is refused, never coerced) within bounds,
 ``checked_prime`` a prime p, ``residues`` a vector of ints mod q,
 ``count_pairs`` the (exponent, count) pairs of invariants and order
-censuses, and ``ring.checked_modulus_exp`` an e with 1 <= e and p^e <=
-``RING_CHAR_CAP``.
+censuses (a repeated exponent's counts added up), and
+``ring.checked_modulus_exp`` an e with 1 <= e and p^e <= ``RING_CHAR_CAP``.
 
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
@@ -104,14 +104,21 @@ def residues(values, q: int, name: str) -> tuple[int, ...]:
     return tuple((v if type(v) is int else checked_int(v, name)) % q for v in values)
 
 
-def count_pairs(pairs, names: tuple[str, str]) -> list[tuple[int, int]]:
-    """Each of pairs as two ints >= 0, named by names (``checked_int``; an
-    exact int >= 0 takes no call)."""
-    return [
-        (a if type(a) is int and a >= 0 else checked_int(a, names[0], 0),
-         b if type(b) is int and b >= 0 else checked_int(b, names[1], 0))
-        for a, b in pairs
-    ]
+def count_pairs(pairs, names: tuple[str, str]) -> tuple[tuple[int, int], ...]:
+    """pairs (a, b) as two ints >= 0, named by names (``checked_int``; an
+    exact int >= 0 takes no call), ascending in a, with the b of a repeated
+    a added up and a zero b dropped.
+
+    >>> count_pairs(((1, 2), (0, 1), (1, 1), (2, 0)), ("a", "b"))
+    ((0, 1), (1, 3))
+    """
+    counts: dict[int, int] = {}
+    for a, b in pairs:
+        a = a if type(a) is int and a >= 0 else checked_int(a, names[0], 0)
+        b = b if type(b) is int and b >= 0 else checked_int(b, names[1], 0)
+        if b:
+            counts[a] = counts.get(a, 0) + b
+    return tuple(sorted(counts.items()))
 
 
 def power_exceeds(base: int, exp: int, cap: int) -> bool:

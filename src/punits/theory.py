@@ -41,8 +41,9 @@ class AbelianInvariants:
     """Multiset of cyclic factor orders of a finite abelian p-group.
 
     Stored as (order_exp, multiplicity) pairs of ints >= 0 (``count_pairs``;
-    never coerced), ascending in order_exp, with trivial factors
-    (order_exp 0) and empty multiplicities dropped.
+    never coerced), ascending in order_exp, the multiplicities of a repeated
+    order_exp added up, with trivial factors (order_exp 0) and empty
+    multiplicities dropped.
 
     >>> AbelianInvariants.from_factor_exps([2, 1, 0, 1]).entries
     ((1, 2), (2, 1))
@@ -51,11 +52,8 @@ class AbelianInvariants:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        counts: dict[int, int] = {}
-        for exp, mult in count_pairs(self.entries, ("order_exp", "multiplicity")):
-            if exp and mult:
-                counts[exp] = counts.get(exp, 0) + mult
-        object.__setattr__(self, "entries", tuple(sorted(counts.items())))
+        pairs = count_pairs(self.entries, ("order_exp", "multiplicity"))
+        object.__setattr__(self, "entries", tuple(em for em in pairs if em[0]))
 
     @classmethod
     def from_factor_exps(cls, exps: Iterable[int]) -> "AbelianInvariants":

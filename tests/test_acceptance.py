@@ -7,6 +7,7 @@ prints a single ``ACCEPTANCE <n> ...: PASS|FAIL`` line (visible with
 """
 
 import hashlib
+import json
 import time
 
 import pytest
@@ -223,6 +224,14 @@ def test_default_suite_json_is_pinned(suite_outcome):
     config, reports, _ = suite_outcome
     assert (config.workers, config.seed) == (1, 0)
     assert _suite_sha256(reports) == _SUITE_SHA256
+
+
+def test_default_suite_json_is_the_stdlib_rendering(suite_outcome):
+    # emit_report writes the skeleton itself: its text must still be the
+    # stdlib's rendering of what it holds.
+    _, reports, _ = suite_outcome
+    text = emit_report(reports, "json")
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 
 def test_criterion_12_suite_determinism(suite_outcome):

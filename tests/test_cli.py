@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -44,19 +45,36 @@ def stdlib_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.fixture
-def dumped(monkeypatch):
-    """Every (payload, text) pair that cli._dump_json makes in the test."""
-    pairs = []
-    dump = cli._dump_json
+def report_schema(reports) -> dict:
+    """The README's JSON report schema as a dict, filled from the reports:
+    emit_report's text must be its stdlib rendering."""
+    checks = [c for r in reports for c in r.checks]
+    failures = sum(not c.passed for c in checks)
+    return {
+        "instances": [
+            {
+                "group": {"p": r.group.p, "lambda": list(r.group.lambdas)},
+                "e": r.e,
+                "v_order": {"base": r.group.p, "exp": r.v_order_exp},
+                "invariants": [
+                    {"order_exp": exp, "multiplicity": mult} for exp, mult in r.invariants.entries
+                ],
+                "checks": [
+                    {"id": c.check_id, "verdict": c.verdict, "predicted": c.predicted,
+                     "observed": c.observed, "seed": c.seed}
+                    for c in r.checks
+                ],
+            }
+            for r in reports
+        ],
+        "summary": {"total_checks": len(checks), "failures": failures, "all_pass": failures == 0},
+    }
 
-    def recording(obj):
-        text = dump(obj)
-        pairs.append((obj, text))
-        return text
 
-    monkeypatch.setattr(cli, "_dump_json", recording)
-    return pairs
+def closed_form_instance(group: GroupSpec, e: int) -> cli.InstanceReport:
+    """The report that `invariants` writes for (G, e)."""
+    rep = theory.structure_report(group, e)
+    return cli.InstanceReport(group, e, rep.v_order_exp, rep.v_invariants)
 
 
 class TestInvariantsCommand:
@@ -160,8 +178,9 @@ class TestInvariantsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "640 digits" in err
 
-    def test_number_at_the_digit_limit_still_prints(self, capsys, dumped):
+    def test_number_at_the_digit_limit_still_prints(self, capsys):
         # e(|G| - 1) = 2^2200 - 1 has exactly 663 digits.
+        group = GroupSpec(2, (2200,))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(663)
         try:
@@ -169,14 +188,13 @@ class TestInvariantsCommand:
                 capsys, "invariants", "--p", "2", "--lambda", "2200", "--e", "1",
                 "--format", "json",
             )
-            [(payload, text)] = dumped
-            assert out == text == stdlib_json(payload)
+            assert out == stdlib_json(report_schema([closed_form_instance(group, 1)]))
         finally:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert json.loads(out)["instances"][0]["v_order"]["exp"] == 2 ** 2200 - 1
 
-    def test_json_is_the_stdlib_rendering(self, dumped):
+    def test_json_is_the_stdlib_rendering(self):
         # What `invariants --format json` prints for every closed-form query
         # with p = 2, |lambda| <= 6 and p = 3, |lambda| <= 4, each at e = 1, 2, 3.
         queries = [
@@ -186,11 +204,10 @@ class TestInvariantsCommand:
             for lam in partitions(n)
             for e in (1, 2, 3)
         ]
+        assert len(queries) == 120
         for group, e in queries:
-            rep = theory.structure_report(group, e)
-            instance = cli.InstanceReport(group, e, rep.v_order_exp, rep.v_invariants)
-            assert emit_report([instance], "json") == stdlib_json(dumped[-1][0])
-        assert len(dumped) == len(queries) == 120
+            instance = closed_form_instance(group, e)
+            assert emit_report([instance], "json") == stdlib_json(report_schema([instance]))
 
 
 class TestOrderCommand:
@@ -651,6 +668,37 @@ def _report_observing(value) -> cli.InstanceReport:
     return cli.InstanceReport(group, 1, rep.v_order_exp, rep.v_invariants, (check,))
 
 
+_GROUPS = st.builds(
+    GroupSpec, st.sampled_from([2, 3, 5]), st.lists(st.integers(1, 4), min_size=1, max_size=3)
+)
+_COUNT = st.integers(0, 2 ** 70)
+_CHECKS = st.builds(
+    oracle.VerificationReport,
+    check_id=_JSON_TEXT,
+    group=_GROUPS,
+    e=st.integers(1, 3),
+    predicted=_JSON_TREE,
+    observed=_JSON_TREE,
+    verdict=st.sampled_from(["pass", "fail"]) | _JSON_TEXT,
+    seed=_COUNT,
+)
+# Lists of reports as a run makes them: several instances or none, each
+# with no checks or with checks whose payloads are free-form JSON trees.
+_REPORTS = st.lists(
+    st.builds(
+        cli.InstanceReport,
+        group=_GROUPS,
+        e=st.integers(1, 2 ** 70),
+        v_order_exp=_COUNT,
+        invariants=st.lists(st.tuples(_COUNT, _COUNT), max_size=4).map(
+            lambda pairs: theory.AbelianInvariants(tuple(pairs))
+        ),
+        checks=st.lists(_CHECKS, max_size=3).map(tuple),
+    ),
+    max_size=3,
+)
+
+
 class _Level(enum.IntEnum):
     LOW = 1
     HIGH = 1 << 70
@@ -694,6 +742,10 @@ class TestJsonEmitter:
             cli._dump_json(value)
         with pytest.raises(TypeError):
             emit_report([_report_observing(value)], "json")
+        with pytest.raises(TypeError):
+            emit_report([replace(_report_observing(0), e=value)], "json")
+        with pytest.raises(TypeError):
+            emit_report([replace(_report_observing(0), v_order_exp=value)], "json")
 
     def test_keeps_the_int_to_str_digit_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -706,6 +758,99 @@ class TestJsonEmitter:
         finally:
             sys.set_int_max_str_digits(limit)
         assert str(ours.value) == str(stdlib.value)
+
+    @pytest.mark.parametrize("field", ["e", "v_order_exp", "observed", "seed"])
+    def test_report_keeps_the_int_to_str_digit_limit(self, field):
+        # emit_report's refusal of a number too long to print is the
+        # stdlib's, wherever in the report the number is.
+        big = 10 ** 640
+        report = _report_observing(big if field == "observed" else 0)
+        if field in ("e", "v_order_exp"):
+            report = replace(report, **{field: big})
+        elif field == "seed":
+            report = replace(report, checks=(replace(report.checks[0], seed=big),))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as ours:
+                emit_report([report], "json")
+            with pytest.raises(ValueError) as stdlib:
+                stdlib_json(report_schema([report]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(ours.value) == str(stdlib.value)
+
+
+_DROP = object()
+# (path into the payload of a one-check report, value put there or _DROP,
+# what the refusal names): each makes a report that emit_report cannot
+# give back.
+_INSTANCE = ("instances", 0)
+_CHECK = _INSTANCE + ("checks", 0)
+_UNINVERTIBLE = [
+    ((), {}, "report lacks instances, summary"),
+    ((), [], "report must be a JSON object, got list"),
+    (("extra",), 1, "unknown report keys: extra"),
+    (("instances",), {}, "instances must be a list"),
+    (_INSTANCE + ("e",), _DROP, "report instance lacks e"),
+    (_INSTANCE + ("e",), 1.0, "a report holds no floats"),
+    (_INSTANCE + ("e",), 0, "e must be >= 1"),
+    (_INSTANCE + ("group", "p"), _DROP, "group lacks p"),
+    (_INSTANCE + ("group", "p"), 4, "p must be prime"),
+    (_INSTANCE + ("group", "lambda"), 1, "lambda must be a nonempty list"),
+    (_INSTANCE + ("v_order", "base"), 3, "v_order.base must be p = 2, got 3"),
+    (_INSTANCE + ("v_order", "exp"), "1", "v_order.exp must be an integer"),
+    (_INSTANCE + ("invariants",), [[1, 1]], "invariants entry must be a JSON object"),
+    (_INSTANCE + ("invariants", 0, "order_exp"), -1, "order_exp must be >= 0"),
+    (_INSTANCE + ("checks",), None, "checks must be a list"),
+    (_CHECK + ("seed",), _DROP, "check lacks seed"),
+    (_CHECK + ("seed",), True, "check seed must be an integer"),
+    (_CHECK + ("observed",), [0.5], "a report holds no floats"),
+    (_CHECK + ("verdict",), "fail", "summary must be"),
+    (("summary", "all_pass"), False, "summary must be"),
+    (("summary", "all_pass"), 1, "summary must be"),
+]
+
+
+class TestReportJson:
+    @given(_REPORTS)
+    @example([])
+    def test_is_the_stdlib_rendering_of_the_schema(self, reports):
+        assert emit_report(reports, "json") == stdlib_json(report_schema(reports))
+
+    @pytest.mark.parametrize("value", [True, False, _Level.LOW, _Level.HIGH])
+    def test_e_and_order_exponent_of_an_int_subclass(self, value):
+        # Fields that are not exactly int render as the stdlib renders them.
+        report = replace(_report_observing(0), e=value, v_order_exp=value)
+        assert emit_report([report], "json") == stdlib_json(report_schema([report]))
+
+    @given(_REPORTS)
+    @example([])
+    def test_parse_inverts_emit(self, reports):
+        text = emit_report(reports, "json")
+        assert emit_report(parse_report_json(text), "json") == text
+
+    @pytest.mark.parametrize(
+        "path, value, field", _UNINVERTIBLE, ids=[case[2] for case in _UNINVERTIBLE]
+    )
+    def test_parse_refuses_what_it_cannot_invert(self, path, value, field):
+        payload = json.loads(emit_report([_report_observing(0)], "json"))
+        if not path:
+            payload = value
+        else:
+            *head, last = path
+            parent = functools.reduce(lambda node, key: node[key], head, payload)
+            if value is _DROP:
+                del parent[last]
+            else:
+                parent[last] = value
+        with pytest.raises(ValueError, match=re.escape(field)):
+            parse_report_json(json.dumps(payload))
+
+    def test_parse_refuses_nan(self):
+        text = emit_report([_report_observing(0)], "json").replace('"x": [', '"x": [NaN,')
+        with pytest.raises(ValueError, match="a report holds no floats, got NaN"):
+            parse_report_json(text)
 
 
 class TestReportSerialization:

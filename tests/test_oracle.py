@@ -175,6 +175,13 @@ class TestInvariantRecovery:
         h = OrderHistogram(((0, 1), (1, 8)))
         assert invariants_from_histogram(h, 3).entries == ((1, 2),)
 
+    def test_repeated_exponents_add_up(self):
+        # As AbelianInvariants does: the two counts of order 2 are one.
+        h = OrderHistogram(((0, 1), (1, 2), (1, 1)))
+        assert h.counts == ((0, 1), (1, 3))
+        assert h.total() == sum(h.as_dict().values()) == 4
+        assert invariants_from_histogram(h, 2).entries == ((1, 2),)
+
     def test_rejects_inconsistent_histograms(self):
         with pytest.raises(ValueError):
             invariants_from_histogram(OrderHistogram(((0, 2), (1, 2))), 2)

@@ -8,16 +8,21 @@ desk-scale instance this must agree exactly with the closed forms.
 Run:  python demos/oracle_crosscheck.py
 """
 
+import itertools
+from collections import Counter
+
 from punits import (
     GroupSpec,
+    RingElement,
     RingSpec,
     enumerate_units,
     invariants_from_histogram,
-    lemma9_exceptional_census,
+    lemma9_predicted_order,
     order_histogram,
     v_invariants,
     verify_check,
 )
+from punits.ring import one
 
 print("=" * 72)
 print("Z_4 C_2: small enough to look at every unit")
@@ -56,16 +61,27 @@ for check, params in [("theorem2", None), ("theorem1", None), ("lemma9", {"d": 1
 
 print()
 print("=" * 72)
-print("The one place the closed forms stay silent")
+print("The exceptional units, ordered by one squaring")
 print("=" * 72)
 print()
-print("For p = 2, d = 1 and y^2 with an odd coefficient, no order of")
-print("1 + 2y is asserted.  Measuring instead of asserting (Z_8 C_4):")
+print("For p = 2, d = 1, y with an odd coefficient and y^2 with one too,")
+print("the rule p^{e-d-s} does not apply.  But (1 + 2y)^2 = 1 + 4(y + y^2) is a")
+print("unit of d = 2, where it does, and 1 + 2y != 1: the order of 1 + 2y is")
+print("2 * 2^max(e-2-s', 0), s' the least valuation of y + y^2 (Z_8 C_4):")
 print()
 rs = RingSpec(GroupSpec(2, (2,)), 3)
-census = lemma9_exceptional_census(rs, 1)
-for exp, count in census.counts:
-    print(f"  order 2^{exp}: {count} units")
-print()
-print("Most exceptional units still have the generic order 2^{e-1}, but")
-print("not all, which is exactly why the case is left undetermined.")
+report = verify_check("lemma9", rs, {"d": 1})
+seen = report.observed
+print(f"  {report.check_id}: {seen['exceptional']} exceptional units of "
+      f"{seen['cases']} cases, {seen['mismatches']} mismatches")
+measured, predicted = Counter(), Counter()
+for digits in itertools.product(range(rs.modulus), repeat=rs.size):
+    y = RingElement(rs, digits)
+    if any(c % 2 for c in digits) and any(c % 2 for c in (y * y).coeffs):
+        u, order = one(rs) + 2 * y, 1
+        while u ** order != one(rs):
+            order *= 2
+        measured[order] += 1
+        predicted[lemma9_predicted_order(1, y)] += 1
+for order in sorted(measured, reverse=True):
+    print(f"  order {order}: {measured[order]} units measured, {predicted[order]} predicted")

@@ -55,7 +55,6 @@ from .oracle import (
     VerificationReport,
     enumerate_units,
     invariants_from_histogram,
-    lemma9_exceptional_census,
     order_histogram,
     plan_checks,
     verify_check,

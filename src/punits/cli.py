@@ -51,7 +51,7 @@ from .oracle import (
 )
 from .pgroup import GroupSpec, checked_int, int_list, p_valuation, power_exceeds
 from .ring import RingElement, RingSpec, reduce_mod, unit_order
-from .theory import AbelianInvariants, structure_report
+from .theory import AbelianInvariants, p_rank_vzp, structure_report
 
 
 @functools.lru_cache(maxsize=1)
@@ -604,7 +604,7 @@ def _cmd_invariants(args) -> int:
                 f"{group.to_text()};e={args.e}",
                 f"|V| = {p}^{rep.v_order_exp}",
                 rep.describe(),
-                f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {rep.p_rank}",
+                f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {p_rank_vzp(group)}",
                 f"|V[{p}]| = {p}^{rep.v_p_torsion_exp}",
             )
         )

@@ -55,8 +55,11 @@ seed, and the units 1 + p^d y of every d are stacked in ascending d into
 blocks of at most ``_BLOCK_ENTRIES`` entries (one block on small rings)
 and powered together, a column stopping at its bound p^{e-d}.  The least
 valuation s of each y is read off by divisibility tests, once per drawn
-set: where every y is tried, the d's share one set.  The first d's report
-therefore carries the pass's wall time.
+set: where every y is tried, the d's share one set.  The first d's
+report therefore carries the pass's wall time.  Every unit is compared
+with its predicted order: at p = 2, d = 1 the exceptional units (s = 0,
+y^2 with an odd coefficient) are predicted from the valuation of y + y^2,
+as (1 + 2y)^2 = 1 + 4(y + y^2).
 """
 
 from __future__ import annotations
@@ -674,13 +677,15 @@ def _lemma9_chunks(rs: RingSpec, ds) -> list[list[int]]:
 class Lemma9Units:
     """lemma9's units 1 + p^d y for one d, one entry per candidate y.
 
-    ``s`` is the least valuation of y's coefficients; ``exceptional`` marks
-    where the closed form is silent (p = 2, d = 1, s = 0 and y^2 has an odd
-    coefficient); ``measured`` is each unit's order exponent, or -1 when it
-    exceeds p^{e-d}.
+    ``predicted`` is each unit's order exponent by the closed form,
+    max(e - d - s, 0) with s the least valuation of y's coefficients;
+    ``exceptional`` marks the units where that rule does not apply (p = 2,
+    d = 1, s = 0 and y^2 has an odd coefficient), predicted instead by one
+    squaring (``ring.lemma9_predicted_order``); ``measured`` is each unit's
+    order exponent, or -1 when it exceeds p^{e-d}.
     """
 
-    s: np.ndarray
+    predicted: np.ndarray
     exceptional: np.ndarray
     measured: np.ndarray
 
@@ -713,11 +718,16 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
         measured = _batch_order_exps(units, mod_in_place(block, q), e - col_d)
         del block
         for i, (d, (ys, s)) in enumerate(zip(ds, draws)):
+            predicted = np.maximum(e - d - s, 0)
             exceptional = np.zeros(w, dtype=bool)
             if p == 2 and d == 1:
-                odd_square = (_batch_mul(units.table, q, ys, ys) % 2 == 1).any(axis=0)
-                exceptional = odd_square & (s == 0)
-            out[d] = Lemma9Units(s, exceptional, measured[i * w : (i + 1) * w])
+                # (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where the
+                # rule has no exception, and 1 + 2y != 1 as s = 0.
+                sq = _batch_mul(units.table, q, ys, ys)
+                exceptional = (sq % 2 == 1).any(axis=0) & (s == 0)
+                yy = mod_in_place(ys[:, exceptional] + sq[:, exceptional], q)
+                predicted[exceptional] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
+            out[d] = Lemma9Units(predicted, exceptional, measured[i * w : (i + 1) * w])
     return out
 
 
@@ -738,43 +748,16 @@ def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:
 
 
 def _check_lemma9(units: Units, params, seed):
-    d = params["d"]
-    lem = units.lemma9(seed, d)
-    measured, exceptional = lem.measured, lem.exceptional
-    predicted_exp = np.maximum(units.rs.e - d - lem.s, 0)
-
-    bound_violations = int((measured < 0).sum())
-    mismatches = int(
-        (~exceptional & (measured >= 0) & (measured != predicted_exp)).sum()
-    )
-    base = {"cases": len(measured), "exceptional": int(exceptional.sum())}
+    lem = units.lemma9(seed, params["d"])
+    measured = lem.measured
+    base = {"cases": len(measured), "exceptional": int(lem.exceptional.sum())}
     predicted = {**base, "mismatches": 0, "order_bound_violations": 0}
     observed = {
         **base,
-        "mismatches": mismatches,
-        "order_bound_violations": bound_violations,
+        "mismatches": int(((measured >= 0) & (measured != lem.predicted)).sum()),
+        "order_bound_violations": int((measured < 0).sum()),
     }
     return predicted, observed
-
-
-def lemma9_exceptional_census(
-    rs: RingSpec, d: int, *, seed: int = 0
-) -> OrderHistogram:
-    """Measured orders of the exceptional units 1 + p^d y.
-
-    The closed form stays silent when p = 2, d = 1 and y^2 has an odd
-    coefficient; this census records what those orders actually are, on
-    the candidates the lemma9 check draws for d with the same seed
-    (exhaustive for |G| <= 4, e <= 3, else seeded random).  Purely
-    observational: no closed form is asserted, and the distribution is
-    empty whenever the exceptional condition cannot occur.
-    """
-    d = CHECKS["lemma9"].require(rs, {"d": d})["d"]
-    lem = Units(rs, one_shot=True).lemma9(seed, d)
-    measured = lem.measured[lem.exceptional]
-    if (measured < 0).any():
-        raise ArithmeticError("exceptional unit order exceeded p^{e-d}")
-    return OrderHistogram(tuple(enumerate(np.bincount(measured).tolist())))
 
 
 # ---------------------------------------------------------------------------

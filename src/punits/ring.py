@@ -314,13 +314,15 @@ def binomial_p_power(p: int, n: int, j: int) -> int:
     return n - p_valuation(j, p)
 
 
-def lemma9_predicted_order(d: int, y: RingElement) -> Optional[int]:
-    """Closed-form order of the unit 1 + p^d y, or None when undetermined.
+def lemma9_predicted_order(d: int, y: RingElement) -> int:
+    """Closed-form order of the unit 1 + p^d y.
 
     With s the minimal coefficient valuation of y (so y = p^s z and
-    p^{e-1} z != 0), the order is p^{e-d-s} unless p = 2, d + s = 1 and
-    z^2 has an odd coefficient; in that exceptional case no order is
-    asserted and None is returned.
+    p^{e-1} z != 0), the order is p^max(e-d-s, 0) unless p = 2, d = 1,
+    s = 0 and y^2 has an odd coefficient.  In that exceptional case
+    (1 + 2y)^2 = 1 + 4(y + y^2) is a unit of d = 2, where the rule has no
+    exception, and 1 + 2y != 1: the order is 2^(1 + max(e-2-s', 0)), with
+    s' the minimal valuation of y + y^2, e when it is zero.
     """
     spec = y.spec
     p, e = spec.p, spec.e
@@ -331,5 +333,6 @@ def lemma9_predicted_order(d: int, y: RingElement) -> Optional[int]:
     if p == 2 and d == 1 and s == 0:
         ysq = y * y
         if any(c & 1 for c in ysq.coeffs):
-            return None
+            s = min((p_valuation(c, p) for c in (y + ysq).coeffs if c), default=e)
+            return 2 ** (1 + max(e - 2 - s, 0))
     return p ** max(e - d - s, 0)

@@ -17,11 +17,12 @@ from these counts, in O(lambda_1 + k) steps on exact integers; |G| is
 never capped here.
 
 ``structure_report`` is the one derivation of an instance's closed forms:
-the invariants of V (with their size check), |V[p]| and the p-rank of
-V(Z_p G) are built there only, and ``v_invariants``, ``v_p_torsion_exp``
-and ``p_rank_vzp`` return its fields.  ``v_order_exp`` is the one
-statement of |V|'s exponent e(|G| - 1), in O(1) steps: it never walks
-lambda.
+the invariants of V (with their size check) are built there only, and
+|V[p]| is read off them, p to the rank of V, as in any finite abelian
+p-group.  ``v_invariants`` and ``v_p_torsion_exp`` return its fields, and
+``p_rank_vzp``, the rank of V(Z_p G), is |V[p]|'s exponent at e = 1.
+``v_order_exp`` is the one statement of |V|'s exponent e(|G| - 1), in
+O(1) steps: it never walks lambda.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def v_invariants(spec: GroupSpec, e: int) -> AbelianInvariants:
 
 
 def p_rank_vzp(spec: GroupSpec) -> int:
-    """p-rank of V(Z_p G), |G| - |G^p| (``structure_report``)."""
-    return structure_report(spec, 1).p_rank
+    """p-rank of V(Z_p G), |G| - |G^p|: m with |V(Z_p G)[p]| = p^m."""
+    return structure_report(spec, 1).v_p_torsion_exp
 
 
 def v_p_torsion_exp(spec: GroupSpec, e: int) -> int:
@@ -190,7 +191,6 @@ class StructureReport:
     v_invariants: AbelianInvariants
     v_order_exp: int
     v_p_torsion_exp: int
-    p_rank: int
 
     def describe(self) -> str:
         return f"V ≅ {self.v_invariants.describe(self.group.p)}"
@@ -201,11 +201,8 @@ def structure_report(spec: GroupSpec, e: int) -> StructureReport:
 
     V = G x L has one factor C_{p^lambda_j} per group factor, l copies of
     C_{p^{e-1}} (trivial, hence dropped, when e = 1) and s_i copies of
-    C_{p^{i+e-1}}; their sizes must add up to ``v_order_exp``.  The p-rank
-    sum(t) of V(Z_p G) is sum(s) + k.  V[p] is 1 + I(G[p]) of order
-    p^{|G| - |G^p|}, the p-rank, for e = 1, and for e >= 2 it is
-    G[p] x (1 + p^{e-1} w) of order p^k p^{|G| - 1}, as l + sum(s) is
-    |G| - 1.
+    C_{p^{i+e-1}}; their sizes must add up to ``v_order_exp``.  |V[p]| is
+    p to the number of nontrivial ones, the rank of V.
     """
     e = checked_int(e, "e", 1)
     s, l = s_and_l(spec)
@@ -219,8 +216,6 @@ def structure_report(spec: GroupSpec, e: int) -> StructureReport:
         raise ArithmeticError(
             f"invariant size exponent {inv.size_exp()} != e(|G|-1) for {spec}, e={e}"
         )
-    s_total = sum(s)
-    p_rank = s_total + spec.k
     return StructureReport(
         group=spec,
         e=e,
@@ -228,6 +223,5 @@ def structure_report(spec: GroupSpec, e: int) -> StructureReport:
         l=l,
         v_invariants=inv,
         v_order_exp=order_exp,
-        v_p_torsion_exp=p_rank if e == 1 else spec.k + l + s_total,
-        p_rank=p_rank,
+        v_p_torsion_exp=inv.p_rank(),
     )

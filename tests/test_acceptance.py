@@ -182,7 +182,7 @@ def test_criterion_09_predicted_unit_orders(suite_outcome):
         if inst.e >= 2:
             ok &= by_instance.get((inst.group, inst.e)) == set(range(1, inst.e))
     _declare(
-        f"9 (orders of 1 + p^d y; {exceptional_total} exceptional cases logged)",
+        f"9 (orders of 1 + p^d y; {exceptional_total} exceptional cases asserted)",
         ok,
     )
 

@@ -83,6 +83,19 @@ class TestInvariantsCommand:
         assert code == 0
         assert "V ≅ C_2 × C_4" in out
 
+    @pytest.mark.parametrize(
+        "e, text",
+        [
+            ("1", "p=2;lambda=3,1;e=1\n|V| = 2^15\nV ≅ C_2^10 × C_4 × C_8\n"
+                  "s = [9, 1, 0], l = 5, p-rank of V(Z_pG) = 12\n|V[2]| = 2^12\n"),
+            ("2", "p=2;lambda=3,1;e=2\n|V| = 2^30\nV ≅ C_2^6 × C_4^9 × C_8^2\n"
+                  "s = [9, 1, 0], l = 5, p-rank of V(Z_pG) = 12\n|V[2]| = 2^17\n"),
+        ],
+    )
+    def test_full_text(self, capsys, e, text):
+        # The p-rank of V(Z_2G) does not depend on e; |V[2]| = 2^{rank V}.
+        assert run(capsys, "invariants", "--p", "2", "--lambda", "3,1", "--e", e) == (0, text, "")
+
     def test_json_schema(self, capsys):
         code, out, _ = run(
             capsys, "invariants", "--p", "2", "--lambda", "1", "--e", "3",

@@ -29,14 +29,16 @@ counts those of the scalar case-by-case reference; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
 lemma9 pass of every d at once must report, per d, the scalar orders,
-valuations and exceptional marks of that d's own candidates; on those
-candidates ``ring.lemma9_predicted_order`` must be p^max(e-d-s, 0), and
-None exactly where the pass marks them exceptional; and the
-divisibility valuation must be the per-coefficient minimum.
+exceptional marks and the orders ``ring.lemma9_predicted_order`` gives
+for that d's own candidates, the exceptional ones among them; on every
+exceptional unit 1 + 2y of Z_8C_4, Z_8C_2^2 and Z_16C_2 that closed form
+must be the scalar order; and the divisibility valuation must be the
+per-coefficient minimum.
 """
 
 import contextlib
 import functools
+import itertools
 import weakref
 from collections import Counter
 from unittest import mock
@@ -527,15 +529,17 @@ def test_lemma9_pass_matches_scalar_per_d(rs, seed, data):
     for d in range(1, rs.e):
         lem = units.lemma9(seed, d)
         ys = _lemma9_candidates(rs, _derive_seed(seed, "lemma9", rs, {"d": d}))
-        assert len(lem.measured) == len(lem.s) == len(lem.exceptional) == ys.shape[1]
+        assert len(lem.measured) == len(lem.predicted) == len(lem.exceptional) == ys.shape[1]
         picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=8))
-        for j in picks:
+        for j in picks + np.flatnonzero(lem.exceptional)[:8].tolist():
             y = ys[:, j].tolist()
             s = min(p_valuation(c, rs.p) if c else rs.e for c in y)
             square = RingElement(rs, tuple(y)) * RingElement(rs, tuple(y))
             odd = rs.p == 2 and d == 1 and s == 0 and any(c % 2 for c in square.coeffs)
             expect = _iterated_order_exp(_lemma9_unit(rs, d, y), rs.e - d)
-            assert (lem.measured[j], lem.s[j], lem.exceptional[j]) == (expect, s, odd)
+            assert (lem.measured[j], lem.exceptional[j]) == (expect, odd)
+            predicted = lemma9_predicted_order(d, RingElement(rs, tuple(y)))
+            assert rs.p ** int(lem.predicted[j]) == predicted
 
 
 @given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.integers(0, SEED_MAX), st.data())
@@ -549,10 +553,31 @@ def test_lemma9_closed_form_on_the_drawn_candidates(rs, seed, data):
     picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=8))
     for j in picks + np.flatnonzero(lem.exceptional)[:8].tolist():
         predicted = lemma9_predicted_order(d, RingElement(rs, tuple(ys[:, j].tolist())))
-        if lem.exceptional[j]:
-            assert predicted is None
-        else:
-            assert predicted == rs.p ** max(rs.e - d - int(lem.s[j]), 0)
+        assert predicted == rs.p ** int(lem.predicted[j])
+
+
+@pytest.mark.parametrize(
+    "rs, census",
+    [
+        (RingSpec(GroupSpec(2, (2,)), 3), {1: 256, 2: 2816}),  # Z_8 C_4: 3072
+        (RingSpec(GroupSpec(2, (1, 1)), 3), {1: 256, 2: 1792}),  # Z_8 C_2^2: 2048
+        (RingSpec(GroupSpec(2, (1,)), 4), {1: 16, 2: 48, 3: 64}),  # Z_16 C_2: 128
+    ],
+)
+def test_lemma9_exceptional_orders_match_scalar_powering(rs, census):
+    # Every exceptional unit 1 + 2y (y with an odd coefficient and y^2 with
+    # one too): the closed form by one squaring against the order the
+    # scalar reference reaches by repeated squaring, tallied by exponent.
+    # unit_order would refuse the 1 + 2y whose augmentation is not 1.
+    measured = Counter()
+    for digits in itertools.product(range(rs.modulus), repeat=rs.size):
+        y = RingElement(rs, digits)
+        if all(c % 2 == 0 for c in digits) or all(c % 2 == 0 for c in (y * y).coeffs):
+            continue
+        m = _iterated_order_exp(_lemma9_unit(rs, 1, digits), rs.e - 1)
+        assert lemma9_predicted_order(1, y) == 2 ** m
+        measured[m] += 1
+    assert measured == census
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ class TestChecks:
         report = verify_check("lemma9", RingSpec(GroupSpec(2, (2,)), 3), {"d": 1})
         assert report.passed
         assert report.predicted["cases"] == 8 ** 4 - 1
-        assert report.predicted["exceptional"] > 0
+        assert report.predicted["exceptional"] == 3072  # asserted like the rest
 
     def test_lemma9_random_is_seed_deterministic(self):
         rs = RingSpec(GroupSpec(2, (1,)), 5)
@@ -243,23 +244,29 @@ class TestChecks:
         assert a == b
         assert a.seed != c.seed
 
-    @pytest.mark.parametrize(
-        "rs", [RingSpec(GroupSpec(2, (1,)), 5), RingSpec(GroupSpec(2, (2, 1)), 3)]
-    )
-    @pytest.mark.parametrize("seed", [0, 1, 29, oracle.SEED_MAX])
-    def test_exceptional_census_draws_the_checks_candidates(self, rs, seed):
-        # Random candidates: the census must draw what the check draws for
-        # d = 1 with the same base seed, so the totals agree for any seed.
-        from punits.oracle import lemma9_exceptional_census
+    def test_lemma9_exceptional_units_are_compared(self, monkeypatch):
+        # Every exceptional unit of Z_8 C_4 (p = 2, d = 1) is held to its
+        # predicted order: one off on those columns alone fails all 3072.
+        rs = RingSpec(GroupSpec(2, (2,)), 3)
+        lemma9_pass = oracle._lemma9_pass
 
-        census = lemma9_exceptional_census(rs, 1, seed=seed)
-        report = verify_check("lemma9", rs, {"d": 1}, seed=seed)
-        assert report.observed["cases"] == oracle._LEMMA9_SAMPLES
-        assert census.total() == report.observed["exceptional"] > 0
+        def off_by_one(units, seeds):
+            return {
+                d: replace(lem, predicted=lem.predicted + lem.exceptional)
+                for d, lem in lemma9_pass(units, seeds).items()
+            }
+
+        monkeypatch.setattr(oracle, "_lemma9_pass", off_by_one)
+        report = verify_check("lemma9", rs, {"d": 1})
+        assert not report.passed
+        assert report.observed["mismatches"] == report.observed["exceptional"] == 3072
+        # The case needs p = 2 and d = 1: elsewhere no column is exceptional.
+        for other, d in ((rs, 2), (RingSpec(GroupSpec(3, (1,)), 2), 1)):
+            report = verify_check("lemma9", other, {"d": d})
+            assert report.passed and report.observed["exceptional"] == 0
 
     def test_lemma9_draws_once_per_d(self, monkeypatch):
         from punits.cli import SuiteConfig, SuiteInstance, run_suite
-        from punits.oracle import lemma9_exceptional_census
 
         seeds = []
         draw = oracle._lemma9_candidates
@@ -273,9 +280,6 @@ class TestChecks:
         # A single-d caller draws, and powers, only its own d.
         report = verify_check("lemma9", rs, {"d": 2}, seed=3)
         assert seeds == [report.seed]
-        seeds.clear()
-        lemma9_exceptional_census(rs, 1, seed=3)
-        assert len(seeds) == 1
         # A suite run draws every d once, with the seed each report carries.
         seeds.clear()
         config = SuiteConfig((SuiteInstance(rs.group, rs.e),), checks=("lemma9",), seed=3)
@@ -323,30 +327,11 @@ class TestChecks:
             assert verify_check("lemma9", rs, {"d": d}, seed=3).seed == seeds[0]
 
     def test_seed_outside_32_bits_is_refused(self):
-        from punits.oracle import lemma9_exceptional_census
-
         rs = RingSpec(GroupSpec(2, (1,)), 5)
         for seed in (-1, 1 << 32, True):
             with pytest.raises(ValueError, match="seed"):
                 verify_check("lemma9", rs, {"d": 1}, seed=seed)
-            with pytest.raises(ValueError, match="seed"):
-                lemma9_exceptional_census(rs, 1, seed=seed)
         assert verify_check("lemma9", rs, {"d": 1}, seed=oracle.SEED_MAX).passed
-
-    def test_lemma9_exceptional_census(self):
-        from punits.oracle import lemma9_exceptional_census
-
-        rs = RingSpec(GroupSpec(2, (2,)), 3)
-        census = lemma9_exceptional_census(rs, 1)
-        report = verify_check("lemma9", rs, {"d": 1})
-        # same exhaustive candidate set, so totals agree
-        assert census.total() == report.observed["exceptional"]
-        # first claim still bounds every exceptional order by p^{e-d}
-        assert all(k <= rs.e - 1 for k, _ in census.counts)
-        # empty when the exceptional condition cannot occur
-        assert lemma9_exceptional_census(rs, 2).counts == ()
-        odd = RingSpec(GroupSpec(3, (1,)), 2)
-        assert lemma9_exceptional_census(odd, 1).counts == ()
 
     def test_unknown_check_id(self):
         with pytest.raises(ValueError):
@@ -377,12 +362,10 @@ class TestChecks:
             (lambda rs: verify_check("lemma3", rs), "lemma3"),
             (lambda rs: verify_check("theorem2", rs, {"d": 1}), "theorem2"),
             (lambda rs: verify_check("lemma3", rs, {"n": 2, "x": 3}), "lemma3"),
-            (lambda rs: oracle.lemma9_exceptional_census(rs, 1.5), "lemma9"),
-            (lambda rs: oracle.lemma9_exceptional_census(rs, True), "lemma9"),
             (lambda rs: plan_checks(rs, {"theorm2"}), "theorm2"),
         ],
         ids=["float", "bool", "str", "no d", "no n", "stray d", "stray x",
-             "census float", "census bool", "unknown id"],
+             "unknown id"],
     )
     def test_params_are_refused_naming_the_check(self, call, check):
         # The registry's gate: no report computed at another parameter or
@@ -396,8 +379,6 @@ class TestChecks:
         report = verify_check("lemma9", rs, {"d": 1})
         assert verify_check("lemma9", rs, {"d": np.int64(1)}) == report
         assert report.check_id == "lemma9:d=1" and report.passed
-        census = oracle.lemma9_exceptional_census(rs, np.int64(1))
-        assert census.counts == ((1, 256), (2, 2816))
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):

@@ -257,11 +257,13 @@ class TestLemma9Prediction:
         u = one(Z9C3) + 3 * y
         assert unit_order(u) == 3
 
-    def test_exceptional_case_returns_none(self):
+    def test_exceptional_case_is_ordered_by_one_squaring(self):
         rs = RingSpec(GroupSpec(2, (2,)), 3)  # Z_8 C_4
         g = from_group_element(rs, (1,))
         y = g - one(rs)  # y^2 = g^2 - 2g + 1 has odd coefficients
-        assert lemma9_predicted_order(1, y) is None
+        # y + y^2 = g^2 - g has a unit coefficient: s' = 0, order 2^{1+e-2}
+        assert lemma9_predicted_order(1, y) == 4
+        assert unit_order(one(rs) + 2 * y) == 4  # 1 + 2y = 2g - 1 is normalized
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):

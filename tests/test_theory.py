@@ -228,7 +228,7 @@ class TestStructureReport:
         assert rep.v_order_exp == v_order_exp(spec, 2)
         assert rep.v_invariants == v_invariants(spec, 2)
         assert rep.l + sum(rep.s) == spec.order() - 1
-        assert rep.p_rank == p_rank_vzp(spec)
+        assert p_rank_vzp(spec) == structure_report(spec, 1).v_p_torsion_exp == 6  # |G| - |G^2|
         assert rep.describe().startswith("V ≅ ")
 
     def test_the_other_closed_forms_are_its_fields(self, monkeypatch):
@@ -245,7 +245,7 @@ class TestStructureReport:
         monkeypatch.setattr(theory, "structure_report", counted)
         assert v_invariants(spec, 2) is rep.v_invariants
         assert v_p_torsion_exp(spec, 2) is rep.v_p_torsion_exp
-        assert p_rank_vzp(spec) is rep.p_rank
+        assert p_rank_vzp(spec) is rep.v_p_torsion_exp
         assert calls == [2, 2, 1]
 
     def test_complement_data_computed_once(self, monkeypatch):
@@ -296,7 +296,7 @@ def test_one_pass_equals_the_definitional_sums(p, lams, e):
     assert s_and_l(spec) == (s, l)
     assert p_rank_vzp(spec) == sizes[0] - sizes[1]
     rep = structure_report(spec, e)
-    assert (rep.s, rep.l, rep.p_rank) == (s, l, sizes[0] - sizes[1])
+    assert (rep.s, rep.l) == (s, l)
     assert rep.v_order_exp == e * (p ** spec.size_exp - 1)
-    torsion = rep.p_rank if e == 1 else omega_order_exp(spec, 1) + p ** spec.size_exp - 1
+    torsion = sizes[0] - sizes[1] if e == 1 else omega_order_exp(spec, 1) + p ** spec.size_exp - 1
     assert rep.v_p_torsion_exp == torsion == v_p_torsion_exp(spec, e)

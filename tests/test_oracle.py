@@ -244,10 +244,10 @@ class TestChecks:
         assert a == b
         assert a.seed != c.seed
 
-    def test_lemma9_exceptional_units_are_compared(self, monkeypatch):
-        # Every exceptional unit of Z_8 C_4 (p = 2, d = 1) is held to its
-        # predicted order: one off on those columns alone fails all 3072.
-        rs = RingSpec(GroupSpec(2, (2,)), 3)
+    @staticmethod
+    def _exceptional_off_by_one(monkeypatch):
+        # Wrap the lemma9 pass so that only the exceptional columns predict
+        # one more than the closed form.
         lemma9_pass = oracle._lemma9_pass
 
         def off_by_one(units, seeds):
@@ -257,6 +257,12 @@ class TestChecks:
             }
 
         monkeypatch.setattr(oracle, "_lemma9_pass", off_by_one)
+
+    def test_lemma9_exceptional_units_are_compared(self, monkeypatch):
+        # Every exceptional unit of Z_8 C_4 (p = 2, d = 1) is held to its
+        # predicted order: one off on those columns alone fails all 3072.
+        rs = RingSpec(GroupSpec(2, (2,)), 3)
+        self._exceptional_off_by_one(monkeypatch)
         report = verify_check("lemma9", rs, {"d": 1})
         assert not report.passed
         assert report.observed["mismatches"] == report.observed["exceptional"] == 3072
@@ -264,6 +270,25 @@ class TestChecks:
         for other, d in ((rs, 2), (RingSpec(GroupSpec(3, (1,)), 2), 1)):
             report = verify_check("lemma9", other, {"d": d})
             assert report.passed and report.observed["exceptional"] == 0
+
+    @pytest.mark.parametrize(
+        "rs", [RingSpec(GroupSpec(2, (1,)), 5), RingSpec(GroupSpec(2, (2, 1)), 3)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 29, oracle.SEED_MAX])
+    def test_lemma9_exceptional_units_are_compared_on_random_draws(
+        self, rs, seed, monkeypatch
+    ):
+        # Random candidates, any seed: the draw for d = 1 holds exceptional
+        # units, they pass as drawn, and one off on them alone fails each.
+        report = verify_check("lemma9", rs, {"d": 1}, seed=seed)
+        assert report.passed
+        assert report.observed["cases"] == oracle._LEMMA9_SAMPLES
+        exceptional = report.observed["exceptional"]
+        assert exceptional > 0
+        self._exceptional_off_by_one(monkeypatch)
+        wrong = verify_check("lemma9", rs, {"d": 1}, seed=seed)
+        assert not wrong.passed and wrong.seed == report.seed
+        assert wrong.observed["mismatches"] == wrong.observed["exceptional"] == exceptional
 
     def test_lemma9_draws_once_per_d(self, monkeypatch):
         from punits.cli import SuiteConfig, SuiteInstance, run_suite

@@ -35,11 +35,14 @@ p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
 
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
-scalar reference convolution.  The batched product is one gathered
-einsum, reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G|
-products per entry fit one int64 sum and the gathered operand fits
-``_BLOCK_ENTRIES``; otherwise it adds one row at a time and reduces only
-every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
+scalar reference convolution.  Every batched kernel works within one
+budget of ``_BLOCK_ENTRIES`` entries: a block has |G| rows and as many
+columns as fit it (``_blocks``), for the map, the kernel K, lemma5's scan
+and lemma9's powers alike.  The batched product is one gathered einsum,
+reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G| products
+per entry fit one int64 sum and the gathered operand, |G| times the
+block, fits the budget; otherwise it adds one row at a time and reduces
+only every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
 share the map through one ``Units`` object and it is freed with that
 object.  The oracle computes one instance at a time; ``cli.run_suite``
 may run instances side by side, in separate processes, each of which
@@ -51,15 +54,15 @@ same batched kernels, and reads the group's own power map g -> g^m by
 index arithmetic (``pgroup.power_indices``).  lemma9 is planned once per
 d = 1 ... e-1 but computed once per instance and base seed
 (``Units.lemma9``): each d draws its candidates y with its own derived
-seed, and the units 1 + p^d y of every d are stacked in ascending d into
-blocks of at most ``_BLOCK_ENTRIES`` entries (one block on small rings)
-and powered together, a column stopping at its bound p^{e-d}.  The least
-valuation s of each y is read off by divisibility tests, once per drawn
-set: where every y is tried, the d's share one set.  The first d's
-report therefore carries the pass's wall time.  Every unit is compared
-with its predicted order: at p = 2, d = 1 the exceptional units (s = 0,
-y^2 with an odd coefficient) are predicted from the valuation of y + y^2,
-as (1 + 2y)^2 = 1 + 4(y + y^2).
+seed, and the units 1 + p^d y of as many d's as fit the budget are
+stacked in ascending d (a d whose units alone exceed it stands alone) and
+powered together in column blocks, a column stopping at its bound
+p^{e-d}.  The least valuation s of each y is read off by divisibility
+tests, in one call per stack; where every y is tried, the d's share one
+decoded set.  The first d's report therefore carries the pass's wall
+time.  Every unit is compared with its predicted order: at p = 2, d = 1
+the exceptional units (s = 0, y^2 with an odd coefficient) are predicted
+from the valuation of y + y^2, as (1 + 2y)^2 = 1 + 4(y + y^2).
 """
 
 from __future__ import annotations
@@ -100,17 +103,17 @@ from .zpelin import (
 )
 
 DEFAULT_BUDGET = 1 << 22
-_BLOCK = 1 << 16
 
 # lemma9 draws this many random candidates y per d on rings too large to
 # try every y.
 _LEMMA9_SAMPLES = 1000
 
-# The most entries a batched kernel builds in one array: one d's lemma9
-# block at the dense-table cap, |G| rows of _LEMMA9_SAMPLES columns.  It
-# bounds the gathered operand of ``_batch_mul``'s one-product path and the
-# lemma9 block of stacked d's (``_lemma9_chunks``).
-_BLOCK_ENTRIES = DENSE_TABLE_CAP * _LEMMA9_SAMPLES
+# The working set of every batched kernel, in entries (512 KiB of int64):
+# a block of units has |G| rows and _BLOCK_ENTRIES // |G| columns
+# (``_blocks``), lemma9 stacks d's up to it (``_lemma9_chunks``), and
+# ``_batch_mul`` forms one gathered einsum only when its gathered operand
+# fits it.
+_BLOCK_ENTRIES = 1 << 16
 
 # Seeds are mixed into a 32-bit CRC (``_derive_seed``); a wider range
 # would alias.
@@ -244,9 +247,12 @@ def _batch_order_exps(units: Units, block: np.ndarray, bounds) -> np.ndarray:
     return orders
 
 
-def _blocks(total: int):
-    """The index ranges [lo, hi) of _BLOCK items covering [0, total), in order."""
-    return ((lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK))
+def _blocks(total: int, rows: int):
+    """The index ranges [lo, hi) covering [0, total), in order, each of
+    max(1, _BLOCK_ENTRIES // rows) items or fewer: the columns of a block of
+    ``rows`` rows that fits the working set."""
+    step = max(1, _BLOCK_ENTRIES // rows)
+    return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,14 +290,17 @@ class Units:
     def kernel(self) -> tuple[int, int]:
         """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
         reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1}(u - 1),
-        u running over the units of Z_p G."""
+        u running over the units of Z_p G, block by block."""
         _require_budget(self.rs, self.budget)
         rs = self.rs
         p, q, ident = rs.p, rs.modulus, _identity(rs)
-        u = _units_at(RingSpec(rs.group, 1), np.arange(p ** (rs.size - 1), dtype=np.int64))
-        k = mod_in_place(p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None], q)
-        kp = _batch_pow(self.table, q, k, p)
-        return k.shape[1], int(np.count_nonzero(~_matches(kp, ident)))
+        size, violations = p ** (rs.size - 1), 0
+        for lo, hi in _blocks(size, rs.size):
+            u = _units_at(RingSpec(rs.group, 1), np.arange(lo, hi, dtype=np.int64))
+            k = mod_in_place(p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None], q)
+            kp = _batch_pow(self.table, q, k, p)
+            violations += int(np.count_nonzero(~_matches(kp, ident)))
+        return size, violations
 
     @functools.cached_property
     def power_map(self) -> PowerMap:
@@ -309,7 +318,7 @@ class Units:
         chi = np.empty(len(one), dtype=np.int32)
         radices = (base.modulus,) * (rs.size - 1)
         frobenius = power_indices(rs.group, rs.p) if rs.e == 1 else None
-        for lo, hi in _blocks(len(one)):
+        for lo, hi in _blocks(len(one), rs.size):
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
                 powers = np.zeros_like(reps)
@@ -556,7 +565,7 @@ def _check_lemma5(units: Units, params, seed):
     # the next.  A layer that keeps every column (1 + w keeps all of V) is
     # not copied.
     totals = [0] * nu
-    for lo, hi in _blocks(unit_count(rs)):
+    for lo, hi in _blocks(unit_count(rs), rs.size):
         vecs = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
         vecs[0] -= 1  # u - 1, in place: contains reduces it mod q
         for m, H in enumerate(forms):
@@ -664,9 +673,8 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
 
 def _lemma9_chunks(rs: RingSpec, ds) -> list[list[int]]:
     """The d's of ds, ascending, in runs whose stacked lemma9 block (|G|
-    rows, one column per candidate) holds at most _BLOCK_ENTRIES entries.
-    One d alone always fits: |G| <= DENSE_TABLE_CAP rows of _LEMMA9_SAMPLES
-    columns, or at most 4 rows when every y is tried."""
+    rows, one column per candidate) holds at most _BLOCK_ENTRIES entries; a
+    d whose block alone is larger runs by itself."""
     cols = rs.modulus ** rs.size - 1 if _lemma9_exhaustive(rs) else _LEMMA9_SAMPLES
     per_chunk = max(1, _BLOCK_ENTRIES // (rs.size * cols))
     ds = sorted(ds)
@@ -694,40 +702,42 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
     """lemma9's units for every d in ``seeds`` (d -> that d's derived seed).
 
     The candidates of a run of d's (``_lemma9_chunks``) are stacked in
-    ascending d and powered as one block, each column up to its own bound
-    e - d, so the columns still live after m steps are a prefix.  When
-    every y is tried, the d's share one decoded candidate set and its
-    valuations, which do not depend on d."""
+    ascending d, their valuations read in one call, and the units powered
+    in column blocks (``_blocks``), each column up to its own bound e - d,
+    so the columns still live after m steps are a prefix.  When every y is
+    tried, the d's share one decoded candidate set."""
     rs, out = units.rs, {}
     p, e, q = rs.p, rs.e, rs.modulus
-    exhaustive = _lemma9_exhaustive(rs)
-    if exhaustive:
-        ys = _lemma9_candidates(rs, 0)  # every y: no seed is read
-        shared = (ys, _min_valuations(ys, p, e))
+    every = _lemma9_candidates(rs, 0) if _lemma9_exhaustive(rs) else None  # no seed is read
     for ds in _lemma9_chunks(rs, seeds):
-        if exhaustive:
-            draws = [shared] * len(ds)
+        if every is not None:
+            draws = [every] * len(ds)
         else:
-            draws = [(ys, _min_valuations(ys, p, e))
-                     for ys in (_lemma9_candidates(rs, seeds[d]) for d in ds)]
-        w = draws[0][0].shape[1]  # every d draws as many candidates
+            draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
+        w = draws[0].shape[1]  # every d draws as many candidates
         col_d = np.repeat(np.array(ds, dtype=np.int64), w)
-        block = np.concatenate([ys for ys, _ in draws], axis=1)
+        block = np.concatenate(draws, axis=1)
+        s = _min_valuations(block, p, e)
         block *= p**col_d
         block[0] += 1
-        measured = _batch_order_exps(units, mod_in_place(block, q), e - col_d)
+        mod_in_place(block, q)
+        measured = np.concatenate([
+            _batch_order_exps(units, block[:, lo:hi], e - col_d[lo:hi])
+            for lo, hi in _blocks(len(col_d), rs.size)
+        ])
         del block
-        for i, (d, (ys, s)) in enumerate(zip(ds, draws)):
-            predicted = np.maximum(e - d - s, 0)
+        for i, (d, ys) in enumerate(zip(ds, draws)):
+            cut = slice(i * w, (i + 1) * w)
+            predicted = np.maximum(e - d - s[cut], 0)
             exceptional = np.zeros(w, dtype=bool)
             if p == 2 and d == 1:
                 # (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where the
                 # rule has no exception, and 1 + 2y != 1 as s = 0.
                 sq = _batch_mul(units.table, q, ys, ys)
-                exceptional = (sq % 2 == 1).any(axis=0) & (s == 0)
+                exceptional = (sq % 2 == 1).any(axis=0) & (s[cut] == 0)
                 yy = mod_in_place(ys[:, exceptional] + sq[:, exceptional], q)
                 predicted[exceptional] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
-            out[d] = Lemma9Units(predicted, exceptional, measured[i * w : (i + 1) * w])
+            out[d] = Lemma9Units(predicted, exceptional, measured[cut])
     return out
 
 

@@ -333,7 +333,7 @@ def test_power_map_independent_of_blocks(rs):
     # Each block fills its own slice of one array: many small blocks must
     # not change it, nor the V[p] checks that read it.
     first, first_reports = _map_and_torsion_reports(Units(rs))
-    with mock.patch.object(oracle, "_BLOCK", 5):
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", 5 * rs.size):  # blocks of 5 units
         pm, reports = _map_and_torsion_reports(Units(rs))
     assert len(first_reports) == 1 and first_reports[0].passed
     assert (pm.base, pm.mult) == (first.base, first.mult)

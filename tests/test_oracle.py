@@ -134,7 +134,7 @@ class TestHistogram:
 
     def test_small_blocks_equal_one_block(self, monkeypatch):
         whole = order_histogram(Z4V4)
-        monkeypatch.setattr(oracle, "_BLOCK", 5)
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 * Z4V4.size)  # blocks of 5 units
         assert order_histogram(Z4V4) == whole
 
     def test_census_allocates_a_mask_and_the_first_image(self):
@@ -322,18 +322,23 @@ class TestChecks:
         ],
     )
     def test_stacked_lemma9_block_is_bounded(self, rs):
-        # Planned only, never run: no chunk of stacked d's holds more entries
-        # than one d's block at the dense-table cap, and small rings stack
-        # every d in one block.
+        # Planned only, never run: a chunk of stacked d's holds at most
+        # _BLOCK_ENTRIES entries unless it is one d, no two neighbouring
+        # chunks would fit together, and every column block powered fits.
         ds = range(1, rs.e)
         chunks = oracle._lemma9_chunks(rs, ds)
         assert [d for chunk in chunks for d in chunk] == list(ds)
         exhaustive = rs.size <= 4 and rs.e <= 3
         cols = rs.modulus ** rs.size - 1 if exhaustive else oracle._LEMMA9_SAMPLES
-        assert oracle._BLOCK_ENTRIES == oracle.DENSE_TABLE_CAP * oracle._LEMMA9_SAMPLES
-        assert all(rs.size * cols * len(chunk) <= oracle._BLOCK_ENTRIES for chunk in chunks)
-        if rs.size <= 8:
-            assert len(chunks) == 1
+        entries = rs.size * cols  # one d's block
+        budget = oracle._BLOCK_ENTRIES
+        assert all(len(chunk) == 1 or entries * len(chunk) <= budget for chunk in chunks)
+        assert all(entries * (len(a) + len(b)) > budget for a, b in zip(chunks, chunks[1:]))
+        for chunk in chunks:
+            blocks = list(oracle._blocks(cols * len(chunk), rs.size))
+            assert blocks[0][0] == 0 and blocks[-1][1] == cols * len(chunk)
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(lo < hi <= lo + budget // rs.size for lo, hi in blocks)
 
     def test_report_seed_is_the_seed_that_drew(self, monkeypatch):
         # The report names the seed the candidates were drawn with, also
@@ -414,15 +419,15 @@ class TestChecks:
         # no array with |V| or more columns: they read the power map's
         # |V| / p^{|G|-1} representatives, and lemma5 scans V block by block.
         # Every array bound to a name in a punits frame is measured, line by
-        # line, with blocks of 2^12 units; instances with |V| <= 2^12 are
-        # one block.
-        monkeypatch.setattr(oracle, "_BLOCK", 1 << 12)
+        # line, with blocks of 2^12 entries; instances whose units fit one
+        # block are left out.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1 << 12)
         package = os.path.dirname(oracle.__file__)
         checked = 0
         for inst in default_suite_config().instances:
             rs = RingSpec(inst.group, inst.e)
             plan = [(c, prm) for c, prm in plan_checks(rs) if CHECKS[c].enumerative]
-            if rs.e < 2 or not plan or unit_count(rs) <= oracle._BLOCK:
+            if rs.e < 2 or not plan or unit_count(rs) * rs.size <= oracle._BLOCK_ENTRIES:
                 continue
             widest = 0
 
@@ -445,6 +450,71 @@ class TestChecks:
             assert 0 < widest < unit_count(rs), rs
             checked += 1
         assert checked >= 10
+
+
+class TestWorkingSet:
+    """Each batched kernel allocates, above what it leaves live, at most
+    eight blocks of _BLOCK_ENTRIES int64 entries, on rings whose units span
+    several blocks; at a smaller budget its allocation shrinks with it
+    (tracemalloc, which numpy's allocations report to).  The gather table
+    is built beforehand."""
+
+    BUDGETS = [1 << 13, oracle._BLOCK_ENTRIES]
+
+    @staticmethod
+    def transient(build) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            kept = build()  # noqa: F841  live until the memory is read
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current
+
+    @staticmethod
+    def units(p, lams, e, budget=oracle.DEFAULT_BUDGET) -> Units:
+        units = Units(RingSpec(GroupSpec(p, lams), e), budget)
+        units.table
+        return units
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("lams, e", [((2, 2), 1), ((1,), 18)])
+    def test_power_map(self, lams, e, budget, monkeypatch):
+        # 2^15 units of 16 coefficients, and 2^17 representatives of 2.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        units = self.units(2, lams, e)
+        if e >= 2:
+            units.kernel
+        assert self.transient(lambda: units.power_map) <= 8 * budget * 8
+        assert units.rs.size * len(units.power_map.one) >= 4 * budget
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_kernel(self, budget, monkeypatch):
+        # |K| = 2^15 elements of 16 coefficients.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        units = self.units(2, (1, 1, 1, 1), 2, budget=1 << 30)
+        assert self.transient(lambda: units.kernel) <= 8 * budget * 8
+        assert units.kernel == (1 << 15, 0)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lemma5_scan(self, budget, monkeypatch):
+        # 2^15 units of 16 coefficients; the Howell forms are built by the
+        # first, untraced call.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        units = self.units(2, (2, 2), 1)
+        assert verify_check("lemma5", units).passed
+        assert self.transient(lambda: verify_check("lemma5", units)) <= 8 * budget * 8
+
+    def test_lemma9_pass(self):
+        # Seven d's of 1000 candidates with 16 coefficients each, in more
+        # than one stacked block.
+        units = self.units(2, (2, 2), 8)
+        seeds = {d: d for d in range(1, 8)}
+        assert len(oracle._lemma9_chunks(units.rs, seeds)) >= 2
+        allocated = self.transient(lambda: oracle._lemma9_pass(units, seeds))
+        assert allocated <= 8 * oracle._BLOCK_ENTRIES * 8
 
 
 class TestPlanner:

@@ -3,7 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from punits import theory
+from punits.oracle import DEFAULT_BUDGET, order_histogram, unit_count
 from punits.pgroup import GroupSpec, agemo_order_exp, cyclic_factor_count, omega_order_exp
+from punits.ring import RingSpec
 from punits.theory import (
     AbelianInvariants,
     dimension_subgroup,
@@ -178,12 +180,19 @@ class TestTorsion:
     def test_examples(self, p, lams, e, expected):
         assert v_p_torsion_exp(GroupSpec(p, lams), e) == expected
 
-    def test_matches_invariant_rank_for_e_ge_2(self):
-        # every cyclic factor of V contributes one order-p subgroup
+    def test_matches_the_census_for_e_ge_2(self):
+        # |V[p]| counted by brute force: the units of order 1 or p in the
+        # oracle's census, on every ring whose |V| fits the default budget.
+        checked = 0
         for spec in small_specs(4):
             for e in (2, 3):
-                inv = v_invariants(spec, e)
-                assert v_p_torsion_exp(spec, e) == inv.p_rank()
+                rs = RingSpec(spec, e)
+                if unit_count(rs) > DEFAULT_BUDGET:
+                    continue
+                counts = order_histogram(rs).as_dict()
+                assert spec.p ** v_p_torsion_exp(spec, e) == counts[0] + counts.get(1, 0)
+                checked += 1
+        assert checked == 14
 
 
 class TestDimensionSubgroup:

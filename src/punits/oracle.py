@@ -52,16 +52,17 @@ The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
 powers one block of columns (1 - g for every g in G, or g - 1) with the
 same batched kernels, and reads the group's own power map g -> g^m by
 index arithmetic (``pgroup.power_indices``).  lemma9 is planned once per
-d = 1 ... e-1 but computed once per instance and base seed
-(``Units.lemma9``): each d draws its candidates y with its own derived
-seed, and the units 1 + p^d y of as many d's as fit the budget are
-stacked in ascending d (a d whose units alone exceed it stands alone) and
-powered together in column blocks, a column stopping at its bound
-p^{e-d}.  The least valuation s of each y is read off by divisibility
-tests, in one call per stack; where every y is tried, the d's share one
-decoded set.  The first d's report therefore carries the pass's wall
-time.  Every unit is compared with its predicted order: at p = 2, d = 1
-the exceptional units (s = 0, y^2 with an odd coefficient) are predicted
+d = 1 ... e-1 but computed once per chunk of d's and base seed
+(``Units.lemma9``): a chunk is a run of as many d's, ascending, as fit the
+budget (a d whose units alone exceed it stands alone), and the first
+call for a d runs the pass over the chunk that holds it.  Each d draws
+its candidates y with its own derived seed, and the units 1 + p^d y of
+the chunk are stacked in ascending d and powered together in column
+blocks, a column stopping at its bound p^{e-d}.  The least valuation s
+of each y is read off by divisibility tests, in one call per chunk.  The
+first d of each chunk therefore carries that chunk's wall time.  Every
+unit is compared with its predicted order: at p = 2, d = 1 the
+exceptional units (s = 0, y^2 with an odd coefficient) are predicted
 from the valuation of y + y^2, as (1 + 2y)^2 = 1 + 4(y + y^2).
 """
 
@@ -271,14 +272,12 @@ class PowerMap:
 @dataclass(eq=False)
 class Units:
     """V(Z_{p^e}G) of one instance: the gather table, the reduction-kernel
-    check, the power map and one seed's lemma9 pass are built on first use
-    and live as long as the object.  A ``one_shot`` Units serves a single
-    check (``verify_check`` on a bare RingSpec), so its lemma9 pass covers
-    only the d asked for."""
+    check, the power map and lemma9's passes, one per chunk of d's asked
+    for under one seed, are built on first use and live as long as the
+    object (a new lemma9 seed drops the passes of the last one)."""
 
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
-    one_shot: bool = False
     _lemma9: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -372,14 +371,16 @@ class Units:
         return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
 
     def lemma9(self, seed: int, d: int) -> Lemma9Units:
-        """lemma9's units for d, drawn with the seed the check derives from
-        the base ``seed``.  The first call for a seed runs one pass over the
-        candidates of every d = 1 ... e-1 (only d's on a one-shot Units),
-        and the object keeps that one pass."""
+        """lemma9's units for d, 1 <= d < e, drawn with the seed the check
+        derives from the base ``seed``.  The first call for d runs one pass
+        over the chunk of d = 1 ... e-1 that holds it (``_lemma9_chunks``),
+        so a suite's calls for every d run each chunk once; the object
+        keeps every chunk it has run for this seed."""
         if (seed, d) not in self._lemma9:
-            ds = [d] if self.one_shot else range(1, self.rs.e)
+            (ds,) = [c for c in _lemma9_chunks(self.rs, range(1, self.rs.e)) if d in c]
             seeds = {k: _derive_seed(seed, "lemma9", self.rs, {"d": k}) for k in ds}
-            self._lemma9 = {(seed, k): v for k, v in _lemma9_pass(self, seeds).items()}
+            kept = {key: v for key, v in self._lemma9.items() if key[0] == seed}
+            self._lemma9 = kept | {(seed, k): v for k, v in _lemma9_pass(self, seeds).items()}
         return self._lemma9[(seed, d)]
 
 
@@ -704,16 +705,11 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
     The candidates of a run of d's (``_lemma9_chunks``) are stacked in
     ascending d, their valuations read in one call, and the units powered
     in column blocks (``_blocks``), each column up to its own bound e - d,
-    so the columns still live after m steps are a prefix.  When every y is
-    tried, the d's share one decoded candidate set."""
+    so the columns still live after m steps are a prefix."""
     rs, out = units.rs, {}
     p, e, q = rs.p, rs.e, rs.modulus
-    every = _lemma9_candidates(rs, 0) if _lemma9_exhaustive(rs) else None  # no seed is read
     for ds in _lemma9_chunks(rs, seeds):
-        if every is not None:
-            draws = [every] * len(ds)
-        else:
-            draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
+        draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
         w = draws[0].shape[1]  # every d draws as many candidates
         col_d = np.repeat(np.array(ds, dtype=np.int64), w)
         block = np.concatenate(draws, axis=1)
@@ -884,17 +880,14 @@ def verify_check(
     seed: int = 0,
 ) -> VerificationReport:
     """Run one named check; verdict is exact predicted == observed.  A bare
-    RingSpec is checked through a one-shot Units.  An unknown id is refused
+    RingSpec is checked through a Units of its own.  An unknown id is refused
     by ``_lookup``; the ring and ``params`` pass ``Check.require``, which
     refuses, with a ValueError, a G past the dense table cap before any
     work, and, naming the check, a missing or stray key, a value that is
     no int >= 1 and a precondition that fails; the check, its id and its
     seed read what it returns.  ``seed`` must lie in [0, SEED_MAX]; the
     report carries the seed derived from it."""
-    if isinstance(rs_or_units, Units):
-        units = rs_or_units
-    else:
-        units = Units(rs_or_units, one_shot=True)
+    units = rs_or_units if isinstance(rs_or_units, Units) else Units(rs_or_units)
     rs = units.rs
     spec = _lookup(check)
     params = spec.require(rs, params)

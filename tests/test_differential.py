@@ -18,7 +18,7 @@ exponent, also on the full path; the image sets must be those of every
 iterate of any map, and a map with one entry sent to the identity, no
 longer an endomorphism, must be refused.  Every planned check must report the same
 through one shared ``Units`` as
-through one-shot calls on the RingSpec, and a failed reduction-kernel check
+through calls on the bare RingSpec, and a failed reduction-kernel check
 must fall back to the full map with the same reports.  theorem1 and lemma4
 read V[p] off the power map: their counts must equal scalar ones from
 ``unit_order``, also with an element of G[p] dropped so that they are
@@ -28,9 +28,11 @@ lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
-lemma9 pass of every d at once must report, per d, the scalar orders,
+lemma9 pass over each chunk of d's must report, per d, the scalar orders,
 exceptional marks and the orders ``ring.lemma9_predicted_order`` gives
-for that d's own candidates, the exceptional ones among them; on every
+for that d's own candidates, the exceptional ones among them, also at
+q = 2^31 and 7^11, where the product is reduced every two rows, against
+the scalar ``unit_order`` as well; on every
 exceptional unit 1 + 2y of Z_8C_4, Z_8C_2^2 and Z_16C_2 that closed form
 must be the scalar order; and the divisibility valuation must be the
 per-coefficient minimum.
@@ -83,6 +85,8 @@ from punits.ring import (
     RingElement,
     RingSpec,
     _order_exp_bound,
+    _rows_per_reduction,
+    augmentation,
     from_group_element,
     lemma9_predicted_order,
     one,
@@ -523,8 +527,8 @@ def test_lemma9_order_exps_match_scalar_powering(rs, data):
 
 @given(st.sampled_from([rs for rs in RINGS if rs.e >= 2]), st.integers(0, SEED_MAX), st.data())
 def test_lemma9_pass_matches_scalar_per_d(rs, seed, data):
-    # One pass powers every d's candidates together; each d must still
-    # report on the candidates drawn with its own derived seed.
+    # One pass powers the candidates of a chunk of d's together; each d
+    # must still report on the candidates drawn with its own derived seed.
     units = Units(rs)
     for d in range(1, rs.e):
         lem = units.lemma9(seed, d)
@@ -548,12 +552,49 @@ def test_lemma9_closed_form_on_the_drawn_candidates(rs, seed, data):
     # the rule; the scalar closed form must agree with that copy on the
     # candidates the pass draws, the exceptional ones among them.
     d = data.draw(st.integers(1, rs.e - 1))
-    lem = Units(rs, one_shot=True).lemma9(seed, d)
+    lem = Units(rs).lemma9(seed, d)
     ys = _lemma9_candidates(rs, _derive_seed(seed, "lemma9", rs, {"d": d}))
     picks = data.draw(st.lists(st.integers(0, ys.shape[1] - 1), min_size=1, max_size=8))
     for j in picks + np.flatnonzero(lem.exceptional)[:8].tolist():
         predicted = lemma9_predicted_order(d, RingElement(rs, tuple(ys[:, j].tolist())))
         assert predicted == rs.p ** int(lem.predicted[j])
+
+
+def _scalar_order(u: RingElement) -> int:
+    # u = a v with a = augmentation(u), a unit of Z_{p^e}, and v = u / a in
+    # V; both are p-power torsion here, so u's order is the larger of theirs.
+    p, q, a = u.spec.p, u.spec.modulus, augmentation(u)
+    a_order = next(p ** m for m in itertools.count() if pow(a, p ** m, q) == 1)
+    return max(a_order, unit_order(pow(a, -1, q) * u))
+
+
+@pytest.mark.parametrize(
+    "rs, chunks",
+    [
+        (RingSpec(GroupSpec(2, (1,)), 31), 1),  # q = 2^31
+        (RingSpec(GroupSpec(7, (1,)), 11), 2),  # odd q: a wrapped int64 sum is wrong mod q
+    ],
+    ids=["C2-e31", "C7-e11"],
+)
+def test_lemma9_at_the_widest_moduli(rs, chunks):
+    # q so wide that the batched product reduces its sum every two rows:
+    # every d through one Units must pass, and a few drawn candidates per
+    # d, the exceptional ones at d = 1 on C_2 among them, must have the
+    # scalar closed form's order and the scalar reference's.
+    assert _rows_per_reduction(rs.modulus) == 2
+    assert len(oracle._lemma9_chunks(rs, range(1, rs.e))) == chunks
+    units = Units(rs)
+    for d in range(1, rs.e):
+        report = verify_check("lemma9", units, {"d": d}, seed=5)
+        assert report.passed and report.observed["cases"] == oracle._LEMMA9_SAMPLES
+        lem = units.lemma9(5, d)
+        exceptional = np.flatnonzero(lem.exceptional)
+        assert (len(exceptional) > 0) == (rs.p == 2 and d == 1)
+        ys = _lemma9_candidates(rs, report.seed)
+        for j in [0, 1, 2] + exceptional[:3].tolist():
+            y = RingElement(rs, tuple(ys[:, j].tolist()))
+            order = lemma9_predicted_order(d, y)
+            assert order == rs.p ** int(lem.predicted[j]) == _scalar_order(one(rs) + rs.p ** d * y)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,9 @@ A parameter is an int: a bool, float, str or None is refused with a
 ValueError that names it, never coerced, and so is an int out of its
 range; a valid value is answered with exact ints at once, whatever its
 size.  Each call runs under ``helpers.alarm``, so a hang fails the test.
+A ring element with the wrong number of coefficients, a matrix with ragged
+rows, the valuation of 0 and the inverse of a non-unit are refused with
+one ValueError of one line.
 """
 
 import re
@@ -39,6 +42,7 @@ from punits.ring import (
     lemma9_predicted_order,
     one,
     reduce_mod,
+    unit_inverse,
 )
 from punits.theory import AbelianInvariants
 from punits.zpelin import ResidueMatrix, howell_form, module_membership
@@ -158,3 +162,20 @@ def test_p_valuation_refuses_p_below_2(p):
     # p = 1 divides every m, so the division loop would never end.
     with alarm(1), pytest.raises(ValueError, match=r"\bp\b"):
         p_valuation(5, p)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RingElement(_RS, (1, 0, 0)), "expected 4 coefficients, got 3"),
+        (lambda: ResidueMatrix(3, 1, 2, ((1, 1), (1,))), "ragged rows"),
+        (lambda: p_valuation(0, 3), "valuation of 0"),
+        (lambda: unit_inverse(RingElement(_RS, (2, 0, 0, 0))), "normalized unit"),
+    ],
+    ids=["coefficient count", "ragged rows", "valuation of 0", "inverse of a non-unit"],
+)
+def test_malformed_value_is_refused_in_one_line(call, message):
+    # A value of the right type that no element, matrix or unit can be.
+    with alarm(1), pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value) and "\n" not in str(info.value)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,6 +259,38 @@ class TestChecks:
 
         monkeypatch.setattr(oracle, "_lemma9_pass", off_by_one)
 
+    @staticmethod
+    def _layer_missing_a_member(monkeypatch, layer):
+        # Wrap the membership of 1 + w^layer so that lemma5's scan drops the
+        # first member of each block from that layer.
+        ideal_power_form = oracle.ideal_power_form
+
+        def miscounted(rs, m):
+            H = ideal_power_form(rs, m)
+            if m != layer:
+                return H
+
+            def contains(vecs):
+                member = H.contains(vecs)
+                member[np.flatnonzero(member)[:1]] = False
+                return member
+
+            return SimpleNamespace(size_exp=H.size_exp, contains=contains)
+
+        monkeypatch.setattr(oracle, "ideal_power_form", miscounted)
+
+    def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
+        # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  Counted as 2, the second layer
+        # makes both ratios that read it wrong: 9 / 2 is no integer and
+        # 2 / 1 no power of 3.  The check reports them, and fails.
+        rs = RingSpec(GroupSpec(3, (1,)), 1)
+        assert verify_check("lemma5", rs).passed
+        self._layer_missing_a_member(monkeypatch, 2)
+        report = verify_check("lemma5", rs)
+        assert not report.passed
+        assert report.predicted == {"layer_ratio_exps": [1, 1, 0]}
+        assert report.observed == {"layer_ratio_exps": [-1, -1, 0]}
+
     def test_lemma9_exceptional_units_are_compared(self, monkeypatch):
         # Every exceptional unit of Z_8 C_4 (p = 2, d = 1) is held to its
         # predicted order: one off on those columns alone fails all 3072.
@@ -290,26 +323,63 @@ class TestChecks:
         assert not wrong.passed and wrong.seed == report.seed
         assert wrong.observed["mismatches"] == wrong.observed["exceptional"] == exceptional
 
-    def test_lemma9_draws_once_per_d(self, monkeypatch):
-        from punits.cli import SuiteConfig, SuiteInstance, run_suite
-
+    @staticmethod
+    def _recorded_draws(monkeypatch) -> list:
+        # The seeds lemma9's candidates are drawn with, in the order drawn.
         seeds = []
         draw = oracle._lemma9_candidates
 
-        def counted(rs, seed):
+        def recorded(rs, seed):
             seeds.append(seed)
             return draw(rs, seed)
 
-        monkeypatch.setattr(oracle, "_lemma9_candidates", counted)
+        monkeypatch.setattr(oracle, "_lemma9_candidates", recorded)
+        return seeds
+
+    def test_lemma9_draws_once_per_d(self, monkeypatch):
+        from punits.cli import SuiteConfig, SuiteInstance, run_suite
+
+        seeds = self._recorded_draws(monkeypatch)
         rs = RingSpec(GroupSpec(2, (1,)), 5)
-        # A single-d caller draws, and powers, only its own d.
-        report = verify_check("lemma9", rs, {"d": 2}, seed=3)
-        assert seeds == [report.seed]
+        assert oracle._lemma9_chunks(rs, range(1, 5)) == [[1, 2, 3, 4]]
+        # A bare-RingSpec call draws, and powers, each d of the chunk that
+        # holds its d once, with the seed that d's report carries.
+        verify_check("lemma9", rs, {"d": 2}, seed=3)
+        drawn = list(seeds)
+        units = Units(rs)
+        reports = [verify_check("lemma9", units, {"d": d}, seed=3) for d in range(1, 5)]
+        assert drawn == [r.seed for r in reports] and seeds == drawn + drawn
+        # Another d of a chunk that has run draws nothing; a new seed on the
+        # same Units draws the chunk again.
+        seeds.clear()
+        assert verify_check("lemma9", units, {"d": 3}, seed=3) == reports[2]
+        assert seeds == []
+        again = verify_check("lemma9", units, {"d": 3}, seed=4)
+        assert len(seeds) == 4 and seeds[2] == again.seed != reports[2].seed
         # A suite run draws every d once, with the seed each report carries.
         seeds.clear()
         config = SuiteConfig((SuiteInstance(rs.group, rs.e),), checks=("lemma9",), seed=3)
         (inst,) = run_suite(config)
         assert seeds == [c.seed for c in inst.checks] and len(seeds) == rs.e - 1
+
+    def test_lemma9_runs_only_the_chunk_of_d(self, monkeypatch):
+        seeds = self._recorded_draws(monkeypatch)
+        # C_7 at e = 11: nine d's of 7 x 1000 entries fit the budget.
+        rs = RingSpec(GroupSpec(7, (1,)), 11)
+        assert oracle._lemma9_chunks(rs, range(1, 11)) == [list(range(1, 10)), [10]]
+        units = Units(rs)
+        tenth = verify_check("lemma9", units, {"d": 10})
+        assert seeds == [tenth.seed]
+        seeds.clear()
+        third = verify_check("lemma9", units, {"d": 3})
+        assert len(seeds) == 9 and seeds[2] == third.seed
+        seeds.clear()
+        assert verify_check("lemma9", units, {"d": 10}) == tenth and seeds == []
+        # From |G| = 33 on a chunk holds one d: a bare call draws its own.
+        rs = RingSpec(GroupSpec(2, (6,)), 3)
+        assert oracle._lemma9_chunks(rs, range(1, 3)) == [[1], [2]]
+        seeds.clear()
+        assert verify_check("lemma9", rs, {"d": 2}).seed == seeds[0] and len(seeds) == 1
 
     @pytest.mark.parametrize(
         "rs",
@@ -341,20 +411,15 @@ class TestChecks:
             assert all(lo < hi <= lo + budget // rs.size for lo, hi in blocks)
 
     def test_report_seed_is_the_seed_that_drew(self, monkeypatch):
-        # The report names the seed the candidates were drawn with, also
-        # when d is a numpy integer.
-        seeds = []
-        draw = oracle._lemma9_candidates
-
-        def recorded(rs, seed):
-            seeds.append(seed)
-            return draw(rs, seed)
-
-        monkeypatch.setattr(oracle, "_lemma9_candidates", recorded)
+        # The report names the seed its d's candidates were drawn with, also
+        # when d is a numpy integer: d = 2 is the second d drawn of the
+        # chunk [1, 2, 3, 4].
+        seeds = self._recorded_draws(monkeypatch)
         rs = RingSpec(GroupSpec(2, (1,)), 5)
         for d in (2, np.int64(2)):
             seeds.clear()
-            assert verify_check("lemma9", rs, {"d": d}, seed=3).seed == seeds[0]
+            assert verify_check("lemma9", rs, {"d": d}, seed=3).seed == seeds[1]
+            assert len(seeds) == 4
 
     def test_seed_outside_32_bits_is_refused(self):
         rs = RingSpec(GroupSpec(2, (1,)), 5)

@@ -14,6 +14,9 @@ kernel mask along the power map once per exponent instead of reading
 fibre sizes off its images.
 
 ``alarm`` bounds the wall time of a call that must refuse at once.
+``SUITE_SHA256`` pins the default suite's bytes, ``stdlib_json`` is the
+rendering every JSON output must match, and ``fresh_python`` runs a child
+interpreter on this checkout's sources.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import json
+import os
 import random
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +43,28 @@ from punits.pgroup import (
 )
 from punits.ring import RingElement, RingSpec, from_group_element, one, p_valuation
 from punits.zpelin import ResidueMatrix
+
+
+# The seed-0 default suite's bytes, for any worker count, as perfbench's
+# reference records them: a change to any kernel must leave every reported
+# value as it is.
+SUITE_SHA256 = "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
+
+
+def stdlib_json(obj) -> str:
+    """The rendering every JSON output must match byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def fresh_python(*args: str, env=None, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``[sys.executable, *args]`` in the environment ``env`` (default
+    os.environ) with this checkout's ``src`` first on PYTHONPATH.  stdout
+    and stderr are captured as bytes, so a hash is taken over the bytes
+    written."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=timeout)
 
 
 def partitions(n: int):

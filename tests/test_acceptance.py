@@ -24,7 +24,7 @@ from punits.ring import RingSpec, binomial_p_power
 from punits.theory import AbelianInvariants, v_invariants
 from punits.zpelin import nilpotency_index
 
-from .helpers import legendre_binomial_valuation, partitions
+from .helpers import SUITE_SHA256, legendre_binomial_valuation, partitions, stdlib_json
 
 
 @pytest.fixture(scope="session")
@@ -211,11 +211,6 @@ def test_criterion_11_invariant_recovery_round_trip():
     _declare("11 (census round-trip for all p-groups with size exponent <= 12)", ok)
 
 
-# The seed-0 default suite's bytes, as perfbench's reference records them:
-# a change to any kernel must leave every reported value as it is.
-_SUITE_SHA256 = "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
-
-
 def _suite_sha256(reports) -> str:
     return hashlib.sha256(emit_report(reports, "json").encode()).hexdigest()
 
@@ -223,7 +218,7 @@ def _suite_sha256(reports) -> str:
 def test_default_suite_json_is_pinned(suite_outcome):
     config, reports, _ = suite_outcome
     assert (config.workers, config.seed) == (1, 0)
-    assert _suite_sha256(reports) == _SUITE_SHA256
+    assert _suite_sha256(reports) == SUITE_SHA256
 
 
 def test_default_suite_json_is_the_stdlib_rendering(suite_outcome):
@@ -231,7 +226,7 @@ def test_default_suite_json_is_the_stdlib_rendering(suite_outcome):
     # stdlib's rendering of what it holds.
     _, reports, _ = suite_outcome
     text = emit_report(reports, "json")
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+    assert stdlib_json(json.loads(text)) == text
 
 
 def test_criterion_12_suite_determinism(suite_outcome):
@@ -241,5 +236,5 @@ def test_criterion_12_suite_determinism(suite_outcome):
     digests = [_suite_sha256(reports)] + [
         _suite_sha256(run_suite(default_suite_config(workers=w, seed=0))) for w in (2, 4)
     ]
-    ok = digests == [_SUITE_SHA256] * 3
+    ok = digests == [SUITE_SHA256] * 3
     _declare("12 (suite JSON pinned and byte-identical for workers 1, 2 and 4, same seed)", ok)

@@ -1,12 +1,12 @@
 import contextlib
 import enum
 import functools
+import hashlib
 import io
 import json
 import math
 import os
 import re
-import subprocess
 import sys
 import time
 import weakref
@@ -31,18 +31,13 @@ from punits.cli import (
 from punits.pgroup import GroupSpec
 from punits.ring import RingSpec
 
-from .helpers import alarm, partitions
+from .helpers import SUITE_SHA256, alarm, fresh_python, partitions, stdlib_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def stdlib_json(obj) -> str:
-    """The rendering cli._dump_json must match byte for byte."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def report_schema(reports) -> dict:
@@ -636,16 +631,11 @@ print(json.dumps(results))
 
 
 def test_huge_groups_are_refused_at_once_under_an_address_space_limit():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _REFUSE_IN_CHILD, json.dumps(_HUGE_ARGVS)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
-        timeout=60,
+    proc = fresh_python(
+        "-c", _REFUSE_IN_CHILD, json.dumps(_HUGE_ARGVS),
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (0, b"")
     for argv, (code, out, err, seconds) in zip(_HUGE_ARGVS, json.loads(proc.stdout)):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -1049,6 +1039,41 @@ class TestSuiteCommand:
 _ONE = {"p": 2, "lambda": [1], "e": 2}
 
 
+# What a `python -m punits` child must print: a refusal one line on stderr,
+# and a run, with exit 0, JSON that is the stdlib's rendering of what it
+# holds, and more for some.
+def _refused(proc):
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    err = proc.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _rendered(proc) -> dict:
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = proc.stdout.decode()
+    report = json.loads(out)
+    assert out == stdlib_json(report)
+    return report
+
+
+def _suite_pinned(proc):
+    _rendered(proc)
+    assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_SHA256
+
+
+def _lemma9_z8c4(proc):
+    # d = 1: all 3072 exceptional units, each held to its order.
+    (inst,) = _rendered(proc)["instances"]
+    (d1,) = [c["observed"] for c in inst["checks"] if c["id"] == "lemma9:d=1"]
+    assert (d1["exceptional"], d1["mismatches"]) == (3072, 0)
+
+
+def _lemma9_z7_11c7(proc):
+    # An odd modulus near 2^31: all 10 d's, in two chunks.
+    (inst,) = _rendered(proc)["instances"]
+    assert [c["observed"]["mismatches"] for c in inst["checks"]] == [0] * 10
+
+
 class TestMalformedInput:
     """Every malformed suite config or flag is exit 2 with one error line:
     never a traceback, exit 1 or a vacuous all_pass."""
@@ -1154,20 +1179,23 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert "unknown check" in err and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_python_dash_m_entry_point(self, tmp_path):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps({"instances": [3]}))
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "punits", "suite", "--config", str(path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            ("suite --config suite.json", _refused),
+            ("invariants --p 2 --lambda 3,1 --e 2 --format json", _rendered),
+            ("suite --workers 2", _suite_pinned),
+            ("verify --p 2 --lambda 2 --e 3 --checks lemma9 --format json", _lemma9_z8c4),
+            ("verify --p 7 --lambda 1 --e 11 --checks lemma9 --format json", _lemma9_z7_11c7),
+        ],
+        ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7"],
+    )
+    def test_python_dash_m_entry_point(self, tmp_path, monkeypatch, argv, expect):
+        # The real entry point, end to end in a fresh process; the refusal
+        # reads its config from the working directory.
+        (tmp_path / "suite.json").write_text(json.dumps({"instances": [3]}))
+        monkeypatch.chdir(tmp_path)
+        expect(fresh_python("-m", "punits", *argv.split()))
 
     def test_explicit_check_needs_only_one_instance(self, capsys, tmp_path):
         # theorem1 plans on the e = 2 instance, so the e = 1 one is no error

@@ -1,8 +1,5 @@
 import doctest
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +8,8 @@ import punits.cli
 import punits.pgroup
 import punits.theory
 import punits.zpelin
+
+from .helpers import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,13 +50,5 @@ def test_readme_library_quick_start():
 def test_demo_runs(demo):
     # The README's demo scripts, each in a fresh interpreter on this
     # checkout's sources, so that an API move breaks this before them.
-    src = str(ROOT / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python(str(ROOT / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -18,8 +18,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import textwrap
 import time
 
@@ -29,7 +27,7 @@ from punits import cli, oracle
 from punits.cli import SuiteConfig, SuiteInstance, main, run_suite
 from punits.pgroup import GroupSpec
 
-SUITE_SHA256 = "a3f72ebdb81b43d217a099c3e6745a94af7913ea9b009da5e88cf168c4c2f824"
+from .helpers import SUITE_SHA256, fresh_python
 
 _INSTANCES = (
     SuiteInstance(GroupSpec(2, (1,)), 2),
@@ -184,17 +182,6 @@ def test_bug_in_a_check_keeps_its_traceback(monkeypatch, config_path, workers):
     assert multiprocessing.active_children() == []
 
 
-def _fresh_python(code: str, env: dict, timeout: float) -> subprocess.CompletedProcess:
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    pythonpath = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True,
-        env={**env, "PYTHONPATH": pythonpath},
-        timeout=timeout,
-    )
-
-
 def test_blas_call_before_the_fork():
     # OpenBLAS keeps threads of its own once called; with them on, a child
     # forked after a BLAS call in the parent must still finish its
@@ -211,7 +198,7 @@ def test_blas_call_before_the_fork():
         a @ a
         sys.exit(main(["suite", "--workers", "2"]))
         """
-    proc = _fresh_python(code, env, timeout=300)
+    proc = fresh_python("-c", textwrap.dedent(code), env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_SHA256
 
@@ -231,5 +218,5 @@ def test_import_leaves_the_pool_machinery_unloaded():
         cli.run_suite(cli.SuiteConfig((cli.SuiteInstance(GroupSpec(2, (1,)), 2),) * 2))
         assert loaded() == [], loaded()
         """
-    proc = _fresh_python(code, dict(os.environ), timeout=120)
+    proc = fresh_python("-c", textwrap.dedent(code))
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 import os
 import random
-import subprocess
 import sys
 import textwrap
 from dataclasses import replace
@@ -31,7 +30,7 @@ from punits.pgroup import GroupSpec, gather_table
 from punits.ring import RingSpec, unit_order
 from punits.theory import AbelianInvariants, v_invariants, v_order_exp
 
-from .helpers import alarm, partitions, random_normalized_unit
+from .helpers import alarm, fresh_python, partitions, random_normalized_unit
 
 Z2C2 = RingSpec(GroupSpec(2, (1,)), 1)
 Z4C2 = RingSpec(GroupSpec(2, (1,)), 2)
@@ -245,39 +244,41 @@ class TestChecks:
         assert a == b
         assert a.seed != c.seed
 
-    @staticmethod
-    def _exceptional_off_by_one(monkeypatch):
-        # Wrap the lemma9 pass so that only the exceptional columns predict
-        # one more than the closed form.
-        lemma9_pass = oracle._lemma9_pass
-
-        def off_by_one(units, seeds):
-            return {
-                d: replace(lem, predicted=lem.predicted + lem.exceptional)
-                for d, lem in lemma9_pass(units, seeds).items()
-            }
-
-        monkeypatch.setattr(oracle, "_lemma9_pass", off_by_one)
+    # Each verdict must be able to fail: the tests below wrap the kernel a
+    # check reads so that its observed side is off, and require the report,
+    # not a traceback, to say so in the field that reads it.
 
     @staticmethod
-    def _layer_missing_a_member(monkeypatch, layer):
-        # Wrap the membership of 1 + w^layer so that lemma5's scan drops the
-        # first member of each block from that layer.
-        ideal_power_form = oracle.ideal_power_form
+    def _edited(monkeypatch, owner, name, edit):
+        # Wrap the function owner.name so that edit changes what it returns.
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: edit(inner(*args)))
 
-        def miscounted(rs, m):
-            H = ideal_power_form(rs, m)
-            if m != layer:
-                return H
+    @classmethod
+    def _lemma9_off_by_one(cls, monkeypatch, where):
+        # The lemma9 pass, predicting one more than the closed form on the
+        # columns where(lem) marks.
+        cls._edited(monkeypatch, oracle, "_lemma9_pass", lambda out: {
+            d: replace(lem, predicted=lem.predicted + where(lem)) for d, lem in out.items()
+        })
 
+    @classmethod
+    def _membership_edited(cls, monkeypatch, m, edit):
+        # The Howell form of w^m, whose membership answer for each block
+        # edit changes in place.
+        def form(H):
             def contains(vecs):
                 member = H.contains(vecs)
-                member[np.flatnonzero(member)[:1]] = False
+                edit(member)
                 return member
 
             return SimpleNamespace(size_exp=H.size_exp, contains=contains)
 
-        monkeypatch.setattr(oracle, "ideal_power_form", miscounted)
+        ideal_power_form = oracle.ideal_power_form
+        monkeypatch.setattr(
+            oracle, "ideal_power_form",
+            lambda rs, n: form(ideal_power_form(rs, n)) if n == m else ideal_power_form(rs, n),
+        )
 
     def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
         # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  Counted as 2, the second layer
@@ -285,17 +286,100 @@ class TestChecks:
         # 2 / 1 no power of 3.  The check reports them, and fails.
         rs = RingSpec(GroupSpec(3, (1,)), 1)
         assert verify_check("lemma5", rs).passed
-        self._layer_missing_a_member(monkeypatch, 2)
+
+        def drop_first_member(member):
+            member[np.flatnonzero(member)[:1]] = False
+
+        self._membership_edited(monkeypatch, 2, drop_first_member)
         report = verify_check("lemma5", rs)
         assert not report.passed
         assert report.predicted == {"layer_ratio_exps": [1, 1, 0]}
         assert report.observed == {"layer_ratio_exps": [-1, -1, 0]}
 
+    def test_lemma3_fails_on_a_flipped_membership(self, monkeypatch):
+        # D_2(Z_4 C_8) = {1, g^4}; read as a member of w^2, g^7 - 1 adds g^7.
+        rs = RingSpec(GroupSpec(2, (3,)), 2)
+
+        def flip_last(member):
+            member[-1] = ~member[-1]
+
+        self._membership_edited(monkeypatch, 2, flip_last)
+        report = verify_check("lemma3", rs, {"n": 2})
+        assert not report.passed
+        assert report.predicted == {"elements": [[0], [4]]}
+        assert report.observed == {"elements": [[0], [4], [7]]}
+
+    def test_lemma2_fails_on_a_wrong_power(self, monkeypatch):
+        # One coefficient of (1 - g)^{2^e} off in P[e]: g is no square in
+        # C_4, so one case reads that column, against (1 - g^2)^2, and it
+        # is a violation.
+        rs = RingSpec(GroupSpec(2, (2,)), 2)
+        assert verify_check("lemma2", rs).passed
+
+        def one_off(P):
+            P[rs.e][0, 1] = (P[rs.e][0, 1] + 1) % rs.modulus
+            return P
+
+        self._edited(monkeypatch, oracle, "_lemma2_powers", one_off)
+        report = verify_check("lemma2", rs)
+        assert not report.passed
+        assert report.observed == {"cases": report.predicted["cases"], "violations": 1}
+
+    def test_lemma6_fails_on_a_miscounted_kernel(self, monkeypatch):
+        # |K| = 3^2 for Z_9 C_3, counted as 10.
+        kernel = Units.kernel.func
+
+        def miscounted(units):
+            size, violations = kernel(units)
+            return size + 1, violations
+
+        monkeypatch.setattr(Units, "kernel", property(miscounted))
+        report = verify_check("lemma6", Z9C3)
+        assert not report.passed
+        assert report.predicted == {"kernel_size": 9, "order_p_violations": 0}
+        assert report.observed == {"kernel_size": 10, "order_p_violations": 0}
+
+    @pytest.mark.parametrize(
+        "edit, observed",
+        [
+            # One representative fewer: 9 units per representative missing.
+            (lambda reps: reps[:, 1:], {"order_dividing_p": 18, "outside_socle_form": 0}),
+            # One more on each coefficient of one representative: its
+            # residue mod 3, and so each of the 9 units it stands for, is
+            # outside the socle form.
+            (
+                lambda reps: np.c_[reps[:, :1] + 1, reps[:, 1:]],
+                {"order_dividing_p": 27, "outside_socle_form": 9},
+            ),
+        ],
+        ids=["count", "socle"],
+    )
+    def test_theorem1_fails_on_a_wrong_unit_of_order_p(self, monkeypatch, edit, observed):
+        # |V[3]| = 27 for Z_9 C_3, read off 3 representatives.
+        self._edited(monkeypatch, Units, "p_torsion", edit)
+        report = verify_check("theorem1", Z9C3)
+        assert not report.passed
+        assert report.observed == observed
+
+    def test_theorem2_fails_on_a_moved_census_entry(self, monkeypatch):
+        # V(Z_8 C_2) = C_2 x C_4 has 4 units of order 4; counted of order 2,
+        # the census is that of C_2^3.
+        rs = RingSpec(GroupSpec(2, (1,)), 3)
+
+        def moved_down(census):
+            *rest, (k, count) = census.counts
+            return OrderHistogram((*rest, (k - 1, count)))
+
+        self._edited(monkeypatch, Units, "census", moved_down)
+        report = verify_check("theorem2", rs)
+        assert not report.passed
+        assert report.observed == {"invariants": [{"order_exp": 1, "multiplicity": 3}]}
+
     def test_lemma9_exceptional_units_are_compared(self, monkeypatch):
         # Every exceptional unit of Z_8 C_4 (p = 2, d = 1) is held to its
         # predicted order: one off on those columns alone fails all 3072.
         rs = RingSpec(GroupSpec(2, (2,)), 3)
-        self._exceptional_off_by_one(monkeypatch)
+        self._lemma9_off_by_one(monkeypatch, lambda lem: lem.exceptional)
         report = verify_check("lemma9", rs, {"d": 1})
         assert not report.passed
         assert report.observed["mismatches"] == report.observed["exceptional"] == 3072
@@ -303,6 +387,16 @@ class TestChecks:
         for other, d in ((rs, 2), (RingSpec(GroupSpec(3, (1,)), 2), 1)):
             report = verify_check("lemma9", other, {"d": d})
             assert report.passed and report.observed["exceptional"] == 0
+
+    def test_lemma9_units_of_order_1_are_compared(self, monkeypatch):
+        # The exhaustive candidates of Z_4 C_2 at d = 1 hold the 3 nonzero y
+        # divisible by 2, for which 1 + 2y = 1: one off on those alone fails.
+        rs = RingSpec(GroupSpec(2, (1,)), 2)
+        self._lemma9_off_by_one(monkeypatch, lambda lem: lem.measured == 0)
+        report = verify_check("lemma9", rs, {"d": 1})
+        assert not report.passed
+        assert report.observed["mismatches"] == 3
+        assert report.observed["order_bound_violations"] == 0
 
     @pytest.mark.parametrize(
         "rs", [RingSpec(GroupSpec(2, (1,)), 5), RingSpec(GroupSpec(2, (2, 1)), 3)]
@@ -318,7 +412,7 @@ class TestChecks:
         assert report.observed["cases"] == oracle._LEMMA9_SAMPLES
         exceptional = report.observed["exceptional"]
         assert exceptional > 0
-        self._exceptional_off_by_one(monkeypatch)
+        self._lemma9_off_by_one(monkeypatch, lambda lem: lem.exceptional)
         wrong = verify_check("lemma9", rs, {"d": 1}, seed=seed)
         assert not wrong.passed and wrong.seed == report.seed
         assert wrong.observed["mismatches"] == wrong.observed["exceptional"] == exceptional
@@ -625,8 +719,7 @@ def test_formula_checks_leave_numpy_ma_unimported():
     # Some numpy calls (np.unique among them) import numpy.ma, about 1 MB of
     # resident memory for the rest of the process.  A suite that plans the
     # formula checks lemma2, lemma3 and lemma9 must not pull it in.
-    code = textwrap.dedent(
-        """
+    code = """
         import sys
         from punits import cli
         from punits.pgroup import GroupSpec
@@ -644,14 +737,5 @@ def test_formula_checks_leave_numpy_ma_unimported():
         assert all(r.all_pass() for r in reports)
         assert "numpy.ma" not in sys.modules
         """
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = fresh_python("-c", textwrap.dedent(code))
+    assert proc.returncode == 0, proc.stderr.decode()

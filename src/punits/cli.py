@@ -177,42 +177,28 @@ def _emit_json(obj, out: list[str], newline: str) -> None:
     # list writes a child whose type is exactly int or str inline; any other
     # child, a bool or an int or str subclass among them, takes one call of
     # its own, and so the isinstance tests and their TypeError.
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
         if not obj:
-            out.append("{}")
+            out.append(brackets)
             return
         inner = newline + "  "
-        sep = "{" + inner
-        # _quote raises TypeError on a key that is not a str.
-        for key in sorted(obj):
-            value = obj[key]
+        sep = brackets[0] + inner
+        # A dict's keys are unique, so its items sort by key; _quote raises
+        # TypeError on a key that is not a str.
+        for key, value in sorted(obj.items()) if keyed else enumerate(obj):
+            head = f"{sep}{_quote(key)}: " if keyed else sep
             kind = type(value)
             if kind is int:
-                out.append(f"{sep}{_quote(key)}: {int.__repr__(value)}")
+                out.append(head + int.__repr__(value))
             elif kind is str:
-                out.append(f"{sep}{_quote(key)}: {_quote(value)}")
+                out.append(head + _quote(value))
             else:
-                out.append(f"{sep}{_quote(key)}: ")
+                out.append(head)
                 _emit_json(value, out, inner)
             sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            kind = type(item)
-            if kind is int:
-                out.append(sep + int.__repr__(item))
-            elif kind is str:
-                out.append(sep + _quote(item))
-            else:
-                out.append(sep)
-                _emit_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
+        out.append(newline + brackets[1])
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, int):
@@ -697,9 +683,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (BudgetExceededError, ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError, ArithmeticError) as exc:
+        # ArithmeticError is the library's own consistency checks: the closed
+        # forms or the oracle contradicted themselves, which is no refusal.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ order, with vectorized numpy arithmetic that is bit-identical to the
 scalar reference convolution.  Every batched kernel works within one
 budget of ``_BLOCK_ENTRIES`` entries: a block has |G| rows and as many
 columns as fit it (``_blocks``), for the map, the kernel K, lemma5's scan
-and lemma9's powers alike.  The batched product is one gathered einsum,
+and lemma2's and lemma9's powers alike, and ``_blocks`` is the one
+division of that budget.  The batched product is one gathered einsum,
 reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G| products
 per entry fit one int64 sum and the gathered operand, |G| times the
 block, fits the budget; otherwise it adds one row at a time and reduces
@@ -49,9 +50,13 @@ may run instances side by side, in separate processes, each of which
 keeps one power map alive at a time.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
-powers one block of columns (1 - g for every g in G, or g - 1) with the
-same batched kernels, and reads the group's own power map g -> g^m by
-index arithmetic (``pgroup.power_indices``).  lemma9 is planned once per
+reads columns (1 - g or g - 1 for every g in G) with the same batched
+kernels, and the group's own power map g -> g^m by index arithmetic
+(``pgroup.power_indices``).  G is abelian, so g -> g^m induces a ring
+endomorphism of Z_qG (``_induced``, also the power map at e = 1); lemma2
+compares each column of (1 - g)^{p^l} with the image of its own column of
+(1 - g)^{p^{l-s}} under g -> g^{p^s}, and so powers its columns one block
+at a time.  lemma9 is planned once per
 d = 1 ... e-1 but computed once per chunk of d's and base seed
 (``Units.lemma9``): a chunk is a run of as many d's, ascending, as fit the
 budget (a d whose units alone exceed it stands alone), and the first
@@ -110,10 +115,10 @@ DEFAULT_BUDGET = 1 << 22
 _LEMMA9_SAMPLES = 1000
 
 # The working set of every batched kernel, in entries (512 KiB of int64):
-# a block of units has |G| rows and _BLOCK_ENTRIES // |G| columns
-# (``_blocks``), lemma9 stacks d's up to it (``_lemma9_chunks``), and
-# ``_batch_mul`` forms one gathered einsum only when its gathered operand
-# fits it.
+# a block of units or of lemma2's columns has |G| rows and
+# _BLOCK_ENTRIES // |G| columns (``_blocks``, the one division of it),
+# lemma9 stacks d's up to it (``_lemma9_chunks``), and ``_batch_mul``
+# forms one gathered einsum only when its gathered operand fits it.
 _BLOCK_ENTRIES = 1 << 16
 
 # Seeds are mixed into a 32-bit CRC (``_derive_seed``); a wider range
@@ -132,14 +137,15 @@ class BudgetExceededError(RuntimeError):
 
 def unit_count(rs: RingSpec) -> int:
     """|V| = p^{e(|G|-1)} as a plain integer (may be huge)."""
-    return rs.modulus ** (rs.size - 1)
+    return rs.p ** theory.v_order_exp(rs.group, rs.e)
 
 
 def _over_budget(rs: RingSpec, budget: int) -> Optional[str]:
     """Why V cannot be enumerated under the budget, an int >= 1, or None if
     it can."""
     budget = checked_int(budget, "budget", 1)
-    n, head = unit_count(rs), f"|V| = {rs.p}^{rs.e * (rs.size - 1)} exceeds"
+    exp = theory.v_order_exp(rs.group, rs.e)
+    n, head = rs.p ** exp, f"|V| = {rs.p}^{exp} exceeds"
     if n > budget:
         return f"{head} the enumeration budget {budget}"
     return f"{head} the int32 enumeration index" if n >= _INDEX_CAP else None
@@ -219,6 +225,17 @@ def _batch_pow(tbl: np.ndarray, q: int, x: np.ndarray, m: int) -> np.ndarray:
     if result is None:
         raise ValueError("m must be >= 1")
     return result
+
+
+def _induced(x: np.ndarray, images: np.ndarray, q: int) -> np.ndarray:
+    """The images of x's columns under the Z_q-linear map g_i -> g_{images[i]}
+    of Z_qG: row i of x is added to row images[i], and the sums reduced mod
+    q.  For G abelian and images = power_indices(G, m) this is the ring
+    endomorphism that g -> g^m induces."""
+    out = np.zeros_like(x)
+    for i, g in enumerate(images):
+        out[g] += x[i]
+    return mod_in_place(out, q)
 
 
 def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -320,10 +337,7 @@ class Units:
         for lo, hi in _blocks(len(one), rs.size):
             reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
-                powers = np.zeros_like(reps)
-                for i, gp in enumerate(frobenius):
-                    powers[gp] += reps[i]
-                mod_in_place(powers, q)
+                powers = _induced(reps, frobenius, q)
             else:
                 powers = _batch_pow(tbl, q, reps, rs.p)
             one[lo:hi] = _matches(powers, ident)
@@ -616,12 +630,14 @@ def _check_lemma3(units: Units, params, seed):
     return {"elements": listed(predicted)}, {"elements": listed(observed)}
 
 
-def _lemma2_powers(units: Units) -> dict[int, np.ndarray]:
-    """P[k] for k = e-1 ... e+3, the exponents l - s that lemma2 reads:
-    column j is (1 - g_j)^{p^k}, so column 0 (g = 1) is 0."""
+def _lemma2_powers(units: Units, lo: int = 0, hi: Optional[int] = None) -> dict[int, np.ndarray]:
+    """P[k] for k = e-1 ... e+3, the exponents l - s that lemma2 reads, on
+    the columns lo ... hi-1 (default: to |G|): column j is
+    (1 - g_{lo+j})^{p^k}, so the column of g = 1 is 0."""
     rs, tbl = units.rs, units.table
     p, e, q = rs.p, rs.e, rs.modulus
-    cols = mod_in_place(_identity(rs)[:, None] - np.eye(rs.size, dtype=np.int64), q)
+    hi = rs.size if hi is None else hi
+    cols = mod_in_place(_identity(rs)[:, None] - np.eye(rs.size, hi - lo, -lo, dtype=np.int64), q)
     P = {e - 1: _batch_pow(tbl, q, cols, p ** (e - 1))}
     for k in range(e, e + 4):
         P[k] = _batch_pow(tbl, q, P[k - 1], p)
@@ -629,19 +645,23 @@ def _lemma2_powers(units: Units) -> dict[int, np.ndarray]:
 
 
 def _check_lemma2(units: Units, params, seed):
-    # (1 - g)^{p^l} against (1 - g^{p^s})^{p^{l-s}}: column j of P[l]
-    # against the column of g_j^{p^s} in P[l - s].
+    # (1 - g)^{p^l} against (1 - g^{p^s})^{p^{l-s}}, which is the image of
+    # (1 - g)^{p^{l-s}} under the ring endomorphism g -> g^{p^s} induces (G
+    # is abelian): column j of P[l] against column j of P[l - s] mapped so,
+    # one block of columns at a time.
     rs = units.rs
-    p, e = rs.p, rs.e
-    P = _lemma2_powers(units)
+    p, e, q = rs.p, rs.e, rs.modulus
     maps = [power_indices(rs.group, p ** s) for s in range(5)]  # s <= l - e + 1 <= 4
     cases = 0
     violations = 0
-    for l in range(e, e + 4):
-        for s in range(0, l - e + 2):
-            rhs = P[l - s][:, maps[s]]
-            cases += rs.size
-            violations += int(np.count_nonzero(~(P[l] == rhs).all(axis=0)))
+    for lo, hi in _blocks(rs.size, rs.size):
+        P = _lemma2_powers(units, lo, hi)
+        for l in range(e, e + 4):
+            for s in range(0, l - e + 2):
+                rhs = _induced(P[l - s], maps[s], q)
+                cases += hi - lo
+                violations += int(np.count_nonzero(~(P[l] == rhs).all(axis=0)))
+        del P, rhs  # before the next block's powers are built
     return (
         {"cases": cases, "violations": 0},
         {"cases": cases, "violations": violations},
@@ -677,9 +697,8 @@ def _lemma9_chunks(rs: RingSpec, ds) -> list[list[int]]:
     rows, one column per candidate) holds at most _BLOCK_ENTRIES entries; a
     d whose block alone is larger runs by itself."""
     cols = rs.modulus ** rs.size - 1 if _lemma9_exhaustive(rs) else _LEMMA9_SAMPLES
-    per_chunk = max(1, _BLOCK_ENTRIES // (rs.size * cols))
     ds = sorted(ds)
-    return [ds[i : i + per_chunk] for i in range(0, len(ds), per_chunk)]
+    return [ds[lo:hi] for lo, hi in _blocks(len(ds), rs.size * cols)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -642,6 +642,24 @@ def test_huge_groups_are_refused_at_once_under_an_address_space_limit():
         assert seconds < 1, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["verify --p 2 --lambda 1 --e 2", "suite", "suite --workers 2",
+     "invariants --p 2 --lambda 1 --e 2"],
+)
+def test_inconsistent_closed_form_is_one_error_line(capsys, monkeypatch, argv):
+    # A complement count l one too large breaks structure_report's size
+    # check at e >= 2.  That ArithmeticError is the closed forms contradicting
+    # themselves: exit 1 and one error line that names the check, no
+    # traceback and no report.
+    s_and_l = theory.s_and_l
+    monkeypatch.setattr(theory, "s_and_l", lambda spec: (s_and_l(spec)[0], s_and_l(spec)[1] + 1))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invariant size exponent ") and err.count("\n") == 1
+    assert "!= e(|G|-1)" in err
+
+
 # Quotes, backslashes, control characters, non-ASCII in the BMP, astral
 # characters and a lone surrogate: every kind of escape the report can need.
 _JSON_TEXT = st.text(
@@ -1068,6 +1086,12 @@ def _lemma9_z8c4(proc):
     assert (d1["exceptional"], d1["mismatches"]) == (3072, 0)
 
 
+def _lemma2_cap(proc):
+    # |G| = 1024, the dense table cap: 14 cases per group element.
+    (inst,) = _rendered(proc)["instances"]
+    assert [c["observed"] for c in inst["checks"]] == [{"cases": 14336, "violations": 0}]
+
+
 def _lemma9_z7_11c7(proc):
     # An odd modulus near 2^31: all 10 d's, in two chunks.
     (inst,) = _rendered(proc)["instances"]
@@ -1187,8 +1211,9 @@ class TestMalformedInput:
             ("suite --workers 2", _suite_pinned),
             ("verify --p 2 --lambda 2 --e 3 --checks lemma9 --format json", _lemma9_z8c4),
             ("verify --p 7 --lambda 1 --e 11 --checks lemma9 --format json", _lemma9_z7_11c7),
+            ("verify --p 2 --lambda 5,5 --e 1 --checks lemma2 --format json", _lemma2_cap),
         ],
-        ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7"],
+        ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7", "lemma2-cap"],
     )
     def test_python_dash_m_entry_point(self, tmp_path, monkeypatch, argv, expect):
         # The real entry point, end to end in a fresh process; the refusal

@@ -25,7 +25,10 @@ read V[p] off the power map: their counts must equal scalar ones from
 nonzero, for any block size and worker count, and no V[p] block may
 outlive its check.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
-counts those of the scalar case-by-case reference; ``_batch_order_exps``
+counts those of the scalar case-by-case reference, and on every group with
+|G| <= 64 a block of its columns must be that slice of all of them, and
+the map g -> g^{p^s} induces must send each column to the column of
+g^{p^s}; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
 lemma9 pass over each chunk of d's must report, per d, the scalar orders,
@@ -59,6 +62,7 @@ from punits.oracle import (
     _batch_pow,
     _derive_seed,
     _image_sets,
+    _induced,
     _lemma2_powers,
     _lemma9_candidates,
     _matches,
@@ -78,6 +82,7 @@ from punits.pgroup import (
     gather_table,
     identity,
     p_valuation,
+    power_indices,
     radix_encode,
     socle_indices,
 )
@@ -484,6 +489,24 @@ def test_lemma2_columns_match_scalar_powers(rs):
         assert block.T.tolist() == [list(x.coeffs) for x in expect]
     cases, violations = reference_lemma2(rs)
     assert verify_check("lemma2", rs).observed == {"cases": cases, "violations": violations}
+
+
+GROUPS_TO_64 = [g for g in small_specs(6, primes=(2, 3, 5, 7)) if g.order() <= 64]
+
+
+@given(st.sampled_from(GROUPS_TO_64), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_lemma2_blocks_and_the_induced_power_map(group, e, s, data):
+    # lemma2 powers its columns one block at a time and compares column g
+    # of P[l] with column g of P[l - s] mapped along g -> g^{p^s}; for the
+    # identity it checks, that image must be the column of g^{p^s}.
+    rs = RingSpec(group, e)
+    units = Units(rs)
+    lo = data.draw(st.integers(0, rs.size - 1))
+    hi = data.draw(st.integers(lo + 1, rs.size))
+    block, images = _lemma2_powers(units, lo, hi), power_indices(group, group.p ** s)
+    for k, P in _lemma2_powers(units).items():
+        assert np.array_equal(block[k], P[:, lo:hi])
+        assert np.array_equal(_induced(P, images, rs.modulus), P[:, images])
 
 
 def _iterated_order_exp(u: RingElement, max_exp: int) -> int:

@@ -310,9 +310,10 @@ class TestChecks:
         assert report.observed == {"elements": [[0], [4], [7]]}
 
     def test_lemma2_fails_on_a_wrong_power(self, monkeypatch):
-        # One coefficient of (1 - g)^{2^e} off in P[e]: g is no square in
-        # C_4, so one case reads that column, against (1 - g^2)^2, and it
-        # is a violation.
+        # One coefficient of (1 - g)^{2^e} off in P[e].  Each case compares
+        # column g of P[l] with column g of P[l - s] mapped along g -> g^{2^s},
+        # so four cases read the wrong column against a right one:
+        # (l, s) = (e, 1), (e+1, 1), (e+2, 2) and (e+3, 3).
         rs = RingSpec(GroupSpec(2, (2,)), 2)
         assert verify_check("lemma2", rs).passed
 
@@ -323,7 +324,7 @@ class TestChecks:
         self._edited(monkeypatch, oracle, "_lemma2_powers", one_off)
         report = verify_check("lemma2", rs)
         assert not report.passed
-        assert report.observed == {"cases": report.predicted["cases"], "violations": 1}
+        assert report.observed == {"cases": report.predicted["cases"], "violations": 4}
 
     def test_lemma6_fails_on_a_miscounted_kernel(self, monkeypatch):
         # |K| = 3^2 for Z_9 C_3, counted as 10.
@@ -338,6 +339,29 @@ class TestChecks:
         assert not report.passed
         assert report.predicted == {"kernel_size": 9, "order_p_violations": 0}
         assert report.observed == {"kernel_size": 10, "order_p_violations": 0}
+
+    def test_lemma6_fails_on_an_element_of_k_not_of_order_p(self, monkeypatch):
+        # One k in K of Z_9 C_3 powered one off, so that k^3 != 1 for it
+        # alone: lemma6 counts it, and the power map, whose quotient by K
+        # rests on K^p = 1, is built over V itself.
+        kernel, batch_pow = Units.kernel.func, oracle._batch_pow
+
+        def one_off(tbl, q, x, m):
+            out = batch_pow(tbl, q, x, m)
+            out[0, 0] = (out[0, 0] + 1) % q
+            return out
+
+        def counted(units):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_batch_pow", one_off)
+                return kernel(units)
+
+        monkeypatch.setattr(Units, "kernel", property(counted))
+        units = Units(Z9C3)
+        report = verify_check("lemma6", units)
+        assert not report.passed
+        assert report.observed == {"kernel_size": 9, "order_p_violations": 1}
+        assert (units.power_map.base, units.power_map.mult) == (Z9C3, 1)
 
     @pytest.mark.parametrize(
         "edit, observed",
@@ -613,8 +637,9 @@ class TestChecks:
 
 class TestWorkingSet:
     """Each batched kernel allocates, above what it leaves live, at most
-    eight blocks of _BLOCK_ENTRIES int64 entries, on rings whose units span
-    several blocks; at a smaller budget its allocation shrinks with it
+    eight blocks of _BLOCK_ENTRIES int64 entries (lemma2, which holds five
+    powers of a block at once, sixteen), on rings whose units or columns
+    span several blocks; at a smaller budget its allocation shrinks with it
     (tracemalloc, which numpy's allocations report to).  The gather table
     is built beforehand."""
 
@@ -665,6 +690,15 @@ class TestWorkingSet:
         units = self.units(2, (2, 2), 1)
         assert verify_check("lemma5", units).passed
         assert self.transient(lambda: verify_check("lemma5", units)) <= 8 * budget * 8
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lemma2(self, budget, monkeypatch):
+        # 256 columns of 256 coefficients: 8 blocks at 2^13, 1 at the default.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        units = self.units(2, (4, 4), 1)
+        report = verify_check("lemma2", units)
+        assert report.passed and report.observed["cases"] == 14 * 256
+        assert self.transient(lambda: verify_check("lemma2", units)) <= 16 * budget * 8
 
     def test_lemma9_pass(self):
         # Seven d's of 1000 candidates with 16 coefficients each, in more

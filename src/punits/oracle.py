@@ -61,14 +61,16 @@ d = 1 ... e-1 but computed once per chunk of d's and base seed
 (``Units.lemma9``): a chunk is a run of as many d's, ascending, as fit the
 budget (a d whose units alone exceed it stands alone), and the first
 call for a d runs the pass over the chunk that holds it.  Each d draws
-its candidates y with its own derived seed, and the units 1 + p^d y of
-the chunk are stacked in ascending d and powered together in column
-blocks, a column stopping at its bound p^{e-d}.  The least valuation s
-of each y is read off by divisibility tests, in one call per chunk.  The
-first d of each chunk therefore carries that chunk's wall time.  Every
-unit is compared with its predicted order: at p = 2, d = 1 the
-exceptional units (s = 0, y^2 with an odd coefficient) are predicted
-from the valuation of y + y^2, as (1 + 2y)^2 = 1 + 4(y + y^2).
+its candidates y with its own derived seed, and the candidates of the
+chunk are stacked in ascending d.  Each column block of the stack is then
+done in one step: the least valuation s of each y, read off by
+divisibility tests, its predicted order, and its unit 1 + p^d y, powered
+up to its bound p^{e-d}.  Only the draw, |G| x 1000 candidates, lies
+outside the working set.  The first d of each chunk carries that chunk's
+wall time.  Every unit is compared with its predicted order: at p = 2,
+d = 1 the exceptional units (s = 0, y^2 with an odd coefficient) are
+predicted from the valuation of y + y^2, as (1 + 2y)^2 = 1 + 4(y + y^2),
+and y^2 is formed for the block's d = 1 columns alone.
 """
 
 from __future__ import annotations
@@ -385,11 +387,13 @@ class Units:
         return OrderHistogram(tuple(enumerate(np.diff(sizes, prepend=0))))
 
     def lemma9(self, seed: int, d: int) -> Lemma9Units:
-        """lemma9's units for d, 1 <= d < e, drawn with the seed the check
+        """lemma9's units for d, 1 <= d < e (any other d is refused by the
+        check's gate, ``Check.require``), drawn with the seed the check
         derives from the base ``seed``.  The first call for d runs one pass
         over the chunk of d = 1 ... e-1 that holds it (``_lemma9_chunks``),
         so a suite's calls for every d run each chunk once; the object
         keeps every chunk it has run for this seed."""
+        d = CHECKS["lemma9"].require(self.rs, {"d": d})["d"]
         if (seed, d) not in self._lemma9:
             (ds,) = [c for c in _lemma9_chunks(self.rs, range(1, self.rs.e)) if d in c]
             seeds = {k: _derive_seed(seed, "lemma9", self.rs, {"d": k}) for k in ds}
@@ -685,10 +689,7 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
     while True:
         zero = ~ys.any(axis=1)
         if not zero.any():
-            # Row-major, as the stacked block inherits this layout and its
-            # reductions over rows (_matches) are many times slower on a
-            # column-major one.
-            return np.ascontiguousarray(ys.T)
+            return ys.T
         ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
 
 
@@ -722,37 +723,37 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
     """lemma9's units for every d in ``seeds`` (d -> that d's derived seed).
 
     The candidates of a run of d's (``_lemma9_chunks``) are stacked in
-    ascending d, their valuations read in one call, and the units powered
-    in column blocks (``_blocks``), each column up to its own bound e - d,
-    so the columns still live after m steps are a prefix."""
+    ascending d, and each column block of the stack (``_blocks``) is done in
+    one step: its valuations, its predictions and its units 1 + p^d y,
+    powered each up to its own bound e - d, so the columns still live after
+    m steps are a prefix."""
     rs, out = units.rs, {}
     p, e, q = rs.p, rs.e, rs.modulus
     for ds in _lemma9_chunks(rs, seeds):
         draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
+        ys = draws[0] if len(ds) == 1 else np.concatenate(draws, axis=1)
         w = draws[0].shape[1]  # every d draws as many candidates
         col_d = np.repeat(np.array(ds, dtype=np.int64), w)
-        block = np.concatenate(draws, axis=1)
-        s = _min_valuations(block, p, e)
-        block *= p**col_d
-        block[0] += 1
-        mod_in_place(block, q)
-        measured = np.concatenate([
-            _batch_order_exps(units, block[:, lo:hi], e - col_d[lo:hi])
-            for lo, hi in _blocks(len(col_d), rs.size)
-        ])
-        del block
-        for i, (d, ys) in enumerate(zip(ds, draws)):
-            cut = slice(i * w, (i + 1) * w)
-            predicted = np.maximum(e - d - s[cut], 0)
-            exceptional = np.zeros(w, dtype=bool)
-            if p == 2 and d == 1:
-                # (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where the
-                # rule has no exception, and 1 + 2y != 1 as s = 0.
-                sq = _batch_mul(units.table, q, ys, ys)
-                exceptional = (sq % 2 == 1).any(axis=0) & (s[cut] == 0)
-                yy = mod_in_place(ys[:, exceptional] + sq[:, exceptional], q)
-                predicted[exceptional] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
-            out[d] = Lemma9Units(predicted, exceptional, measured[cut])
+        predicted, measured = np.empty_like(col_d), np.empty_like(col_d)
+        exceptional = np.zeros(len(col_d), dtype=bool)
+        for lo, hi in _blocks(len(col_d), rs.size):
+            y, d = np.ascontiguousarray(ys[:, lo:hi]), col_d[lo:hi]
+            s = _min_valuations(y, p, e)
+            predicted[lo:hi] = np.maximum(e - d - s, 0)
+            # The block's k columns of d = 1 lead it (a slice: a fancy index
+            # would give _batch_mul a column-major operand, several times
+            # slower).  (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where
+            # the rule has no exception, and 1 + 2y != 1 as s = 0.
+            if p == 2 and (k := int(np.count_nonzero(d == 1))):
+                sq = _batch_mul(units.table, q, y[:, :k], y[:, :k])
+                exceptional[lo : lo + k] = exc = (sq % 2 == 1).any(axis=0) & (s[:k] == 0)
+                yy = mod_in_place(y[:, :k][:, exc] + sq[:, exc], q)
+                predicted[lo : lo + k][exc] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
+            y *= p**d
+            y[0] += 1
+            measured[lo:hi] = _batch_order_exps(units, mod_in_place(y, q), e - d)
+        for d, lo in zip(ds, range(0, len(col_d), w)):
+            out[d] = Lemma9Units(*(a[lo : lo + w] for a in (predicted, exceptional, measured)))
     return out
 
 
@@ -928,6 +929,7 @@ def verify_check(
 
 def unplanned_reason(check: str, rs: RingSpec, budget: int) -> Optional[str]:
     """Why plan_checks plans no case of check on rs, or None if it does."""
+    checked_int(budget, "budget", 1)
     c = _lookup(check)
     if over_table_cap(rs.group):
         return f"|G| = {rs.p}^{rs.group.size_exp} > {DENSE_TABLE_CAP}, the dense table cap"
@@ -950,7 +952,9 @@ def plan_checks(
     is planned past the dense table cap.  Checks that enumerate V are
     planned only when |V| fits the budget and stays below 2^31; the
     formula-driven checks (lemma2, lemma3, lemma9) have no such limit.
+    The budget must be an int >= 1 whichever checks are enabled.
     """
+    checked_int(budget, "budget", 1)
     chosen = CHECKS if enabled is None else {_lookup(c).id for c in enabled}
     return [
         (c.id, params)

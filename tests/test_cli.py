@@ -1092,6 +1092,13 @@ def _lemma2_cap(proc):
     assert [c["observed"] for c in inst["checks"]] == [{"cases": 14336, "violations": 0}]
 
 
+def _lemma9_c16xc16(proc):
+    # |G| = 256: d = 1's 1000 columns in four blocks, every unit exceptional.
+    (inst,) = _rendered(proc)["instances"]
+    observed = {"cases": 1000, "exceptional": 1000, "mismatches": 0, "order_bound_violations": 0}
+    assert [c["observed"] for c in inst["checks"]] == [observed]
+
+
 def _lemma9_z7_11c7(proc):
     # An odd modulus near 2^31: all 10 d's, in two chunks.
     (inst,) = _rendered(proc)["instances"]
@@ -1211,9 +1218,11 @@ class TestMalformedInput:
             ("suite --workers 2", _suite_pinned),
             ("verify --p 2 --lambda 2 --e 3 --checks lemma9 --format json", _lemma9_z8c4),
             ("verify --p 7 --lambda 1 --e 11 --checks lemma9 --format json", _lemma9_z7_11c7),
+            ("verify --p 2 --lambda 4,4 --e 2 --checks lemma9 --format json", _lemma9_c16xc16),
             ("verify --p 2 --lambda 5,5 --e 1 --checks lemma2 --format json", _lemma2_cap),
         ],
-        ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7", "lemma2-cap"],
+        ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7",
+             "lemma9-c16xc16", "lemma2-cap"],
     )
     def test_python_dash_m_entry_point(self, tmp_path, monkeypatch, argv, expect):
         # The real entry point, end to end in a fresh process; the refusal

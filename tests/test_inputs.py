@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from punits.oracle import (
     OrderHistogram,
+    Units,
     invariants_from_histogram,
     plan_checks,
     synthetic_census,
+    unplanned_reason,
 )
 from punits.pgroup import (
     GroupSpec,
@@ -61,6 +63,7 @@ _X = RingElement(_RS, (1, 1, 0, 3))
 _Y = one(RingSpec(GroupSpec(3, (1,)), 3))
 _M = ResidueMatrix(2, 2, 2, ((2, 1),))
 _SMALL = RingSpec(GroupSpec(2, (1,)), 1)
+_Z8C2 = RingSpec(GroupSpec(2, (1,)), 3)
 
 
 def _int_in(lo=None, hi=None) -> Callable:
@@ -109,8 +112,15 @@ _ENTRIES = [
     Entry("ResidueMatrix.rows", "entry",
           lambda v: howell_form(ResidueMatrix(3, 2, 2, ((v, 1),))).rows, _int_in()),
     Entry("module_membership", "entry", lambda v: module_membership((v, 0), _M), _int_in()),
+    Entry("Units.lemma9", "d", lambda v: Units(_Z8C2).lemma9(0, v).measured, _int_in(1, 2)),
     Entry("plan_checks.budget", "budget",
           lambda v: len(plan_checks(_SMALL, {"theorem2"}, v)), _int_in(1)),
+    # lemma2 enumerates nothing, so no budget refusal reads the budget for
+    # it: only the entries' own rule does.
+    Entry("plan_checks.budget.lemma2", "budget",
+          lambda v: len(plan_checks(_SMALL, {"lemma2"}, v)), _int_in(1)),
+    Entry("unplanned_reason.budget", "budget",
+          lambda v: unplanned_reason("lemma2", _SMALL, v) is None, _int_in(1)),
     Entry("invariants_from_histogram", "p",
           lambda v: invariants_from_histogram(OrderHistogram(((0, 1),)), v).entries,
           _prime()),

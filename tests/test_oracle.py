@@ -422,6 +422,21 @@ class TestChecks:
         assert report.observed["mismatches"] == 3
         assert report.observed["order_bound_violations"] == 0
 
+    def test_lemma9_fails_on_a_unit_past_its_order_bound(self, monkeypatch):
+        # One unit of Z_4 C_2 at d = 1 read as of order beyond p^{e-d}: it
+        # counts as a bound violation and not as a mismatch, and fails.
+        rs = RingSpec(GroupSpec(2, (1,)), 2)
+
+        def first_unbounded(orders):
+            orders[0] = -1
+            return orders
+
+        self._edited(monkeypatch, oracle, "_batch_order_exps", first_unbounded)
+        report = verify_check("lemma9", rs, {"d": 1})
+        assert not report.passed
+        assert report.observed["order_bound_violations"] == 1
+        assert report.observed["mismatches"] == 0
+
     @pytest.mark.parametrize(
         "rs", [RingSpec(GroupSpec(2, (1,)), 5), RingSpec(GroupSpec(2, (2, 1)), 3)]
     )
@@ -638,8 +653,9 @@ class TestChecks:
 class TestWorkingSet:
     """Each batched kernel allocates, above what it leaves live, at most
     eight blocks of _BLOCK_ENTRIES int64 entries (lemma2, which holds five
-    powers of a block at once, sixteen), on rings whose units or columns
-    span several blocks; at a smaller budget its allocation shrinks with it
+    powers of a block at once, sixteen; lemma9, eight besides its draw of
+    |G| x 1000 candidates), on rings whose units or columns span several
+    blocks; at a smaller budget its allocation shrinks with it
     (tracemalloc, which numpy's allocations report to).  The gather table
     is built beforehand."""
 
@@ -708,6 +724,16 @@ class TestWorkingSet:
         assert len(oracle._lemma9_chunks(units.rs, seeds)) >= 2
         allocated = self.transient(lambda: oracle._lemma9_pass(units, seeds))
         assert allocated <= 8 * oracle._BLOCK_ENTRIES * 8
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lemma9_pass_in_column_blocks(self, budget, monkeypatch):
+        # One d of 1000 candidates with 256 coefficients: 32 blocks at 2^13,
+        # 4 at the default, every unit exceptional (p = 2, d = 1).
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        units = self.units(2, (4, 4), 2)
+        draw = units.rs.size * oracle._LEMMA9_SAMPLES * 8
+        allocated = self.transient(lambda: oracle._lemma9_pass(units, {1: 1}))
+        assert allocated <= draw + 8 * budget * 8
 
 
 class TestPlanner:

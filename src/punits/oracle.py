@@ -33,6 +33,16 @@ and if any k^p != 1 the base is the ring itself (as at e = 1), where
 ``chi`` is phi and each unit stands for itself.  At e = 1 (characteristic
 p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
 
+The same holds one level down.  At e >= 3 the kernel of
+V(Z_{p^{e-1}}G) -> V(Z_{p^{e-2}}G) is checked the same way, at modulus
+p^{e-1}; when it has exponent p, chi is constant on its cosets, and is
+kept folded: one entry per unit of V(Z_{p^{e-2}}G) (the map's
+``domain``), found by powering that unit lifted mod p^e once, and read
+at base index i as chi[fold(i)], fold reducing each digit of i mod
+p^{e-2}.  ``one`` stays one flag per base index, but only the fibres of
+the fold over units chi sends to 1 are powered for it, since rep^p = 1
+forces chi(rep) = 1.  The census folds only the current image.
+
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
 scalar reference convolution.  Every batched kernel works within one
@@ -275,23 +285,59 @@ def _blocks(total: int, rows: int):
     return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
+def _redigit(idx: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+    """Each index's n base-``a`` digits, each reduced mod min(a, b), read as
+    a base-``b`` index (a and b powers of one prime).  It holds at most two
+    int64 arrays of len(idx) at once: no digit rows are formed."""
+    low = min(a, b)
+    out = mod_in_place(idx.astype(np.int64), low)
+    for k in range(1, n):
+        digit = mod_in_place(idx // a**k, low)
+        digit *= b**k
+        out += digit
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PowerMap:
     """u -> u^p over the units of ``base``, the representatives: rep i is
     base unit i lifted to augmentation 1 mod p^e, and stands for ``mult``
-    units of V.  ``one[i]`` says rep_i^p = 1, and ``chi[i]`` (int32) is the
-    base index of rep_i^p reduced to ``base``.  Both arrays are read-only."""
+    units of V.  ``one[i]`` says rep_i^p = 1.  chi (int32) is indexed by
+    the units of ``domain``, ``base`` itself or, folded, its reduction mod
+    p^{e-2}: ``chi[fold(i)]`` is the base index of rep_i^p reduced to
+    ``base``.  Both arrays are read-only."""
 
     base: RingSpec
     mult: int
     one: np.ndarray
     chi: np.ndarray
+    domain: RingSpec
+
+    def fold(self, idx: np.ndarray) -> np.ndarray:
+        """The index in ``domain`` of the reduction of each base index."""
+        if self.domain == self.base:
+            return idx
+        return _redigit(idx, self.base.size - 1, self.base.modulus, self.domain.modulus)
+
+
+def _kernel_check(table: np.ndarray, rs: RingSpec) -> tuple[int, int]:
+    """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
+    reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1}(u - 1),
+    u running over the units of Z_p G, block by block."""
+    p, q, ident = rs.p, rs.modulus, _identity(rs)
+    size, violations = p ** (rs.size - 1), 0
+    for lo, hi in _blocks(size, rs.size):
+        u = _units_at(RingSpec(rs.group, 1), np.arange(lo, hi, dtype=np.int64))
+        k = mod_in_place(p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None], q)
+        kp = _batch_pow(table, q, k, p)
+        violations += int(np.count_nonzero(~_matches(kp, ident)))
+    return size, violations
 
 
 @dataclass(eq=False)
 class Units:
     """V(Z_{p^e}G) of one instance: the gather table, the reduction-kernel
-    check, the power map and lemma9's passes, one per chunk of d's asked
+    checks, the power map and lemma9's passes, one per chunk of d's asked
     for under one seed, are built on first use and live as long as the
     object (a new lemma9 seed drops the passes of the last one)."""
 
@@ -306,46 +352,68 @@ class Units:
 
     @functools.cached_property
     def kernel(self) -> tuple[int, int]:
-        """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
-        reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1}(u - 1),
-        u running over the units of Z_p G, block by block."""
+        """(|K|, #{k in K : k^p != 1}) for the kernel K of V -> V(Z_{p^{e-1}}G),
+        e >= 2 (``_kernel_check``)."""
         _require_budget(self.rs, self.budget)
-        rs = self.rs
-        p, q, ident = rs.p, rs.modulus, _identity(rs)
-        size, violations = p ** (rs.size - 1), 0
-        for lo, hi in _blocks(size, rs.size):
-            u = _units_at(RingSpec(rs.group, 1), np.arange(lo, hi, dtype=np.int64))
-            k = mod_in_place(p ** (rs.e - 1) * (u - ident[:, None]) + ident[:, None], q)
-            kp = _batch_pow(self.table, q, k, p)
-            violations += int(np.count_nonzero(~_matches(kp, ident)))
-        return size, violations
+        return _kernel_check(self.table, self.rs)
+
+    @functools.cached_property
+    def base_kernel(self) -> tuple[int, int]:
+        """The same for the kernel of V(Z_{p^{e-1}}G) -> V(Z_{p^{e-2}}G), e >= 3,
+        at modulus p^{e-1}."""
+        _require_budget(self.rs, self.budget)
+        return _kernel_check(self.table, RingSpec(self.rs.group, self.rs.e - 1))
 
     @functools.cached_property
     def power_map(self) -> PowerMap:
         """The power map over V(Z_{p^{e-1}}G) when e >= 2 and K^p = 1, else
-        over V itself; |V| over the budget or at least 2^31 is refused
-        before anything is allocated."""
+        over V itself; chi folded onto V(Z_{p^{e-2}}G) when also e >= 3 and
+        the base's own kernel has exponent p.  |V| over the budget or at
+        least 2^31 is refused before anything is allocated.
+
+        Folded, each unit of the domain is powered once, lifted mod p^e,
+        which gives chi on its fibre of p^{|G|-1} base indices: they differ
+        from it by a k in the base's kernel, and k^p = 1.  A rep with
+        rep^p = 1 has chi(rep) = 1, so ``one`` is found by powering only
+        the fibres over the domain units chi sends to 1."""
         _require_budget(self.rs, self.budget)
         rs, tbl = self.rs, self.table
         q, ident = rs.modulus, _identity(rs)
+        base, mult, domain = rs, 1, rs
         if rs.e >= 2 and self.kernel[1] == 0:
             base, mult = RingSpec(rs.group, rs.e - 1), self.kernel[0]
-        else:
-            base, mult = rs, 1
-        one = np.empty(unit_count(base), dtype=bool)
-        chi = np.empty(len(one), dtype=np.int32)
-        radices = (base.modulus,) * (rs.size - 1)
+            domain = base
+            if rs.e >= 3 and self.base_kernel[1] == 0:
+                domain = RingSpec(rs.group, rs.e - 2)
         frobenius = power_indices(rs.group, rs.p) if rs.e == 1 else None
-        for lo, hi in _blocks(len(one), rs.size):
-            reps = _units_at(base, np.arange(lo, hi, dtype=np.int64), q)
+
+        def powers(ring: RingSpec, idx: np.ndarray) -> np.ndarray:
+            reps = _units_at(ring, idx, q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
-                powers = _induced(reps, frobenius, q)
-            else:
-                powers = _batch_pow(tbl, q, reps, rs.p)
-            one[lo:hi] = _matches(powers, ident)
-            chi[lo:hi] = radix_encode(mod_in_place(powers[:-1], base.modulus), radices)
+                return _induced(reps, frobenius, q)
+            return _batch_pow(tbl, q, reps, rs.p)
+
+        one = np.zeros(unit_count(base), dtype=bool)
+        chi = np.empty(unit_count(domain), dtype=np.int32)
+        n, radices = rs.size - 1, (base.modulus,) * (rs.size - 1)
+        for lo, hi in _blocks(len(chi), rs.size):
+            pw = powers(domain, np.arange(lo, hi, dtype=np.int64))
+            if domain == base:
+                one[lo:hi] = _matches(pw, ident)
+            chi[lo:hi] = radix_encode(mod_in_place(pw[:-1], base.modulus), radices)
+        if domain != base:
+            # Entry t of the fibres is s = t % fibre of the fibre over
+            # j = kernel[t // fibre]: j's digits plus p^{e-2} times s's
+            # base-p digits, read in base p^{e-1}.
+            kernel = np.flatnonzero(chi == radix_encode(ident[:-1].tolist(), radices))
+            fibre, low = len(one) // len(chi), domain.modulus
+            for lo, hi in _blocks(len(kernel) * fibre, rs.size):
+                t = np.arange(lo, hi, dtype=np.int64)
+                idx = _redigit(kernel[t // fibre], n, low, base.modulus)
+                idx += low * _redigit(t % fibre, n, rs.p, base.modulus)
+                one[idx] = _matches(powers(base, idx), ident)
         one.flags.writeable = chi.flags.writeable = False
-        return PowerMap(base, mult, one, chi)
+        return PowerMap(base, mult, one, chi, domain)
 
     def p_torsion(self) -> np.ndarray:
         """V[p]'s representatives in the power map, one per column, lifted
@@ -364,15 +432,20 @@ class Units:
         phi^{m+1} has ``mult`` units per base index that chi^m sends to a
         representative ``one`` marks.  chi^m is an endomorphism of the
         base's units, so each of its fibres has N / |im chi^m| indices, N
-        the map's length.  That rests on chi being one, which is checked
-        once: |ker chi| |im chi| must be N, else ArithmeticError.
+        the number of base indices (``len(one)``).  Folding chi onto the
+        domain changes how it is stored, not the map: chi(i) is read as
+        chi[fold(i)], on the current image only (``_image_sets``), so the
+        fibres keep their sizes.  That rests on chi being an endomorphism,
+        which is checked once: |ker chi| |im chi| must be N, else
+        ArithmeticError; each domain index chi sends to 1 stands for
+        N / len(chi) base indices of ker chi.
         """
         pm, total = self.power_map, unit_count(self.rs)
-        n, radices = len(pm.chi), (pm.base.modulus,) * (self.rs.size - 1)
+        n, radices = len(pm.one), (pm.base.modulus,) * (self.rs.size - 1)
         ident = radix_encode(_identity(pm.base)[:-1].tolist(), radices)
-        kernel = int(np.count_nonzero(pm.chi == ident))
+        kernel = n // len(pm.chi) * int(np.count_nonzero(pm.chi == ident))
         sizes = [1, pm.mult * int(np.count_nonzero(pm.one))]
-        images = _image_sets(pm.chi)
+        images = _image_sets(pm.chi, n, pm.fold)
         image = next(images)
         if kernel * len(image) != n:
             raise ArithmeticError(
@@ -389,11 +462,13 @@ class Units:
     def lemma9(self, seed: int, d: int) -> Lemma9Units:
         """lemma9's units for d, 1 <= d < e (any other d is refused by the
         check's gate, ``Check.require``), drawn with the seed the check
-        derives from the base ``seed``.  The first call for d runs one pass
-        over the chunk of d = 1 ... e-1 that holds it (``_lemma9_chunks``),
-        so a suite's calls for every d run each chunk once; the object
-        keeps every chunk it has run for this seed."""
+        derives from the base ``seed``, which is read as an int in
+        [0, SEED_MAX] on every call, cached or not.  The first call for d
+        runs one pass over the chunk of d = 1 ... e-1 that holds it
+        (``_lemma9_chunks``), so a suite's calls for every d run each chunk
+        once; the object keeps every chunk it has run for this seed."""
         d = CHECKS["lemma9"].require(self.rs, {"d": d})["d"]
+        seed = checked_int(seed, "seed", 0, SEED_MAX)
         if (seed, d) not in self._lemma9:
             (ds,) = [c for c in _lemma9_chunks(self.rs, range(1, self.rs.e)) if d in c]
             seeds = {k: _derive_seed(seed, "lemma9", self.rs, {"d": k}) for k in ds}
@@ -402,20 +477,26 @@ class Units:
         return self._lemma9[(seed, d)]
 
 
-def _image_sets(chi: np.ndarray):
-    """Yield im chi^m for m = 1, 2, ..., ascending indices, for any map chi
-    of range(len(chi)) to itself.
+def _image_sets(chi: np.ndarray, size: Optional[int] = None, fold=None):
+    """Yield im chi^m for m = 1, 2, ..., ascending indices, for any map
+    i -> chi[fold(i)] of range(size) to itself (default: size len(chi),
+    fold the identity); fold must be onto range(len(chi)).
 
     im chi^{m+1} = chi(im chi^m) lies inside im chi^m, so one mask of
-    len(chi) bytes holds the image: it is cleared and set only on the
-    current image, which only shrinks, and read back there."""
-    mask = np.zeros(len(chi), dtype=bool)
+    ``size`` bytes holds the image: it is cleared and set only on the
+    current image, which only shrinks, and read back there.  The image is
+    folded and read at chi in blocks (``_blocks``) of _BLOCK_ENTRIES // 8
+    indices: the fold's two int64 arrays and chi's int32 read of a block
+    stay below half the working set, and next to the image itself."""
+    mask = np.zeros(len(chi) if size is None else size, dtype=bool)
     mask[chi] = True
     image = np.flatnonzero(mask)
     while True:
         yield image
         mask[image] = False
-        mask[chi[image]] = True
+        for lo, hi in _blocks(len(image), 8):
+            block = image[lo:hi]
+            mask[chi[block if fold is None else fold(block)]] = True
         image = image[mask[image]]
 
 

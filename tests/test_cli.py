@@ -1092,6 +1092,15 @@ def _lemma2_cap(proc):
     assert [c["observed"] for c in inst["checks"]] == [{"cases": 14336, "violations": 0}]
 
 
+def _census_cap(proc):
+    # 2^22 units, the default budget's largest census.
+    (inst,) = _rendered(proc)["instances"]
+    assert [(c["id"], c["verdict"]) for c in inst["checks"]] == [
+        ("theorem1", "pass"),
+        ("theorem2", "pass"),
+    ]
+
+
 def _lemma9_c16xc16(proc):
     # |G| = 256: d = 1's 1000 columns in four blocks, every unit exceptional.
     (inst,) = _rendered(proc)["instances"]
@@ -1220,9 +1229,11 @@ class TestMalformedInput:
             ("verify --p 7 --lambda 1 --e 11 --checks lemma9 --format json", _lemma9_z7_11c7),
             ("verify --p 2 --lambda 4,4 --e 2 --checks lemma9 --format json", _lemma9_c16xc16),
             ("verify --p 2 --lambda 5,5 --e 1 --checks lemma2 --format json", _lemma2_cap),
+            ("verify --p 2 --lambda 1 --e 22 --checks theorem1,theorem2 --format json",
+             _census_cap),
         ],
         ids=["refusal", "invariants", "suite", "lemma9-z8c4", "lemma9-z7^11c7",
-             "lemma9-c16xc16", "lemma2-cap"],
+             "lemma9-c16xc16", "lemma2-cap", "census-cap"],
     )
     def test_python_dash_m_entry_point(self, tmp_path, monkeypatch, argv, expect):
         # The real entry point, end to end in a fresh process; the refusal

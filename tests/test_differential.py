@@ -11,7 +11,9 @@ Random small rings with |V| <= 4096: the power map ``Units.power_map``
 must send each lifted representative to its scalar p-th power (reduced to
 the base ring, and compared with 1) whatever the block size and worker
 count, at e = 1 its Frobenius scatter must equal the batched p-th power,
-and for e >= 2 its ``chi`` must be the base ring's own full power map.
+and for e >= 2 its ``chi``, read at every base index through the fold
+(the scalar reduction mod p^{e-2} at e >= 3), must be the base ring's own
+full power map.
 The census read from it through the images of chi must equal the scalar
 ``unit_order`` census and the census gathered along chi once per
 exponent, also on the full path; the image sets must be those of every
@@ -19,7 +21,8 @@ iterate of any map, and a map with one entry sent to the identity, no
 longer an endomorphism, must be refused.  Every planned check must report the same
 through one shared ``Units`` as
 through calls on the bare RingSpec, and a failed reduction-kernel check
-must fall back to the full map with the same reports.  theorem1 and lemma4
+must fall back to the full map with the same reports, as a failed check
+of the base ring's kernel must fall back to chi over the base.  theorem1 and lemma4
 read V[p] off the power map: their counts must equal scalar ones from
 ``unit_order``, also with an element of G[p] dropped so that they are
 nonzero, for any block size and worker count, and no V[p] block may
@@ -248,14 +251,31 @@ def _kernel_violation():
     )
 
 
+def _base_kernel_violation():
+    """Make every Units' check of its base ring's reduction kernel report one
+    k with k^p != 1."""
+    return mock.patch.object(
+        Units, "base_kernel", property(lambda self: (self.rs.p ** (self.rs.size - 1), 1))
+    )
+
+
+def _full_chi(pm) -> np.ndarray:
+    """chi at every base index, read through the fold."""
+    return pm.chi[pm.fold(np.arange(len(pm.one)))]
+
+
 @given(st.sampled_from(RINGS))
 def test_power_map_matches_scalar_power(rs):
     pm = Units(rs).power_map
     quotient = rs.e >= 2
     assert pm.base == (RingSpec(rs.group, rs.e - 1) if quotient else rs)
-    assert pm.mult * len(pm.chi) == unit_count(rs)
-    powers = [_lift(u, rs) ** rs.p for u in enumerate_units(pm.base)]
-    assert pm.chi.tolist() == [_scalar_index(reduce_mod(w, pm.base.e)) for w in powers]
+    assert pm.domain == (RingSpec(rs.group, rs.e - 2) if rs.e >= 3 else pm.base)
+    assert pm.mult * len(pm.one) == unit_count(rs)
+    base_units = list(enumerate_units(pm.base))
+    folds = [_scalar_index(reduce_mod(u, pm.domain.e)) for u in base_units]
+    assert pm.fold(np.arange(len(pm.one))).tolist() == folds
+    powers = [_lift(u, rs) ** rs.p for u in base_units]
+    assert _full_chi(pm).tolist() == [_scalar_index(reduce_mod(w, pm.base.e)) for w in powers]
     assert pm.one.tolist() == [w == one(rs) for w in powers]
 
 
@@ -277,8 +297,8 @@ def test_quotient_map_is_the_base_rings_own_power_map(rs):
     base = RingSpec(rs.group, rs.e - 1)
     with _kernel_violation():
         full = Units(base).power_map
-    assert (full.base, full.mult) == (base, 1)
-    assert np.array_equal(Units(rs).power_map.chi, full.chi)
+    assert (full.base, full.mult, full.domain) == (base, 1, base)
+    assert np.array_equal(_full_chi(Units(rs).power_map), full.chi)
 
 
 @given(st.sampled_from(RINGS))
@@ -295,7 +315,27 @@ def test_pushed_census_matches_iterated_gather(rs, full):
     pm = units.power_map
     assert (pm.mult == 1) == (full or rs.e == 1)
     assert census == _scalar_census(rs)
-    assert census == iterated_gather_census(pm.one, pm.chi, pm.mult, unit_count(rs))
+    assert census == iterated_gather_census(pm.one, _full_chi(pm), pm.mult, unit_count(rs))
+
+
+@pytest.mark.parametrize("rs", [rs for rs in RINGS if rs.e >= 3], ids=lambda rs: rs.to_text())
+def test_base_kernel_check_failure_keeps_chi_over_the_base(rs):
+    # If the base ring's kernel check fails, chi is kept over the base
+    # itself, one entry per representative, as at e = 2.  The census and
+    # every planned check must then report as on the folded path.
+    plan = plan_checks(rs)
+    units = Units(rs)
+    folded = [verify_check(c, units, params, seed=3) for c, params in plan]
+    with _base_kernel_violation():
+        unfolded_units = Units(rs)
+        unfolded = [verify_check(c, unfolded_units, params, seed=3) for c, params in plan]
+        census = unfolded_units.census()
+    pm = unfolded_units.power_map
+    assert units.power_map.domain == RingSpec(rs.group, rs.e - 2)
+    assert pm.domain == pm.base == RingSpec(rs.group, rs.e - 1)
+    assert len(pm.chi) == len(pm.one)
+    assert census == units.census()
+    assert unfolded == folded
 
 
 @given(st.data())
@@ -315,18 +355,19 @@ def test_image_sets_are_those_of_every_iterate(data):
 
 @given(st.sampled_from(RINGS), st.booleans())
 def test_census_refuses_a_map_that_is_no_endomorphism(rs, full):
-    # Sending one more index to the identity grows the kernel, while every
-    # image keeps a fibre of at least p indices, so |ker| |im| != N.  A map
+    # Sending one more index of chi's domain to the identity grows the
+    # kernel (by a fibre of the fold when chi is folded), while every image
+    # keeps a fibre of at least p domain indices, so |ker| |im| != N.  A map
     # that sends everything to the identity has no index left to send.
     with _kernel_violation() if full else contextlib.nullcontext():
         units = Units(rs)
         pm = units.power_map
-    ident = pm.chi[np.argmax(pm.one)]  # one marks units with phi(u) = 1
+    ident = _full_chi(pm)[np.argmax(pm.one)]  # one marks units with phi(u) = 1
     moved = np.flatnonzero(pm.chi != ident)
     assume(len(moved))
     chi = pm.chi.copy()
     chi[moved[0]] = ident
-    units.power_map = oracle.PowerMap(pm.base, pm.mult, pm.one, chi)
+    units.power_map = oracle.PowerMap(pm.base, pm.mult, pm.one, chi, pm.domain)
     with pytest.raises(ArithmeticError, match="endomorphism"):
         units.census()
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from punits.oracle import (
+    SEED_MAX,
     OrderHistogram,
     Units,
     invariants_from_histogram,
@@ -64,6 +65,14 @@ _Y = one(RingSpec(GroupSpec(3, (1,)), 3))
 _M = ResidueMatrix(2, 2, 2, ((2, 1),))
 _SMALL = RingSpec(GroupSpec(2, (1,)), 1)
 _Z8C2 = RingSpec(GroupSpec(2, (1,)), 3)
+
+
+def _lemma9_after_seed_1(seed):
+    # A pass cached for seed 1 answers no seed that only equals 1, as True
+    # does.
+    units = Units(_Z8C2)
+    units.lemma9(1, 1)
+    return units.lemma9(seed, 1).measured
 
 
 def _int_in(lo=None, hi=None) -> Callable:
@@ -113,6 +122,7 @@ _ENTRIES = [
           lambda v: howell_form(ResidueMatrix(3, 2, 2, ((v, 1),))).rows, _int_in()),
     Entry("module_membership", "entry", lambda v: module_membership((v, 0), _M), _int_in()),
     Entry("Units.lemma9", "d", lambda v: Units(_Z8C2).lemma9(0, v).measured, _int_in(1, 2)),
+    Entry("Units.lemma9.seed", "seed", _lemma9_after_seed_1, _int_in(0, SEED_MAX)),
     Entry("plan_checks.budget", "budget",
           lambda v: len(plan_checks(_SMALL, {"theorem2"}, v)), _int_in(1)),
     # lemma2 enumerates nothing, so no budget refusal reads the budget for

@@ -137,16 +137,20 @@ class TestHistogram:
         monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 * Z4V4.size)  # blocks of 5 units
         assert order_histogram(Z4V4) == whole
 
-    def test_census_allocates_a_mask_and_the_first_image(self):
+    @pytest.mark.parametrize("p, e", [(2, 18), (3, 6)])
+    def test_census_allocates_a_mask_and_the_first_image(self, p, e):
         # Past the power map, the census holds one byte per representative
         # and the image of chi (at most N / p of them, as |ker chi| >= p) as
-        # int64: a count per representative (8 N) would not fit.
+        # int64, and folds the image onto chi's domain a block at a time: a
+        # count per representative (8 N) would not fit.  On C_2 the fold
+        # reduces one digit, on C_3 two.
         import tracemalloc
 
-        rs = RingSpec(GroupSpec(2, (1,)), 18)
+        rs = RingSpec(GroupSpec(p, (1,)), e)
         units = Units(rs)
-        n = len(units.power_map.chi)
-        assert n == 1 << 17
+        n = len(units.power_map.one)
+        assert n == unit_count(rs) // p ** (rs.size - 1)
+        assert len(units.power_map.chi) == n // p ** (rs.size - 1)
         tracemalloc.start()
         try:
             units.census()
@@ -154,6 +158,52 @@ class TestHistogram:
         finally:
             tracemalloc.stop()
         assert peak <= (1 + 8 / rs.p) * n + (64 << 10)
+
+    @pytest.mark.parametrize(
+        "rs",
+        [
+            rs
+            for rs in (RingSpec(i.group, i.e) for i in default_suite_config().instances)
+            if rs.e >= 3 and unit_count(rs) <= oracle.DEFAULT_BUDGET
+        ],
+        ids=lambda rs: rs.to_text(),
+    )
+    def test_folded_map_powers_the_domain_and_the_kernel_fibres(self, rs, monkeypatch):
+        # Past the two kernel checks, the map powers each unit of
+        # V(Z_{p^{e-2}}G) once, for chi, and each base index of ker chi
+        # once, for one: a map that fell back to powering every base index
+        # would pass the census but not this count.  The base indices it
+        # powers must be ker chi itself: when Theorem 1 holds only one
+        # index per fibre of the fold has rep^p = 1, so a map that powered
+        # that one alone would pass every check.  Every catalog instance
+        # with e >= 3 under the default budget is here, C_2 at e = 18 and
+        # C_3 at e = 6 among them.
+        units = Units(rs)
+        units.kernel, units.base_kernel
+        columns, powered = [], []
+        real_pow, real_units_at = oracle._batch_pow, oracle._units_at
+
+        def counted(tbl, q, x, m):
+            columns.append(x.shape[1])
+            return real_pow(tbl, q, x, m)
+
+        def recorded(ring, idx, lift=None):
+            if ring.e == rs.e - 1:
+                powered.append(idx.copy())
+            return real_units_at(ring, idx, lift)
+
+        monkeypatch.setattr(oracle, "_batch_pow", counted)
+        monkeypatch.setattr(oracle, "_units_at", recorded)
+        pm = units.power_map
+        monkeypatch.undo()
+        base, domain = RingSpec(rs.group, rs.e - 1), RingSpec(rs.group, rs.e - 2)
+        assert (pm.base, pm.domain) == (base, domain)
+        counts = order_histogram(base).as_dict()
+        kernel = counts[0] + counts.get(1, 0)  # ker chi = V(Z_{p^{e-1}}G)[p]
+        assert sum(columns) == unit_count(domain) + kernel
+        chi = pm.chi[pm.fold(np.arange(len(pm.one)))]
+        ident = chi[np.flatnonzero(pm.one)[0]]  # one marks reps with rep^p = 1
+        assert sorted(np.concatenate(powered).tolist()) == np.flatnonzero(chi == ident).tolist()
 
     def test_power_map_reads_g_to_the_p_only_in_characteristic_p(self, monkeypatch):
         # At e >= 2 the map powers units by products; only e = 1 scatters

@@ -8,40 +8,38 @@ forced by augmentation 1), so V is a range of integers.  That numbering
 and G's own are read through ``pgroup``'s index codec.
 
 V is abelian, so the p-th power map phi(u) = u^p is an endomorphism, and
-for e >= 2 it factors through reduction mod p^{e-1}: the kernel K of
-V(Z_{p^e}G) -> V(Z_{p^{e-1}}G) has exponent p (Lemma 6), so
-phi(uk) = phi(u) phi(k) = phi(u) for k in K.  The power map is therefore
-kept over a base ring, V(Z_{p^{e-1}}G), with one representative per coset
-of K: the base unit u-bar with its last coefficient lifted mod p^e.  For
-each representative it stores whether its p-th power is 1 (``one``) and
-the base index of that power reduced mod p^{e-1} (``chi``), which is the
-base ring's own phi.  The order census reads the size of the kernel of
-phi^{m+1} as the number of base indices that chi^m sends to a
-representative ``one`` marks, each standing for |K| = p^{|G|-1} units.
-chi is the p-th power map of an abelian group, so chi^m is an
-endomorphism and each of its fibres holds N / |im chi^m| of the N base
-indices: the count is that fibre size times the number of elements of
-im chi^m that ``one`` marks.  The images come from one N-byte mask,
-im chi^{m+1} = chi(im chi^m) being cleared and set inside im chi^m, which
-only shrinks (``_image_sets``).  The census checks |ker chi| |im chi| = N
-once and raises ArithmeticError if that fails.  The torsion checks
-(theorem1, lemma4) decode only the representatives of V[p], in one call
+it factors through reduction mod p^{e-1} whenever the kernel K of that
+reduction has exponent p: phi(uk) = phi(u) phi(k) = phi(u) for k in K.
+Lemma 6 says it does for e >= 2, but the oracle does not rely on the lemma
+it verifies.  One rule (``Units._quotient``) reduces a ring mod p^{e-1}
+only after powering the p^{|G|-1} elements of K and finding every k^p = 1,
+and else keeps the ring (as at e = 1), and it is applied twice.  Applied
+to V it gives the base ring, V(Z_{p^{e-1}}G) or V itself, whose units
+index the representatives: rep i is base unit i with its last coefficient
+lifted mod p^e, standing for ``mult`` = |V| / |base| units.  Applied to
+the base it gives the map's domain, whose units index ``chi``: chi is
+constant on the fibres of the reduction of the base to the domain, so it
+is found by powering each domain unit, lifted mod p^e, once, and read at
+base index i as chi[fold(i)], fold reducing each digit of i to the
+domain's modulus; chi(i) is the base index of rep_i^p reduced to the base,
+the base ring's own phi.  ``one[i]`` says rep_i^p = 1, and rep^p = 1
+forces chi(rep) = 1, so ``one`` is found by powering only the base indices
+over ker chi: the fibres of the fold over the domain units that chi sends
+to 1, one index each when the domain is the base.  At e = 1
+(characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.  The
+order census reads the size of the kernel of phi^{m+1} as the number of
+base indices that chi^m sends to a representative ``one`` marks, each
+standing for ``mult`` units.  chi is the p-th power map of an abelian
+group, so chi^m is an endomorphism and each of its fibres holds
+N / |im chi^m| of the N base indices: the count is that fibre size times
+the number of elements of im chi^m that ``one`` marks.  The images come
+from one N-byte mask, im chi^{m+1} = chi(im chi^m) being cleared and set
+inside im chi^m, which only shrinks, and only the current image is folded
+(``_image_sets``).  The census checks |ker chi| |im chi| = N once and
+raises ArithmeticError if that fails.  The torsion checks (theorem1,
+lemma4) decode only the representatives of V[p], in one call
 (``Units.p_torsion``); besides the map, lemma5's layer count is the only
-pass over blocks of V.  The oracle does not rely on the lemma it
-verifies: each e >= 2 instance first powers the p^{|G|-1} elements of K,
-and if any k^p != 1 the base is the ring itself (as at e = 1), where
-``chi`` is phi and each unit stands for itself.  At e = 1 (characteristic
-p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.
-
-The same holds one level down.  At e >= 3 the kernel of
-V(Z_{p^{e-1}}G) -> V(Z_{p^{e-2}}G) is checked the same way, at modulus
-p^{e-1}; when it has exponent p, chi is constant on its cosets, and is
-kept folded: one entry per unit of V(Z_{p^{e-2}}G) (the map's
-``domain``), found by powering that unit lifted mod p^e once, and read
-at base index i as chi[fold(i)], fold reducing each digit of i mod
-p^{e-2}.  ``one`` stays one flag per base index, but only the fibres of
-the fold over units chi sends to 1 are powered for it, since rep^p = 1
-forces chi(rep) = 1.  The census folds only the current image.
+pass over blocks of V.
 
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
@@ -303,9 +301,10 @@ class PowerMap:
     """u -> u^p over the units of ``base``, the representatives: rep i is
     base unit i lifted to augmentation 1 mod p^e, and stands for ``mult``
     units of V.  ``one[i]`` says rep_i^p = 1.  chi (int32) is indexed by
-    the units of ``domain``, ``base`` itself or, folded, its reduction mod
-    p^{e-2}: ``chi[fold(i)]`` is the base index of rep_i^p reduced to
-    ``base``.  Both arrays are read-only."""
+    the units of ``domain``, the base's quotient by the one rule
+    (``Units._quotient``), ``base`` itself when that keeps it:
+    ``chi[fold(i)]`` is the base index of rep_i^p reduced to ``base``.
+    Both arrays are read-only."""
 
     base: RingSpec
     mult: int
@@ -322,8 +321,9 @@ class PowerMap:
 
 def _kernel_check(table: np.ndarray, rs: RingSpec) -> tuple[int, int]:
     """(|K|, #{k in K : k^p != 1}) for the kernel K = 1 + p^{e-1} w of
-    reduction mod p^{e-1}, e >= 2: one power of each k = 1 + p^{e-1}(u - 1),
-    u running over the units of Z_p G, block by block."""
+    reduction mod p^{e-1} of ``rs``, e >= 2: one power of each
+    k = 1 + p^{e-1}(u - 1), u running over the units of Z_p G, block by
+    block."""
     p, q, ident = rs.p, rs.modulus, _identity(rs)
     size, violations = p ** (rs.size - 1), 0
     for lo, hi in _blocks(size, rs.size):
@@ -336,10 +336,10 @@ def _kernel_check(table: np.ndarray, rs: RingSpec) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class Units:
-    """V(Z_{p^e}G) of one instance: the gather table, the reduction-kernel
-    checks, the power map and lemma9's passes, one per chunk of d's asked
-    for under one seed, are built on first use and live as long as the
-    object (a new lemma9 seed drops the passes of the last one)."""
+    """V(Z_{p^e}G) of one instance: the gather table, the check of V's
+    reduction kernel, the power map and lemma9's passes, one per chunk of
+    d's asked for under one seed, are built on first use and live as long
+    as the object (a new lemma9 seed drops the passes of the last one)."""
 
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
@@ -357,34 +357,31 @@ class Units:
         _require_budget(self.rs, self.budget)
         return _kernel_check(self.table, self.rs)
 
-    @functools.cached_property
-    def base_kernel(self) -> tuple[int, int]:
-        """The same for the kernel of V(Z_{p^{e-1}}G) -> V(Z_{p^{e-2}}G), e >= 3,
-        at modulus p^{e-1}."""
-        _require_budget(self.rs, self.budget)
-        return _kernel_check(self.table, RingSpec(self.rs.group, self.rs.e - 1))
+    def _quotient(self, ring: RingSpec) -> RingSpec:
+        """``ring`` reduced mod p^{e-1} when e >= 2 and the kernel of that
+        reduction has exponent p, else ``ring`` itself: the kernel is V's
+        own, ``kernel``, or checked afresh for any other ring."""
+        if ring.e == 1:
+            return ring
+        kernel = self.kernel if ring == self.rs else _kernel_check(self.table, ring)
+        return RingSpec(ring.group, ring.e - 1) if kernel[1] == 0 else ring
 
     @functools.cached_property
     def power_map(self) -> PowerMap:
-        """The power map over V(Z_{p^{e-1}}G) when e >= 2 and K^p = 1, else
-        over V itself; chi folded onto V(Z_{p^{e-2}}G) when also e >= 3 and
-        the base's own kernel has exponent p.  |V| over the budget or at
-        least 2^31 is refused before anything is allocated.
+        """The power map over ``base`` = ``_quotient(rs)`` with chi over
+        ``domain`` = ``_quotient(base)``.  |V| over the budget or at least
+        2^31 is refused before anything is allocated.
 
-        Folded, each unit of the domain is powered once, lifted mod p^e,
-        which gives chi on its fibre of p^{|G|-1} base indices: they differ
-        from it by a k in the base's kernel, and k^p = 1.  A rep with
-        rep^p = 1 has chi(rep) = 1, so ``one`` is found by powering only
-        the fibres over the domain units chi sends to 1."""
+        Each unit of the domain is powered once, lifted mod p^e, which
+        gives chi on its fibre of base indices: they differ from it by a k
+        in the base's kernel, and k^p = 1.  A rep with rep^p = 1 has
+        chi(rep) = 1, so ``one`` is found by powering only the fibres over
+        the domain units chi sends to 1."""
         _require_budget(self.rs, self.budget)
         rs, tbl = self.rs, self.table
         q, ident = rs.modulus, _identity(rs)
-        base, mult, domain = rs, 1, rs
-        if rs.e >= 2 and self.kernel[1] == 0:
-            base, mult = RingSpec(rs.group, rs.e - 1), self.kernel[0]
-            domain = base
-            if rs.e >= 3 and self.base_kernel[1] == 0:
-                domain = RingSpec(rs.group, rs.e - 2)
+        base = self._quotient(rs)
+        domain = self._quotient(base)
         frobenius = power_indices(rs.group, rs.p) if rs.e == 1 else None
 
         def powers(ring: RingSpec, idx: np.ndarray) -> np.ndarray:
@@ -393,27 +390,25 @@ class Units:
                 return _induced(reps, frobenius, q)
             return _batch_pow(tbl, q, reps, rs.p)
 
-        one = np.zeros(unit_count(base), dtype=bool)
         chi = np.empty(unit_count(domain), dtype=np.int32)
         n, radices = rs.size - 1, (base.modulus,) * (rs.size - 1)
         for lo, hi in _blocks(len(chi), rs.size):
             pw = powers(domain, np.arange(lo, hi, dtype=np.int64))
-            if domain == base:
-                one[lo:hi] = _matches(pw, ident)
             chi[lo:hi] = radix_encode(mod_in_place(pw[:-1], base.modulus), radices)
-        if domain != base:
-            # Entry t of the fibres is s = t % fibre of the fibre over
-            # j = kernel[t // fibre]: j's digits plus p^{e-2} times s's
-            # base-p digits, read in base p^{e-1}.
-            kernel = np.flatnonzero(chi == radix_encode(ident[:-1].tolist(), radices))
-            fibre, low = len(one) // len(chi), domain.modulus
-            for lo, hi in _blocks(len(kernel) * fibre, rs.size):
-                t = np.arange(lo, hi, dtype=np.int64)
-                idx = _redigit(kernel[t // fibre], n, low, base.modulus)
-                idx += low * _redigit(t % fibre, n, rs.p, base.modulus)
-                one[idx] = _matches(powers(base, idx), ident)
+        # Entry t of the fibres over ker chi is s = t % fibre of the fibre
+        # over domain index j = kernel[t // fibre]: j's digits plus low
+        # times s's base-p digits, read in the base's radix (fibre = 1 and
+        # s = 0 when the domain is the base).
+        one = np.zeros(unit_count(base), dtype=bool)
+        kernel = np.flatnonzero(chi == radix_encode(ident[:-1].tolist(), radices))
+        fibre, low = len(one) // len(chi), domain.modulus
+        for lo, hi in _blocks(len(kernel) * fibre, rs.size):
+            t = np.arange(lo, hi, dtype=np.int64)
+            idx = _redigit(kernel[t // fibre], n, low, base.modulus)
+            idx += low * _redigit(t % fibre, n, rs.p, base.modulus)
+            one[idx] = _matches(powers(base, idx), ident)
         one.flags.writeable = chi.flags.writeable = False
-        return PowerMap(base, mult, one, chi, domain)
+        return PowerMap(base, unit_count(rs) // len(one), one, chi, domain)
 
     def p_torsion(self) -> np.ndarray:
         """V[p]'s representatives in the power map, one per column, lifted
@@ -477,10 +472,10 @@ class Units:
         return self._lemma9[(seed, d)]
 
 
-def _image_sets(chi: np.ndarray, size: Optional[int] = None, fold=None):
+def _image_sets(chi: np.ndarray, size: int, fold):
     """Yield im chi^m for m = 1, 2, ..., ascending indices, for any map
-    i -> chi[fold(i)] of range(size) to itself (default: size len(chi),
-    fold the identity); fold must be onto range(len(chi)).
+    i -> chi[fold(i)] of range(size) to itself; fold must be onto
+    range(len(chi)).
 
     im chi^{m+1} = chi(im chi^m) lies inside im chi^m, so one mask of
     ``size`` bytes holds the image: it is cleared and set only on the
@@ -488,7 +483,7 @@ def _image_sets(chi: np.ndarray, size: Optional[int] = None, fold=None):
     folded and read at chi in blocks (``_blocks``) of _BLOCK_ENTRIES // 8
     indices: the fold's two int64 arrays and chi's int32 read of a block
     stay below half the working set, and next to the image itself."""
-    mask = np.zeros(len(chi) if size is None else size, dtype=bool)
+    mask = np.zeros(size, dtype=bool)
     mask[chi] = True
     image = np.flatnonzero(mask)
     while True:
@@ -496,7 +491,7 @@ def _image_sets(chi: np.ndarray, size: Optional[int] = None, fold=None):
         mask[image] = False
         for lo, hi in _blocks(len(image), 8):
             block = image[lo:hi]
-            mask[chi[block if fold is None else fold(block)]] = True
+            mask[chi[fold(block)]] = True
         image = image[mask[image]]
 
 
@@ -801,41 +796,41 @@ class Lemma9Units:
 
 
 def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
-    """lemma9's units for every d in ``seeds`` (d -> that d's derived seed).
+    """lemma9's units for every d in ``seeds`` (d -> that d's derived seed),
+    one chunk of d's (``_lemma9_chunks``).
 
-    The candidates of a run of d's (``_lemma9_chunks``) are stacked in
-    ascending d, and each column block of the stack (``_blocks``) is done in
-    one step: its valuations, its predictions and its units 1 + p^d y,
-    powered each up to its own bound e - d, so the columns still live after
-    m steps are a prefix."""
-    rs, out = units.rs, {}
+    The chunk's candidates are stacked in ascending d, and each column
+    block of the stack (``_blocks``) is done in one step: its valuations,
+    its predictions and its units 1 + p^d y, powered each up to its own
+    bound e - d, so the columns still live after m steps are a prefix."""
+    rs, ds = units.rs, sorted(seeds)
     p, e, q = rs.p, rs.e, rs.modulus
-    for ds in _lemma9_chunks(rs, seeds):
-        draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
-        ys = draws[0] if len(ds) == 1 else np.concatenate(draws, axis=1)
-        w = draws[0].shape[1]  # every d draws as many candidates
-        col_d = np.repeat(np.array(ds, dtype=np.int64), w)
-        predicted, measured = np.empty_like(col_d), np.empty_like(col_d)
-        exceptional = np.zeros(len(col_d), dtype=bool)
-        for lo, hi in _blocks(len(col_d), rs.size):
-            y, d = np.ascontiguousarray(ys[:, lo:hi]), col_d[lo:hi]
-            s = _min_valuations(y, p, e)
-            predicted[lo:hi] = np.maximum(e - d - s, 0)
-            # The block's k columns of d = 1 lead it (a slice: a fancy index
-            # would give _batch_mul a column-major operand, several times
-            # slower).  (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where
-            # the rule has no exception, and 1 + 2y != 1 as s = 0.
-            if p == 2 and (k := int(np.count_nonzero(d == 1))):
-                sq = _batch_mul(units.table, q, y[:, :k], y[:, :k])
-                exceptional[lo : lo + k] = exc = (sq % 2 == 1).any(axis=0) & (s[:k] == 0)
-                yy = mod_in_place(y[:, :k][:, exc] + sq[:, exc], q)
-                predicted[lo : lo + k][exc] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
-            y *= p**d
-            y[0] += 1
-            measured[lo:hi] = _batch_order_exps(units, mod_in_place(y, q), e - d)
-        for d, lo in zip(ds, range(0, len(col_d), w)):
-            out[d] = Lemma9Units(*(a[lo : lo + w] for a in (predicted, exceptional, measured)))
-    return out
+    draws = [_lemma9_candidates(rs, seeds[d]) for d in ds]
+    ys = draws[0] if len(ds) == 1 else np.concatenate(draws, axis=1)
+    w = draws[0].shape[1]  # every d draws as many candidates
+    col_d = np.repeat(np.array(ds, dtype=np.int64), w)
+    predicted, measured = np.empty_like(col_d), np.empty_like(col_d)
+    exceptional = np.zeros(len(col_d), dtype=bool)
+    for lo, hi in _blocks(len(col_d), rs.size):
+        y, d = np.ascontiguousarray(ys[:, lo:hi]), col_d[lo:hi]
+        s = _min_valuations(y, p, e)
+        predicted[lo:hi] = np.maximum(e - d - s, 0)
+        # The block's k columns of d = 1 lead it (a slice: a fancy index
+        # would give _batch_mul a column-major operand, several times
+        # slower).  (1 + 2y)^2 = 1 + 4(y + y^2), a unit of d = 2, where
+        # the rule has no exception, and 1 + 2y != 1 as s = 0.
+        if p == 2 and (k := int(np.count_nonzero(d == 1))):
+            sq = _batch_mul(units.table, q, y[:, :k], y[:, :k])
+            exceptional[lo : lo + k] = exc = (sq % 2 == 1).any(axis=0) & (s[:k] == 0)
+            yy = mod_in_place(y[:, :k][:, exc] + sq[:, exc], q)
+            predicted[lo : lo + k][exc] = 1 + np.maximum(e - 2 - _min_valuations(yy, p, e), 0)
+        y *= p**d
+        y[0] += 1
+        measured[lo:hi] = _batch_order_exps(units, mod_in_place(y, q), e - d)
+    return {
+        d: Lemma9Units(*(a[lo : lo + w] for a in (predicted, exceptional, measured)))
+        for d, lo in zip(ds, range(0, len(col_d), w))
+    }
 
 
 def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:

@@ -251,11 +251,14 @@ def _kernel_violation():
     )
 
 
-def _base_kernel_violation():
-    """Make every Units' check of its base ring's reduction kernel report one
-    k with k^p != 1."""
+def _base_kernel_violation(units: Units, checked: list):
+    """Check V's own reduction kernel on ``units``, then make every later
+    kernel check, that of the base ring, report one k with k^p != 1 and
+    append the ring it was asked about to ``checked``."""
+    units.kernel
     return mock.patch.object(
-        Units, "base_kernel", property(lambda self: (self.rs.p ** (self.rs.size - 1), 1))
+        oracle, "_kernel_check",
+        lambda table, rs: checked.append(rs) or (rs.p ** (rs.size - 1), 1),
     )
 
 
@@ -326,12 +329,13 @@ def test_base_kernel_check_failure_keeps_chi_over_the_base(rs):
     plan = plan_checks(rs)
     units = Units(rs)
     folded = [verify_check(c, units, params, seed=3) for c, params in plan]
-    with _base_kernel_violation():
-        unfolded_units = Units(rs)
+    unfolded_units, checked = Units(rs), []
+    with _base_kernel_violation(unfolded_units, checked):
         unfolded = [verify_check(c, unfolded_units, params, seed=3) for c, params in plan]
         census = unfolded_units.census()
     pm = unfolded_units.power_map
     assert units.power_map.domain == RingSpec(rs.group, rs.e - 2)
+    assert checked == [pm.base]
     assert pm.domain == pm.base == RingSpec(rs.group, rs.e - 1)
     assert len(pm.chi) == len(pm.one)
     assert census == units.census()
@@ -346,7 +350,7 @@ def test_image_sets_are_those_of_every_iterate(data):
         data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)),
         dtype=np.int32,
     )
-    images = _image_sets(chi)
+    images = _image_sets(chi, len(chi), lambda idx: idx)
     power = np.arange(size)
     for _ in range(size + 2):
         power = chi[power]

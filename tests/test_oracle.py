@@ -164,46 +164,60 @@ class TestHistogram:
         [
             rs
             for rs in (RingSpec(i.group, i.e) for i in default_suite_config().instances)
-            if rs.e >= 3 and unit_count(rs) <= oracle.DEFAULT_BUDGET
+            if unit_count(rs) <= oracle.DEFAULT_BUDGET
         ],
         ids=lambda rs: rs.to_text(),
     )
     def test_folded_map_powers_the_domain_and_the_kernel_fibres(self, rs, monkeypatch):
-        # Past the two kernel checks, the map powers each unit of
-        # V(Z_{p^{e-2}}G) once, for chi, and each base index of ker chi
-        # once, for one: a map that fell back to powering every base index
-        # would pass the census but not this count.  The base indices it
-        # powers must be ker chi itself: when Theorem 1 holds only one
-        # index per fibre of the fold has rep^p = 1, so a map that powered
-        # that one alone would pass every check.  Every catalog instance
-        # with e >= 3 under the default budget is here, C_2 at e = 18 and
-        # C_3 at e = 6 among them.
-        units = Units(rs)
-        units.kernel, units.base_kernel
-        columns, powered = [], []
-        real_pow, real_units_at = oracle._batch_pow, oracle._units_at
+        # Past the kernel checks, which power units of their own, the map
+        # decodes and powers each unit of its domain once, for chi, and each
+        # base index of ker chi once, for one: a map that fell back to
+        # powering every base index would pass the census but not this
+        # count.  The base indices it powers must be ker chi itself: when
+        # Theorem 1 holds only one index per fibre of the fold has
+        # rep^p = 1, so a map that powered that one alone would pass every
+        # check.  Every catalog instance that builds a map is here: at e = 1
+        # the map powers by scatters (``_induced``) over V, at e = 2 by
+        # products with chi over the base, and past that with chi over
+        # V(Z_{p^{e-2}}G), C_2 at e = 18 and C_3 at e = 6 among them.
+        columns, decoded = [], []
+        real_pow, real_induced = oracle._batch_pow, oracle._induced
+        real_units_at, real_check = oracle._units_at, oracle._kernel_check
 
-        def counted(tbl, q, x, m):
+        def counted_pow(tbl, q, x, m):
             columns.append(x.shape[1])
             return real_pow(tbl, q, x, m)
 
+        def counted_induced(x, images, q):
+            columns.append(x.shape[1])
+            return real_induced(x, images, q)
+
         def recorded(ring, idx, lift=None):
-            if ring.e == rs.e - 1:
-                powered.append(idx.copy())
+            decoded.extend((ring.e, i) for i in idx.tolist())
             return real_units_at(ring, idx, lift)
 
-        monkeypatch.setattr(oracle, "_batch_pow", counted)
+        def unrecorded(table, ring):
+            kept = len(columns), len(decoded)
+            result = real_check(table, ring)
+            del columns[kept[0] :], decoded[kept[1] :]
+            return result
+
+        monkeypatch.setattr(oracle, "_batch_pow", counted_pow)
+        monkeypatch.setattr(oracle, "_induced", counted_induced)
         monkeypatch.setattr(oracle, "_units_at", recorded)
-        pm = units.power_map
+        monkeypatch.setattr(oracle, "_kernel_check", unrecorded)
+        pm = Units(rs).power_map
         monkeypatch.undo()
-        base, domain = RingSpec(rs.group, rs.e - 1), RingSpec(rs.group, rs.e - 2)
-        assert (pm.base, pm.domain) == (base, domain)
+        base = RingSpec(rs.group, max(rs.e - 1, 1))
+        assert (pm.base, pm.domain) == (base, RingSpec(rs.group, max(rs.e - 2, 1)))
         counts = order_histogram(base).as_dict()
-        kernel = counts[0] + counts.get(1, 0)  # ker chi = V(Z_{p^{e-1}}G)[p]
-        assert sum(columns) == unit_count(domain) + kernel
-        chi = pm.chi[pm.fold(np.arange(len(pm.one)))]
-        ident = chi[np.flatnonzero(pm.one)[0]]  # one marks reps with rep^p = 1
-        assert sorted(np.concatenate(powered).tolist()) == np.flatnonzero(chi == ident).tolist()
+        ident = base.modulus ** (base.size - 2)  # 1: its leading digit, at g = 1, is 1
+        kernel = np.flatnonzero(pm.chi[pm.fold(np.arange(len(pm.one)))] == ident)
+        assert len(kernel) == counts[0] + counts.get(1, 0)  # ker chi = V(base)[p]
+        assert sum(columns) == len(pm.chi) + len(kernel)
+        expected = [(pm.domain.e, i) for i in range(len(pm.chi))]
+        expected += [(base.e, i) for i in kernel.tolist()]
+        assert sorted(decoded) == sorted(expected)
 
     def test_power_map_reads_g_to_the_p_only_in_characteristic_p(self, monkeypatch):
         # At e >= 2 the map powers units by products; only e = 1 scatters
@@ -767,13 +781,14 @@ class TestWorkingSet:
         assert self.transient(lambda: verify_check("lemma2", units)) <= 16 * budget * 8
 
     def test_lemma9_pass(self):
-        # Seven d's of 1000 candidates with 16 coefficients each, in more
-        # than one stacked block.
+        # Seven d's of 1000 candidates with 16 coefficients each, in two or
+        # more chunks of stacked d's, each passed on its own.
         units = self.units(2, (2, 2), 8)
-        seeds = {d: d for d in range(1, 8)}
-        assert len(oracle._lemma9_chunks(units.rs, seeds)) >= 2
-        allocated = self.transient(lambda: oracle._lemma9_pass(units, seeds))
-        assert allocated <= 8 * oracle._BLOCK_ENTRIES * 8
+        chunks = oracle._lemma9_chunks(units.rs, range(1, 8))
+        assert len(chunks) >= 2
+        for ds in chunks:
+            allocated = self.transient(lambda: oracle._lemma9_pass(units, {d: d for d in ds}))
+            assert allocated <= 8 * oracle._BLOCK_ENTRIES * 8
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lemma9_pass_in_column_blocks(self, budget, monkeypatch):

@@ -38,15 +38,16 @@ inside im chi^m, which only shrinks, and only the current image is folded
 (``_image_sets``).  The census checks |ker chi| |im chi| = N once and
 raises ArithmeticError if that fails.  The torsion checks (theorem1,
 lemma4) decode only the representatives of V[p], in one call
-(``Units.p_torsion``); besides the map, lemma5's layer count is the only
-pass over blocks of V.
+(``Units.p_torsion``), and the map is the only pass over V: lemma5 counts
+its layers by meeting in the middle, from about sqrt|V| units on each of
+two sides (``_layer_sizes``).
 
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
 scalar reference convolution.  Every batched kernel works within one
 budget of ``_BLOCK_ENTRIES`` entries: a block has |G| rows and as many
-columns as fit it (``_blocks``), for the map, the kernel K, lemma5's scan
-and lemma2's and lemma9's powers alike, and ``_blocks`` is the one
+columns as fit it (``_blocks``), for the map, the kernel K, lemma5's two
+halves and lemma2's and lemma9's powers alike, and ``_blocks`` is the one
 division of that budget.  The batched product is one gathered einsum,
 reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G| products
 per entry fit one int64 sum and the gathered operand, |G| times the
@@ -646,6 +647,45 @@ def _check_lemma4(units: Units, params, seed):
     return predicted, observed
 
 
+def _layer_sizes(rs: RingSpec, forms) -> list[int]:
+    """|1 + w^m| for the Howell forms of w^m in ``forms``, counted by
+    meeting in the middle.
+
+    With A = p^{floor(e(|G|-1)/2)}, every unit index is i = lo + A hi with
+    lo < A.  A is a power of p, so lo and A hi share no base-p digit and no
+    carry passes between them: the first |G| - 1 coefficients of u_i are
+    those of u_lo plus those of u_{A hi}, and with the last ones, forced by
+    augmentation 1, u_i - 1 = (u_lo - g_last) + (u_{A hi} - 1).  So u_i - 1
+    lies in w^m iff u_lo - g_last and 1 - u_{A hi} lie in one coset of w^m,
+    iff their canonical residues, read as keys, are equal
+    (``HowellArray.coset_keys``; |V| < 2^31 and q <= 2^31 keep q^{|G|} below
+    2^62).  |1 + w^m| is the number of pairs (lo, hi) with equal keys: the A
+    keys of the lo side are sorted, and each key of the hi side counts its
+    run among them.  Both sides are decoded block by block (``_blocks``),
+    A + |V| / A <= (p + 1) sqrt(|V| / p) units in all, and only the lo
+    side's keys are kept.
+    """
+    split = rs.p ** (theory.v_order_exp(rs.group, rs.e) // 2)
+    lows = [np.empty(split, dtype=np.int64) for _ in forms]
+    for lo, hi in _blocks(split, rs.size):
+        vecs = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
+        vecs[-1] -= 1  # u_lo - g_last
+        for keys, H in zip(lows, forms):
+            keys[lo:hi] = H.coset_keys(vecs)
+    for keys in lows:
+        keys.sort()
+    totals = [0] * len(forms)
+    for lo, hi in _blocks(unit_count(rs) // split, rs.size):
+        vecs = _units_at(rs, split * np.arange(lo, hi, dtype=np.int64))
+        vecs *= -1
+        vecs[0] += 1  # 1 - u_{A hi}
+        for m, (keys, H) in enumerate(zip(lows, forms)):
+            key = H.coset_keys(vecs)
+            runs = np.searchsorted(keys, key, "right") - np.searchsorted(keys, key, "left")
+            totals[m] += int(runs.sum())
+    return totals
+
+
 def _check_lemma5(units: Units, params, seed):
     rs = units.rs
     p = rs.p
@@ -654,20 +694,7 @@ def _check_lemma5(units: Units, params, seed):
     nu = nilpotency_index(rs)
     forms = [ideal_power_form(rs, m) for m in range(1, nu + 1)]  # w^nu = 0
     size_exps = [H.size_exp for H in forms]
-
-    # totals[m - 1] = |1 + w^m|, counted over blocks of V.  1 + w^{m+1}
-    # lies in 1 + w^m, so only the members of one layer are tested against
-    # the next.  A layer that keeps every column (1 + w keeps all of V) is
-    # not copied.
-    totals = [0] * nu
-    for lo, hi in _blocks(unit_count(rs), rs.size):
-        vecs = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
-        vecs[0] -= 1  # u - 1, in place: contains reduces it mod q
-        for m, H in enumerate(forms):
-            member = H.contains(vecs)
-            if not member.all():
-                vecs = vecs[:, member]
-            totals[m] += vecs.shape[1]
+    totals = _layer_sizes(rs, forms)
 
     def ratio_exp(a: int, b: int) -> int:
         if b == 0 or a % b:

@@ -54,38 +54,23 @@ multiples of p^v, to 0, and basis rows into [0, p^v).  The annihilator
 p^{e-v} * row goes to ``end``.  Each row operation is reduced mod q = p^e
 (``pgroup.mod_in_place``), and q <= 2^31 keeps each product f * row below 2^62.
 
-Membership by the dual.  Z_{p^e} is a Frobenius ring, so a submodule M
-of Z_{p^e}^n is its own double annihilator: with M^perp = {y : h . y = 0
-for every h in M}, M = {x : A x = 0} for any A whose rows span M^perp,
-and |M| |M^perp| = p^{en}.  If the rows of H span M, the rows of
-[H^T | I] span {(Hy, y) : y in Z_{p^e}^n}; its elements with Hy = 0 are
-(0, y) for y in M^perp, and by the Howell property they are spanned by
-the Howell rows whose pivot lies in the identity block.  Those rows,
-restricted to that block, are the Howell form of M^perp
-(``HowellArray.dual``, built on first use and checked: the sizes multiply
-to p^{en} and H A^T = 0).
-
 ``HowellArray.contains`` takes a block of vectors, one per column with
-entries in (-q, q), and answers it one of two ways:
+entries in (-q, q), and reduces it against the form's own rows
+(``_reduced``).  Every entry above a pivot 1 is reduced into [0, 1), so it
+is 0, and every entry below a pivot is 0: a unit-pivot row's coefficient in
+the reduction of x is x's own entry at its pivot column, whatever the other
+rows are.  So all of those rows come off at once, by one product
+x - H_u^T x[unit pivot columns] (at e = 1 every pivot is 1, and that is the
+whole test).  The rows with pivot p^v, v >= 1 (``unit`` marks which are
+which), follow in turn by elimination.  The whole block is reduced before
+the first of them, as the product leaves entries in (-2q + 1, q), then
+before every k-th, k = ``ring._rows_per_reduction(q, signed=True)``
+(entries and f may be negative), and at the end; before the others only
+the pivot entry is, so that f = v[col] // p^v stays below q.  What is left
+is x's residue, which is canonical (``HowellArray.coset_keys``), and x lies
+in the span iff it is 0.
 
-- a block at least ``_DUAL_WIDTH`` times as wide as it is long (the
-  lemma4 and lemma5 unit scans) by one product A x mod q with A the dual's
-  rows;
-- a narrower one (lemma3's |G| columns, ``module_membership``'s one)
-  against the form's own rows, so the dual is never built for it.  Every
-  entry above a pivot 1 is reduced into [0, 1), so it is 0, and every
-  entry below a pivot is 0: a unit-pivot row's coefficient in the
-  reduction of x is x's own entry at its pivot column, whatever the other
-  rows are.  So all of those rows come off at once, by one product
-  x - H_u^T x[unit pivot columns] (at e = 1 every pivot is 1, and that is
-  the whole test).  The rows with pivot p^v, v >= 1 (``unit`` marks which
-  are which), follow in turn by elimination.  The whole block is reduced
-  before the first of them, as the product leaves entries in (-2q + 1, q),
-  then before every k-th, k = ``ring._rows_per_reduction(q, signed=True)``
-  (entries and f may be negative), and at the end; before the others only
-  the pivot entry is, so that f = v[col] // p^v stays below q.
-
-Both products are ``_product_mod``.  It multiplies in float64 (BLAS),
+The product is ``_product_mod``.  It multiplies in float64 (BLAS),
 chunk by chunk of k = ``ring._float_terms(q)`` inner columns, the largest k
 with k(q-1)^2 <= 2^53: every partial sum of a chunk is then an integer of
 magnitude at most 2^53, exact in any order of addition.  Each chunk goes to
@@ -130,7 +115,6 @@ are int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
@@ -138,11 +122,6 @@ import numpy as np
 
 from .pgroup import checked_int, checked_prime, gather_table, mod_in_place, radix_encode, residues
 from .ring import RingSpec, _float_terms, _rows_per_reduction, checked_modulus_exp, p_valuation
-
-# Blocks of vectors at least this many times wider than long (columns
-# against coordinates) are tested against the dual (``HowellArray.contains``).
-_DUAL_WIDTH = 64
-
 
 @dataclass(frozen=True)
 class ResidueMatrix:
@@ -195,37 +174,34 @@ class HowellArray:
     unit: np.ndarray
     size_exp: int
 
-    @functools.cached_property
-    def dual(self) -> HowellArray:
-        """The Howell form of the annihilator {y : h . y = 0 for every row h};
-        see "Membership by the dual" in the module docstring."""
-        p, e, (r, n) = self.p, self.e, self.rows.shape
-        H = self.rows.astype(np.int64)
-        aug = _howell(np.hstack([H.T, np.eye(n, dtype=np.int64)]), p, e)
-        start = bisect.bisect_left(aug.pivots, r)
-        rows = aug.rows[start:, r:].copy()
-        rows.flags.writeable = False
-        pivots = tuple(c - r for c in aug.pivots[start:])
-        unit = aug.unit[start:]
-        size_exp = sum(e - p_valuation(int(rows[i, c]), p) for i, c in enumerate(pivots))
-        if self.size_exp + size_exp != e * n:
-            raise ArithmeticError(
-                f"|M| |M^perp| = {p}^{self.size_exp + size_exp}, expected {p}^{e * n}"
-            )
-        if _product_mod(rows, H.T, p ** e).any():
-            raise ArithmeticError("the annihilator's rows are not orthogonal to the span")
-        return HowellArray(p, e, rows, pivots, unit, size_exp)
-
     def contains(self, vecs: np.ndarray) -> np.ndarray:
         """Boolean mask: which columns of vecs lie in the span.
 
         vecs is int64, one vector per column, with entries in (-q, q).
         """
         q = self.p ** self.e
-        n, width = vecs.shape
-        if width >= _DUAL_WIDTH * n:
-            return ~_product_mod(self.dual.rows, vecs, q).any(axis=0)
         return ~_reduced(vecs, self.rows, self.pivots, self.unit, q).any(axis=0)
+
+    def coset_keys(self, vecs: np.ndarray) -> np.ndarray:
+        """The coset of the span that holds each column of vecs (int64,
+        entries in (-q, q)), as an int64 key: the column's residue
+        (``_reduced``) read as a base-q number, exact while q^n <= 2^62 for
+        n coordinates.  Two columns get one key iff they lie in one coset.
+
+        The residue r(x) is x less a span element, every entry in [0, q)
+        and the entry at each pivot p^v in [0, p^v).  If x - y lies in the
+        span, so does d = r(x) - r(y).  Were d != 0, with c its first
+        nonzero column, the Howell property would make d a combination of
+        the rows with pivot column >= c alone.  Those past c are 0 at c, so
+        some row has its pivot p^v at c, and d_c is a multiple of p^v (p^v
+        divides q).  But r(x)_c and r(y)_c both lie in [0, p^v), so d_c = 0,
+        a contradiction.  So r(x) = r(y): r is constant on each coset, and
+        tells cosets apart, as x - r(x) lies in the span.
+        """
+        q, n = self.p ** self.e, vecs.shape[0]
+        if q ** n > 1 << 62:
+            raise OverflowError(f"coset keys of {n} coordinates mod {q} pass int64")
+        return radix_encode(_reduced(vecs, self.rows, self.pivots, self.unit, q), (q,) * n)
 
     def matrix(self) -> ResidueMatrix:
         rows = tuple(map(tuple, self.rows.tolist()))
@@ -268,7 +244,7 @@ def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
 
     def chunk(lo: int) -> np.ndarray:
         # The operands' float64 copies are freed before the product is
-        # converted.  Held until then, those of lemma5's 2^16-column blocks
+        # converted.  Held until then, those of a working-set block of units
         # made glibc trim its heap and refault it on every call (about 1600
         # minor faults a call; twice the time of the int64 product).
         a, x = A[:, lo : lo + k], X[lo : lo + k]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from punits import oracle
 from punits.cli import default_suite_config
@@ -29,13 +31,23 @@ from punits.oracle import (
 from punits.pgroup import GroupSpec, gather_table
 from punits.ring import RingSpec, unit_order
 from punits.theory import AbelianInvariants, v_invariants, v_order_exp
+from punits.zpelin import ideal_power_form, nilpotency_index
 
-from .helpers import alarm, fresh_python, partitions, random_normalized_unit
+from .helpers import alarm, fresh_python, partitions, random_normalized_unit, small_specs
 
 Z2C2 = RingSpec(GroupSpec(2, (1,)), 1)
 Z4C2 = RingSpec(GroupSpec(2, (1,)), 2)
 Z9C3 = RingSpec(GroupSpec(3, (1,)), 2)
 Z4V4 = RingSpec(GroupSpec(2, (1, 1)), 2)
+
+# The rings of lemma5's differential test: p in {2, 3, 5}, |G| <= 8, e <= 3
+# and |V| <= 2^16.
+LEMMA5_RINGS = [
+    rs
+    for spec in small_specs(3, (2,)) + small_specs(1, (3, 5))
+    for rs in (RingSpec(spec, e) for e in (1, 2, 3))
+    if unit_count(rs) <= 1 << 16
+]
 
 
 class TestEnumeration:
@@ -327,16 +339,16 @@ class TestChecks:
         })
 
     @classmethod
-    def _membership_edited(cls, monkeypatch, m, edit):
-        # The Howell form of w^m, whose membership answer for each block
-        # edit changes in place.
+    def _form_edited(cls, monkeypatch, m, name, edit):
+        # The Howell form of w^m, whose method name (contains or coset_keys)
+        # has each answer changed in place by edit(vecs, answer).
         def form(H):
-            def contains(vecs):
-                member = H.contains(vecs)
-                edit(member)
-                return member
+            def method(vecs):
+                answer = getattr(H, name)(vecs)
+                edit(vecs, answer)
+                return answer
 
-            return SimpleNamespace(size_exp=H.size_exp, contains=contains)
+            return SimpleNamespace(size_exp=H.size_exp, **{name: method})
 
         ideal_power_form = oracle.ideal_power_form
         monkeypatch.setattr(
@@ -345,17 +357,24 @@ class TestChecks:
         )
 
     def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
-        # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  Counted as 2, the second layer
-        # makes both ratios that read it wrong: 9 / 2 is no integer and
-        # 2 / 1 no power of 3.  The check reports them, and fails.
+        # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  The first call of w^2's keys is
+        # the lo side's; with the key of lo = 0 edited to match no hi key,
+        # the one unit of 1 + w^2 with lo = 0 (the identity) is not counted.
+        # Counted as 2, the second layer makes both ratios that read it
+        # wrong: 9 / 2 is no integer and 2 / 1 no power of 3.  The check
+        # reports them, and fails.
         rs = RingSpec(GroupSpec(3, (1,)), 1)
         assert verify_check("lemma5", rs).passed
+        calls = []
 
-        def drop_first_member(member):
-            member[np.flatnonzero(member)[:1]] = False
+        def first_lo_apart(vecs, keys):
+            if not calls:
+                keys[0] = -1
+            calls.append(vecs.shape[1])
 
-        self._membership_edited(monkeypatch, 2, drop_first_member)
+        self._form_edited(monkeypatch, 2, "coset_keys", first_lo_apart)
         report = verify_check("lemma5", rs)
+        assert calls == [3, 3]  # one block of each side
         assert not report.passed
         assert report.predicted == {"layer_ratio_exps": [1, 1, 0]}
         assert report.observed == {"layer_ratio_exps": [-1, -1, 0]}
@@ -364,10 +383,10 @@ class TestChecks:
         # D_2(Z_4 C_8) = {1, g^4}; read as a member of w^2, g^7 - 1 adds g^7.
         rs = RingSpec(GroupSpec(2, (3,)), 2)
 
-        def flip_last(member):
+        def flip_last(vecs, member):
             member[-1] = ~member[-1]
 
-        self._membership_edited(monkeypatch, 2, flip_last)
+        self._form_edited(monkeypatch, 2, "contains", flip_last)
         report = verify_check("lemma3", rs, {"n": 2})
         assert not report.passed
         assert report.predicted == {"elements": [[0], [4]]}
@@ -679,7 +698,7 @@ class TestChecks:
     def test_no_v_sized_array_at_e_at_least_2(self, monkeypatch):
         # On the default suite's e >= 2 instances the enumerative checks hold
         # no array with |V| or more columns: they read the power map's
-        # |V| / p^{|G|-1} representatives, and lemma5 scans V block by block.
+        # |V| / p^{|G|-1} representatives, and lemma5 about sqrt|V| units a side.
         # Every array bound to a name in a punits frame is measured, line by
         # line, with blocks of 2^12 entries; instances whose units fit one
         # block are left out.
@@ -712,6 +731,29 @@ class TestChecks:
             assert 0 < widest < unit_count(rs), rs
             checked += 1
         assert checked >= 10
+
+
+class TestLemma5SplitCount:
+    @given(st.sampled_from(LEMMA5_RINGS))
+    def test_split_count_matches_a_scan(self, rs):
+        # Every unit, decoded here digit by digit, is tested against every
+        # w^m by membership; the split count must give each |1 + w^m|.
+        q, n = rs.modulus, rs.size
+        digits = np.array(list(itertools.product(range(q), repeat=n - 1)), dtype=np.int64)
+        vecs = np.vstack([digits.T, (1 - digits.sum(axis=1)) % q])
+        vecs[0] -= 1  # u - 1
+        forms = [ideal_power_form(rs, m) for m in range(1, nilpotency_index(rs) + 1)]
+        scanned = [int(np.count_nonzero(H.contains(vecs))) for H in forms]
+        assert oracle._layer_sizes(rs, forms) == scanned
+        assert scanned[0] == unit_count(rs) and scanned[-1] == 1
+
+    def test_lemma5_at_3_squared_past_the_cap(self):
+        # |G| = 9 is past lemma5's planner cap and |V| = 3^16 past the
+        # default budget; scanning V took seconds, the split count reads
+        # 2 * 3^8 units.
+        units = Units(RingSpec(GroupSpec(3, (1, 1)), 2), (1 << 31) - 1)
+        with alarm(5):
+            assert verify_check("lemma5", units).passed
 
 
 class TestWorkingSet:
@@ -763,9 +805,9 @@ class TestWorkingSet:
         assert units.kernel == (1 << 15, 0)
 
     @pytest.mark.parametrize("budget", BUDGETS)
-    def test_lemma5_scan(self, budget, monkeypatch):
-        # 2^15 units of 16 coefficients; the Howell forms are built by the
-        # first, untraced call.
+    def test_lemma5_split_count(self, budget, monkeypatch):
+        # 2^15 units of 16 coefficients, split 2^7 by 2^8; the Howell forms
+        # are built by the first, untraced call.
         monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
         units = self.units(2, (2, 2), 1)
         assert verify_check("lemma5", units).passed

@@ -410,7 +410,6 @@ class TestMembership:
         expected = reference_contains(H.rows, H.pivots, q, vecs)
         assert all(expected[::2]) or not form
         assert H.contains(vecs).tolist() == expected
-        assert "dual" not in H.__dict__
 
     @pytest.mark.parametrize("p, e", [(7, 11), (3, 19), (2, 31)])
     def test_non_unit_rows_across_reductions(self, p, e):
@@ -455,16 +454,35 @@ class TestProductMod:
         assert out.dtype == np.int64
         assert out.tolist() == expected
 
+    @pytest.mark.parametrize("p, e", [(7, 11), (3, 19), (2, 31)])
+    def test_contains_product_at_the_worst_case_between_reductions(self, p, e):
+        # M = {x : x_0 = x_1 + ... + x_{n-1}} has the Howell rows e_0 + e_{n-1}
+        # and e_j - e_{n-1}, 0 < j < n - 1, all with unit pivots, so contains
+        # takes them off in one _product_mod.  At the last coordinate of a
+        # vector with x_1 = ... = x_{n-1} = +-(q-1) that sums n - 2 = 2k + 1
+        # products +-(q-1)^2, past int64 unless it is reduced every k columns.
+        q = p ** e
+        n = 2 * _rows_per_reduction(q) + 3
+        H = howell_array(M(p, e, [[1] + [int(i == j) for j in range(1, n)] for i in range(1, n)]))
+        assert H.pivots == tuple(range(n - 1)) and H.unit.all()
+        for sign in (1, -1):
+            first = sign * (q - n + 1)  # = sign * (n - 1)(q - 1) mod q
+            member = [first] + [sign * (q - 1)] * (n - 1)
+            outsider = [first - sign] + member[1:]
+            vecs = np.array([member, outsider]).T
+            assert reference_contains(H.rows, H.pivots, q, vecs) == [True, False]
+            assert H.contains(vecs).tolist() == [True, False]
 
-class TestDual:
-    """Membership by the dual module against elimination and the reference."""
+
+class TestCosetKeys:
+    """The residue by a Howell form, read as a key, names the coset."""
 
     @given(st.data())
-    def test_both_paths_match_the_reference(self, data):
+    def test_keys_are_equal_exactly_on_a_coset(self, data):
         p = data.draw(st.sampled_from((2, 3, 5, 7)))
         e = data.draw(st.integers(1, 4))
         q = p ** e
-        ncols = data.draw(st.integers(1, 8))
+        ncols = data.draw(st.integers(1, min(8, 62 // q.bit_length())))
         entry = st.one_of(
             st.sampled_from((0, 1, p, q - 1, q - p, p ** (e - 1))), st.integers(0, q - 1)
         )
@@ -473,101 +491,36 @@ class TestDual:
         rows = data.draw(st.lists(st.one_of(row, times_p), max_size=8))
         H = howell_array(ResidueMatrix(p, e, ncols, tuple(map(tuple, rows))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        # Half members, half random vectors, entries in (-q, q).
-        width = zpelin._DUAL_WIDTH * ncols
-        half = width // 2
-        members = rng.integers(0, q, (half, len(H.rows))) @ H.rows.astype(np.int64) % q
-        vecs = np.vstack([members, rng.integers(0, q, (width - half, ncols))]).T.copy()
-        vecs[(vecs > 0) & (rng.random(vecs.shape) < 0.5)] -= q
+        width = 32
 
-        expected = reference_contains(H.rows, H.pivots, q, vecs)
-        assert expected[:half] == [True] * half
-        # Each half is narrower than the switch, so it is eliminated.
-        eliminated = np.concatenate([H.contains(vecs[:, :half]), H.contains(vecs[:, half:])])
-        assert "dual" not in H.__dict__
-        assert eliminated.tolist() == expected
-        assert H.contains(vecs).tolist() == expected
-        assert "dual" in H.__dict__
+        def signed(x):  # entries in (-q, q): each nonzero one minus q, or not
+            x = x % q
+            x[(x > 0) & (rng.random(x.shape) < 0.5)] -= q
+            return x
 
-    @given(st.data())
-    def test_dual_is_the_annihilator(self, data):
-        p = data.draw(st.sampled_from((2, 3, 5, 7)))
-        e = data.draw(st.integers(1, 4))
-        q = p ** e
-        ncols = data.draw(st.integers(1, 8))
-        row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
-        times_p = row.map(lambda r: [p * x % q for x in r])
-        rows = data.draw(st.lists(st.one_of(row, times_p), max_size=8))
-        H = howell_array(ResidueMatrix(p, e, ncols, tuple(map(tuple, rows))))
-        D = H.dual
-        assert H.size_exp + D.size_exp == e * ncols
-        assert all(
-            sum(a * b for a, b in zip(h, y)) % q == 0
-            for h in H.rows.tolist()
-            for y in D.rows.tolist()
-        )
-        # The Howell form is canonical, so the double annihilator is H itself.
-        assert D.dual.rows.tolist() == H.rows.tolist()
-        assert (D.dual.pivots, D.dual.size_exp) == (H.pivots, H.size_exp)
+        x = rng.integers(0, q, (ncols, width))
+        h = (rng.integers(0, q, (width, len(H.rows))) @ H.rows.astype(np.int64)).T
+        y = rng.integers(0, q, (ncols, width))
+        off = ~np.array(reference_contains(H.rows, H.pivots, q, y % q))
+        keys = H.coset_keys(signed(x))
+        assert (H.coset_keys(signed(x + h)) == keys).all()
+        assert ((H.coset_keys(signed(x + y)) != keys) == off).all()
+        assert ((keys == 0) == H.contains(signed(x))).all()
 
-    @pytest.mark.parametrize("p, e", [(7, 11), (3, 19), (2, 31)])
-    def test_dual_product_at_the_worst_case_between_reductions(self, p, e):
-        # M = {x : x_0 = x_1 + ... + x_7} has the dual row (1, q-1, ..., q-1).
-        # A member with x_1 = ... = x_7 = +-(q-1) sums seven products
-        # +-(q-1)^2, past int64 unless the sum is reduced every k columns.
-        q, n = p ** e, 8
-        H = howell_array(M(p, e, [[1] + [int(i == j) for j in range(1, n)] for i in range(1, n)]))
-        assert H.dual.rows.tolist() == [[1] + [q - 1] * (n - 1)]
-        member = [q - n + 1] + [q - 1] * (n - 1)
-        negative = [n - 1] + [1 - q] * (n - 1)
-        block = [member, [q - n + 2] + member[1:], negative, [n - 2] + negative[1:]]
-        vecs = np.array(block * (zpelin._DUAL_WIDTH * n // len(block))).T
-        expected = [True, False, True, False] * (vecs.shape[1] // len(block))
-        assert reference_contains(H.rows, H.pivots, q, vecs) == expected
-        assert H.contains(vecs).tolist() == expected
-
-    @given(st.sampled_from(((7, 11), (2, 31))), st.integers(3, 8), st.integers(0, 2 ** 32))
-    def test_dual_path_near_the_cap(self, pe, ncols, seed):
-        # Moduli where k = 2, so the product is reduced between chunks.
-        p, e = pe
-        q = p ** e
-        assert _rows_per_reduction(q) == 2
-        rng = random.Random(seed)
-
-        def entry():
-            return rng.choice(
-                (0, 1, p, q - p, q - 1, rng.randrange(q - q // 16, q), rng.randrange(q))
-            )
-
-        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
-        H = howell_array(M(p, e, rows))
-        form = H.rows.tolist()
-        width = zpelin._DUAL_WIDTH * ncols
-        vecs = []
-        for i in range(width):
-            if i % 2:
-                vec = [entry() for _ in range(ncols)]
-            else:
-                cs = [entry() for _ in form]
-                vec = [sum(c * r[j] for c, r in zip(cs, form)) % q for j in range(ncols)]
-            vecs.append([x - q if x and rng.random() < 0.5 else x for x in vec])
-        vecs = np.array(vecs).T
-        expected = reference_contains(H.rows, H.pivots, q, vecs)
-        assert expected[::2] == [True] * (width // 2)
-        assert H.contains(vecs).tolist() == expected
-        assert "dual" in H.__dict__
+    def test_keys_past_int64_are_refused(self):
+        # At q = 2^31 two coordinates make q^2 = 2^62: the largest key,
+        # 2^62 - 1, is exact, and a third coordinate is refused.  The zero
+        # span leaves every vector as its own residue.
+        top = 2 ** 31 - 1
+        H = howell_array(M(2, 31, [[0, 0]]))
+        assert H.coset_keys(np.array([[top], [top]])).tolist() == [2 ** 62 - 1]
+        with pytest.raises(OverflowError, match="int64"):
+            howell_array(M(2, 31, [[0, 0, 0]])).coset_keys(np.zeros((3, 1), dtype=np.int64))
 
 
-class TestDualTraffic:
-    """The dual is built only where a batch is wide enough to repay it."""
-
-    def test_lemma3_builds_no_dual(self):
-        rs = RingSpec(GroupSpec(2, (2, 1)), 2)
-        zpelin._chain.cache_clear()
-        for n in range(1, nilpotency_index(rs) + 1):
-            assert verify_check("lemma3", rs, {"n": n}).passed
-        chain = zpelin._chain(rs)
-        assert not any("dual" in H.__dict__ for H in chain.levels + [chain.zero])
+class TestMembershipTraffic:
+    """Membership and coset keys build no form besides the ideal chain's,
+    and at e = 1 take one product per block."""
 
     def test_lemma3_at_e1_is_one_product(self, monkeypatch):
         # At e = 1 every pivot is a unit, so each membership block is one
@@ -593,7 +546,7 @@ class TestDualTraffic:
             assert verify_check("lemma3", rs, {"n": n}).passed
             assert calls == ["product", "reduce", "reduce"]
 
-    def test_lemma5_builds_at_most_one_dual_per_level(self, monkeypatch):
+    def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)
         zpelin._chain.cache_clear()
         nilpotency_index(rs)  # the whole chain, before _howell is counted
@@ -606,10 +559,7 @@ class TestDualTraffic:
 
         monkeypatch.setattr(zpelin, "_howell", counted)
         assert verify_check("lemma5", rs).passed
-        levels = zpelin._chain(rs).levels
-        with_dual = [H for H in levels if "dual" in H.__dict__]
-        assert "dual" in levels[0].__dict__  # whole blocks of V reach w
-        assert len(built) == len(with_dual) <= len(levels)
+        assert built == []
 
 
 class TestModuleSize:

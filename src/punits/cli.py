@@ -51,7 +51,7 @@ from .oracle import (
 )
 from .pgroup import GroupSpec, checked_int, int_list, p_valuation, power_exceeds
 from .ring import RingElement, RingSpec, reduce_mod, unit_order
-from .theory import AbelianInvariants, p_rank_vzp, structure_report
+from .theory import AbelianInvariants, structure_report
 
 
 @functools.lru_cache(maxsize=1)
@@ -432,8 +432,9 @@ def _ring(inst: SuiteInstance) -> RingSpec | str:
 
 
 def _run_instance(task) -> InstanceReport:
-    """(instance, ring, plan, budget, seed) -> its InstanceReport; the ring
-    is read only if the plan is not empty."""
+    """(instance, ring, plan, budget, seed) -> its InstanceReport, the one
+    place where closed forms become a report; the ring is read only if the
+    plan is not empty."""
     inst, rs, plan, budget, seed = task
     rep = structure_report(inst.group, inst.e)
     # The checks share one Units, and so one power map, freed on return.
@@ -568,54 +569,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_invariants(args) -> int:
-    group = _parse_group(args)
-    SuiteInstance(group, args.e)  # validates e and refuses what cannot print
-    rep = structure_report(group, args.e)
-    instance = InstanceReport(
-        group=group,
-        e=args.e,
-        v_order_exp=rep.v_order_exp,
-        invariants=rep.v_invariants,
-    )
-    # The whole text is built before any of it is written, so a number too
-    # long to print leaves only the error line.
-    if args.format == "json":
-        text = emit_report([instance], "json")
-    else:
-        p = group.p
-        text = "".join(
-            f"{line}\n"
-            for line in (
-                f"{group.to_text()};e={args.e}",
-                f"|V| = {p}^{rep.v_order_exp}",
-                rep.describe(),
-                f"s = {list(rep.s)}, l = {rep.l}, p-rank of V(Z_pG) = {p_rank_vzp(group)}",
-                f"|V[{p}]| = {p}^{rep.v_p_torsion_exp}",
-            )
-        )
-    sys.stdout.write(text)
-    return 0
-
-
 def _run_config(args, config: SuiteConfig) -> int:
-    """The body of verify and suite: run config with the run flags given,
-    write the JSON report to ``out`` if that is set, and print it.  verify
-    --format text prints the text report instead, and suite one summary
-    line when it writes ``out``."""
-    flags = {name: getattr(args, name) for name in ("budget", "workers", "seed", "out")}
+    """The body of invariants, verify and suite: run config with the run
+    flags given (a flag that the command lacks counts as unset), and print
+    the report in ``--format`` (JSON for suite).  With ``out`` set, the JSON
+    report is also written there, and suite prints one summary line instead.
+    The JSON report is formed only for ``out`` or for printing, and the
+    whole text is formed before any of it is written, so a failing run
+    leaves only the error line."""
+    flags = {name: getattr(args, name, None) for name in ("budget", "workers", "seed", "out")}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     reports = run_suite(config)
     total, failures = _tally(reports)
-    text = payload = emit_report(reports, "json")
+    fmt = getattr(args, "format", "json")
+    text = emit_report(reports, fmt)
     if config.out:
-        _write_atomic(config.out, payload)
-    if getattr(args, "format", "json") == "text":
-        text = emit_report(reports, "text")
-    elif args.command == "suite" and config.out:
+        _write_atomic(config.out, text if fmt == "json" else emit_report(reports, "json"))
+    if args.command == "suite" and config.out:
         text = f"{len(reports)} instances, {total} checks, {failures} failures -> {config.out}\n"
     sys.stdout.write(text)
     return 1 if failures else 0
+
+
+def _cmd_invariants(args) -> int:
+    instance = SuiteInstance(_parse_group(args), args.e, formula_only=True)
+    return _run_config(args, SuiteConfig((instance,)))
 
 
 def _cmd_verify(args) -> int:
@@ -655,7 +633,7 @@ def _cmd_dimsub(args) -> int:
     _check_digits(group.p, index, f"D_{args.n} = G^({group.p}^{index}): {group.p}^{index}")
     text = f"D_{args.n} = G\n" if index == 0 else f"D_{args.n} = G^{group.p ** index}\n"
     passed = True
-    # As in _cmd_invariants, the whole text is built before any of it is
+    # As in _run_config, the whole text is built before any of it is
     # written, so a failing oracle run leaves only the error line.
     if args.oracle:
         report = verify_check("lemma3", RingSpec(group, args.e), {"n": args.n})

@@ -183,10 +183,9 @@ def reference_howell_form(M: ResidueMatrix) -> ResidueMatrix:
     return ResidueMatrix(p, e, M.ncols, tuple(tuple(r) for r in basis))
 
 
-def reference_contains(rows, pivots, q: int, vecs) -> list[bool]:
-    """Membership of each column of vecs in the span of a Howell form given
-    as rows and pivot columns, by exact integer reduction mod q after every
-    row."""
+def reference_residues(rows, pivots, q: int, vecs) -> list[list[int]]:
+    """The residue of each column of vecs by a Howell form given as rows and
+    pivot columns, by exact integer reduction mod q after every row."""
     rows = np.asarray(rows).tolist()
     out = []
     for vec in np.asarray(vecs).T.tolist():
@@ -194,8 +193,14 @@ def reference_contains(rows, pivots, q: int, vecs) -> list[bool]:
         for row, col in zip(rows, pivots):
             f = v[col] // row[col]
             v = [(a - f * b) % q for a, b in zip(v, row)]
-        out.append(not any(v))
+        out.append(v)
     return out
+
+
+def reference_contains(rows, pivots, q: int, vecs) -> list[bool]:
+    """Membership of each column of vecs in the span of a Howell form:
+    whether its exact residue (``reference_residues``) is 0."""
+    return [not any(v) for v in reference_residues(rows, pivots, q, vecs)]
 
 
 def direct_ideal_power_rows(rs: RingSpec, n: int) -> ResidueMatrix:

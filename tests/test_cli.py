@@ -78,18 +78,38 @@ class TestInvariantsCommand:
         assert code == 0
         assert "V ≅ C_2 × C_4" in out
 
+    # The text is verify's instance block; lambda = 11 lies past the dense
+    # table cap, and e = 10^12 past the characteristic cap.
     @pytest.mark.parametrize(
-        "e, text",
+        "lam, e, text",
         [
-            ("1", "p=2;lambda=3,1;e=1\n|V| = 2^15\nV ≅ C_2^10 × C_4 × C_8\n"
-                  "s = [9, 1, 0], l = 5, p-rank of V(Z_pG) = 12\n|V[2]| = 2^12\n"),
-            ("2", "p=2;lambda=3,1;e=2\n|V| = 2^30\nV ≅ C_2^6 × C_4^9 × C_8^2\n"
-                  "s = [9, 1, 0], l = 5, p-rank of V(Z_pG) = 12\n|V[2]| = 2^17\n"),
+            ("3,1", 1, "p=2;lambda=3,1;e=1\n  |V| = 2^15\n  V ≅ C_2^10 × C_4 × C_8\n"),
+            ("3,1", 2, "p=2;lambda=3,1;e=2\n  |V| = 2^30\n  V ≅ C_2^6 × C_4^9 × C_8^2\n"),
+            ("11", 2, "p=2;lambda=11;e=2\n  |V| = 2^4094\n  V ≅ C_2^1024 × C_4^512 × C_8^256"
+                      " × C_16^128 × C_32^64 × C_64^32 × C_128^16 × C_256^8 × C_512^4"
+                      " × C_1024^2 × C_2048^2\n"),
+            ("1", 10 ** 12, "p=2;lambda=1;e=1000000000000\n  |V| = 2^1000000000000\n"
+                            "  V ≅ C_2 × C_{2^999999999999}\n"),
         ],
+        ids=["3,1;e=1", "3,1;e=2", "11;e=2", "1;e=10^12"],
     )
-    def test_full_text(self, capsys, e, text):
-        # The p-rank of V(Z_2G) does not depend on e; |V[2]| = 2^{rank V}.
-        assert run(capsys, "invariants", "--p", "2", "--lambda", "3,1", "--e", e) == (0, text, "")
+    def test_full_text(self, capsys, lam, e, text):
+        argv = ("invariants", "--p", "2", "--lambda", lam, "--e", str(e))
+        assert run(capsys, *argv) == (0, text, "")
+        group = GroupSpec(2, tuple(map(int, lam.split(","))))
+        assert emit_report([closed_form_instance(group, e)], "text") == text
+
+    @pytest.mark.parametrize(
+        "lam, e", [("3,1", 2), ("11", 2), ("1", 10 ** 12)], ids=["3,1;e=2", "11;e=2", "1;e=10^12"]
+    )
+    def test_json_is_a_formula_only_suite(self, capsys, tmp_path, lam, e):
+        path = tmp_path / "suite.json"
+        instance = {"group": f"p=2;lambda={lam}", "e": e, "formula_only": True}
+        path.write_text(json.dumps({"instances": [instance]}))
+        suite = run(capsys, "suite", "--config", str(path))
+        argv = ("invariants", "--p", "2", "--lambda", lam, "--e", str(e), "--format", "json")
+        assert run(capsys, *argv) == suite
+        assert suite[0] == 0 and json.loads(suite[1])["instances"][0]["checks"] == []
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -433,6 +453,31 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["summary"]["all_pass"] is True
+
+    def test_text_with_out_writes_the_json_report(self, capsys, tmp_path):
+        # --out takes the bytes that --format json prints, whatever --format
+        # prints; the text differs from the report's own only in its timings.
+        target = tmp_path / "report.json"
+        argv = ("verify", "--p", "2", "--lambda", "1", "--e", "2", "--checks", "theorem1,theorem2")
+        code, text, _ = run(capsys, *argv, "--format", "text", "--out", str(target))
+        assert code == 0
+        _, payload, _ = run(capsys, *argv, "--format", "json")
+        assert target.read_bytes() == payload.encode()
+        timing = re.compile(r"\(\d+\.\d{3}s\)")
+        expected = emit_report(parse_report_json(payload), "text")
+        assert timing.sub("", text) == timing.sub("", expected)
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_text_alone_forms_no_json_report(self, capsys, monkeypatch, command):
+        formats = []
+
+        def emit(reports, fmt="json"):
+            formats.append(fmt)
+            return emit_report(reports, fmt)
+
+        monkeypatch.setattr(cli, "emit_report", emit)
+        code, _, _ = run(capsys, command, "--p", "2", "--lambda", "1", "--e", "2")
+        assert (code, formats) == (0, ["text"])
 
     # |G| = 2^21 lies past the materialization cap too; the table cap is
     # decided from |G|'s exponent, so it is answered as 2^11 is.  Only the

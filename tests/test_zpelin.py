@@ -20,6 +20,7 @@ from punits.zpelin import (
     ResidueMatrix,
     _howell,
     _product_mod,
+    _reduced,
     howell_array,
     howell_form,
     ideal_power_form,
@@ -35,6 +36,7 @@ from .helpers import (
     direct_ideal_power_rows,
     reference_contains,
     reference_howell_form,
+    reference_residues,
     reference_socle_ideal_generators,
     small_specs,
     span_elements,
@@ -431,6 +433,44 @@ class TestMembership:
             vecs = np.array([member, outsider]).T
             assert reference_contains(H.rows, H.pivots, q, vecs) == [True, False]
             assert H.contains(vecs).tolist() == [True, False]
+
+    @given(st.sampled_from(((2, 31), (3, 19))), st.integers(0, 2 ** 32))
+    def test_residues_by_non_unit_pivots(self, pe, seed):
+        # Echelon rows of multiples of p with pivots p^v, 1 <= v < e: every
+        # pivot of their Howell form is a non-unit, so more than k rows are
+        # eliminated in turn and the loop reduces both the whole block and,
+        # between those, the pivot entry alone.  The residues, not just
+        # whether they are 0, must be those of an exact reduction.
+        p, e = pe
+        q = p ** e
+        k = _rows_per_reduction(q, signed=True)
+        rng = random.Random(seed)
+        n = rng.randint(k + 2, 2 * k + 3)
+        ncols = n + rng.randint(1, 2)
+
+        def entry():
+            near_q = rng.randrange(q - q // 16, q)
+            return rng.choice((0, 1, p, q - p, q - 1, near_q, rng.randrange(q)))
+
+        rows = []
+        for i in range(n):
+            unit = rng.randrange(q // p) * p + rng.randrange(1, p)
+            pivot = p ** rng.choice((1, e - 1, rng.randrange(1, e))) * unit % q
+            rows.append([0] * i + [pivot] + [p * entry() % q for _ in range(i + 1, ncols)])
+        H = howell_array(M(p, e, rows))
+        assert H.pivots[:n] == tuple(range(n)) and not H.unit.any()
+
+        form = H.rows.tolist()
+        vecs = []
+        for i in range(8):
+            vec = [entry() for _ in range(ncols)]
+            if i % 2:  # a member of the span
+                cs = [entry() for _ in form]
+                vec = [sum(c * r[j] for c, r in zip(cs, form)) % q for j in range(ncols)]
+            vecs.append([x - q if x and rng.random() < 0.5 else x for x in vec])
+        vecs = np.array(vecs, dtype=np.int64).T
+        residues = _reduced(vecs, H.rows, H.pivots, H.unit, q)
+        assert residues.T.tolist() == reference_residues(H.rows, H.pivots, q, vecs)
 
 
 class TestProductMod:

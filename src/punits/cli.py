@@ -166,10 +166,7 @@ def _dump_json(obj) -> str:
       "name": "Z\u00fcrich"
     }
     """
-    out: list[str] = []
-    _emit_json(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    return _scalar(obj, "\n") + "\n"
 
 
 def _emit_json(obj, out: list[str], newline: str) -> None:

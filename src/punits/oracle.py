@@ -26,7 +26,7 @@ the base ring's own phi.  ``one[i]`` says rep_i^p = 1, and rep^p = 1
 forces chi(rep) = 1, so ``one`` is found by powering only the base indices
 over ker chi: the fibres of the fold over the domain units that chi sends
 to 1, one index each when the domain is the base.  At e = 1
-(characteristic p) phi is (sum a_g g)^p = sum a_g g^p: a scatter-add.  The
+(characteristic p) phi is (sum a_g g)^p = sum a_g g^p (``_induced``).  The
 order census reads the size of the kernel of phi^{m+1} as the number of
 base indices that chi^m sends to a representative ``one`` marks, each
 standing for ``mult`` units.  chi is the p-th power map of an abelian
@@ -60,16 +60,20 @@ keeps one power map alive at a time.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
 reads columns (1 - g or g - 1 for every g in G) with the same batched
-kernels, and the group's own power map g -> g^m by index arithmetic
-(``pgroup.power_indices``).  G is abelian, so g -> g^m induces a ring
-endomorphism of Z_qG (``_induced``, also the power map at e = 1); lemma2
-compares each column of (1 - g)^{p^l} with the image of its own column of
+kernels, and the group's own power map g -> g^{p^s} off its digit grid
+(shape ``group.radices``): on a factor C_{p^l} it sends the digit
+t p^{l-k} + c, k = min(s, l), to p^k c, so G^{p^s} is the sub-grid of
+every p^k-th digit (``_agemo``; lemma3's predicted set).  G is abelian, so
+g -> g^{p^s} induces a ring endomorphism of Z_qG (``_induced``, also the
+power map at e = 1), which sums each column over the digits t and writes
+the sums into that sub-grid, with no index array.  lemma2 compares each
+column of (1 - g)^{p^l} with the image of its own column of
 (1 - g)^{p^{l-s}} under g -> g^{p^s}, and so powers its columns one block
-at a time.  lemma9 is planned once per
-d = 1 ... e-1 but computed once per chunk of d's and base seed
-(``Units.lemma9``): a chunk is a run of as many d's, ascending, as fit the
-budget (a d whose units alone exceed it stands alone), and the first
-call for a d runs the pass over the chunk that holds it.  Each d draws
+at a time.  lemma9 is planned once per d = 1 ... e-1 but computed once per
+chunk of d's and base seed (``Units.lemma9``): a chunk is a run of as
+many d's, ascending, as fit the budget (a d whose units alone exceed it
+stands alone), and the first call for a d runs the pass over the chunk
+that holds it.  Each d draws
 its candidates y with its own derived seed, and the candidates of the
 chunk are stacked in ascending d.  Each column block of the stack is then
 done in one step: the least valuation s of each y, read off by
@@ -104,7 +108,6 @@ from .pgroup import (
     mod_in_place,
     over_table_cap,
     p_valuation,
-    power_indices,
     radix_decode,
     radix_encode,
     socle_indices,
@@ -238,15 +241,24 @@ def _batch_pow(tbl: np.ndarray, q: int, x: np.ndarray, m: int) -> np.ndarray:
     return result
 
 
-def _induced(x: np.ndarray, images: np.ndarray, q: int) -> np.ndarray:
-    """The images of x's columns under the Z_q-linear map g_i -> g_{images[i]}
-    of Z_qG: row i of x is added to row images[i], and the sums reduced mod
-    q.  For G abelian and images = power_indices(G, m) this is the ring
-    endomorphism that g -> g^m induces."""
-    out = np.zeros_like(x)
-    for i, g in enumerate(images):
-        out[g] += x[i]
-    return mod_in_place(out, q)
+def _agemo(group: GroupSpec, s: int) -> tuple[slice, ...]:
+    """G^{p^s} as a sub-grid of G's digit grid (shape ``group.radices``):
+    on a factor C_{p^l}, g -> g^{p^s} sends the digit a = t p^{l-k} + c,
+    k = min(s, l), to p^k c, so its image is every p^k-th digit."""
+    return tuple(slice(None, None, group.p ** min(s, l)) for l in group.lambdas)
+
+
+def _induced(x: np.ndarray, group: GroupSpec, s: int, q: int) -> np.ndarray:
+    """The images of x's columns under the ring endomorphism of Z_qG that
+    g -> g^{p^s} induces (G abelian), reduced mod q: each axis of G's digit
+    grid is split into (p^k, p^{l-k}) as in ``_agemo``, and the sums over
+    its p^k axes are written into that sub-grid of a zero block."""
+    split = [n for l in group.lambdas for n in (group.p ** min(s, l), group.p ** max(l - s, 0))]
+    out = np.zeros((*group.radices, x.shape[1]), dtype=x.dtype)
+    image = out[_agemo(group, s)]
+    x.reshape(*split, x.shape[1]).sum(axis=tuple(range(0, len(split), 2)), out=image)
+    mod_in_place(image, q)
+    return out.reshape(x.shape)
 
 
 def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -315,8 +327,6 @@ class PowerMap:
 
     def fold(self, idx: np.ndarray) -> np.ndarray:
         """The index in ``domain`` of the reduction of each base index."""
-        if self.domain == self.base:
-            return idx
         return _redigit(idx, self.base.size - 1, self.base.modulus, self.domain.modulus)
 
 
@@ -383,12 +393,11 @@ class Units:
         q, ident = rs.modulus, _identity(rs)
         base = self._quotient(rs)
         domain = self._quotient(base)
-        frobenius = power_indices(rs.group, rs.p) if rs.e == 1 else None
 
         def powers(ring: RingSpec, idx: np.ndarray) -> np.ndarray:
             reps = _units_at(ring, idx, q)
             if rs.e == 1:  # characteristic p: (sum a_g g)^p = sum a_g g^p
-                return _induced(reps, frobenius, q)
+                return _induced(reps, rs.group, 1, q)
             return _batch_pow(tbl, q, reps, rs.p)
 
         chi = np.empty(unit_count(domain), dtype=np.int32)
@@ -726,8 +735,8 @@ def _check_lemma3(units: Units, params, seed):
     observed = np.flatnonzero(H.contains(vecs))
 
     a = theory.dimension_subgroup(group, rs.e, n)
-    agemo = np.zeros(rs.size, dtype=bool)
-    agemo[power_indices(group, group.p ** a)] = True
+    agemo = np.zeros(group.radices, dtype=bool)
+    agemo[_agemo(group, a)] = True
     predicted = np.flatnonzero(agemo)
 
     def listed(indices):
@@ -737,13 +746,12 @@ def _check_lemma3(units: Units, params, seed):
     return {"elements": listed(predicted)}, {"elements": listed(observed)}
 
 
-def _lemma2_powers(units: Units, lo: int = 0, hi: Optional[int] = None) -> dict[int, np.ndarray]:
+def _lemma2_powers(units: Units, lo: int, hi: int) -> dict[int, np.ndarray]:
     """P[k] for k = e-1 ... e+3, the exponents l - s that lemma2 reads, on
-    the columns lo ... hi-1 (default: to |G|): column j is
-    (1 - g_{lo+j})^{p^k}, so the column of g = 1 is 0."""
+    the columns lo ... hi-1: column j is (1 - g_{lo+j})^{p^k}, so the column
+    of g = 1 is 0."""
     rs, tbl = units.rs, units.table
     p, e, q = rs.p, rs.e, rs.modulus
-    hi = rs.size if hi is None else hi
     cols = mod_in_place(_identity(rs)[:, None] - np.eye(rs.size, hi - lo, -lo, dtype=np.int64), q)
     P = {e - 1: _batch_pow(tbl, q, cols, p ** (e - 1))}
     for k in range(e, e + 4):
@@ -757,15 +765,14 @@ def _check_lemma2(units: Units, params, seed):
     # is abelian): column j of P[l] against column j of P[l - s] mapped so,
     # one block of columns at a time.
     rs = units.rs
-    p, e, q = rs.p, rs.e, rs.modulus
-    maps = [power_indices(rs.group, p ** s) for s in range(5)]  # s <= l - e + 1 <= 4
+    e, q = rs.e, rs.modulus
     cases = 0
     violations = 0
     for lo, hi in _blocks(rs.size, rs.size):
         P = _lemma2_powers(units, lo, hi)
         for l in range(e, e + 4):
             for s in range(0, l - e + 2):
-                rhs = _induced(P[l - s], maps[s], q)
+                rhs = _induced(P[l - s], rs.group, s, q)
                 cases += hi - lo
                 violations += int(np.count_nonzero(~(P[l] == rhs).all(axis=0)))
         del P, rhs  # before the next block's powers are built

@@ -48,9 +48,6 @@ GROUP_ORDER_CAP = 1 << 20
 # verification check reads one, so none is planned past this cap.
 DENSE_TABLE_CAP = 1 << 10
 
-# Arrays below this size are reduced mod q with one ``%`` (``mod_in_place``).
-_SMALL_ARRAY = 1 << 10
-
 
 # Miller-Rabin with these bases decides primality exactly below 2^64, and
 # is not known to above it.
@@ -337,11 +334,8 @@ def mod_in_place(x: np.ndarray, q: int) -> np.ndarray:
     # also for negative x: one pass, where the division below takes three.
     if not q & (q - 1):
         return np.bitwise_and(x, q - 1, out=x)
-    # Past about a thousand entries numpy divides int64 by a scalar faster
-    # than it takes % (2 times at 2^16 nonnegative entries, 6 times with
-    # negative ones; numpy 2.4); below that one ufunc call costs less.
-    if x.size < _SMALL_ARRAY:
-        return np.remainder(x, q, out=x)
+    # numpy divides int64 by a scalar faster than it takes % (2 times at
+    # 2^16 nonnegative entries, 6 times with negative ones; numpy 2.4).
     x -= x // q * q
     return x
 

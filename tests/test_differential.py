@@ -31,7 +31,9 @@ lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference, and on every group with
 |G| <= 64 a block of its columns must be that slice of all of them, and
 the map g -> g^{p^s} induces must send each column to the column of
-g^{p^s}; ``_batch_order_exps``
+g^{p^s}; that map, read off G's digit grid, must be the scalar scatter-add
+along ``pgroup.power_indices`` on random blocks, and its agemo sub-grid
+must hold that array's values; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
 lemma9 pass over each chunk of d's must report, per d, the scalar orders,
@@ -60,6 +62,7 @@ from punits.oracle import (
     CHECKS,
     SEED_MAX,
     Units,
+    _agemo,
     _batch_mul,
     _batch_order_exps,
     _batch_pow,
@@ -526,7 +529,7 @@ def test_no_p_torsion_block_outlives_its_check(rs):
 
 @given(st.sampled_from(RINGS))
 def test_lemma2_columns_match_scalar_powers(rs):
-    powers = _lemma2_powers(Units(rs))
+    powers = _lemma2_powers(Units(rs), 0, rs.size)
     assert sorted(powers) == list(range(rs.e - 1, rs.e + 4))
     elements = list(enumerate_elements(rs.group))
     for k, block in powers.items():
@@ -549,9 +552,32 @@ def test_lemma2_blocks_and_the_induced_power_map(group, e, s, data):
     lo = data.draw(st.integers(0, rs.size - 1))
     hi = data.draw(st.integers(lo + 1, rs.size))
     block, images = _lemma2_powers(units, lo, hi), power_indices(group, group.p ** s)
-    for k, P in _lemma2_powers(units).items():
+    for k, P in _lemma2_powers(units, 0, rs.size).items():
         assert np.array_equal(block[k], P[:, lo:hi])
-        assert np.array_equal(_induced(P, images, rs.modulus), P[:, images])
+        assert np.array_equal(_induced(P, group, s, rs.modulus), P[:, images])
+
+
+@given(st.sampled_from(GROUPS_TO_64), st.data())
+def test_induced_power_map_and_agemo_grid_match_power_indices(group, data):
+    # G's power map g -> g^{p^s}, read off its digit grid, against its index
+    # array: the image of a random block is the scalar scatter-add of its
+    # rows along that array, and the agemo sub-grid holds the array's values
+    # (s past lambda_1 sends G to 1).
+    s = data.draw(st.integers(0, group.lambdas[0] + 2))
+    q = group.p ** data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, SEED_MAX)))
+    x = rng.integers(0, q, size=(group.order(), data.draw(st.integers(1, 4))), dtype=np.int64)
+    images = power_indices(group, group.p ** s)
+    expect = [[0] * x.shape[1] for _ in images]
+    for i, g in enumerate(images.tolist()):
+        for c, a in enumerate(x[i].tolist()):
+            expect[g][c] = (expect[g][c] + a) % q
+    before = x.copy()
+    assert _induced(x, group, s, q).tolist() == expect
+    assert np.array_equal(x, before)
+    grid = np.zeros(group.radices, dtype=bool)
+    grid[_agemo(group, s)] = True
+    assert np.flatnonzero(grid).tolist() == np.unique(images).tolist()
 
 
 def _iterated_order_exp(u: RingElement, max_exp: int) -> int:

@@ -189,9 +189,10 @@ class TestHistogram:
         # Theorem 1 holds only one index per fibre of the fold has
         # rep^p = 1, so a map that powered that one alone would pass every
         # check.  Every catalog instance that builds a map is here: at e = 1
-        # the map powers by scatters (``_induced``) over V, at e = 2 by
-        # products with chi over the base, and past that with chi over
-        # V(Z_{p^{e-2}}G), C_2 at e = 18 and C_3 at e = 6 among them.
+        # the map powers by the endomorphism g -> g^p induces (``_induced``)
+        # over V, at e = 2 by products with chi over the base, and past that
+        # with chi over V(Z_{p^{e-2}}G), C_2 at e = 18 and C_3 at e = 6 among
+        # them.
         columns, decoded = [], []
         real_pow, real_induced = oracle._batch_pow, oracle._induced
         real_units_at, real_check = oracle._units_at, oracle._kernel_check
@@ -200,9 +201,9 @@ class TestHistogram:
             columns.append(x.shape[1])
             return real_pow(tbl, q, x, m)
 
-        def counted_induced(x, images, q):
+        def counted_induced(x, group, s, q):
             columns.append(x.shape[1])
-            return real_induced(x, images, q)
+            return real_induced(x, group, s, q)
 
         def recorded(ring, idx, lift=None):
             decoded.extend((ring.e, i) for i in idx.tolist())
@@ -232,15 +233,19 @@ class TestHistogram:
         assert sorted(decoded) == sorted(expected)
 
     def test_power_map_reads_g_to_the_p_only_in_characteristic_p(self, monkeypatch):
-        # At e >= 2 the map powers units by products; only e = 1 scatters
-        # along g -> g^p.
-        built = []
-        real = oracle.power_indices
-        monkeypatch.setattr(oracle, "power_indices", lambda g, m: built.append(m) or real(g, m))
+        # At e >= 2 the map powers units by products; only e = 1 maps them
+        # along g -> g^p, ``_induced`` with s = 1.
+        powers, real = [], oracle._induced
+
+        def recorded(x, group, s, q):
+            powers.append(s)
+            return real(x, group, s, q)
+
+        monkeypatch.setattr(oracle, "_induced", recorded)
         Units(Z4V4).power_map
-        assert built == []
+        assert powers == []
         Units(RingSpec(GroupSpec(2, (1, 1)), 1)).power_map
-        assert built == [2]
+        assert set(powers) == {1}
 
 
 class TestInvariantRecovery:

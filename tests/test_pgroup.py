@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punits.pgroup import (
-    _SMALL_ARRAY,
     GroupSpec,
     agemo_order_exp,
     cyclic_factor_count,
@@ -316,7 +315,7 @@ class TestPowerIndices:
     st.booleans(),
 )
 def test_mod_in_place_matches_remainder(q, values, large):
-    # Small arrays take one %, large ones the floor-division form.
+    # Short arrays and arrays of over 2048 entries alike.
     if large:
         values = values * (2048 // len(values) + 1)
     x = np.array(values, dtype=np.int64)
@@ -327,10 +326,10 @@ def test_mod_in_place_matches_remainder(q, values, large):
 
 
 @pytest.mark.parametrize("q", [2, 2 ** 26, 2 ** 31])
-@pytest.mark.parametrize("size", [_SMALL_ARRAY - 1, _SMALL_ARRAY, 4 * _SMALL_ARRAY])
+@pytest.mark.parametrize("size", [1023, 1024, 4096])
 def test_mod_in_place_at_powers_of_two(q, size):
     # Powers of 2 take the low bits, which is the residue also for negative
-    # entries in two's complement; both sides of the small-array cut.
+    # entries in two's complement.
     rng = np.random.default_rng(size + q)
     x = rng.integers(-(2 ** 62), 2 ** 62, size, dtype=np.int64)
     x[:4] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, -q]

@@ -58,10 +58,13 @@ object.  The oracle computes one instance at a time; ``cli.run_suite``
 may run instances side by side, in separate processes, each of which
 keeps one power map alive at a time.
 
-The formula checks (lemma2, lemma3, lemma9) enumerate no units: each
-reads columns (1 - g or g - 1 for every g in G) with the same batched
-kernels, and the group's own power map g -> g^{p^s} off its digit grid
-(shape ``group.radices``): on a factor C_{p^l} it sends the digit
+The formula checks (lemma2, lemma3, lemma9) enumerate no units.  lemma3
+reads its observed set G ∩ (1 + w^n) off the ideal chain
+(``zpelin.ideal_power_members``), which tests the columns g - 1 level by
+level, only those that passed the level before, and none once g = 1 alone
+is left.  lemma2 reads the columns 1 - g for every g in G with the same
+batched kernels, and the group's own power map g -> g^{p^s} off its digit
+grid (shape ``group.radices``): on a factor C_{p^l} it sends the digit
 t p^{l-k} + c, k = min(s, l), to p^k c, so G^{p^s} is the sub-grid of
 every p^k-th digit (``_agemo``; lemma3's predicted set).  G is abelian, so
 g -> g^{p^s} induces a ring endomorphism of Z_qG (``_induced``, also the
@@ -118,6 +121,7 @@ from .zpelin import (
     _howell,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
+    ideal_power_members,
     nilpotency_index,
     socle_ideal_generators,
 )
@@ -729,10 +733,7 @@ def _check_lemma5(units: Units, params, seed):
 def _check_lemma3(units: Units, params, seed):
     rs, n = units.rs, params["n"]
     group = rs.group
-    H = ideal_power_form(rs, n)
-    # Column i is g_i - 1; index order is the lexicographic order of elements.
-    vecs = np.eye(rs.size, dtype=np.int64) - _identity(rs)[:, None]
-    observed = np.flatnonzero(H.contains(vecs))
+    observed = ideal_power_members(rs, n)
 
     a = theory.dimension_subgroup(group, rs.e, n)
     agemo = np.zeros(group.radices, dtype=bool)

@@ -109,6 +109,14 @@ lead with 1 at g and are 0 off g and the last column, which no row leads:
 they are their own reduced block.  A chain is extended only up to the power
 asked for and kept for the life of the process.
 
+The chain also keeps the sets S_n = {g in G : g - 1 in w^n}, the dimension
+subgroups lemma3 checks (``ideal_power_members``), as ascending index
+arrays.  S_0 = G, and as w^n = w w^{n-1} lies in w^{n-1}, S_n is the part
+of S_{n-1} whose columns g - 1 pass one ``contains`` block against H(w^n).
+Once S_n = {1} it answers every larger n, as g - 1 = 0 lies in every span,
+with no further test and no set per level: a call costs at most one block,
+on a shrinking set, per level up to the first n with S_n = {1}.
+
 G's gather table, generators and G[p] are read from ``pgroup``.  Matrices
 are int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
 """
@@ -445,6 +453,7 @@ class _IdealChain:
         self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers
         self.zero = _howell(first[:0], rs.p, rs.e)
         self.complete = False
+        self.members = [np.arange(rs.size)]  # S_0 = G, S_1, ..., up to {1}
 
     def level(self, n: int) -> HowellArray:
         rs = self.rs
@@ -461,6 +470,19 @@ class _IdealChain:
                 self.complete = True
         return self.levels[n - 1] if n <= len(self.levels) else self.zero
 
+    def power_members(self, n: int) -> np.ndarray:
+        members = self.members
+        while len(members) <= n and members[-1].size > 1:
+            s = members[-1]
+            # Column j is g_{s_j} - 1; the identity is g_0.
+            vecs = np.zeros((self.rs.size, s.size), dtype=np.int64)
+            vecs[s, np.arange(s.size)] = 1
+            vecs[0] -= 1
+            kept = s[self.level(len(members)).contains(vecs)]
+            kept.flags.writeable = False
+            members.append(kept)
+        return members[min(n, len(members) - 1)]
+
 
 @functools.cache
 def _chain(rs: RingSpec) -> _IdealChain:
@@ -471,6 +493,12 @@ def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
     """The Howell form of w^n as arrays; it has no rows once n reaches the
     nilpotency index.  n must be an int >= 1 (see ``pgroup.checked_int``)."""
     return _chain(rs).level(checked_int(n, "n", 1))
+
+
+def ideal_power_members(rs: RingSpec, n: int) -> np.ndarray:
+    """The ascending, read-only indices of the g in G with g - 1 in w^n.
+    n must be an int >= 1 (see ``pgroup.checked_int``)."""
+    return _chain(rs).power_members(checked_int(n, "n", 1))
 
 
 def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from punits import cli, oracle, theory
+from punits import cli, oracle, theory, zpelin
 from punits.cli import (
     SuiteConfig,
     SuiteInstance,
@@ -313,6 +313,20 @@ class TestDimsubCommand:
             "--oracle",
         )
         assert (code, out) == (0, "D_9 = G^16\noracle agreement: pass\n")
+
+    def test_oracle_at_a_huge_n_reads_no_level_past_d_n_trivial(self, capsys):
+        # D_n = {1} from n = 3 on (nu = 4), so lemma3 tests levels 1 to 3
+        # only, whatever n is; a step per level up to n would not end.
+        zpelin._chain.cache_clear()
+        with alarm(5):
+            rs = RingSpec(GroupSpec(2, (2,)), 1)
+            assert oracle.verify_check("lemma3", rs, {"n": 10 ** 12}).passed
+            code, out, _ = run(
+                capsys, "dimsub", "--p", "2", "--lambda", "2", "--e", "1",
+                "--n", str(10 ** 12), "--oracle",
+            )
+        assert code == 0
+        assert out.endswith("oracle agreement: pass\n")
 
     @pytest.mark.parametrize("e", ["20000", "1000000"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, e):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from punits import oracle
+from punits import oracle, zpelin
 from punits.cli import default_suite_config
 from punits.oracle import (
     CHECKS,
@@ -345,8 +346,11 @@ class TestChecks:
 
     @classmethod
     def _form_edited(cls, monkeypatch, m, name, edit):
-        # The Howell form of w^m, whose method name (contains or coset_keys)
-        # has each answer changed in place by edit(vecs, answer).
+        # The ideal chain's Howell form of w^m, whose method name (contains
+        # or coset_keys) has each answer changed in place by edit(vecs,
+        # answer).  The chains come from a fresh cache for the test, so no
+        # member set cached before it answers in place of the edited form,
+        # and none read off the edited form outlives it.
         def form(H):
             def method(vecs):
                 answer = getattr(H, name)(vecs)
@@ -355,11 +359,12 @@ class TestChecks:
 
             return SimpleNamespace(size_exp=H.size_exp, **{name: method})
 
-        ideal_power_form = oracle.ideal_power_form
+        level = zpelin._IdealChain.level
         monkeypatch.setattr(
-            oracle, "ideal_power_form",
-            lambda rs, n: form(ideal_power_form(rs, n)) if n == m else ideal_power_form(rs, n),
+            zpelin._IdealChain, "level",
+            lambda chain, n: form(level(chain, n)) if n == m else level(chain, n),
         )
+        monkeypatch.setattr(zpelin, "_chain", functools.cache(zpelin._IdealChain))
 
     def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
         # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  The first call of w^2's keys is

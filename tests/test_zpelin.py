@@ -25,6 +25,7 @@ from punits.zpelin import (
     howell_form,
     ideal_power_form,
     ideal_power_generators,
+    ideal_power_members,
     module_membership,
     module_size_exp,
     nilpotency_index,
@@ -440,7 +441,9 @@ class TestMembership:
         # pivot of their Howell form is a non-unit, so more than k rows are
         # eliminated in turn and the loop reduces both the whole block and,
         # between those, the pivot entry alone.  The residues, not just
-        # whether they are 0, must be those of an exact reduction.
+        # whether they are 0, must be those of an exact reduction, and every
+        # quotient f = v[col] // p^v must lie in [0, q), the bound that k
+        # rests on: without the pivot entry's own reduction it leaves it.
         p, e = pe
         q = p ** e
         k = _rows_per_reduction(q, signed=True)
@@ -469,8 +472,38 @@ class TestMembership:
                 vec = [sum(c * r[j] for c, r in zip(cs, form)) % q for j in range(ncols)]
             vecs.append([x - q if x and rng.random() < 0.5 else x for x in vec])
         vecs = np.array(vecs, dtype=np.int64).T
-        residues = _reduced(vecs, H.rows, H.pivots, H.unit, q)
+        quotients = []
+        residues = _reduced(_Divisions(vecs, quotients), H.rows, H.pivots, H.unit, q)
         assert residues.T.tolist() == reference_residues(H.rows, H.pivots, q, vecs)
+        f = np.concatenate([f.ravel() for d, f in quotients if not (np.ndim(d) == 0 and d == q)])
+        assert f.size and 0 <= f.min() and f.max() < q
+
+
+class _Divisions(np.ndarray):
+    """An int64 block, and every array computed from it, that appends
+    (divisor, quotient) to ``log`` for each floor division it takes part in
+    (``mod_in_place``'s by q among them)."""
+
+    def __new__(cls, block, log):
+        out = np.asarray(block).view(cls)
+        out.log = log
+        return out
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _Divisions) else a
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.floor_divide:
+            self.log.append((inputs[1], np.array(result)))
+        if not isinstance(result, np.ndarray):
+            return result
+        return _Divisions(result, self.log)
 
 
 class TestProductMod:
@@ -565,7 +598,10 @@ class TestMembershipTraffic:
     def test_lemma3_at_e1_is_one_product(self, monkeypatch):
         # At e = 1 every pivot is a unit, so each membership block is one
         # product: its one reduction and the final one, and no row step.
+        # lemma3 tests one block per level until only g = 1 is left, and
+        # none after it or on a second sweep.
         rs = RingSpec(GroupSpec(3, (1, 1)), 1)
+        zpelin._chain.cache_clear()
         nu = nilpotency_index(rs)
         assert all(zpelin._chain(rs).level(n).unit.all() for n in range(1, nu))
         calls = []
@@ -579,12 +615,23 @@ class TestMembershipTraffic:
             calls.append("reduce")
             return reduce(*args)
 
+        def sweep():
+            taken, trivial = [], []
+            for n in range(1, nu + 1):
+                calls.clear()
+                report = verify_check("lemma3", rs, {"n": n})
+                assert report.passed
+                taken.append(list(calls))
+                trivial.append(report.observed["elements"] == [[0, 0]])
+            return taken, trivial
+
         monkeypatch.setattr(zpelin, "_product_mod", counted_product)
         monkeypatch.setattr(zpelin, "mod_in_place", counted_reduce)
-        for n in range(1, nu + 1):
-            calls.clear()
-            assert verify_check("lemma3", rs, {"n": n}).passed
-            assert calls == ["product", "reduce", "reduce"]
+        taken, trivial = sweep()
+        settled = trivial.index(True) + 1  # the least n with D_n = {1}
+        assert settled < nu
+        assert taken == [["product", "reduce", "reduce"]] * settled + [[]] * (nu - settled)
+        assert sweep() == ([[]] * nu, trivial)
 
     def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)
@@ -654,6 +701,28 @@ class TestIdealPowers:
                 n += 1
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] == 0
+
+    @pytest.mark.parametrize("rs", CHAIN_RINGS, ids=RingSpec.to_text)
+    def test_each_level_lies_in_the_one_before(self, rs):
+        # w^{n+1} = w w^n lies in w^n, which lemma3's walk rests on.
+        for n in range(1, nilpotency_index(rs)):
+            rows = ideal_power_form(rs, n + 1).rows.astype(np.int64)
+            assert ideal_power_form(rs, n).contains(rows.T).all()
+
+    @given(st.sampled_from(CHAIN_RINGS), st.data())
+    def test_members_match_a_full_width_test(self, rs, data):
+        # Asked for in any order, up to past the nilpotency index, the
+        # members of w^n are the g whose g - 1 passes one membership test
+        # of all of G.
+        zpelin._chain.cache_clear()
+        nu = nilpotency_index(rs)
+        vecs = np.eye(rs.size, dtype=np.int64)
+        vecs[0] -= 1  # column g is g - 1; the identity is g_0
+        for n in data.draw(st.permutations(range(1, nu + 3))):
+            members = ideal_power_members(rs, n)
+            expected = np.flatnonzero(ideal_power_form(rs, n).contains(vecs))
+            assert members.tolist() == expected.tolist()
+            assert not members.flags.writeable
 
     def test_generator_set_spans_the_definitional_ideal_power(self):
         # products of generator differences match products over all of G;

@@ -58,6 +58,13 @@ object.  The oracle computes one instance at a time; ``cli.run_suite``
 may run instances side by side, in separate processes, each of which
 keeps one power map alive at a time.
 
+lemma4 runs at e = 1, where F_pG is the truncated polynomial ring in
+x_j = a_j - 1 (Jennings): ``_jennings`` writes each u - 1 of V[p] in its
+monomial basis, on G's digit grid refined to base-p digits, and u - 1 lies
+in I(G[p]) iff it vanishes on the box where every exponent i_j is below
+p^{lambda_j - 1} (``_outside_socle_ideal``).  lemma4 predicts |V[p]| as p
+to ``theory.p_rank_vzp``, |G| - |G^p|.
+
 The formula checks (lemma2, lemma3, lemma9) enumerate no units.  lemma3
 reads its observed set G ∩ (1 + w^n) off the ideal chain
 (``zpelin.ideal_power_members``), which tests the columns g - 1 level by
@@ -118,12 +125,10 @@ from .pgroup import (
 )
 from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
-    _howell,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
     ideal_power_members,
     nilpotency_index,
-    socle_ideal_generators,
 )
 
 DEFAULT_BUDGET = 1 << 22
@@ -263,6 +268,27 @@ def _induced(x: np.ndarray, group: GroupSpec, s: int, q: int) -> np.ndarray:
     x.reshape(*split, x.shape[1]).sum(axis=tuple(range(0, len(split), 2)), out=image)
     mod_in_place(image, q)
     return out.reshape(x.shape)
+
+
+def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """x's columns, elements of F_pG with entries in (-p, p), in the basis
+    of the monomials prod_j x_j^{i_j}, x_j = a_j - 1, 0 <= i_j < p^{lambda_j}
+    (Jennings), on G's digit grid; x's entries may be overwritten.
+    g = prod_j (1 + x_j)^{c_j} has coefficient prod_j binom(c_j, i_j) at
+    x^i, and by Lucas's theorem binom(c, i) is the product of the binomials
+    of the base-p digits, so the p x p Pascal matrix binom(c, i) mod p is
+    applied along each axis of the grid refined to base-p digits, shape
+    (p,) * sum(lambda), as p - 1 passes of suffix sums (the Taylor shift
+    f(y) -> f(1 + x) by Horner's rule).  Each pass is reduced mod p, so no
+    entry reaches p^2."""
+    p = group.p
+    grid = x.reshape(*(p,) * sum(group.lambdas), x.shape[1])
+    for digit in (np.moveaxis(grid, axis, 0) for axis in range(grid.ndim - 1)):
+        for k in range(p - 1):
+            for c in range(p - 2, k - 1, -1):
+                digit[c] += digit[c + 1]
+            mod_in_place(grid, p)
+    return grid.reshape(x.shape)
 
 
 def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -647,15 +673,27 @@ def _check_lemma6(units: Units, params, seed):
     return predicted, observed
 
 
-def _check_lemma4(units: Units, params, seed):
-    # At e = 1 the power map's representatives are the units themselves.
-    rs = units.rs
-    torsion = units.p_torsion()
-    H = _howell(socle_ideal_generators(rs), rs.p, rs.e)
-    torsion[0] -= 1  # u - 1, in place: the block is this check's own
-    outside = int(np.count_nonzero(~H.contains(torsion)))
+def _outside_socle_ideal(x: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Which columns of x, elements of F_pG, lie outside I(G[p]), the ideal
+    that h - 1, h in G[p], generate; x's entries may be overwritten.  G[p]
+    has the basis h_j = a_j^{p^{lambda_j - 1}}, and in characteristic p
+    h_j - 1 = x_j^{p^{lambda_j - 1}}, so I(G[p]) is spanned by the monomials
+    with some i_j >= p^{lambda_j - 1}: a column lies in it iff its transform
+    (``_jennings``) vanishes on the box where every i_j's leading digit is
+    0."""
+    split = [n for l in group.lambdas for n in (group.p, group.p ** (l - 1))]
+    box = _jennings(x, group).reshape(*split, x.shape[1])[(0, slice(None)) * group.k]
+    return box.reshape(-1, x.shape[1]).any(axis=0)
 
-    predicted = {"unit_count": rs.p ** H.size_exp, "outside_ideal": 0}
+
+def _check_lemma4(units: Units, params, seed):
+    # At e = 1 the power map's representatives are the units themselves, and
+    # dim I(G[p]) = |G| - |G^p|, the p-rank of V(Z_p G).
+    rs, torsion = units.rs, units.p_torsion()
+    torsion[0] -= 1  # u - 1, in place: the block is this check's own
+    outside = int(np.count_nonzero(_outside_socle_ideal(torsion, rs.group)))
+
+    predicted = {"unit_count": rs.p ** theory.p_rank_vzp(rs.group), "outside_ideal": 0}
     observed = {"unit_count": torsion.shape[1], "outside_ideal": outside}
     return predicted, observed
 

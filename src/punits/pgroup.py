@@ -22,7 +22,8 @@ censuses (a repeated exponent's counts added up), and
 
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
-base p^e); G's dense tables, power maps and G[p] are read through it.
+base p^e); G's dense tables are read through it, and G[p] is a sub-grid of
+G's digit grid (shape ``radices``), numbered in the codec's order.
 ``mod_in_place`` is the one reduction of int64 arrays mod q.
 """
 
@@ -392,17 +393,12 @@ def gather_table(spec: GroupSpec) -> np.ndarray:
     return _coordinatewise(spec, lambda c, r: (c - c[:, None]) % r)
 
 
-def power_indices(spec: GroupSpec, m: int) -> np.ndarray:
-    """Entry i is the index of g_i^m: each coordinate times m mod its radix.
-    m, an int of any sign, is reduced mod each radix first, so a huge m
-    cannot overflow."""
-    m = checked_int(m, "m")
-    return _coordinatewise(spec, lambda c, r: c * (m % r) % r)
-
-
 def socle_indices(spec: GroupSpec) -> np.ndarray:
-    """Indices of G[p], the elements with g^p = 1, ascending."""
-    return np.flatnonzero(power_indices(spec, spec.p) == 0)
+    """Indices of G[p], the elements with g^p = 1, ascending: on a factor
+    C_{p^l}, p c = 0 mod p^l iff c is a multiple of p^{l-1}, so G[p] is the
+    sub-grid of every p^{l-1}-th digit of G's digit grid."""
+    steps = tuple(slice(None, None, spec.p ** (l - 1)) for l in spec.lambdas)
+    return np.arange(spec.order()).reshape(spec.radices)[steps].ravel()
 
 
 def socle_elements(spec: GroupSpec) -> list[GroupElement]:

@@ -117,8 +117,8 @@ Once S_n = {1} it answers every larger n, as g - 1 = 0 lies in every span,
 with no further test and no set per level: a call costs at most one block,
 on a shrinking set, per level up to the first n with S_n = {1}.
 
-G's gather table, generators and G[p] are read from ``pgroup``.  Matrices
-are int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
+G's gather table and generators are read from ``pgroup``.  Matrices are
+int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
 """
 
 from __future__ import annotations
@@ -521,13 +521,3 @@ def nilpotency_index(rs: RingSpec) -> int:
     while not chain.complete:
         chain.level(len(chain.levels) + 1)
     return len(chain.levels) + 1
-
-
-def socle_ideal_generators(rs: RingSpec) -> np.ndarray:
-    """Spanning set of I(G[p]), the ideal generated by {h - 1 : h in G[p]}:
-    the translates (h_j - 1) g, h-major, over the basis h_j = a_j^{p^(lambda_j - 1)}
-    of G[p] and all g in G, as hh' - 1 = (h - 1)h' + (h' - 1)."""
-    basis = np.diag([rs.p ** (l - 1) for l in rs.group.lambdas])
-    diffs = np.eye(rs.size, dtype=np.int64)[radix_encode(basis, rs.group.radices)]
-    diffs[:, 0] = rs.modulus - 1
-    return diffs[:, gather_table(rs.group)].reshape(-1, rs.size)

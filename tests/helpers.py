@@ -9,9 +9,10 @@ direct product construction of w^n instead of the ideal chain, a
 product table built with ``element_mul`` and a dictionary, and its
 inverse, instead of the index codec's tables, scalar ring powers case
 by case instead of lemma2's batched columns, the translates of all of
-G[p] instead of those of a basis, and the order census by gathering the
-kernel mask along the power map once per exponent instead of reading
-fibre sizes off its images.
+G[p] instead of the monomials outside a box, the order census by gathering
+the kernel mask along the power map once per exponent instead of reading
+fibre sizes off its images, and G's power maps as index arrays instead of
+its digit grid.
 
 ``alarm`` bounds the wall time of a call that must refuse at once.
 ``SUITE_SHA256`` pins the default suite's bytes, ``stdlib_json`` is the
@@ -40,6 +41,8 @@ from punits.pgroup import (
     element_pow,
     enumerate_elements,
     identity,
+    radix_decode,
+    radix_encode,
 )
 from punits.ring import RingElement, RingSpec, from_group_element, one, p_valuation
 from punits.zpelin import ResidueMatrix
@@ -125,6 +128,15 @@ def reference_gather_table(group: GroupSpec) -> np.ndarray:
     """Row i maps m to the j with g_i g_j = g_m, by inverting each row of
     the reference product table."""
     return np.argsort(np.asarray(reference_product_index_table(group)), axis=1)
+
+
+def power_indices(group: GroupSpec, m: int) -> np.ndarray:
+    """Entry i is the index of g_i^m: each coordinate times m mod its radix,
+    m of any sign or size reduced mod each radix first, through the index
+    codec; the reference for G's power maps read off its digit grid."""
+    order = group.order()
+    coords = radix_decode(np.arange(order), group.radices, np.empty((group.k, order), np.int64))
+    return radix_encode((c * (m % r) % r for c, r in zip(coords, group.radices)), group.radices)
 
 
 def span_elements(M: ResidueMatrix):

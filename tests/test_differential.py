@@ -24,15 +24,20 @@ through calls on the bare RingSpec, and a failed reduction-kernel check
 must fall back to the full map with the same reports, as a failed check
 of the base ring's kernel must fall back to chi over the base.  theorem1 and lemma4
 read V[p] off the power map: their counts must equal scalar ones from
-``unit_order``, also with an element of G[p] dropped so that they are
-nonzero, for any block size and worker count, and no V[p] block may
-outlive its check.  The formula checks:
+``unit_order``, theorem1's also with an element of G[p] dropped and
+lemma4's also when fed every element of Z_p G, so that they are nonzero,
+for any block size and worker count, and no V[p] block may outlive its
+check.  lemma4's transform to the monomial basis in x_j = a_j - 1 must
+give the binomials ``math.comb`` gives, on every group with |G| <= 64, its
+box test must be membership in the Howell form of the translates of every
+h - 1, h in G[p], and the monomials outside the box must number
+|G| - |G^p|.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference, and on every group with
 |G| <= 64 a block of its columns must be that slice of all of them, and
 the map g -> g^{p^s} induces must send each column to the column of
 g^{p^s}; that map, read off G's digit grid, must be the scalar scatter-add
-along ``pgroup.power_indices`` on random blocks, and its agemo sub-grid
+along ``helpers.power_indices`` on random blocks, and its agemo sub-grid
 must hold that array's values; ``_batch_order_exps``
 on lemma9's units 1 + p^d y, stacked over d, must match scalar iterated
 p-th powering under per-column bounds that fall along the block; the
@@ -49,6 +54,7 @@ per-coefficient minimum.
 import contextlib
 import functools
 import itertools
+import math
 import weakref
 from collections import Counter
 from unittest import mock
@@ -69,10 +75,12 @@ from punits.oracle import (
     _derive_seed,
     _image_sets,
     _induced,
+    _jennings,
     _lemma2_powers,
     _lemma9_candidates,
     _matches,
     _min_valuations,
+    _outside_socle_ideal,
     _units_at,
     enumerate_units,
     order_histogram,
@@ -82,13 +90,14 @@ from punits.oracle import (
 )
 from punits.pgroup import (
     GroupSpec,
+    agemo_order_exp,
     element_mul,
     element_pow,
     enumerate_elements,
     gather_table,
     identity,
+    is_prime,
     p_valuation,
-    power_indices,
     radix_encode,
     socle_indices,
 )
@@ -104,13 +113,28 @@ from punits.ring import (
     reduce_mod,
     unit_order,
 )
-from punits.zpelin import socle_ideal_generators
+from punits.theory import p_rank_vzp
+from punits.zpelin import howell_array
 
-from .helpers import iterated_gather_census, reference_lemma2, small_specs
+from .helpers import (
+    iterated_gather_census,
+    power_indices,
+    reference_lemma2,
+    reference_socle_ideal_generators,
+    small_specs,
+)
 
 # |G| <= 16 keeps the scalar O(|G|^2) reference quick.
 SPECS = [g for g in small_specs(4, primes=(2, 3, 5)) if g.order() <= 16]
 
+
+# The groups with |G| <= 64 and p <= 7, for the kernels read off G's digit
+# grid, and every group with |G| <= 64, C_61 among them, for the transform
+# to the monomial basis.
+GROUPS_TO_64 = [g for g in small_specs(6, primes=(2, 3, 5, 7)) if g.order() <= 64]
+EVERY_GROUP_TO_64 = [
+    g for g in small_specs(6, [p for p in range(2, 64) if is_prime(p)]) if g.p ** g.size_exp <= 64
+]
 
 SMALL_RINGS = st.builds(RingSpec, st.sampled_from(SPECS), st.integers(1, 3))
 
@@ -479,14 +503,14 @@ def _coset_key(group: GroupSpec, subgroup: list):
 
 
 @given(st.sampled_from([rs for rs in RINGS if rs.e == 1]), st.booleans())
-def test_lemma4_counts_match_scalar_reference(rs, drop_basis_element):
-    # The ideal generated by h - 1 over a subgroup H is the kernel of
-    # Z_p G -> Z_p[G/H], so u - 1 lies in it iff u has the coset sums of 1.
-    # Dropping the last basis element h_k = a_k^{p^(lambda_k - 1)} of G[p]
-    # (the generators' last |G| rows) leaves H = {h in G[p] : h_k-coordinate 0}.
+def test_lemma4_counts_match_scalar_reference(rs, whole_ring):
+    # The ideal generated by h - 1 over G[p] is the kernel of
+    # Z_p G -> Z_p[G/G[p]], so u - 1 lies in it iff u has the coset sums of 1.
+    # Fed every element of Z_p G in place of V[p] (through p_torsion), the
+    # check must count the non-members: every element of augmentation other
+    # than 1, and every unit outside 1 + I(G[p]).
     group = rs.group
-    subgroup = [h for h in _scalar_socle(group) if not drop_basis_element or h[-1] == 0]
-    key = _coset_key(group, subgroup)
+    key = _coset_key(group, _scalar_socle(group))
     elements = list(enumerate_elements(group))
 
     def coset_sums(u: RingElement) -> dict:
@@ -495,16 +519,90 @@ def test_lemma4_counts_match_scalar_reference(rs, drop_basis_element):
             sums[key[g]] += c
         return {k: c % rs.modulus for k, c in sums.items() if c % rs.modulus}
 
-    torsion = _scalar_p_torsion(rs)
-    outside = sum(coset_sums(u) != coset_sums(one(rs)) for u in torsion)
-    with mock.patch.object(
-        oracle,
-        "socle_ideal_generators",
-        lambda r: socle_ideal_generators(r)[: -r.size if drop_basis_element else None],
-    ):
+    if whole_ring:
+        fed = [RingElement(rs, c) for c in itertools.product(range(rs.p), repeat=rs.size)]
+    else:
+        fed = _scalar_p_torsion(rs)
+    outside = sum(coset_sums(u) != coset_sums(one(rs)) for u in fed)
+    block = np.array([u.coeffs for u in fed], dtype=np.int64).T
+    with mock.patch.object(Units, "p_torsion", lambda self: np.ascontiguousarray(block)):
         report = verify_check("lemma4", rs)
-    assert report.observed == {"unit_count": len(torsion), "outside_ideal": outside}
-    assert (outside > 0) == drop_basis_element
+    assert report.observed == {"unit_count": len(fed), "outside_ideal": outside}
+    assert (outside > 0) == whole_ring
+
+
+@functools.cache
+def _binomial_matrix(group: GroupSpec) -> np.ndarray:
+    """Row i, column g: the coefficient of x^i = prod_j x_j^{i_j} in
+    g = prod_j (1 + x_j)^{c_j}, x_j = a_j - 1, which is
+    prod_j binom(c_j, i_j) mod p, by math.comb."""
+    elements = list(enumerate_elements(group))
+    return np.array(
+        [
+            [math.prod(map(math.comb, g, i)) % group.p for g in elements]
+            for i in elements
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("group", EVERY_GROUP_TO_64, ids=GroupSpec.to_text)
+def test_jennings_sends_each_element_to_its_binomials(group):
+    # Every group with |G| <= 64: the transform of the column of each g.
+    x = np.eye(group.order(), dtype=np.int64)
+    assert np.array_equal(_jennings(x, group), _binomial_matrix(group))
+
+
+@given(st.sampled_from(EVERY_GROUP_TO_64), st.data())
+def test_jennings_of_random_blocks(group, data):
+    # Entries in (-p, p), as u - 1 has; the transform is linear mod p.
+    p, n = group.p, group.order()
+    rng = np.random.default_rng(data.draw(st.integers(0, SEED_MAX)))
+    x = rng.integers(1 - p, p, size=(n, data.draw(st.integers(1, 4))), dtype=np.int64)
+    expect = _binomial_matrix(group) @ x % p
+    assert np.array_equal(_jennings(x, group), expect)
+
+
+@functools.cache
+def _socle_ideal(group: GroupSpec):
+    """The translates (h - 1) g over every h != 1 of G[p] (rows) and their
+    Howell form over F_p."""
+    gens = reference_socle_ideal_generators(RingSpec(group, 1))
+    return np.array(gens.rows, dtype=np.int64).reshape(gens.nrows, gens.ncols), howell_array(gens)
+
+
+@given(st.sampled_from(EVERY_GROUP_TO_64), st.data())
+def test_socle_ideal_box_matches_howell_membership(group, data):
+    # Random vectors, and random combinations of the translates of every
+    # h - 1, which lie in I(G[p]): outside the box iff outside the span.
+    p, n = group.p, group.order()
+    gens, H = _socle_ideal(group)
+    rng = np.random.default_rng(data.draw(st.integers(0, SEED_MAX)))
+    cols = data.draw(st.integers(1, 8))
+    members = gens.T @ rng.integers(0, p, size=(len(gens), cols), dtype=np.int64) % p
+    vecs = np.concatenate([rng.integers(0, p, size=(n, cols), dtype=np.int64), members], axis=1)
+    expect = ~H.contains(vecs)
+    assert not expect[cols:].any()
+    assert np.array_equal(_outside_socle_ideal(vecs.copy(), group), expect)
+
+
+@pytest.mark.parametrize("group", EVERY_GROUP_TO_64, ids=GroupSpec.to_text)
+def test_monomials_outside_the_box_count_the_p_rank(group):
+    # The monomial x^i in the group basis has coefficient
+    # prod_j binom(i_j, c_j) (-1)^{i_j - c_j} at g.  It lies in I(G[p]) iff
+    # some i_j >= p^{lambda_j - 1}, and there are |G| - |G^p| such i.
+    p, elements = group.p, list(enumerate_elements(group))
+
+    def coefficient(i, g):  # binom(a, c) = 0 for c > a
+        return math.prod(math.comb(a, c) * (-1) ** abs(a - c) for a, c in zip(i, g)) % p
+
+    monomials = np.array([[coefficient(i, g) for i in elements] for g in elements], np.int64)
+    assert np.array_equal(_jennings(monomials.copy(), group), np.eye(len(elements)))
+    inside = ~_outside_socle_ideal(monomials, group)
+    tops = [p ** (l - 1) for l in group.lambdas]
+    assert inside.tolist() == [any(map(int.__ge__, i, tops)) for i in elements]
+    assert np.count_nonzero(inside) == group.order() - p ** agemo_order_exp(group, 1)
+    assert np.count_nonzero(inside) == p_rank_vzp(group)
 
 
 @given(st.sampled_from(RINGS))
@@ -537,9 +635,6 @@ def test_lemma2_columns_match_scalar_powers(rs):
         assert block.T.tolist() == [list(x.coeffs) for x in expect]
     cases, violations = reference_lemma2(rs)
     assert verify_check("lemma2", rs).observed == {"cases": cases, "violations": violations}
-
-
-GROUPS_TO_64 = [g for g in small_specs(6, primes=(2, 3, 5, 7)) if g.order() <= 64]
 
 
 @given(st.sampled_from(GROUPS_TO_64), st.integers(1, 3), st.integers(0, 4), st.data())

@@ -36,7 +36,6 @@ from punits.pgroup import (
     is_prime,
     omega_order_exp,
     p_valuation,
-    power_indices,
 )
 from punits.ring import (
     RingElement,
@@ -93,7 +92,6 @@ class Entry(NamedTuple):
 _ENTRIES = [
     Entry("element", "exponent", lambda v: element(_G, (v, 0)), _int_in()),
     Entry("element_pow", "m", lambda v: element_pow(_G, (1, 1), v), _int_in(0)),
-    Entry("power_indices", "m", lambda v: power_indices(_G, v), _int_in()),
     Entry("element_from_index", "index", lambda v: element_from_index(_G, v), _int_in(0, 7)),
     Entry("agemo_order_exp", "i", lambda v: agemo_order_exp(_G, v), _int_in(0)),
     Entry("omega_order_exp", "i", lambda v: omega_order_exp(_G, v), _int_in(0)),

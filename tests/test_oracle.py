@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from punits import oracle, zpelin
+from punits import cli, oracle, theory, zpelin
 from punits.cli import default_suite_config
 from punits.oracle import (
     CHECKS,
@@ -418,6 +418,25 @@ class TestChecks:
         report = verify_check("lemma2", rs)
         assert not report.passed
         assert report.observed == {"cases": report.predicted["cases"], "violations": 4}
+
+    def test_lemma4_fails_on_a_wrong_p_rank(self, monkeypatch, capsys):
+        # structure_report's p-rank at e = 1 one too large: lemma4 predicts
+        # |V[p]| = p^{p_rank_vzp(G)} from it, 2^13 for Z_2(C_4 x C_4), where
+        # |G| - |G^2| = 12, and the default suite, which runs lemma4 there,
+        # exits 1.
+        report = theory.structure_report
+
+        def raised(spec, e):
+            rep = report(spec, e)
+            return replace(rep, v_p_torsion_exp=rep.v_p_torsion_exp + (e == 1))
+
+        monkeypatch.setattr(theory, "structure_report", raised)
+        got = verify_check("lemma4", RingSpec(GroupSpec(2, (2, 2)), 1))
+        assert not got.passed
+        assert got.predicted == {"unit_count": 2 ** 13, "outside_ideal": 0}
+        assert got.observed == {"unit_count": 2 ** 12, "outside_ideal": 0}
+        assert cli.main(["suite"]) == 1
+        capsys.readouterr()
 
     def test_lemma6_fails_on_a_miscounted_kernel(self, monkeypatch):
         # |K| = 3^2 for Z_9 C_3, counted as 10.

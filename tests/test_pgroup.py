@@ -21,7 +21,6 @@ from punits.pgroup import (
     mod_in_place,
     omega_order_exp,
     power_exceeds,
-    power_indices,
     product_index_table,
     radix_decode,
     radix_encode,
@@ -31,6 +30,7 @@ from punits.pgroup import (
 
 from .helpers import (
     iterated_element_order,
+    power_indices,
     reference_gather_table,
     reference_product_index_table,
     small_specs,
@@ -290,6 +290,8 @@ class TestIndexCodec:
 
 
 class TestPowerIndices:
+    # The tests' index array of g -> g^m, the reference that G's power maps
+    # on its digit grid (``oracle._induced``, ``_agemo``) are checked against.
     SPECS = small_specs(4, (2, 3, 5))
 
     @staticmethod

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punits import zpelin
-from punits.oracle import verify_check
-from punits.pgroup import GroupSpec, enumerate_elements, is_prime
+from punits.oracle import _outside_socle_ideal, verify_check
+from punits.pgroup import GroupSpec, enumerate_elements
 from punits.ring import (
     RingSpec,
     _float_terms,
@@ -15,10 +15,9 @@ from punits.ring import (
     from_group_element,
     one,
 )
-from punits.theory import v_order_exp
+from punits.theory import p_rank_vzp, v_order_exp
 from punits.zpelin import (
     ResidueMatrix,
-    _howell,
     _product_mod,
     _reduced,
     howell_array,
@@ -29,7 +28,6 @@ from punits.zpelin import (
     module_membership,
     module_size_exp,
     nilpotency_index,
-    socle_ideal_generators,
 )
 
 from .helpers import (
@@ -38,7 +36,6 @@ from .helpers import (
     reference_contains,
     reference_howell_form,
     reference_residues,
-    reference_socle_ideal_generators,
     small_specs,
     span_elements,
 )
@@ -831,35 +828,23 @@ class TestIdealChain:
 
 
 class TestSocleIdeal:
+    # I(G[p]), the ideal that h - 1, h in G[p], generate, as the oracle reads
+    # it (the monomials outside a box), on every vector of F_p G.
+
+    @staticmethod
+    def _inside(rs):
+        vecs = np.array(list(itertools.product(range(rs.p), repeat=rs.size)), np.int64).T
+        return vecs, ~_outside_socle_ideal(vecs.copy(), rs.group)
+
     def test_z2_klein_socle_ideal_is_whole_augmentation_ideal(self):
         # G[2] = G for C_2 x C_2, so I(G[2]) = w
         rs = RingSpec(GroupSpec(2, (1, 1)), 1)
-        H = _howell(socle_ideal_generators(rs), rs.p, rs.e)
-        assert H.size_exp == v_order_exp(rs.group, rs.e)
+        vecs, inside = self._inside(rs)
+        assert np.array_equal(inside, ideal_power_form(rs, 1).contains(vecs))
+        assert np.count_nonzero(inside) == 2 ** v_order_exp(rs.group, rs.e)
 
     def test_z2c4_socle_ideal_size(self):
         # I(G[p]) has p^{|G| - |G^p|} elements
         rs = RingSpec(GroupSpec(2, (2,)), 1)
-        assert _howell(socle_ideal_generators(rs), rs.p, rs.e).size_exp == 4 - 2
-
-    @pytest.mark.parametrize(
-        "rs",
-        [
-            RingSpec(g, e)
-            for g in small_specs(6, primes=[p for p in range(2, 64) if is_prime(p)])
-            if g.p ** g.size_exp <= 64
-            for e in (1, 2)
-        ],
-        ids=RingSpec.to_text,
-    )
-    def test_basis_translates_span_the_all_translates_ideal(self, rs):
-        # Every group with |G| <= 64: the k|G| translates of the basis of
-        # G[p] and the (|G[p]| - 1)|G| translates of all of G[p] have one
-        # Howell form.
-        rows = socle_ideal_generators(rs)
-        assert rows.dtype == np.int64 and rows.shape == (rs.group.k * rs.size, rs.size)
-        assert rows.min() >= 0 and rows.max() < rs.modulus
-        got = _howell(rows, rs.p, rs.e)
-        want = howell_array(reference_socle_ideal_generators(rs))
-        assert np.array_equal(got.rows, want.rows)
-        assert (got.pivots, got.size_exp) == (want.pivots, want.size_exp)
+        _, inside = self._inside(rs)
+        assert np.count_nonzero(inside) == 2 ** p_rank_vzp(rs.group) == 2 ** (4 - 2)

@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("dimsub", help="dimension subgroup G ∩ (1 + w^n)")
     _add_instance_args(sub)
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--oracle", action="store_true", help="cross-check by Howell membership")
+    sub.add_argument("--oracle", action="store_true", help="cross-check by membership in w^n")
 
     return parser
 

@@ -45,11 +45,12 @@ two sides (``_layer_sizes``).
 The map is built one contiguous block of representatives at a time, in
 order, with vectorized numpy arithmetic that is bit-identical to the
 scalar reference convolution.  Every batched kernel works within one
-budget of ``_BLOCK_ENTRIES`` entries: a block has |G| rows and as many
-columns as fit it (``_blocks``), for the map, the kernel K, lemma5's two
-halves and lemma2's and lemma9's powers alike, and ``_blocks`` is the one
-division of that budget.  The batched product is one gathered einsum,
-reduced mod q = p^e once (``pgroup.mod_in_place``), when its |G| products
+budget of ``pgroup._BLOCK_ENTRIES`` entries: a block has |G| rows and as
+many columns as fit it (``pgroup._blocks``), for the map, the kernel K,
+lemma5's two halves and lemma2's and lemma9's powers alike, and ``_blocks``
+is the one division of that budget, which zpelin's pass over the columns
+g - 1 shares.  The batched product is one gathered einsum, reduced mod
+q = p^e once (``pgroup.mod_in_place``), when its |G| products
 per entry fit one int64 sum and the gathered operand, |G| times the
 block, fits the budget; otherwise it adds one row at a time and reduces
 only every ``ring._rows_per_reduction(q)`` rows.  The checks of an instance
@@ -59,21 +60,23 @@ may run instances side by side, in separate processes, each of which
 keeps one power map alive at a time.
 
 lemma4 runs at e = 1, where F_pG is the truncated polynomial ring in
-x_j = a_j - 1 (Jennings): ``_jennings`` writes each u - 1 of V[p] in its
-monomial basis, on G's digit grid refined to base-p digits, and u - 1 lies
-in I(G[p]) iff it vanishes on the box where every exponent i_j is below
-p^{lambda_j - 1} (``_outside_socle_ideal``).  lemma4 predicts |V[p]| as p
-to ``theory.p_rank_vzp``, |G| - |G^p|.
+x_j = a_j - 1 (Jennings): ``zpelin._jennings`` writes each u - 1 of V[p] in
+its monomial basis, on G's digit grid refined to base-p digits, and u - 1
+lies in I(G[p]) iff it vanishes on the box where every exponent i_j is
+below p^{lambda_j - 1} (``_outside_socle_ideal``).  lemma4 predicts |V[p]|
+as p to ``theory.p_rank_vzp``, |G| - |G^p|.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units.  lemma3
-reads its observed set G ∩ (1 + w^n) off the ideal chain
-(``zpelin.ideal_power_members``), which tests the columns g - 1 level by
-level, only those that passed the level before, and none once g = 1 alone
-is left.  lemma2 reads the columns 1 - g for every g in G with the same
-batched kernels, and the group's own power map g -> g^{p^s} off its digit
-grid (shape ``group.radices``): on a factor C_{p^l} it sends the digit
-t p^{l-k} + c, k = min(s, l), to p^k c, so G^{p^s} is the sub-grid of
-every p^k-th digit (``_agemo``; lemma3's predicted set).  G is abelian, so
+reads its observed set G ∩ (1 + w^n) from ``zpelin.ideal_power_members``:
+at e = 1 off the least degree of each g - 1 in the same monomial basis,
+with no Howell form; at e >= 2 off the ideal chain, which tests the
+columns g - 1 level by level, only those that passed the level before, and
+none once g = 1 alone is left.  lemma2 reads the columns 1 - g for every g
+in G with the same batched kernels, and the group's own power map
+g -> g^{p^s} off its digit grid (shape ``group.radices``): on a factor
+C_{p^l} it sends the digit t p^{l-k} + c, k = min(s, l), to p^k c, so
+G^{p^s} is the sub-grid of every p^k-th digit (``_agemo``; lemma3's
+predicted set).  G is abelian, so
 g -> g^{p^s} induces a ring endomorphism of Z_qG (``_induced``, also the
 power map at e = 1), which sums each column over the digits t and writes
 the sums into that sub-grid, with no index array.  lemma2 compares each
@@ -107,10 +110,11 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import theory
+from . import pgroup, theory
 from .pgroup import (
     DENSE_TABLE_CAP,
     GroupSpec,
+    _blocks,
     checked_int,
     checked_prime,
     count_pairs,
@@ -125,6 +129,7 @@ from .pgroup import (
 )
 from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
+    _jennings,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
     ideal_power_form,
     ideal_power_members,
@@ -136,13 +141,6 @@ DEFAULT_BUDGET = 1 << 22
 # lemma9 draws this many random candidates y per d on rings too large to
 # try every y.
 _LEMMA9_SAMPLES = 1000
-
-# The working set of every batched kernel, in entries (512 KiB of int64):
-# a block of units or of lemma2's columns has |G| rows and
-# _BLOCK_ENTRIES // |G| columns (``_blocks``, the one division of it),
-# lemma9 stacks d's up to it (``_lemma9_chunks``), and ``_batch_mul``
-# forms one gathered einsum only when its gathered operand fits it.
-_BLOCK_ENTRIES = 1 << 16
 
 # Seeds are mixed into a 32-bit CRC (``_derive_seed``); a wider range
 # would alias.
@@ -224,7 +222,7 @@ def _batch_mul(tbl: np.ndarray, q: int, x: np.ndarray, y: np.ndarray) -> np.ndar
     # the sum reduced after every k rows and at the end, k =
     # _rows_per_reduction(q) keeping it in int64.
     n, k = len(tbl), _rows_per_reduction(q)
-    if n <= k and n * y.size <= _BLOCK_ENTRIES:
+    if n <= k and n * y.size <= pgroup._BLOCK_ENTRIES:
         return mod_in_place(np.einsum("ic,imc->mc", x, y[tbl]), q)
     out = np.zeros_like(x)
     for added, i in enumerate(np.flatnonzero(x.any(axis=1)), start=1):
@@ -270,27 +268,6 @@ def _induced(x: np.ndarray, group: GroupSpec, s: int, q: int) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
-    """x's columns, elements of F_pG with entries in (-p, p), in the basis
-    of the monomials prod_j x_j^{i_j}, x_j = a_j - 1, 0 <= i_j < p^{lambda_j}
-    (Jennings), on G's digit grid; x's entries may be overwritten.
-    g = prod_j (1 + x_j)^{c_j} has coefficient prod_j binom(c_j, i_j) at
-    x^i, and by Lucas's theorem binom(c, i) is the product of the binomials
-    of the base-p digits, so the p x p Pascal matrix binom(c, i) mod p is
-    applied along each axis of the grid refined to base-p digits, shape
-    (p,) * sum(lambda), as p - 1 passes of suffix sums (the Taylor shift
-    f(y) -> f(1 + x) by Horner's rule).  Each pass is reduced mod p, so no
-    entry reaches p^2."""
-    p = group.p
-    grid = x.reshape(*(p,) * sum(group.lambdas), x.shape[1])
-    for digit in (np.moveaxis(grid, axis, 0) for axis in range(grid.ndim - 1)):
-        for k in range(p - 1):
-            for c in range(p - 2, k - 1, -1):
-                digit[c] += digit[c + 1]
-            mod_in_place(grid, p)
-    return grid.reshape(x.shape)
-
-
 def _matches(x: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Which columns of x equal col."""
     return (x == col[:, None]).all(axis=0)
@@ -316,14 +293,6 @@ def _batch_order_exps(units: Units, block: np.ndarray, bounds) -> np.ndarray:
         prefix = orders[:live]
         prefix[(prefix < 0) & _matches(block, ident)] = m
     return orders
-
-
-def _blocks(total: int, rows: int):
-    """The index ranges [lo, hi) covering [0, total), in order, each of
-    max(1, _BLOCK_ENTRIES // rows) items or fewer: the columns of a block of
-    ``rows`` rows that fits the working set."""
-    step = max(1, _BLOCK_ENTRIES // rows)
-    return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
 def _redigit(idx: np.ndarray, n: int, a: int, b: int) -> np.ndarray:

@@ -24,7 +24,9 @@ censuses (a repeated exponent's counts added up), and
 elements (by their coordinates) and V's units (by their coefficients in
 base p^e); G's dense tables are read through it, and G[p] is a sub-grid of
 G's digit grid (shape ``radices``), numbered in the codec's order.
-``mod_in_place`` is the one reduction of int64 arrays mod q.
+``mod_in_place`` is the one reduction of int64 arrays mod q, and
+``_blocks`` the one division of the working set of ``oracle``'s and
+``zpelin``'s batched kernels (``_BLOCK_ENTRIES``) into column blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ GROUP_ORDER_CAP = 1 << 20
 # Dense index tables are |G| x |G|; keep them desk-scale.  Every
 # verification check reads one, so none is planned past this cap.
 DENSE_TABLE_CAP = 1 << 10
+
+# The working set of every batched kernel of ``oracle`` and ``zpelin``, in
+# entries (512 KiB of int64): a block of units, of lemma2's columns or of
+# the columns g - 1 has |G| rows and _BLOCK_ENTRIES // |G| columns
+# (``_blocks``, the one division of it), lemma9 stacks d's up to it
+# (``oracle._lemma9_chunks``), and ``oracle._batch_mul`` forms one gathered
+# einsum only when its gathered operand fits it.
+_BLOCK_ENTRIES = 1 << 16
 
 
 # Miller-Rabin with these bases decides primality exactly below 2^64, and
@@ -327,6 +337,14 @@ def radix_encode(digits: Iterable, radices: Sequence[int]):
         idx *= radix
         idx += row
     return idx
+
+
+def _blocks(total: int, rows: int):
+    """The index ranges [lo, hi) covering [0, total), in order, each of
+    max(1, _BLOCK_ENTRIES // rows) items or fewer: the columns of a block of
+    ``rows`` rows that fits the working set."""
+    step = max(1, _BLOCK_ENTRIES // rows)
+    return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
 def mod_in_place(x: np.ndarray, q: int) -> np.ndarray:

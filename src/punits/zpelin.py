@@ -1,5 +1,6 @@
-"""Canonical-form linear algebra over Z_{p^e}: Howell normal form, and the
-chain of powers of the augmentation ideal w.
+"""Canonical-form linear algebra over Z_{p^e}: Howell normal form, the
+chain of powers of the augmentation ideal w, and at e = 1 the dimension
+subgroups and nilpotency index of w read off its monomial basis.
 
 Row spans over a residue ring with zero divisors need more than an
 echelon form: membership tests require that every span element whose
@@ -109,13 +110,34 @@ lead with 1 at g and are 0 off g and the last column, which no row leads:
 they are their own reduced block.  A chain is extended only up to the power
 asked for and kept for the life of the process.
 
-The chain also keeps the sets S_n = {g in G : g - 1 in w^n}, the dimension
-subgroups lemma3 checks (``ideal_power_members``), as ascending index
-arrays.  S_0 = G, and as w^n = w w^{n-1} lies in w^{n-1}, S_n is the part
+At e >= 2 the chain also keeps the sets S_n = {g in G : g - 1 in w^n}, the
+dimension subgroups lemma3 checks (``ideal_power_members``), as ascending
+index arrays.  S_0 = G, and as w^n = w w^{n-1} lies in w^{n-1}, S_n is the part
 of S_{n-1} whose columns g - 1 pass one ``contains`` block against H(w^n).
 Once S_n = {1} it answers every larger n, as g - 1 = 0 lies in every span,
 with no further test and no set per level: a call costs at most one block,
 on a shrinking set, per level up to the first n with S_n = {1}.
+
+At e = 1 neither S_n nor the nilpotency index needs the chain.  There
+(a_j - 1)^{p^{lambda_j}} = a_j^{p^{lambda_j}} - 1 = 0, so F_pG is
+the truncated polynomial ring in x_j = a_j - 1 (Jennings), and the
+monomials x^i, 0 <= i_j < p^{lambda_j}, are a basis.  w is generated by
+the x_j, the fact the chain's recursion rests on, so w^n is spanned by the
+monomials of degree sum_j i_j >= n, and g - 1 lies in w^n iff its
+coefficients vanish at every degree below n.  ``_jennings`` writes a
+column in that basis, on G's digit grid refined to base-p digits (by
+Lucas's theorem the Pascal matrix mod p along each digit axis), and puts
+the coefficient of x^i at coordinates i of G's digit grid, so a
+monomial's degree is the sum of its coordinates (``_degrees``).  One pass
+over the columns g - 1, in ``pgroup._blocks``-sized blocks, gives each g
+the least degree at which g - 1 is nonzero (``_least_degrees``, |G| ints
+kept per group for the life of the process).  Then S_n is the set of g
+whose least degree is at least n, g = 1 in every S_n, and the nilpotency
+index is 1 + the largest degree on the grid; any n costs one comparison.
+This uses neither lemma3 nor Jennings' theorem on dimension subgroups.
+The chain stays for e >= 2, for ``ideal_power_form`` at every e (lemma5
+and the public API read it), and as the tests' reference at e = 1.
+``oracle`` reads ``_jennings`` too, for lemma4.
 
 G's gather table and generators are read from ``pgroup``.  Matrices are
 int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
@@ -128,7 +150,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgroup import checked_int, checked_prime, gather_table, mod_in_place, radix_encode, residues
+from .pgroup import (
+    GroupSpec,
+    _blocks,
+    checked_int,
+    checked_prime,
+    gather_table,
+    mod_in_place,
+    radix_encode,
+    residues,
+    table_order,
+)
 from .ring import RingSpec, _float_terms, _rows_per_reduction, checked_modulus_exp, p_valuation
 
 @dataclass(frozen=True)
@@ -489,6 +521,53 @@ def _chain(rs: RingSpec) -> _IdealChain:
     return _IdealChain(rs)
 
 
+def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """x's columns, elements of F_pG with entries in (-p, p), in the basis
+    of the monomials prod_j x_j^{i_j}, x_j = a_j - 1, 0 <= i_j < p^{lambda_j}
+    (Jennings), on G's digit grid; x's entries may be overwritten.
+    g = prod_j (1 + x_j)^{c_j} has coefficient prod_j binom(c_j, i_j) at
+    x^i, and by Lucas's theorem binom(c, i) is the product of the binomials
+    of the base-p digits, so the p x p Pascal matrix binom(c, i) mod p is
+    applied along each axis of the grid refined to base-p digits, shape
+    (p,) * sum(lambda), as p - 1 passes of suffix sums (the Taylor shift
+    f(y) -> f(1 + x) by Horner's rule).  Each pass is reduced mod p, so no
+    entry reaches p^2."""
+    p = group.p
+    grid = x.reshape(*(p,) * sum(group.lambdas), x.shape[1])
+    for digit in (np.moveaxis(grid, axis, 0) for axis in range(grid.ndim - 1)):
+        for k in range(p - 1):
+            for c in range(p - 2, k - 1, -1):
+                digit[c] += digit[c + 1]
+            mod_in_place(grid, p)
+    return grid.reshape(x.shape)
+
+
+def _degrees(group: GroupSpec) -> np.ndarray:
+    """The degree sum_j i_j of each monomial x^i where ``_jennings`` puts its
+    coefficient, at coordinates i of G's digit grid (shape
+    ``group.radices``), in index order.  Refuses a G past the dense table
+    cap before its radices are built."""
+    table_order(group)
+    return functools.reduce(np.add.outer, map(np.arange, group.radices)).ravel()
+
+
+@functools.cache
+def _least_degrees(group: GroupSpec) -> np.ndarray:
+    """For each g in G, in index order, the least degree of a monomial at
+    which g - 1 in F_pG has a nonzero coefficient (``_jennings``), read-only:
+    g - 1 lies in w^n iff n is at most that degree.  The identity, g - 1 = 0,
+    gets nu = 1 + the largest degree, the least n with w^n = 0."""
+    degree = _degrees(group)
+    size, nu = len(degree), int(degree.max()) + 1
+    least = np.empty(size, dtype=np.int64)
+    for lo, hi in _blocks(size, size):
+        cols = np.eye(size, hi - lo, -lo, dtype=np.int64)
+        cols[0] -= 1  # column j is g_{lo+j} - 1; the identity is g_0
+        least[lo:hi] = np.where(_jennings(cols, group) != 0, degree[:, None], nu).min(axis=0)
+    least.flags.writeable = False
+    return least
+
+
 def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
     """The Howell form of w^n as arrays; it has no rows once n reaches the
     nilpotency index.  n must be an int >= 1 (see ``pgroup.checked_int``)."""
@@ -497,8 +576,15 @@ def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
 
 def ideal_power_members(rs: RingSpec, n: int) -> np.ndarray:
     """The ascending, read-only indices of the g in G with g - 1 in w^n.
-    n must be an int >= 1 (see ``pgroup.checked_int``)."""
-    return _chain(rs).power_members(checked_int(n, "n", 1))
+    n must be an int >= 1 (see ``pgroup.checked_int``).  At e = 1 they are
+    read off G's least degrees (``_least_degrees``), with no ideal chain."""
+    n = checked_int(n, "n", 1)
+    if rs.e > 1:
+        return _chain(rs).power_members(n)
+    least = _least_degrees(rs.group)
+    members = np.flatnonzero(least >= min(n, int(least[0])))  # least[0] = nu; S_n = {1} past it
+    members.flags.writeable = False
+    return members
 
 
 def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
@@ -517,6 +603,8 @@ def nilpotency_index(rs: RingSpec) -> int:
     >>> nilpotency_index(RingSpec(GroupSpec(2, (1,)), 2))
     3
     """
+    if rs.e == 1:  # 1 + the largest degree of a monomial (``_degrees``)
+        return int(_degrees(rs.group).max()) + 1
     chain = _chain(rs)
     while not chain.complete:
         chain.level(len(chain.levels) + 1)

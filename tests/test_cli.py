@@ -315,8 +315,8 @@ class TestDimsubCommand:
         assert (code, out) == (0, "D_9 = G^16\noracle agreement: pass\n")
 
     def test_oracle_at_a_huge_n_reads_no_level_past_d_n_trivial(self, capsys):
-        # D_n = {1} from n = 3 on (nu = 4), so lemma3 tests levels 1 to 3
-        # only, whatever n is; a step per level up to n would not end.
+        # At e = 1 any n is one comparison with G's least degrees, and no
+        # chain level is built; a step per level up to n would not end.
         zpelin._chain.cache_clear()
         with alarm(5):
             rs = RingSpec(GroupSpec(2, (2,)), 1)
@@ -327,6 +327,36 @@ class TestDimsubCommand:
             )
         assert code == 0
         assert out.endswith("oracle agreement: pass\n")
+        assert zpelin._chain.cache_info().currsize == 0
+
+    def test_oracle_at_a_huge_n_at_e2_stops_the_chain_at_d_n_trivial(self, capsys):
+        # At e = 2, D_n = {1} from n = 2 on (nu = 6), so lemma3 tests levels
+        # 1 and 2 only, whatever n is.
+        zpelin._chain.cache_clear()
+        rs = RingSpec(GroupSpec(2, (2,)), 2)
+        with alarm(5):
+            assert oracle.verify_check("lemma3", rs, {"n": 10 ** 12}).passed
+            code, out, _ = run(
+                capsys, "dimsub", "--p", "2", "--lambda", "2", "--e", "2",
+                "--n", str(10 ** 12), "--oracle",
+            )
+        assert code == 0
+        assert out.endswith("oracle agreement: pass\n")
+        assert len(zpelin._chain(rs).levels) == 2
+
+    def test_oracle_at_e1_builds_no_ideal_chain(self, capsys, monkeypatch):
+        # |G| = 1024 at n = 600: at e = 1 lemma3 reads G's least degrees,
+        # and a chain built on the way would fail the run.
+        def refused(*args):
+            raise AssertionError("an ideal chain was built at e = 1")
+
+        zpelin._chain.cache_clear()
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", refused)
+        code, out, _ = run(
+            capsys, "dimsub", "--p", "2", "--lambda", "10", "--e", "1", "--n", "600",
+            "--oracle",
+        )
+        assert (code, out) == (0, "D_600 = G^1024\noracle agreement: pass\n")
 
     @pytest.mark.parametrize("e", ["20000", "1000000"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, e):

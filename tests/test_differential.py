@@ -31,7 +31,10 @@ check.  lemma4's transform to the monomial basis in x_j = a_j - 1 must
 give the binomials ``math.comb`` gives, on every group with |G| <= 64, its
 box test must be membership in the Howell form of the translates of every
 h - 1, h in G[p], and the monomials outside the box must number
-|G| - |G^p|.  The formula checks:
+|G| - |G^p|.  On the same groups at e = 1, the g with g - 1 in w^n, read
+off the least degrees in that basis, must be those of a fresh ideal
+chain's walk for every n up to nu + 2 in a random order and at n = 10^12,
+and nu one more than the chain's nonzero levels.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference, and on every group with
 |G| <= 64 a block of its columns must be that slice of all of them, and
@@ -55,6 +58,7 @@ import contextlib
 import functools
 import itertools
 import math
+import random
 import weakref
 from collections import Counter
 from unittest import mock
@@ -63,7 +67,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from punits import oracle
+from punits import oracle, pgroup, zpelin
 from punits.oracle import (
     CHECKS,
     SEED_MAX,
@@ -75,7 +79,6 @@ from punits.oracle import (
     _derive_seed,
     _image_sets,
     _induced,
-    _jennings,
     _lemma2_powers,
     _lemma9_candidates,
     _matches,
@@ -114,7 +117,7 @@ from punits.ring import (
     unit_order,
 )
 from punits.theory import p_rank_vzp
-from punits.zpelin import howell_array
+from punits.zpelin import _jennings, howell_array, ideal_power_members, nilpotency_index
 
 from .helpers import (
     iterated_gather_census,
@@ -198,7 +201,7 @@ def test_gathered_product_matches_scalar_product_at_the_bound(batch, rng, past):
     ys = list(xs)
     rng.shuffle(ys)
     n = rs.size
-    width = oracle._BLOCK_ENTRIES // (n * n) + past
+    width = pgroup._BLOCK_ENTRIES // (n * n) + past
     reps = -(-width // len(xs))
 
     def tiled(block):
@@ -414,7 +417,7 @@ def test_power_map_independent_of_blocks(rs):
     # Each block fills its own slice of one array: many small blocks must
     # not change it, nor the V[p] checks that read it.
     first, first_reports = _map_and_torsion_reports(Units(rs))
-    with mock.patch.object(oracle, "_BLOCK_ENTRIES", 5 * rs.size):  # blocks of 5 units
+    with mock.patch.object(pgroup, "_BLOCK_ENTRIES", 5 * rs.size):  # blocks of 5 units
         pm, reports = _map_and_torsion_reports(Units(rs))
     assert len(first_reports) == 1 and first_reports[0].passed
     assert (pm.base, pm.mult) == (first.base, first.mult)
@@ -603,6 +606,28 @@ def test_monomials_outside_the_box_count_the_p_rank(group):
     assert inside.tolist() == [any(map(int.__ge__, i, tops)) for i in elements]
     assert np.count_nonzero(inside) == group.order() - p ** agemo_order_exp(group, 1)
     assert np.count_nonzero(inside) == p_rank_vzp(group)
+
+
+# One chain per group, built here rather than through zpelin's cache, as
+# the reference of the e = 1 members.
+_fresh_chain = functools.cache(zpelin._IdealChain)
+
+
+@given(st.integers(0, SEED_MAX))
+def test_members_at_e1_match_the_chain(seed):
+    # Every group with |G| <= 64 at e = 1: the members read off the least
+    # degrees equal the chain's walk for n = 1 ... nu + 2 in a random order
+    # and at n = 10^12, and nu is one more than the chain's nonzero levels.
+    rng = random.Random(seed)
+    for group in EVERY_GROUP_TO_64:
+        rs = RingSpec(group, 1)
+        chain = _fresh_chain(rs)
+        nu = nilpotency_index(rs)
+        for n in rng.sample([*range(1, nu + 3), 10 ** 12], nu + 3):
+            members = ideal_power_members(rs, n)
+            assert members.tolist() == chain.power_members(n).tolist()
+            assert not members.flags.writeable
+        assert chain.level(nu).size_exp == 0 and nu == len(chain.levels) + 1
 
 
 @given(st.sampled_from(RINGS))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from punits import cli, oracle, theory, zpelin
+from punits import cli, oracle, pgroup, theory, zpelin
 from punits.cli import default_suite_config
 from punits.oracle import (
     CHECKS,
@@ -147,7 +147,7 @@ class TestHistogram:
 
     def test_small_blocks_equal_one_block(self, monkeypatch):
         whole = order_histogram(Z4V4)
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 * Z4V4.size)  # blocks of 5 units
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", 5 * Z4V4.size)  # blocks of 5 units
         assert order_histogram(Z4V4) == whole
 
     @pytest.mark.parametrize("p, e", [(2, 18), (3, 6)])
@@ -402,6 +402,23 @@ class TestChecks:
         assert report.predicted == {"elements": [[0], [4]]}
         assert report.observed == {"elements": [[0], [4], [7]]}
 
+    def test_lemma3_fails_at_e1_on_a_raised_degree(self, monkeypatch):
+        # D_2(F_2 C_8) = G^2.  g - 1 = x has least degree 1; read as 2, g - 1
+        # is a member of w^2, and g joins the observed set.
+        rs = RingSpec(GroupSpec(2, (3,)), 1)
+        assert verify_check("lemma3", rs, {"n": 2}).passed
+
+        def raised(least):
+            least = least.copy()
+            least[1] += 1
+            return least
+
+        self._edited(monkeypatch, zpelin, "_least_degrees", raised)
+        report = verify_check("lemma3", rs, {"n": 2})
+        assert not report.passed
+        assert report.predicted == {"elements": [[0], [2], [4], [6]]}
+        assert report.observed == {"elements": [[0], [1], [2], [4], [6]]}
+
     def test_lemma2_fails_on_a_wrong_power(self, monkeypatch):
         # One coefficient of (1 - g)^{2^e} off in P[e].  Each case compares
         # column g of P[l] with column g of P[l - s] mapped along g -> g^{2^s},
@@ -646,11 +663,11 @@ class TestChecks:
         exhaustive = rs.size <= 4 and rs.e <= 3
         cols = rs.modulus ** rs.size - 1 if exhaustive else oracle._LEMMA9_SAMPLES
         entries = rs.size * cols  # one d's block
-        budget = oracle._BLOCK_ENTRIES
+        budget = pgroup._BLOCK_ENTRIES
         assert all(len(chunk) == 1 or entries * len(chunk) <= budget for chunk in chunks)
         assert all(entries * (len(a) + len(b)) > budget for a, b in zip(chunks, chunks[1:]))
         for chunk in chunks:
-            blocks = list(oracle._blocks(cols * len(chunk), rs.size))
+            blocks = list(pgroup._blocks(cols * len(chunk), rs.size))
             assert blocks[0][0] == 0 and blocks[-1][1] == cols * len(chunk)
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
             assert all(lo < hi <= lo + budget // rs.size for lo, hi in blocks)
@@ -731,13 +748,13 @@ class TestChecks:
         # Every array bound to a name in a punits frame is measured, line by
         # line, with blocks of 2^12 entries; instances whose units fit one
         # block are left out.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1 << 12)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", 1 << 12)
         package = os.path.dirname(oracle.__file__)
         checked = 0
         for inst in default_suite_config().instances:
             rs = RingSpec(inst.group, inst.e)
             plan = [(c, prm) for c, prm in plan_checks(rs) if CHECKS[c].enumerative]
-            if rs.e < 2 or not plan or unit_count(rs) * rs.size <= oracle._BLOCK_ENTRIES:
+            if rs.e < 2 or not plan or unit_count(rs) * rs.size <= pgroup._BLOCK_ENTRIES:
                 continue
             widest = 0
 
@@ -794,7 +811,7 @@ class TestWorkingSet:
     (tracemalloc, which numpy's allocations report to).  The gather table
     is built beforehand."""
 
-    BUDGETS = [1 << 13, oracle._BLOCK_ENTRIES]
+    BUDGETS = [1 << 13, pgroup._BLOCK_ENTRIES]
 
     @staticmethod
     def transient(build) -> int:
@@ -818,7 +835,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize("lams, e", [((2, 2), 1), ((1,), 18)])
     def test_power_map(self, lams, e, budget, monkeypatch):
         # 2^15 units of 16 coefficients, and 2^17 representatives of 2.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", budget)
         units = self.units(2, lams, e)
         if e >= 2:
             units.kernel
@@ -828,7 +845,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_kernel(self, budget, monkeypatch):
         # |K| = 2^15 elements of 16 coefficients.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", budget)
         units = self.units(2, (1, 1, 1, 1), 2, budget=1 << 30)
         assert self.transient(lambda: units.kernel) <= 8 * budget * 8
         assert units.kernel == (1 << 15, 0)
@@ -837,7 +854,7 @@ class TestWorkingSet:
     def test_lemma5_split_count(self, budget, monkeypatch):
         # 2^15 units of 16 coefficients, split 2^7 by 2^8; the Howell forms
         # are built by the first, untraced call.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", budget)
         units = self.units(2, (2, 2), 1)
         assert verify_check("lemma5", units).passed
         assert self.transient(lambda: verify_check("lemma5", units)) <= 8 * budget * 8
@@ -845,7 +862,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lemma2(self, budget, monkeypatch):
         # 256 columns of 256 coefficients: 8 blocks at 2^13, 1 at the default.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", budget)
         units = self.units(2, (4, 4), 1)
         report = verify_check("lemma2", units)
         assert report.passed and report.observed["cases"] == 14 * 256
@@ -859,13 +876,13 @@ class TestWorkingSet:
         assert len(chunks) >= 2
         for ds in chunks:
             allocated = self.transient(lambda: oracle._lemma9_pass(units, {d: d for d in ds}))
-            assert allocated <= 8 * oracle._BLOCK_ENTRIES * 8
+            assert allocated <= 8 * pgroup._BLOCK_ENTRIES * 8
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lemma9_pass_in_column_blocks(self, budget, monkeypatch):
         # One d of 1000 candidates with 256 coefficients: 32 blocks at 2^13,
         # 4 at the default, every unit exceptional (p = 2, d = 1).
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(pgroup, "_BLOCK_ENTRIES", budget)
         units = self.units(2, (4, 4), 2)
         draw = units.rs.size * oracle._LEMMA9_SAMPLES * 8
         allocated = self.transient(lambda: oracle._lemma9_pass(units, {1: 1}))

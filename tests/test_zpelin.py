@@ -589,18 +589,35 @@ class TestCosetKeys:
 
 
 class TestMembershipTraffic:
-    """Membership and coset keys build no form besides the ideal chain's,
-    and at e = 1 take one product per block."""
+    """Membership and coset keys build no form besides the ideal chain's;
+    lemma3 builds no chain at e = 1, and at e >= 2 takes one membership
+    block per level."""
 
-    def test_lemma3_at_e1_is_one_product(self, monkeypatch):
-        # At e = 1 every pivot is a unit, so each membership block is one
-        # product: its one reduction and the final one, and no row step.
-        # lemma3 tests one block per level until only g = 1 is left, and
-        # none after it or on a second sweep.
+    def test_lemma3_at_e1_builds_no_chain(self, monkeypatch):
+        # At e = 1, G ∩ (1 + w^n) is read off the least degrees of the
+        # columns g - 1: no chain is built and no product taken, at any n.
         rs = RingSpec(GroupSpec(3, (1, 1)), 1)
         zpelin._chain.cache_clear()
+        zpelin._least_degrees.cache_clear()
+
+        def refused(*args):
+            raise AssertionError("lemma3 reached the ideal chain at e = 1")
+
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", refused)
+        monkeypatch.setattr(zpelin, "_product_mod", refused)
         nu = nilpotency_index(rs)
-        assert all(zpelin._chain(rs).level(n).unit.all() for n in range(1, nu))
+        for n in [*range(1, nu + 2), 10 ** 12]:
+            assert verify_check("lemma3", rs, {"n": n}).passed
+        assert zpelin._least_degrees.cache_info().currsize == 1
+
+    def test_membership_at_e1_is_one_product(self, monkeypatch):
+        # At e = 1 every pivot is a unit, so each membership block is one
+        # product: its one reduction and the final one, and no row step.
+        rs = RingSpec(GroupSpec(3, (1, 1)), 1)
+        forms = [ideal_power_form(rs, n) for n in range(1, nilpotency_index(rs))]
+        assert all(H.unit.all() for H in forms)
+        vecs = np.eye(rs.size, dtype=np.int64)
+        vecs[0] -= 1  # column g is g - 1
         calls = []
         product, reduce = zpelin._product_mod, zpelin.mod_in_place
 
@@ -612,23 +629,39 @@ class TestMembershipTraffic:
             calls.append("reduce")
             return reduce(*args)
 
-        def sweep():
-            taken, trivial = [], []
-            for n in range(1, nu + 1):
-                calls.clear()
-                report = verify_check("lemma3", rs, {"n": n})
-                assert report.passed
-                taken.append(list(calls))
-                trivial.append(report.observed["elements"] == [[0, 0]])
-            return taken, trivial
-
         monkeypatch.setattr(zpelin, "_product_mod", counted_product)
         monkeypatch.setattr(zpelin, "mod_in_place", counted_reduce)
-        taken, trivial = sweep()
-        settled = trivial.index(True) + 1  # the least n with D_n = {1}
-        assert settled < nu
-        assert taken == [["product", "reduce", "reduce"]] * settled + [[]] * (nu - settled)
-        assert sweep() == ([[]] * nu, trivial)
+        for H in forms:
+            calls.clear()
+            H.contains(vecs)
+            assert calls == ["product", "reduce", "reduce"]
+
+    def test_chain_walk_at_e2_is_one_block_per_level(self, monkeypatch):
+        # D_n(Z_4 C_8) is G, G, {1, g^4}, then {1} from n = 3 on (nu = 12).
+        # lemma3 tests one block per level, of the g that passed the level
+        # before, up to the least n with D_n = {1}, and none after it or on
+        # a second sweep.
+        rs = RingSpec(GroupSpec(2, (3,)), 2)
+        zpelin._chain.cache_clear()
+        nu = nilpotency_index(rs)
+        widths = []
+        contains = zpelin.HowellArray.contains
+
+        def counted(H, vecs):
+            widths.append(vecs.shape[1])
+            return contains(H, vecs)
+
+        def sweep():
+            taken = []
+            for n in range(1, nu + 1):
+                widths.clear()
+                assert verify_check("lemma3", rs, {"n": n}).passed
+                taken.append(list(widths))
+            return taken
+
+        monkeypatch.setattr(zpelin.HowellArray, "contains", counted)
+        assert sweep() == [[8], [8], [2]] + [[]] * (nu - 3)
+        assert sweep() == [[]] * nu
 
     def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)
@@ -760,14 +793,22 @@ class TestIdealPowers:
             ideal_power_form(RingSpec(GroupSpec(2, (2,)), 1), n)
 
     @pytest.mark.parametrize(
-        "call",
-        [nilpotency_index, lambda rs: ideal_power_form(rs, 1)],
-        ids=["nilpotency_index", "ideal_power_form"],
+        "call, e",
+        [
+            (nilpotency_index, 2),
+            (lambda rs: ideal_power_form(rs, 1), 2),
+            (nilpotency_index, 1),
+            (lambda rs: ideal_power_members(rs, 1), 1),
+        ],
+        ids=[
+            "nilpotency_index", "ideal_power_form", "nilpotency_index-e1", "ideal_power_members-e1",
+        ],
     )
-    def test_huge_group_is_refused_at_once(self, call):
-        # |G| = 3^(2^32): the table cap is tested before G's radices are built.
+    def test_huge_group_is_refused_at_once(self, call, e):
+        # |G| = 3^(2^32): the table cap is tested before G's radices are
+        # built, by the chain at e = 2 and by the degree grid at e = 1.
         with alarm(5), pytest.raises(ValueError, match="dense table cap"):
-            call(RingSpec(GroupSpec(3, (2 ** 32,)), 2))
+            call(RingSpec(GroupSpec(3, (2 ** 32,)), e))
 
 
 class TestIdealChain:
@@ -802,7 +843,9 @@ class TestIdealChain:
 
         monkeypatch.setattr(zpelin, "_howell_core", counted)
         zpelin._chain.cache_clear()
-        nilpotency_index(rs)
+        nu = nilpotency_index(rs)  # read off the degree grid: no chain
+        assert ideal_power_form(rs, nu).size_exp == 0  # every level built
+        assert len(zpelin._chain(rs).levels) == nu - 1
         assert pivots == []
 
     def test_alternating_rings_keep_their_own_forms(self):

@@ -477,8 +477,7 @@ def run_suite(config: SuiteConfig) -> list[InstanceReport]:
         return [_run_instance(task) for task in tasks]
     # Imported only here: loading the pool machinery costs 20-40 ms and
     # about 1 MB of RSS, which a one-worker run and ``import punits`` skip.
-    # Forked, as a spawned process would import numpy and punits again and
-    # build the plans' ideal chains anew.
+    # Forked, as a spawned process would import numpy and punits again.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

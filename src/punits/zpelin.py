@@ -1,6 +1,7 @@
 """Canonical-form linear algebra over Z_{p^e}: Howell normal form, the
-chain of powers of the augmentation ideal w, and at e = 1 the dimension
-subgroups and nilpotency index of w read off its monomial basis.
+chain of powers of the augmentation ideal w, the nilpotency index of w from
+each cyclic factor's content valuations, and at e = 1 the dimension
+subgroups read off w's monomial basis.
 
 Row spans over a residue ring with zero divisors need more than an
 echelon form: membership tests require that every span element whose
@@ -118,12 +119,29 @@ Once S_n = {1} it answers every larger n, as g - 1 = 0 lies in every span,
 with no further test and no set per level: a call costs at most one block,
 on a shrinking set, per level up to the first n with S_n = {1}.
 
-At e = 1 neither S_n nor the nilpotency index needs the chain.  There
+The nilpotency index nu, the least n with w^n = 0, needs no chain at any
+e (``nilpotency_index``).  As an ideal, w^n is generated by the monomials
+x^i = prod_j x_j^{i_j}, x_j = a_j - 1, of degree sum_j i_j = n (any
+i_j >= 0), the fact the chain's recursion rests on; so nu - 1 is the largest
+degree of a nonzero monomial.  Z_{p^e}G is the tensor product over Z_{p^e}
+of the Z_{p^e}C_{p^{lambda_j}}, each free on its group elements, and x^i is
+the tensor product of the x_j^{i_j}.  The content valuation of an element
+(the least p-valuation of its coefficients) is additive on such products:
+the product of coefficients where each factor attains its least valuation
+has exactly the sum, and none has less.  So x^i = 0 iff sum_j c_j(i_j) >= e,
+with c_j(m) the content valuation of x_j^m in Z_{p^e}C_{p^{lambda_j}},
+capped at e.  c_j is 0 below p^{lambda_j} and never falls, so each factor is
+a staircase M_j(t), the largest m with c_j(m) <= t (``_staircase``, one
+cyclic shift per step from x_j^{p^{lambda_j}}), and nu - 1 is the largest
+sum_j M_j(t_j) with sum_j t_j <= e - 1, a max-plus fold over the factors.
+At e = 1 that is sum_j (p^{lambda_j} - 1).  This uses neither lemma3 nor a
+closed form for nu.
+
+At e = 1 S_n does not need the chain either.  There
 (a_j - 1)^{p^{lambda_j}} = a_j^{p^{lambda_j}} - 1 = 0, so F_pG is
 the truncated polynomial ring in x_j = a_j - 1 (Jennings), and the
-monomials x^i, 0 <= i_j < p^{lambda_j}, are a basis.  w is generated by
-the x_j, the fact the chain's recursion rests on, so w^n is spanned by the
-monomials of degree sum_j i_j >= n, and g - 1 lies in w^n iff its
+monomials x^i, 0 <= i_j < p^{lambda_j}, are a basis.  w^n is
+spanned by the monomials of degree >= n, and g - 1 lies in w^n iff its
 coefficients vanish at every degree below n.  ``_jennings`` writes a
 column in that basis, on G's digit grid refined to base-p digits (by
 Lucas's theorem the Pascal matrix mod p along each digit axis), and puts
@@ -132,11 +150,13 @@ monomial's degree is the sum of its coordinates (``_degrees``).  One pass
 over the columns g - 1, in ``pgroup._blocks``-sized blocks, gives each g
 the least degree at which g - 1 is nonzero (``_least_degrees``, |G| ints
 kept per group for the life of the process).  Then S_n is the set of g
-whose least degree is at least n, g = 1 in every S_n, and the nilpotency
-index is 1 + the largest degree on the grid; any n costs one comparison.
-This uses neither lemma3 nor Jennings' theorem on dimension subgroups.
-The chain stays for e >= 2, for ``ideal_power_form`` at every e (lemma5
-and the public API read it), and as the tests' reference at e = 1.
+whose least degree is at least n, g = 1 in every S_n (its least degree is
+set to nu); any n costs one comparison.  This uses neither lemma3 nor
+Jennings' theorem on dimension subgroups.
+
+The chain is still built for S_n at e >= 2 (lemma3, up to the first n with
+S_n = {1}), for ``ideal_power_form`` at every e (lemma5 and the public API
+read it), and as the tests' reference for nu and for S_n at e = 1.
 ``oracle`` reads ``_jennings`` too, for lemma4.
 
 G's gather table and generators are read from ``pgroup``.  Matrices are
@@ -545,9 +565,7 @@ def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
 def _degrees(group: GroupSpec) -> np.ndarray:
     """The degree sum_j i_j of each monomial x^i where ``_jennings`` puts its
     coefficient, at coordinates i of G's digit grid (shape
-    ``group.radices``), in index order.  Refuses a G past the dense table
-    cap before its radices are built."""
-    table_order(group)
+    ``group.radices``), in index order."""
     return functools.reduce(np.add.outer, map(np.arange, group.radices)).ravel()
 
 
@@ -556,9 +574,11 @@ def _least_degrees(group: GroupSpec) -> np.ndarray:
     """For each g in G, in index order, the least degree of a monomial at
     which g - 1 in F_pG has a nonzero coefficient (``_jennings``), read-only:
     g - 1 lies in w^n iff n is at most that degree.  The identity, g - 1 = 0,
-    gets nu = 1 + the largest degree, the least n with w^n = 0."""
+    gets nu, the least n with w^n = 0 (``nilpotency_index``, which refuses a
+    G past the dense table cap before its radices are built)."""
+    nu = nilpotency_index(RingSpec(group, 1))
     degree = _degrees(group)
-    size, nu = len(degree), int(degree.max()) + 1
+    size = len(degree)
     least = np.empty(size, dtype=np.int64)
     for lo, hi in _blocks(size, size):
         cols = np.eye(size, hi - lo, -lo, dtype=np.int64)
@@ -596,16 +616,57 @@ def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
     return ideal_power_form(rs, n).matrix()
 
 
+def _staircase(p: int, lam: int, e: int) -> list[int]:
+    """M(t) for t = 0 ... e - 1: the largest m at which the content
+    valuation of (a - 1)^m in Z_{p^e}C_{p^lam} (the least valuation of its
+    coefficients, capped at e) is at most t.
+
+    It is 0 below m = p^lam, as (a - 1)^m then has coefficient 1 at a^m, and
+    never falls as m grows, since multiplying by a - 1 cannot lower the
+    content.  So the walk starts at (a - 1)^{p^lam}, whose coefficient at a^i
+    is binom(p^lam, i) (-1)^{p^lam - i}, with the one at i = p^lam folded onto
+    a^0 (a running product in Python ints), and multiplies by a - 1 (one
+    cyclic shift less the vector itself) until the content reaches e."""
+    q, size = p ** e, p ** lam
+    coeffs, b = [], 1
+    for i in range(size):  # b = binom(size, i)
+        coeffs.append((-b if (size - i) % 2 else b) % q)
+        b = b * (size - i) // (i + 1)
+    coeffs[0] = (coeffs[0] + 1) % q  # a^size = a^0, with coefficient 1
+    x = np.array(coeffs, dtype=np.int64)
+    stairs, m = [], size
+    while len(stairs) < e:
+        t = len(stairs)  # the content of x is at least t
+        while t < e and not (x % p ** (t + 1)).any():
+            t += 1
+        stairs += [m - 1] * (t - len(stairs))
+        x = mod_in_place(np.roll(x, 1) - x, q)
+        m += 1
+    return stairs
+
+
 def nilpotency_index(rs: RingSpec) -> int:
-    """Least n with w^n = 0.
+    """Least n with w^n = 0, from the content valuations of each cyclic
+    factor's (a_j - 1)^m (``_staircase``), with no ideal chain.
+
+    w^n is the ideal generated by the monomials x^i = prod_j x_j^{i_j},
+    x_j = a_j - 1, of degree sum_j i_j = n, so nu - 1 is the largest degree
+    of a nonzero monomial.  x^i is the tensor product over the factors of
+    the x_j^{i_j}, whose content valuations add, so x^i = 0 iff they sum to
+    at least e.  Hence nu - 1 = max sum_j M_j(t_j) over t_j >= 0 with
+    sum_j t_j <= e - 1, one max-plus fold over the factors.  Refuses a G past
+    the dense table cap before anything is built.
 
     >>> from punits.pgroup import GroupSpec
     >>> nilpotency_index(RingSpec(GroupSpec(2, (1,)), 2))
     3
     """
-    if rs.e == 1:  # 1 + the largest degree of a monomial (``_degrees``)
-        return int(_degrees(rs.group).max()) + 1
-    chain = _chain(rs)
-    while not chain.complete:
-        chain.level(len(chain.levels) + 1)
-    return len(chain.levels) + 1
+    table_order(rs.group)
+    p, e = rs.p, rs.e
+    # best[s]: the largest degree of a monomial in the factors so far whose
+    # content valuations sum to at most s (none yet: 1, of degree 0).
+    best = [0] * e
+    for lam in rs.group.lambdas:
+        stairs = _staircase(p, lam, e)
+        best = [max(best[s - t] + stairs[t] for t in range(s + 1)) for s in range(e)]
+    return best[-1] + 1

@@ -34,7 +34,11 @@ h - 1, h in G[p], and the monomials outside the box must number
 |G| - |G^p|.  On the same groups at e = 1, the g with g - 1 in w^n, read
 off the least degrees in that basis, must be those of a fresh ideal
 chain's walk for every n up to nu + 2 in a random order and at n = 10^12,
-and nu one more than the chain's nonzero levels.  The formula checks:
+and nu one more than the chain's nonzero levels.  On every group with
+|G| <= 64 and p <= 7, at each e <= 4, nu from the cyclic factors' content
+valuations must be one more than the nonzero levels of the chain run to
+completion, and at e = 1 it must be the identity's least degree and 1 +
+the largest degree on G's digit grid.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference, and on every group with
 |G| <= 64 a block of its columns must be that slice of all of them, and
@@ -628,6 +632,27 @@ def test_members_at_e1_match_the_chain(seed):
             assert members.tolist() == chain.power_members(n).tolist()
             assert not members.flags.writeable
         assert chain.level(nu).size_exp == 0 and nu == len(chain.levels) + 1
+
+
+@given(st.sampled_from(range(1, 5)))
+def test_nilpotency_index_matches_the_chain(e):
+    # Every group with |G| <= 64, p <= 7, at each e <= 4: nu from the
+    # factors' content valuations is one more than the number of nonzero
+    # levels of the chain, run to completion.
+    for group in GROUPS_TO_64:
+        rs = RingSpec(group, e)
+        chain = _fresh_chain(rs)
+        while not chain.complete:
+            chain.level(len(chain.levels) + 1)
+        assert nilpotency_index(rs) == len(chain.levels) + 1
+
+
+@pytest.mark.parametrize("group", EVERY_GROUP_TO_64, ids=GroupSpec.to_text)
+def test_least_degree_of_the_identity_is_nu(group):
+    # The identity's sentinel in the least degrees is nu at e = 1, which is
+    # also 1 + the largest degree on G's digit grid.
+    nu = nilpotency_index(RingSpec(group, 1))
+    assert zpelin._least_degrees(group)[0] == nu == zpelin._degrees(group).max() + 1
 
 
 @given(st.sampled_from(RINGS))

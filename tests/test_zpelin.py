@@ -1,13 +1,14 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from punits import zpelin
-from punits.oracle import _outside_socle_ideal, verify_check
-from punits.pgroup import GroupSpec, enumerate_elements
+from punits.oracle import _outside_socle_ideal, plan_checks, verify_check
+from punits.pgroup import GroupSpec, enumerate_elements, is_prime
 from punits.ring import (
     RingSpec,
     _float_terms,
@@ -666,7 +667,7 @@ class TestMembershipTraffic:
     def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)
         zpelin._chain.cache_clear()
-        nilpotency_index(rs)  # the whole chain, before _howell is counted
+        ideal_power_form(rs, nilpotency_index(rs))  # the whole chain, before _howell is counted
         built = []
         howell = zpelin._howell
 
@@ -806,7 +807,8 @@ class TestIdealPowers:
     )
     def test_huge_group_is_refused_at_once(self, call, e):
         # |G| = 3^(2^32): the table cap is tested before G's radices are
-        # built, by the chain at e = 2 and by the degree grid at e = 1.
+        # built: by nilpotency_index itself at every e (and for the least
+        # degrees at e = 1), and by the chain for ideal_power_form.
         with alarm(5), pytest.raises(ValueError, match="dense table cap"):
             call(RingSpec(GroupSpec(3, (2 ** 32,)), e))
 
@@ -843,7 +845,7 @@ class TestIdealChain:
 
         monkeypatch.setattr(zpelin, "_howell_core", counted)
         zpelin._chain.cache_clear()
-        nu = nilpotency_index(rs)  # read off the degree grid: no chain
+        nu = nilpotency_index(rs)  # from the factors' content valuations: no chain
         assert ideal_power_form(rs, nu).size_exp == 0  # every level built
         assert len(zpelin._chain(rs).levels) == nu - 1
         assert pivots == []
@@ -868,6 +870,64 @@ class TestIdealChain:
         assert form.size_exp == 256 - 3
         assert form.rows.dtype == np.uint8
         assert len(zpelin._chain(rs).levels) == 3
+
+
+def _no_chain(*args):
+    raise AssertionError("an ideal chain was built")
+
+
+class TestNilpotencyIndex:
+    """nu from the cyclic factors' content valuations, with no ideal chain."""
+
+    def test_large_rings_build_no_chain(self, monkeypatch):
+        # At e = 2 the chain of C_1024 has 1535 nonzero levels and that of
+        # C_32 x C_32 has 78; nu reads one vector of |C_{p^lambda}| entries
+        # per factor.
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
+        tracemalloc.start()
+        try:
+            with alarm(5):
+                assert nilpotency_index(RingSpec(GroupSpec(2, (10,)), 2)) == 1536
+                assert nilpotency_index(RingSpec(GroupSpec(2, (5, 5)), 2)) == 79
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_lemma3_is_planned_without_a_chain(self, monkeypatch):
+        # p=2;lambda=2,1;e=2 is a catalog ring; lemma3's plan runs n up to nu.
+        rs = RingSpec(GroupSpec(2, (2, 1)), 2)
+        zpelin._chain.cache_clear()
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
+        planned = [params["n"] for check, params in plan_checks(rs) if check == "lemma3"]
+        assert planned == list(range(1, 8))
+
+    def test_fitted_closed_form(self):
+        # nu = sum_j (p^lambda_j - 1) + 1 + (e - 1)(p - 1)p^(lambda_1 - 1),
+        # lambda_1 the largest exponent: fitted on the chain, and unproven.
+        # It holds on every ring with |G| <= 256, p <= 31 and e <= 8.
+        primes = [p for p in range(2, 32) if is_prime(p)]
+        for group in small_specs(8, primes):
+            p, lams = group.p, group.lambdas
+            if p ** group.size_exp > 256:
+                continue
+            for e in range(1, 9):
+                if p ** e > 2 ** 31:
+                    break
+                top = (e - 1) * (p - 1) * p ** (lams[0] - 1)
+                expected = sum(p ** l - 1 for l in lams) + 1 + top
+                assert nilpotency_index(RingSpec(group, e)) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+    def test_staircase_closed_form(self, p):
+        # The staircase behind it: M(t) = p^lambda - 1 + t (p - 1) p^(lambda - 1),
+        # so the fold puts the whole budget e - 1 on the largest factor.
+        for lam in range(1, 9):
+            if p ** lam > 256:
+                break
+            e = min(8, 31 // p.bit_length())  # p^e <= 2^31
+            steps = [p ** lam - 1 + t * (p - 1) * p ** (lam - 1) for t in range(e)]
+            assert zpelin._staircase(p, lam, e) == steps
 
 
 class TestSocleIdeal:

@@ -69,10 +69,14 @@ as p to ``theory.p_rank_vzp``, |G| - |G^p|.
 The formula checks (lemma2, lemma3, lemma9) enumerate no units.  lemma3
 reads its observed set G ∩ (1 + w^n) from ``zpelin.ideal_power_members``:
 at e = 1 off the least degree of each g - 1 in the same monomial basis,
-with no Howell form; at e >= 2 off the ideal chain, which tests the
-columns g - 1 level by level, only those that passed the level before, and
-none once g = 1 alone is left.  lemma2 reads the columns 1 - g for every g
-in G with the same batched kernels, and the group's own power map
+with no Howell form; at e >= 2 off the ideal chain of each cyclic factor,
+which tests the columns g - 1 level by level, only those that passed the
+level before, and none once g = 1 alone is left, and for k >= 2 factors as
+the product of the factors' sets.  Both of lemma3's sets are listed from
+G's one coordinate table (``pgroup._coordinates``), its predicted set
+G^{p^a} kept as an index array per (G, a) (``_agemo_indices``).  lemma2
+reads the columns 1 - g for every g in G with the same batched kernels,
+and the group's own power map
 g -> g^{p^s} off its digit grid (shape ``group.radices``): on a factor
 C_{p^l} it sends the digit t p^{l-k} + c, k = min(s, l), to p^k c, so
 G^{p^s} is the sub-grid of every p^k-th digit (``_agemo``; lemma3's
@@ -115,6 +119,7 @@ from .pgroup import (
     DENSE_TABLE_CAP,
     GroupSpec,
     _blocks,
+    _coordinates,
     checked_int,
     checked_prime,
     count_pairs,
@@ -737,21 +742,22 @@ def _check_lemma5(units: Units, params, seed):
     )
 
 
+@functools.cache
+def _agemo_indices(group: GroupSpec, s: int) -> np.ndarray:
+    """The indices of G^{p^s} (``_agemo``), ascending and read-only."""
+    out = np.arange(group.order()).reshape(group.radices)[_agemo(group, s)].ravel()
+    out.flags.writeable = False
+    return out
+
+
 def _check_lemma3(units: Units, params, seed):
     rs, n = units.rs, params["n"]
     group = rs.group
-    observed = ideal_power_members(rs, n)
-
     a = theory.dimension_subgroup(group, rs.e, n)
-    agemo = np.zeros(group.radices, dtype=bool)
-    agemo[_agemo(group, a)] = True
-    predicted = np.flatnonzero(agemo)
-
-    def listed(indices):
-        out = np.empty((group.k, len(indices)), dtype=np.int64)
-        return radix_decode(indices, group.radices, out).T.tolist()
-
-    return {"elements": listed(predicted)}, {"elements": listed(observed)}
+    predicted = _agemo_indices(group, min(a, group.exponent_exp))  # G^{p^a} = {1} past it
+    observed = ideal_power_members(rs, n)
+    coords = _coordinates(group)  # one gather and tolist per side
+    return tuple({"elements": coords[:, side].T.tolist()} for side in (predicted, observed))
 
 
 def _lemma2_powers(units: Units, lo: int, hi: int) -> dict[int, np.ndarray]:

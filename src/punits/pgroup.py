@@ -22,8 +22,10 @@ censuses (a repeated exponent's counts added up), and
 
 ``radix_decode`` and ``radix_encode`` are the one index codec, for G's
 elements (by their coordinates) and V's units (by their coefficients in
-base p^e); G's dense tables are read through it, and G[p] is a sub-grid of
-G's digit grid (shape ``radices``), numbered in the codec's order.
+base p^e); G's dense tables are read through it, from one read-only
+coordinate table per group (``_coordinates``, which lemma3 lists its
+elements from too), and G[p] is a sub-grid of G's digit grid (shape
+``radices``), numbered in the codec's order.
 ``mod_in_place`` is the one reduction of int64 arrays mod q, and
 ``_blocks`` the one division of the working set of ``oracle``'s and
 ``zpelin``'s batched kernels (``_BLOCK_ENTRIES``) into column blocks.
@@ -369,12 +371,21 @@ def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
     return tuple(radix_decode(idx, spec.radices, [0] * spec.k))
 
 
+@lru_cache(maxsize=None)
+def _coordinates(spec: GroupSpec) -> np.ndarray:
+    """G's coordinate table, read-only: row j holds the j-th coordinate of
+    each element, in index order (k x |G|; ``radix_decode`` of 0 ... |G| - 1).
+    Refuses a G past the dense table cap before its radices are built."""
+    order = table_order(spec)
+    coords = radix_decode(np.arange(order), spec.radices, np.empty((spec.k, order), np.int64))
+    coords.flags.writeable = False
+    return coords
+
+
 def _coordinatewise(spec: GroupSpec, digits: Callable) -> np.ndarray:
     """The indices whose j-th digit rows are ``digits(c_j, p^lambda_j)``,
     with c_j the j-th coordinates of G's elements in index order."""
-    order = spec.order()
-    coords = radix_decode(np.arange(order), spec.radices, np.empty((spec.k, order), np.int64))
-    return radix_encode(map(digits, coords, spec.radices), spec.radices)
+    return radix_encode(map(digits, _coordinates(spec), spec.radices), spec.radices)
 
 
 def over_table_cap(spec: GroupSpec) -> bool:

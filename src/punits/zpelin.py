@@ -1,7 +1,8 @@
 """Canonical-form linear algebra over Z_{p^e}: Howell normal form, the
 chain of powers of the augmentation ideal w, the nilpotency index of w from
-each cyclic factor's content valuations, and at e = 1 the dimension
-subgroups read off w's monomial basis.
+each cyclic factor's content valuations, and the dimension subgroups: at
+e = 1 read off w's monomial basis, at e >= 2 from the cyclic factors'
+chains.
 
 Row spans over a residue ring with zero divisors need more than an
 echelon form: membership tests require that every span element whose
@@ -111,13 +112,30 @@ lead with 1 at g and are 0 off g and the last column, which no row leads:
 they are their own reduced block.  A chain is extended only up to the power
 asked for and kept for the life of the process.
 
-At e >= 2 the chain also keeps the sets S_n = {g in G : g - 1 in w^n}, the
-dimension subgroups lemma3 checks (``ideal_power_members``), as ascending
-index arrays.  S_0 = G, and as w^n = w w^{n-1} lies in w^{n-1}, S_n is the part
-of S_{n-1} whose columns g - 1 pass one ``contains`` block against H(w^n).
-Once S_n = {1} it answers every larger n, as g - 1 = 0 lies in every span,
-with no further test and no set per level: a call costs at most one block,
-on a shrinking set, per level up to the first n with S_n = {1}.
+At e >= 2 a cyclic group's chain also keeps the sets S_n = {g in G :
+g - 1 in w^n}, the dimension subgroups lemma3 checks
+(``ideal_power_members``), as ascending index arrays.  S_0 = G, and as
+w^n = w w^{n-1} lies in w^{n-1}, S_n is the part of S_{n-1} whose columns
+g - 1 pass one ``contains`` block against H(w^n).  Once S_n = {1} it answers
+every larger n, as g - 1 = 0 lies in every span, with no further test and
+no set per level: a call costs at most one block, on a shrinking set, per
+level up to the first n with S_n = {1}.
+
+A group with k >= 2 cyclic factors C_j = <a_j> needs no chain of its own
+for S_n: it is the product of the factors' sets S_n(C_j) = C_j ∩
+(1 + w_j^n), w_j the augmentation ideal of Z_{p^e}C_j (``_FactorProducts``).
+The projection G -> C_j induces a ring map Z_{p^e}G -> Z_{p^e}C_j that
+preserves augmentation and fixes Z_{p^e}C_j, a retraction: it maps w onto
+w_j, so w^n into w_j^n, and C_j ∩ (1 + w^n) lies in C_j ∩ (1 + w_j^n), while
+w_j^n lies in w^n for the converse.  S_n is a subgroup, as gh - 1 =
+(g - 1)(h - 1) + (g - 1) + (h - 1) and w^n is an ideal, and g lies in S_n iff
+each of its coordinate projections does: if g does, its image under the
+retraction onto C_j is g's projection, with g_j - 1 in w_j^n; if every
+g_j does, g = prod_j g_j is a product of members.  So each level is one
+product on G's digit grid of the factors' sets, read off the cyclic
+chains, which equal factors share, and kept per ring up to the first
+S_n = {1}: no Howell form wider than p^{lambda_1} columns is built.  This
+uses neither lemma3 nor Jennings' theorem on dimension subgroups.
 
 The nilpotency index nu, the least n with w^n = 0, needs no chain at any
 e (``nilpotency_index``).  As an ideal, w^n is generated by the monomials
@@ -154,9 +172,10 @@ whose least degree is at least n, g = 1 in every S_n (its least degree is
 set to nu); any n costs one comparison.  This uses neither lemma3 nor
 Jennings' theorem on dimension subgroups.
 
-The chain is still built for S_n at e >= 2 (lemma3, up to the first n with
-S_n = {1}), for ``ideal_power_form`` at every e (lemma5 and the public API
-read it), and as the tests' reference for nu and for S_n at e = 1.
+G's own chain is now built only for ``ideal_power_form`` at every e
+(lemma5 and the public API read it), for S_n of a cyclic G at e >= 2
+(lemma3, up to the first n with S_n = {1}; the factor products read these
+chains), and as the tests' reference for nu and for S_n at every e.
 ``oracle`` reads ``_jennings`` too, for lemma4.
 
 G's gather table and generators are read from ``pgroup``.  Matrices are
@@ -541,6 +560,32 @@ def _chain(rs: RingSpec) -> _IdealChain:
     return _IdealChain(rs)
 
 
+class _FactorProducts:
+    """S_0 = G, S_1, ... of a ring with k >= 2 cyclic factors, up to {1}:
+    each the product on G's digit grid of the factors' own sets, read off
+    the chains of Z_{p^e}C_{p^lambda_j} (shared by equal factors and by
+    rings with a factor in common)."""
+
+    def __init__(self, rs: RingSpec) -> None:
+        group = rs.group
+        self.members = [np.arange(table_order(group))]  # refuses a G past the cap first
+        self.radices = group.radices
+        self.factors = [_chain(RingSpec(GroupSpec(rs.p, (lam,)), rs.e)) for lam in group.lambdas]
+
+    def power_members(self, n: int) -> np.ndarray:
+        members = self.members
+        while len(members) <= n and members[-1].size > 1:
+            sets = [chain.power_members(len(members)) for chain in self.factors]
+            # Ascending: the last coordinate varies fastest, as in index order.
+            kept = radix_encode(np.meshgrid(*sets, indexing="ij", copy=False), self.radices).ravel()
+            kept.flags.writeable = False
+            members.append(kept)
+        return members[min(n, len(members) - 1)]
+
+
+_products = functools.cache(_FactorProducts)
+
+
 def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
     """x's columns, elements of F_pG with entries in (-p, p), in the basis
     of the monomials prod_j x_j^{i_j}, x_j = a_j - 1, 0 <= i_j < p^{lambda_j}
@@ -597,10 +642,12 @@ def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
 def ideal_power_members(rs: RingSpec, n: int) -> np.ndarray:
     """The ascending, read-only indices of the g in G with g - 1 in w^n.
     n must be an int >= 1 (see ``pgroup.checked_int``).  At e = 1 they are
-    read off G's least degrees (``_least_degrees``), with no ideal chain."""
+    read off G's least degrees (``_least_degrees``), with no ideal chain; at
+    e >= 2 off G's own chain when G is cyclic, else as the product of its
+    cyclic factors' sets (``_FactorProducts``)."""
     n = checked_int(n, "n", 1)
     if rs.e > 1:
-        return _chain(rs).power_members(n)
+        return (_chain(rs) if rs.group.k == 1 else _products(rs)).power_members(n)
     least = _least_degrees(rs.group)
     members = np.flatnonzero(least >= min(n, int(least[0])))  # least[0] = nu; S_n = {1} past it
     members.flags.writeable = False

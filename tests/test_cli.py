@@ -358,6 +358,25 @@ class TestDimsubCommand:
         )
         assert (code, out) == (0, "D_600 = G^1024\noracle agreement: pass\n")
 
+    def test_oracle_at_e2_on_ten_factors_stays_small(self):
+        # C_2^10 at e = 2 (|G| = 1024): lemma3 takes the product of the
+        # factors' sets, read off C_2's chain, and builds no Howell form
+        # 1024 columns wide (G's own chain peaked at 293 MB).  A fresh
+        # interpreter runs the command as its one child and reports that
+        # child's peak RSS (ru_maxrss, in KiB on Linux).
+        wrapper = (
+            "import json, resource, subprocess, sys\n"
+            "run = subprocess.run([sys.executable, '-m', 'punits', *sys.argv[1:]],"
+            " capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([run.returncode, run.stdout, peak]))\n"
+        )
+        argv = "dimsub --p 2 --lambda 1,1,1,1,1,1,1,1,1,1 --e 2 --n 3 --oracle"
+        proc = fresh_python("-c", wrapper, *argv.split())
+        code, out, peak_kib = json.loads(proc.stdout)
+        assert (code, out) == (0, "D_3 = G^8\noracle agreement: pass\n")
+        assert peak_kib < 100 << 10
+
     @pytest.mark.parametrize("e", ["20000", "1000000"])
     def test_answer_past_the_digit_limit_is_refused(self, capsys, e):
         # D_2 = G^(2^e), and 2^20000 has 6021 digits, past the default

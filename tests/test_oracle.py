@@ -345,12 +345,13 @@ class TestChecks:
         })
 
     @classmethod
-    def _form_edited(cls, monkeypatch, m, name, edit):
+    def _form_edited(cls, monkeypatch, m, name, edit, ring=None):
         # The ideal chain's Howell form of w^m, whose method name (contains
         # or coset_keys) has each answer changed in place by edit(vecs,
-        # answer).  The chains come from a fresh cache for the test, so no
-        # member set cached before it answers in place of the edited form,
-        # and none read off the edited form outlives it.
+        # answer): in the chain of ring alone, or of every ring if None.
+        # The chains and the factor products read off them come from fresh
+        # caches for the test, so no member set cached before it answers
+        # in place of the edited form, and none read off it outlives it.
         def form(H):
             def method(vecs):
                 answer = getattr(H, name)(vecs)
@@ -359,12 +360,14 @@ class TestChecks:
 
             return SimpleNamespace(size_exp=H.size_exp, **{name: method})
 
+        def edited(chain, n):
+            H = level(chain, n)
+            return form(H) if n == m and ring in (None, chain.rs) else H
+
         level = zpelin._IdealChain.level
-        monkeypatch.setattr(
-            zpelin._IdealChain, "level",
-            lambda chain, n: form(level(chain, n)) if n == m else level(chain, n),
-        )
+        monkeypatch.setattr(zpelin._IdealChain, "level", edited)
         monkeypatch.setattr(zpelin, "_chain", functools.cache(zpelin._IdealChain))
+        monkeypatch.setattr(zpelin, "_products", functools.cache(zpelin._FactorProducts))
 
     def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
         # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  The first call of w^2's keys is
@@ -401,6 +404,21 @@ class TestChecks:
         assert not report.passed
         assert report.predicted == {"elements": [[0], [4]]}
         assert report.observed == {"elements": [[0], [4], [7]]}
+
+    def test_lemma3_fails_on_a_flipped_factor_membership(self, monkeypatch):
+        # D_2(Z_4[C_8 x C_2]) is D_2(Z_4 C_8) x D_2(Z_4 C_2) = {1, a^4} x {1}.
+        # With C_8's chain reading a^7 - 1 as a member of w^2, the product
+        # of the factors' sets adds (7, 0).
+        rs = RingSpec(GroupSpec(2, (3, 1)), 2)
+
+        def flip_last(vecs, member):
+            member[-1] = ~member[-1]
+
+        self._form_edited(monkeypatch, 2, "contains", flip_last, RingSpec(GroupSpec(2, (3,)), 2))
+        report = verify_check("lemma3", rs, {"n": 2})
+        assert not report.passed
+        assert report.predicted == {"elements": [[0, 0], [4, 0]]}
+        assert report.observed == {"elements": [[0, 0], [4, 0], [7, 0]]}
 
     def test_lemma3_fails_at_e1_on_a_raised_degree(self, monkeypatch):
         # D_2(F_2 C_8) = G^2.  g - 1 = x has least degree 1; read as 2, g - 1

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from punits.pgroup import (
     GroupSpec,
+    _coordinates,
     agemo_order_exp,
     cyclic_factor_count,
     element,
@@ -29,6 +30,7 @@ from punits.pgroup import (
 )
 
 from .helpers import (
+    alarm,
     iterated_element_order,
     power_indices,
     reference_gather_table,
@@ -262,6 +264,26 @@ class TestIndexCodec:
         ]
         assert socle_indices(group).tolist() == [i for i, _ in socle]
         assert socle_elements(group) == [g for _, g in socle]
+
+    def test_coordinates_are_the_decoded_indices(self):
+        # Every group with |G| <= 64: one read-only row per coordinate, the
+        # codec's decoding of 0 ... |G| - 1, in enumeration order.
+        groups = [g for g in small_specs(6, [p for p in range(2, 64) if is_prime(p)])
+                  if g.p ** g.size_exp <= 64]
+        for group in groups:
+            order = group.order()
+            coords = _coordinates(group)
+            decoded = radix_decode(np.arange(order), group.radices, np.empty((group.k, order), int))
+            assert np.array_equal(coords, decoded)
+            assert coords.T.tolist() == list(map(list, enumerate_elements(group)))
+            assert not coords.flags.writeable
+
+    @pytest.mark.parametrize("group", [GroupSpec(3, (2 ** 32,)), GroupSpec(2, (11,))],
+                             ids=GroupSpec.to_text)
+    def test_coordinates_refuse_groups_past_the_cap_at_once(self, group):
+        # Decided from |G|'s exponent, before the radices are built.
+        with alarm(5), pytest.raises(ValueError, match="dense table cap"):
+            _coordinates(group)
 
     def test_tables_refuse_groups_past_the_cap(self):
         for table in (gather_table, product_index_table):

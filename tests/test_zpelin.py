@@ -664,6 +664,35 @@ class TestMembershipTraffic:
         assert sweep() == [[8], [8], [2]] + [[]] * (nu - 3)
         assert sweep() == [[]] * nu
 
+    @pytest.mark.parametrize("rs", [
+        RingSpec(GroupSpec(2, (2, 1)), 2), RingSpec(GroupSpec(3, (1, 1, 1)), 2),
+    ], ids=RingSpec.to_text)
+    def test_lemma3_at_e2_builds_chains_only_on_cyclic_rings(self, rs, monkeypatch):
+        # With k >= 2 factors, G ∩ (1 + w^n) is the product of the factors'
+        # sets: lemma3 builds one chain per distinct factor and none of G,
+        # and no Howell form wider than the largest factor, at any n.
+        built, widths = [], []
+        init, howell = zpelin._IdealChain.__init__, zpelin._howell
+
+        def recorded(chain, ring):
+            built.append(ring)
+            init(chain, ring)
+
+        def measured(A, p, e):
+            widths.append(A.shape[1])
+            return howell(A, p, e)
+
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", recorded)
+        monkeypatch.setattr(zpelin, "_howell", measured)
+        zpelin._chain.cache_clear()
+        zpelin._products.cache_clear()
+        nu = nilpotency_index(rs)
+        for n in [*range(1, nu + 2), 10 ** 12]:
+            assert verify_check("lemma3", rs, {"n": n}).passed
+        factors = dict.fromkeys(rs.group.lambdas)
+        assert built == [RingSpec(GroupSpec(rs.p, (lam,)), rs.e) for lam in factors]
+        assert widths and max(widths) <= rs.group.radices[0]
+
     def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
         rs = RingSpec(GroupSpec(5, (1,)), 2)
         zpelin._chain.cache_clear()
@@ -800,17 +829,31 @@ class TestIdealPowers:
             (lambda rs: ideal_power_form(rs, 1), 2),
             (nilpotency_index, 1),
             (lambda rs: ideal_power_members(rs, 1), 1),
+            (lambda rs: ideal_power_members(rs, 1), 2),
+            (lambda rs: ideal_power_members(rs, 1), 3),
         ],
         ids=[
             "nilpotency_index", "ideal_power_form", "nilpotency_index-e1", "ideal_power_members-e1",
+            "ideal_power_members-e2", "ideal_power_members-e3",
         ],
     )
     def test_huge_group_is_refused_at_once(self, call, e):
         # |G| = 3^(2^32): the table cap is tested before G's radices are
         # built: by nilpotency_index itself at every e (and for the least
-        # degrees at e = 1), and by the chain for ideal_power_form.
+        # degrees at e = 1), and by the chain for ideal_power_form and for
+        # the members of a cyclic G at e >= 2.
         with alarm(5), pytest.raises(ValueError, match="dense table cap"):
             call(RingSpec(GroupSpec(3, (2 ** 32,)), e))
+
+    @pytest.mark.parametrize("group", [GroupSpec(3, (2 ** 32, 1)), GroupSpec(2, (1,) * 11)],
+                             ids=GroupSpec.to_text)
+    def test_factor_products_past_the_cap_are_refused_at_once(self, group, monkeypatch):
+        # The members of a non-cyclic G past the cap are refused before any
+        # factor's chain is built, also when every factor is small.
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
+        zpelin._products.cache_clear()
+        with alarm(5), pytest.raises(ValueError, match="dense table cap"):
+            ideal_power_members(RingSpec(group, 2), 1)
 
 
 class TestIdealChain:

@@ -59,6 +59,21 @@ object.  The oracle computes one instance at a time; ``cli.run_suite``
 may run instances side by side, in separate processes, each of which
 keeps one power map alive at a time.
 
+A block's temporaries are about 512 KiB each, and glibc trims its heap top
+back to the kernel once the free top passes its trim threshold, by default
+twice the largest chunk freed so far.  Left so, it trims after every block,
+and the next block faults the same pages in again: the pass of a cold
+default suite takes about 11,700 minor faults so, and about 1,400 with
+the settings below.  The first ``Units`` of a process calls ``mallopt`` once
+(``_keep_freed_blocks``): the mmap threshold is set to 32 MiB, glibc's own
+ceiling for its dynamic threshold on 64-bit, and the trim threshold to
+64 MiB, twice that, the ratio its dynamic rule keeps.  Arrays up to 32 MiB
+then come from the heap, and up to 64 MiB of freed heap stays mapped for
+the life of the process.  Both are set because any ``mallopt`` call turns
+the dynamic threshold off: the trim threshold alone leaves every array past
+the 128 KiB default to mmap, faulted in afresh each time (about 24,000
+faults a suite).  Where the C library has no ``mallopt``, nothing is set.
+
 lemma4 runs at e = 1, where F_pG is the truncated polynomial ring in
 x_j = a_j - 1 (Jennings): ``zpelin._jennings`` writes each u - 1 of V[p] in
 its monomial basis, on G's digit grid refined to base-p digits, and u - 1
@@ -94,7 +109,8 @@ that holds it.  Each d draws
 its candidates y with its own derived seed, and the candidates of the
 chunk are stacked in ascending d.  Each column block of the stack is then
 done in one step: the least valuation s of each y, read off by
-divisibility tests, its predicted order, and its unit 1 + p^d y, powered
+divisibility tests (at p = 2 off the lowest set bit of the OR of its
+coefficients), its predicted order, and its unit 1 + p^d y, powered
 up to its bound p^{e-d}.  Only the draw, |G| x 1000 candidates, lies
 outside the working set.  The first d of each chunk carries that chunk's
 wall time.  Every unit is compared with its predicted order: at p = 2,
@@ -105,6 +121,7 @@ and y^2 is formed for the block's d = 1 columns alone.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import time
@@ -155,6 +172,23 @@ SEED_MAX = (1 << 32) - 1
 # representative, and on the fallback path every unit is one), so no budget
 # admits |V| >= 2^31.
 _INDEX_CAP = 1 << 31
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Set glibc's mmap and trim thresholds, once per process, so that the
+    block kernels' arrays come from the heap and a freed heap top stays
+    mapped for the next block (see the module docstring).  Where the C
+    library has no ``mallopt`` (not glibc) nothing is set."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) off POSIX
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's ceiling for its dynamic threshold
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, as its dynamic rule keeps
 
 
 class BudgetExceededError(RuntimeError):
@@ -359,6 +393,9 @@ class Units:
     rs: RingSpec
     budget: int = DEFAULT_BUDGET
     _lemma9: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _keep_freed_blocks()
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -810,11 +847,12 @@ def _lemma9_candidates(rs: RingSpec, seed: int) -> np.ndarray:
         return radix_decode(np.arange(1, q ** n, dtype=np.int64), (q,) * n, ys)
     rng = np.random.default_rng(seed)
     ys = rng.integers(0, q, size=(_LEMMA9_SAMPLES, n), dtype=np.int64)
-    while True:
-        zero = ~ys.any(axis=1)
-        if not zero.any():
+    while True:  # a zero row is redrawn; only rows with a zero first entry can be one
+        rows = np.flatnonzero(ys[:, 0] == 0)
+        zero = rows[~ys[rows].any(axis=1)]
+        if not len(zero):
             return ys.T
-        ys[zero] = rng.integers(0, q, size=(int(zero.sum()), n), dtype=np.int64)
+        ys[zero] = rng.integers(0, q, size=(len(zero), n), dtype=np.int64)
 
 
 def _lemma9_chunks(rs: RingSpec, ds) -> list[list[int]]:
@@ -883,9 +921,16 @@ def _lemma9_pass(units: Units, seeds: dict[int, int]) -> dict[int, Lemma9Units]:
 
 def _min_valuations(ys: np.ndarray, p: int, e: int) -> np.ndarray:
     """Per column, the least p-adic valuation of its coefficients in
-    [0, p^e), a zero coefficient counting as e: the number of t = 1 ... e
-    with p^t dividing every coefficient.  Only the columns p^{t-1} divides
+    [0, p^e), a zero coefficient counting as e.  At p = 2 it is the
+    position of the lowest set bit of the OR of the column's coefficients
+    (e for a zero column).  At odd p it is the number of t = 1 ... e with
+    p^t dividing every coefficient, and only the columns p^{t-1} divides
     are tested against p^t."""
+    if p == 2:
+        bits = np.bitwise_or.reduce(ys, axis=0)
+        s = np.frexp(bits & -bits)[1].astype(np.int64) - 1  # frexp(2^s) = (0.5, s + 1)
+        s[bits == 0] = e
+        return s
     s = np.zeros(ys.shape[1], dtype=np.int64)
     cols = np.arange(ys.shape[1])
     for t in range(1, e + 1):
@@ -1003,8 +1048,8 @@ def _lookup(check: str) -> Check:
 def _format_check_id(check: str, params: Optional[dict]) -> str:
     if not params:
         return check
-    inner = ",".join(f"{k}={params[k]}" for k in sorted(params))
-    return f"{check}:{inner}"
+    ((k, v),) = params.items()  # a check takes at most one parameter
+    return f"{check}:{k}={v}"
 
 
 def _derive_seed(seed: int, check: str, rs: RingSpec, params: dict) -> int:

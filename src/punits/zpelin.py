@@ -663,10 +663,12 @@ def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
     return ideal_power_form(rs, n).matrix()
 
 
-def _staircase(p: int, lam: int, e: int) -> list[int]:
+@functools.cache
+def _staircase(p: int, lam: int, e: int) -> tuple[int, ...]:
     """M(t) for t = 0 ... e - 1: the largest m at which the content
     valuation of (a - 1)^m in Z_{p^e}C_{p^lam} (the least valuation of its
-    coefficients, capped at e) is at most t.
+    coefficients, capped at e) is at most t.  Kept per (p, lam, e), so equal
+    factors, and rings with a factor in common, share one.
 
     It is 0 below m = p^lam, as (a - 1)^m then has coefficient 1 at a^m, and
     never falls as m grows, since multiplying by a - 1 cannot lower the
@@ -689,7 +691,7 @@ def _staircase(p: int, lam: int, e: int) -> list[int]:
         stairs += [m - 1] * (t - len(stairs))
         x = mod_in_place(np.roll(x, 1) - x, q)
         m += 1
-    return stairs
+    return tuple(stairs)
 
 
 def nilpotency_index(rs: RingSpec) -> int:

@@ -54,8 +54,10 @@ for that d's own candidates, the exceptional ones among them, also at
 q = 2^31 and 7^11, where the product is reduced every two rows, against
 the scalar ``unit_order`` as well; on every
 exceptional unit 1 + 2y of Z_8C_4, Z_8C_2^2 and Z_16C_2 that closed form
-must be the scalar order; and the divisibility valuation must be the
-per-coefficient minimum.
+must be the scalar order; the divisibility valuation must be the
+per-coefficient minimum, and at p = 2, read off the lowest set bit, the
+divisibility loop's count; and lemma9's candidates, whose zero rows are
+found from their first entry, must be the draw a whole-row test makes.
 """
 
 import contextlib
@@ -900,3 +902,33 @@ def test_min_valuations_match_per_coefficient_minimum(p, e, data):
     ys = np.array([p ** v * c % q for v, c in entries], dtype=np.int64).reshape(n, width)
     expect = [min(p_valuation(c, p) if c else e for c in col) for col in ys.T.tolist()]
     assert _min_valuations(ys, p, e).tolist() == expect
+
+
+@given(st.integers(1, 31), st.data())
+def test_min_valuations_at_2_match_the_divisibility_loop(e, data):
+    # The lowest set bit of each column's OR against the count of t = 1 ...
+    # e with 2^t dividing every coefficient.  Column j's entries are
+    # 2^{v_j} c mod 2^e, so v_j = e gives a zero column and v_j >= 1 an
+    # all-even one.
+    q = 2 ** e
+    n, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    shifts = data.draw(st.lists(st.integers(0, e), min_size=width, max_size=width))
+    cs = data.draw(st.lists(st.integers(0, q - 1), min_size=n * width, max_size=n * width))
+    ys = (np.array(cs, dtype=np.int64).reshape(n, width) << np.array(shifts)) % q
+    loop = sum((ys % 2 ** t == 0).all(axis=0).astype(np.int64) for t in range(1, e + 1))
+    assert _min_valuations(ys, 2, e).tolist() == loop.tolist()
+
+
+def test_lemma9_candidates_redraw_the_zero_rows_of_a_whole_row_test():
+    # On Z_16 C_2 about 4 of 1000 drawn rows are zero and redrawn: testing
+    # whole only the rows with a zero first entry must redraw exactly those
+    # rows, so the stream and the draw stay the same.
+    rs, redrawn = RingSpec(GroupSpec(2, (1,)), 4), 0
+    for seed in range(21):
+        rng = np.random.default_rng(seed)
+        ys = rng.integers(0, 16, size=(oracle._LEMMA9_SAMPLES, 2), dtype=np.int64)
+        while (zero := ~ys.any(axis=1)).any():
+            redrawn += int(zero.sum())
+            ys[zero] = rng.integers(0, 16, size=(int(zero.sum()), 2), dtype=np.int64)
+        assert np.array_equal(_lemma9_candidates(rs, seed), ys.T)
+    assert redrawn > 0

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import itertools
 import os
@@ -905,6 +906,69 @@ class TestWorkingSet:
         draw = units.rs.size * oracle._LEMMA9_SAMPLES * 8
         allocated = self.transient(lambda: oracle._lemma9_pass(units, {1: 1}))
         assert allocated <= draw + 8 * budget * 8
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestFreedBlocks:
+    """The first Units of a process sets glibc's mmap and trim thresholds
+    once (``oracle._keep_freed_blocks``), so that the block kernels' freed
+    arrays stay mapped for the next block; where there is no mallopt,
+    nothing is set and nothing is raised."""
+
+    @pytest.fixture
+    def unset(self):
+        # The helper as if no Units had been made; afterwards the real
+        # settings are made again.
+        oracle._keep_freed_blocks.cache_clear()
+        yield
+        oracle._keep_freed_blocks.cache_clear()
+        oracle._keep_freed_blocks()
+
+    def test_mallopt_runs_once_per_process(self, unset, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(oracle.ctypes, "CDLL", lambda name: libc)
+        assert verify_check("theorem2", Z4C2).passed
+        assert verify_check("lemma9", Units(Z9C3), {"d": 1}).passed
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @staticmethod
+    def _no_library(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("cdll", [_no_library, lambda name: object()], ids=["oserror", "no-mallopt"])
+    def test_units_work_without_mallopt(self, unset, monkeypatch, cdll):
+        monkeypatch.setattr(oracle.ctypes, "CDLL", cdll)
+        assert verify_check("theorem2", Z4C2).passed
+        assert verify_check("theorem1", Units(Z9C3)).passed
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_block_kernels_fault_few_pages(self):
+        # A fresh process's theorem1, theorem2 and lemma9 at every d on
+        # Z_{2^20} C_2: about 4,000 minor faults when glibc trims the heap
+        # after every block, about 1,300 when the freed blocks stay mapped.
+        code = """
+            import resource
+            from punits import oracle
+            from punits.pgroup import GroupSpec
+            from punits.ring import RingSpec
+
+            units = oracle.Units(RingSpec(GroupSpec(2, (1,)), 20))
+            checks = [("theorem1", None), ("theorem2", None)]
+            checks += [("lemma9", {"d": d}) for d in range(1, 20)]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert all(oracle.verify_check(c, units, params).passed for c, params in checks)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        proc = fresh_python("-c", textwrap.dedent(code))
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert int(proc.stdout) < 2000
 
 
 class TestPlanner:

@@ -970,7 +970,7 @@ class TestNilpotencyIndex:
                 break
             e = min(8, 31 // p.bit_length())  # p^e <= 2^31
             steps = [p ** lam - 1 + t * (p - 1) * p ** (lam - 1) for t in range(e)]
-            assert zpelin._staircase(p, lam, e) == steps
+            assert zpelin._staircase(p, lam, e) == tuple(steps)
 
 
 class TestSocleIdeal:

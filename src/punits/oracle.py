@@ -75,21 +75,25 @@ the 128 KiB default to mmap, faulted in afresh each time (about 24,000
 faults a suite).  Where the C library has no ``mallopt``, nothing is set.
 
 lemma4 runs at e = 1, where F_pG is the truncated polynomial ring in
-x_j = a_j - 1 (Jennings): ``zpelin._jennings`` writes each u - 1 of V[p] in
-its monomial basis, on G's digit grid refined to base-p digits, and u - 1
-lies in I(G[p]) iff it vanishes on the box where every exponent i_j is
-below p^{lambda_j - 1} (``_outside_socle_ideal``).  lemma4 predicts |V[p]|
-as p to ``theory.p_rank_vzp``, |G| - |G^p|.
+x_j = a_j - 1 (Jennings): ``zpelin._monomials`` writes each u - 1 of V[p]
+in its monomial basis, on G's digit grid refined to base-p digits, and
+u - 1 lies in I(G[p]) iff it vanishes on the box where every exponent i_j
+is below p^{lambda_j - 1} (``_outside_socle_ideal``).  lemma4 predicts
+|V[p]| as p to ``theory.p_rank_vzp``, |G| - |G^p|.
+
+lemma5 reads the same basis at every e (``zpelin._remainder``): w^m is
+the vectors whose part of degree < m lies in one Howell block R_m, so it
+predicts |w^m| as p^{e #{deg >= m}} |R_m|, and keys the coset of each
+u - 1 mod w^m by the residue of that part mod R_m (``_layer_sizes``).  No
+check builds the ideal chain.
 
 The formula checks (lemma2, lemma3, lemma9) enumerate no units.  lemma3
-reads its observed set G ∩ (1 + w^n) from ``zpelin.ideal_power_members``:
-at e = 1 off the least degree of each g - 1 in the same monomial basis,
-with no Howell form; at e >= 2 off the ideal chain of each cyclic factor,
-which tests the columns g - 1 level by level, only those that passed the
-level before, and none once g = 1 alone is left, and for k >= 2 factors as
-the product of the factors' sets.  Both of lemma3's sets are listed from
-G's one coordinate table (``pgroup._coordinates``), its predicted set
-G^{p^a} kept as an index array per (G, a) (``_agemo_indices``).  lemma2
+reads its observed set G ∩ (1 + w^n) from ``zpelin.ideal_power_members``,
+one comparison with G's depths, the largest n with g - 1 in w^n, read
+once per ring off the same monomial basis at every e.  Both of lemma3's
+sets are listed from G's one coordinate table (``pgroup._coordinates``),
+its predicted set G^{p^a} kept as an index array per (G, a)
+(``_agemo_indices``).  lemma2
 reads the columns 1 - g for every g in G with the same batched kernels,
 and the group's own power map
 g -> g^{p^s} off its digit grid (shape ``group.radices``): on a factor
@@ -151,9 +155,9 @@ from .pgroup import (
 )
 from .ring import RingElement, RingSpec, _order_exp_bound, _rows_per_reduction
 from .zpelin import (
-    _jennings,
+    _monomials,
+    _remainder,
     howell_form,  # noqa: F401  re-exported; perfbench's tracer self-test wraps this binding
-    ideal_power_form,
     ideal_power_members,
     nilpotency_index,
 )
@@ -690,10 +694,10 @@ def _outside_socle_ideal(x: np.ndarray, group: GroupSpec) -> np.ndarray:
     has the basis h_j = a_j^{p^{lambda_j - 1}}, and in characteristic p
     h_j - 1 = x_j^{p^{lambda_j - 1}}, so I(G[p]) is spanned by the monomials
     with some i_j >= p^{lambda_j - 1}: a column lies in it iff its transform
-    (``_jennings``) vanishes on the box where every i_j's leading digit is
-    0."""
+    (``zpelin._monomials``) vanishes on the box where every i_j's leading
+    digit is 0."""
     split = [n for l in group.lambdas for n in (group.p, group.p ** (l - 1))]
-    box = _jennings(x, group).reshape(*split, x.shape[1])[(0, slice(None)) * group.k]
+    box = _monomials(x, group, group.p).reshape(*split, x.shape[1])[(0, slice(None)) * group.k]
     return box.reshape(-1, x.shape[1]).any(axis=0)
 
 
@@ -710,39 +714,42 @@ def _check_lemma4(units: Units, params, seed):
 
 
 def _layer_sizes(rs: RingSpec, forms) -> list[int]:
-    """|1 + w^m| for the Howell forms of w^m in ``forms``, counted by
-    meeting in the middle.
+    """|1 + w^m| for the forms (R_m, mask, size) of w^m in ``forms``
+    (``zpelin._remainder``), counted by meeting in the middle.
 
     With A = p^{floor(e(|G|-1)/2)}, every unit index is i = lo + A hi with
     lo < A.  A is a power of p, so lo and A hi share no base-p digit and no
     carry passes between them: the first |G| - 1 coefficients of u_i are
     those of u_lo plus those of u_{A hi}, and with the last ones, forced by
     augmentation 1, u_i - 1 = (u_lo - g_last) + (u_{A hi} - 1).  So u_i - 1
-    lies in w^m iff u_lo - g_last and 1 - u_{A hi} lie in one coset of w^m,
-    iff their canonical residues, read as keys, are equal
-    (``HowellArray.coset_keys``; |V| < 2^31 and q <= 2^31 keep q^{|G|} below
-    2^62).  |1 + w^m| is the number of pairs (lo, hi) with equal keys: the A
-    keys of the lo side are sorted, and each key of the hi side counts its
-    run among them.  Both sides are decoded block by block (``_blocks``),
-    A + |V| / A <= (p + 1) sqrt(|V| / p) units in all, and only the lo
-    side's keys are kept.
+    lies in w^m iff u_lo - g_last and 1 - u_{A hi} lie in one coset of w^m.
+    In the monomial basis (``zpelin._monomials``, one transform of each
+    block) w^m is the vectors whose part of degree < m (the mask) lies in
+    R_m, so that holds iff those parts' canonical residues mod R_m, read as
+    keys, are equal (``HowellArray.coset_keys``; |V| < 2^31 and q <= 2^31
+    keep q^{|G|} below 2^62).  |1 + w^m| is the number of pairs (lo, hi)
+    with equal keys: the A keys of the lo side are sorted, and each key of
+    the hi side counts its run among them.  Both sides are decoded block by
+    block (``_blocks``), A + |V| / A <= (p + 1) sqrt(|V| / p) units in all,
+    and only the lo side's keys are kept.
     """
     split = rs.p ** (theory.v_order_exp(rs.group, rs.e) // 2)
     lows = [np.empty(split, dtype=np.int64) for _ in forms]
     for lo, hi in _blocks(split, rs.size):
         vecs = _units_at(rs, np.arange(lo, hi, dtype=np.int64))
         vecs[-1] -= 1  # u_lo - g_last
-        for keys, H in zip(lows, forms):
-            keys[lo:hi] = H.coset_keys(vecs)
+        vecs = _monomials(vecs, rs.group, rs.modulus)
+        for keys, (R, low, _) in zip(lows, forms):
+            keys[lo:hi] = R.coset_keys(vecs[low])
     for keys in lows:
         keys.sort()
     totals = [0] * len(forms)
     for lo, hi in _blocks(unit_count(rs) // split, rs.size):
-        vecs = _units_at(rs, split * np.arange(lo, hi, dtype=np.int64))
-        vecs *= -1
-        vecs[0] += 1  # 1 - u_{A hi}
-        for m, (keys, H) in enumerate(zip(lows, forms)):
-            key = H.coset_keys(vecs)
+        # 1 - u_{A hi}
+        vecs = _identity(rs)[:, None] - _units_at(rs, split * np.arange(lo, hi, dtype=np.int64))
+        vecs = _monomials(vecs, rs.group, rs.modulus)
+        for m, (keys, (R, low, _)) in enumerate(zip(lows, forms)):
+            key = R.coset_keys(vecs[low])
             runs = np.searchsorted(keys, key, "right") - np.searchsorted(keys, key, "left")
             totals[m] += int(runs.sum())
     return totals
@@ -750,33 +757,21 @@ def _layer_sizes(rs: RingSpec, forms) -> list[int]:
 
 def _check_lemma5(units: Units, params, seed):
     rs = units.rs
-    p = rs.p
     _require_budget(rs, units.budget)
-
-    nu = nilpotency_index(rs)
-    forms = [ideal_power_form(rs, m) for m in range(1, nu + 1)]  # w^nu = 0
-    size_exps = [H.size_exp for H in forms]
+    forms = [_remainder(rs, m) for m in range(1, nilpotency_index(rs) + 1)]  # w^nu = 0
+    sizes = [size for _, _, size in forms]
     totals = _layer_sizes(rs, forms)
 
     def ratio_exp(a: int, b: int) -> int:
-        if b == 0 or a % b:
-            return -1
-        try:
-            return _exact_p_log(a // b, p)
-        except ValueError:
-            return -1
+        r = a // b if b and not a % b else 0
+        t = p_valuation(r, rs.p) if r else -1
+        return t if r == rs.p ** t else -1
 
-    # |w^m| / |w^{m+1}| from Howell sizes, m = 1..nu (sizes 0 past nu).
-    predicted_ratios = [
-        size_exps[m - 1] - (size_exps[m] if m < nu else 0) for m in range(1, nu + 1)
-    ]
+    # |w^m| / |w^{m+1}| from the sizes of w^m, m = 1 ... nu (0 past nu).
+    predicted = [a - b for a, b in zip(sizes, sizes[1:] + [0])]
     # |1 + w^m| / |1 + w^{m+1}| from unit counting; w^{nu+1} = w^{nu} = 0.
-    counted = totals + [totals[-1]]
-    observed_ratios = [ratio_exp(counted[m - 1], counted[m]) for m in range(1, nu + 1)]
-    return (
-        {"layer_ratio_exps": predicted_ratios},
-        {"layer_ratio_exps": observed_ratios},
-    )
+    observed = [ratio_exp(a, b) for a, b in zip(totals, totals[1:] + totals[-1:])]
+    return {"layer_ratio_exps": predicted}, {"layer_ratio_exps": observed}
 
 
 @functools.cache

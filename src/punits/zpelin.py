@@ -1,8 +1,8 @@
-"""Canonical-form linear algebra over Z_{p^e}: Howell normal form, the
-chain of powers of the augmentation ideal w, the nilpotency index of w from
-each cyclic factor's content valuations, and the dimension subgroups: at
-e = 1 read off w's monomial basis, at e >= 2 from the cyclic factors'
-chains.
+"""Canonical-form linear algebra over Z_{p^e}: Howell normal form; the
+monomial basis of Z_{p^e}G, in which every power of the augmentation ideal
+w is the monomials of high degree plus one Howell block; the nilpotency
+index of w and the dimension subgroups read off it; and the chain of
+powers of w in the basis of G's elements.
 
 Row spans over a residue ring with zero divisors need more than an
 echelon form: membership tests require that every span element whose
@@ -83,100 +83,88 @@ exact in float64, and the chunks are int64 products of
 ``ring._rows_per_reduction(q)`` columns, the bound of ``oracle``'s batched
 product (q + k(q-1)^2 <= 2^63 - 1; k >= 2, and 2 at 7^11).
 
-The powers of w form one chain per ring.  H(w) is the Howell form of the
-rows g - g_last (g in G, g_last the last element in index order), and with
-a_1, ..., a_k the canonical generators of G
+The monomial basis.  With a_1, ..., a_k the canonical generators of G, of
+orders p^{lambda_j}, and x_j = a_j - 1, the monomials x^i = prod_j
+x_j^{i_j}, 0 <= i_j < p^{lambda_j}, are a Z_q-basis of Z_qG, q = p^e, at
+every e (Jennings at e = 1): g = prod_j (1 + x_j)^{c_j} has coefficient
+prod_j binom(c_j, i_j) at x^i, and the matrix binom(c, i), c, i <
+p^lambda, is 1 on its diagonal and 0 below it, so it has an inverse over
+Z.  ``_monomials`` applies it mod q along each axis of G's digit grid
+(at q = p along the grid refined to base-p digits, by Lucas's theorem) and
+puts the coefficient of x^i at coordinates i, so a monomial's degree
+sum_j i_j is the sum of its coordinates (``_degrees``).  lemma4 reads it
+at q = p, and lemma5 at every e.  The column of g itself is the tensor
+product of the Pascal columns c_j (``_pascal``), which the dimension
+subgroups read with no product.
 
-    H(w^{n+1}) = Howell{(a_j^{-1} - 1) h : h a row of H(w^n), j = 1..k}.
+In that basis every power w^n has one shape.  As an ideal, w is generated
+by the x_j (xy - 1 = x(y - 1) + (x - 1)), so w^n is generated by the
+monomials of degree n, and as a Z_q-module it is spanned by the x^i of
+degree >= n with any i_j >= 0, as every group element is a polynomial in
+the x_j.  Those with every i_j < p^{lambda_j} are the basis vectors of
+degree >= n.  The others are written in the basis through (1 +
+x_j)^{p^{lambda_j}} = 1, a tensor product of each factor's row x_j^{i_j}
+(``_powers``, one table per (p, lambda_j, e), m = 0 ... the last m with
+x_j^m != 0), and their parts of degree < n span one block R_n (Howell
+1986; ``_remainder``).  So w^n is the vectors whose part of degree < n
+lies in R_n, and |w^n| = p^{e #{deg >= n}} |R_n|.  R_n is listed from the
+cyclic factors alone and formed on the coordinates of degree < n only: a
+product is 0 once its factors' content valuations sum to e, and 0 below
+degree n once their least degrees sum to n.  At e = 1, x_j^{p^{lambda_j}}
+= a_j^{p^{lambda_j}} - 1 = 0, so R_n = 0 and w^n is the span of the
+monomials of degree >= n.
 
-These rows span w^{n+1}.  As an ideal, w is generated by the a_j - 1
-(xy - 1 = x(y - 1) + (x - 1)); w^n is an ideal, so w^{n+1} = sum_j
-(a_j - 1) w^n; and (a_j^{-1} - 1) w^n = (a_j - 1) (-a_j^{-1} w^n) =
-(a_j - 1) w^n, as -a_j^{-1} is a unit and w^n an ideal.  Multiplication by
-a fixed element is module-linear, so the products (a_j^{-1} - 1) h span
-that.  Multiplying by a group element permutes coefficients, so each
-translate h a_j^{-1} is one column gather (the inverse permutation of a_j's
-row of the gather table).  Since the Howell form is canonical, each level
-equals the Howell form of any other spanning set of w^n.
-
-The inverses are chosen for the echelon block.  h a_j^{-1} moves each
-coefficient of h one step down in coordinate j, so where h leads with 1 at
-the column of an element g whose coordinate j is not 0, h a_j^{-1} - h
-leads with 1 at the column of g a_j^{-1}, which comes before g's in index
-order, where h is still 0 (with a_j, h a_j - h would lead at g's column,
-like h itself).  A level's rows therefore arrive with unit
-leads, and on every chain measured (all levels of the ``ideals`` rings and
-of rings up to |G| = 1024) each row of their U has at most one entry off
-the diagonal; at e = 1 the whole level is one block.  The rows g - g_last
-lead with 1 at g and are 0 off g and the last column, which no row leads:
-they are their own reduced block.  A chain is extended only up to the power
-asked for and kept for the life of the process.
-
-At e >= 2 a cyclic group's chain also keeps the sets S_n = {g in G :
-g - 1 in w^n}, the dimension subgroups lemma3 checks
-(``ideal_power_members``), as ascending index arrays.  S_0 = G, and as
-w^n = w w^{n-1} lies in w^{n-1}, S_n is the part of S_{n-1} whose columns
-g - 1 pass one ``contains`` block against H(w^n).  Once S_n = {1} it answers
-every larger n, as g - 1 = 0 lies in every span, with no further test and
-no set per level: a call costs at most one block, on a shrinking set, per
-level up to the first n with S_n = {1}.
-
-A group with k >= 2 cyclic factors C_j = <a_j> needs no chain of its own
-for S_n: it is the product of the factors' sets S_n(C_j) = C_j ∩
-(1 + w_j^n), w_j the augmentation ideal of Z_{p^e}C_j (``_FactorProducts``).
-The projection G -> C_j induces a ring map Z_{p^e}G -> Z_{p^e}C_j that
-preserves augmentation and fixes Z_{p^e}C_j, a retraction: it maps w onto
-w_j, so w^n into w_j^n, and C_j ∩ (1 + w^n) lies in C_j ∩ (1 + w_j^n), while
-w_j^n lies in w^n for the converse.  S_n is a subgroup, as gh - 1 =
-(g - 1)(h - 1) + (g - 1) + (h - 1) and w^n is an ideal, and g lies in S_n iff
-each of its coordinate projections does: if g does, its image under the
-retraction onto C_j is g's projection, with g_j - 1 in w_j^n; if every
-g_j does, g = prod_j g_j is a product of members.  So each level is one
-product on G's digit grid of the factors' sets, read off the cyclic
-chains, which equal factors share, and kept per ring up to the first
-S_n = {1}: no Howell form wider than p^{lambda_1} columns is built.  This
-uses neither lemma3 nor Jennings' theorem on dimension subgroups.
-
-The nilpotency index nu, the least n with w^n = 0, needs no chain at any
-e (``nilpotency_index``).  As an ideal, w^n is generated by the monomials
-x^i = prod_j x_j^{i_j}, x_j = a_j - 1, of degree sum_j i_j = n (any
-i_j >= 0), the fact the chain's recursion rests on; so nu - 1 is the largest
-degree of a nonzero monomial.  Z_{p^e}G is the tensor product over Z_{p^e}
-of the Z_{p^e}C_{p^{lambda_j}}, each free on its group elements, and x^i is
-the tensor product of the x_j^{i_j}.  The content valuation of an element
-(the least p-valuation of its coefficients) is additive on such products:
+The nilpotency index nu, the least n with w^n = 0, needs only the factors'
+content valuations (``nilpotency_index``): nu - 1 is the largest degree of
+a nonzero monomial.  Z_qG is the tensor product over Z_q of the
+Z_qC_{p^{lambda_j}}, each free on its group elements, and x^i is the
+tensor product of the x_j^{i_j}.  The content valuation of an element (the
+least p-valuation of its coefficients, the same in any basis that a matrix
+with an inverse over Z carries to another) is additive on such products:
 the product of coefficients where each factor attains its least valuation
-has exactly the sum, and none has less.  So x^i = 0 iff sum_j c_j(i_j) >= e,
-with c_j(m) the content valuation of x_j^m in Z_{p^e}C_{p^{lambda_j}},
-capped at e.  c_j is 0 below p^{lambda_j} and never falls, so each factor is
-a staircase M_j(t), the largest m with c_j(m) <= t (``_staircase``, one
-cyclic shift per step from x_j^{p^{lambda_j}}), and nu - 1 is the largest
-sum_j M_j(t_j) with sum_j t_j <= e - 1, a max-plus fold over the factors.
-At e = 1 that is sum_j (p^{lambda_j} - 1).  This uses neither lemma3 nor a
-closed form for nu.
+has exactly the sum, and none has less.  So x^i = 0 iff sum_j c_j(i_j) >=
+e, with c_j(m) the content valuation of x_j^m, capped at e.  c_j is 0
+below p^{lambda_j} and never falls, so each factor is a staircase M_j(t),
+the largest m with c_j(m) <= t (``_staircase``, one step of a walk along
+x_j^m in the monomial basis per m, from x_j^{p^{lambda_j} - 1}), and nu - 1
+is the largest sum_j M_j(t_j) with sum_j t_j <= e - 1, a max-plus fold
+over the factors.  At e = 1 that is sum_j (p^{lambda_j} - 1).
 
-At e = 1 S_n does not need the chain either.  There
-(a_j - 1)^{p^{lambda_j}} = a_j^{p^{lambda_j}} - 1 = 0, so F_pG is
-the truncated polynomial ring in x_j = a_j - 1 (Jennings), and the
-monomials x^i, 0 <= i_j < p^{lambda_j}, are a basis.  w^n is
-spanned by the monomials of degree >= n, and g - 1 lies in w^n iff its
-coefficients vanish at every degree below n.  ``_jennings`` writes a
-column in that basis, on G's digit grid refined to base-p digits (by
-Lucas's theorem the Pascal matrix mod p along each digit axis), and puts
-the coefficient of x^i at coordinates i of G's digit grid, so a
-monomial's degree is the sum of its coordinates (``_degrees``).  One pass
-over the columns g - 1, in ``pgroup._blocks``-sized blocks, gives each g
-the least degree at which g - 1 is nonzero (``_least_degrees``, |G| ints
-kept per group for the life of the process).  Then S_n is the set of g
-whose least degree is at least n, g = 1 in every S_n (its least degree is
-set to nu); any n costs one comparison.  This uses neither lemma3 nor
-Jennings' theorem on dimension subgroups.
+The dimension subgroups S_n = {g in G : g - 1 in w^n}, which lemma3 checks
+(``ideal_power_members``), are read off one table per ring, G's depths
+(``_depths``): for each g, the largest n with g - 1 in w^n, and nu for
+the identity.  As w^{n+1} lies in w^n, g lies in S_n iff n is at most its
+depth, so any n costs one comparison.  The columns g - 1 are written in
+the monomial basis in ``pgroup._blocks``-sized blocks.  g - 1 lies in w^d
+for d its least
+degree, as its part of degree < d is 0, and at e = 1 in no higher power.
+At e >= 2 the g of a block are then tested against R_{d + 1}, R_{d + 2},
+..., each test on the g that passed the one before, so every g is tested
+once per level it reaches.  No Howell form |G| wide is built, cyclic G or
+not.  This uses neither lemma3 nor Jennings' theorem on dimension
+subgroups.
 
-G's own chain is now built only for ``ideal_power_form`` at every e
-(lemma5 and the public API read it), for S_n of a cyclic G at e >= 2
-(lemma3, up to the first n with S_n = {1}; the factor products read these
-chains), and as the tests' reference for nu and for S_n at every e.
-``oracle`` reads ``_jennings`` too, for lemma4.
+The ideal chain.  ``ideal_power_form`` and ``ideal_power_generators``
+give H(w^n) in the basis of G's elements, from one chain per ring
+(``_IdealChain``).  H(w) is the Howell form of the rows g - g_last (g in
+G, g_last the last element in index order), and
+
+    H(w^{n+1}) = Howell{(a_j^{-1} - 1) h : h a row of H(w^n), j = 1..k},
+
+as w^{n+1} = sum_j (a_j - 1) w^n and (a_j^{-1} - 1) w^n = (a_j - 1)
+(-a_j^{-1} w^n) = (a_j - 1) w^n.  Each translate h a_j^{-1} moves h's
+coefficients one step down G's digit grid on axis j (one ``np.roll``).
+The inverses are chosen for the echelon block: where h leads with 1 at an
+element g whose coordinate j is not 0, h a_j^{-1} - h leads with 1 at g
+a_j^{-1}, which comes before g in index order, where h is still 0.  A
+level's rows therefore arrive with unit leads, and on every chain measured
+each row of their U has at most one entry off the diagonal; at e = 1 the
+whole level is one block.  A chain is extended only up to the power asked
+for, and up to its first zero level, and kept for the life of the process.
+No check builds it: mapping R_n back to the group basis with one Howell
+form was measured slower where the chain is fast, at small n (C_1024 at
+e = 2, n = 3: 2.72 s against 0.07 s), and the chain stays for this public
+use and as the tests' reference.
 
 G's gather table and generators are read from ``pgroup``.  Matrices are
 int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
@@ -185,6 +173,8 @@ int64 arrays of residues; ``ResidueMatrix`` is only the public edge type.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,13 +184,13 @@ from .pgroup import (
     _blocks,
     checked_int,
     checked_prime,
-    gather_table,
     mod_in_place,
     radix_encode,
     residues,
     table_order,
 )
 from .ring import RingSpec, _float_terms, _rows_per_reduction, checked_modulus_exp, p_valuation
+
 
 @dataclass(frozen=True)
 class ResidueMatrix:
@@ -308,7 +298,8 @@ def _reduced(vecs, rows, pivots, unit, q: int) -> np.ndarray:
 
 def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     """A X mod q, as int64, for integer A with entries in [0, q) and X in
-    (-q, q).
+    (-q, q); X may be a stack of matrices, its second-last axis the inner
+    one, as numpy's ``@`` reads it.
 
     The product runs in float64, chunk by chunk of k = ``ring._float_terms(q)``
     columns of A: each chunk is exact, a sum of k products of magnitude at
@@ -326,7 +317,7 @@ def _product_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
         # converted.  Held until then, those of a working-set block of units
         # made glibc trim its heap and refault it on every call (about 1600
         # minor faults a call; twice the time of the int64 product).
-        a, x = A[:, lo : lo + k], X[lo : lo + k]
+        a, x = A[:, lo : lo + k], X[..., lo : lo + k, :]
         product = a.astype(dtype, copy=False) @ x.astype(dtype, copy=False)
         return product.astype(np.int64, copy=False)
 
@@ -509,50 +500,26 @@ def module_size_exp(M: ResidueMatrix) -> int:
 
 
 class _IdealChain:
-    """H(w), H(w^2), ... of one ring, extended on demand."""
+    """H(w), H(w^2), ... of one ring in the basis of G's elements, extended
+    on demand up to the first zero level."""
 
     def __init__(self, rs: RingSpec) -> None:
-        group, q = rs.group, rs.modulus
+        table_order(rs.group)  # refuses a G past the table cap before its radices
         self.rs = rs
-        table = gather_table(group)  # refuses a G past the table cap before its radices
-        # Column j of the identity matrix is the coordinates of a_j.
-        gens = radix_encode(np.eye(group.k, dtype=np.int64), group.radices)
-        # x a_j^{-1} is x[shifts[j]]: the inverse of a_j's gather.
-        self.shifts = np.argsort(table[gens], axis=1)
         first = np.eye(rs.size, dtype=np.int64)[:-1]
-        first[:, -1] = q - 1
-        self.levels = [_howell(first, rs.p, rs.e)]  # the nonzero powers
-        self.zero = _howell(first[:0], rs.p, rs.e)
-        self.complete = False
-        self.members = [np.arange(rs.size)]  # S_0 = G, S_1, ..., up to {1}
+        first[:, -1] = rs.modulus - 1
+        self.levels = [_howell(first, rs.p, rs.e)]
 
     def level(self, n: int) -> HowellArray:
         rs = self.rs
-        while len(self.levels) < n and not self.complete:
-            h = self.levels[-1].rows
-            # Block j holds the rows h a_j^{-1} - h.
-            translates = np.empty((len(self.shifts),) + h.shape, dtype=np.int64)
-            np.subtract(h[:, self.shifts].transpose(1, 0, 2), h, out=translates, dtype=np.int64)
+        while len(self.levels) < n and self.levels[-1].size_exp:
+            h = self.levels[-1].rows.astype(np.int64).reshape(-1, *rs.group.radices)
+            # Block j holds the rows h a_j^{-1} - h: h a_j^{-1} has h's
+            # coefficient of g a_j at g, one step up G's digit grid on axis j.
+            translates = np.concatenate([np.roll(h, -1, axis) - h for axis in range(1, h.ndim)])
             translates = mod_in_place(translates.reshape(-1, rs.size), rs.modulus)
-            H = _howell(translates, rs.p, rs.e)
-            if H.size_exp:
-                self.levels.append(H)
-            else:
-                self.complete = True
-        return self.levels[n - 1] if n <= len(self.levels) else self.zero
-
-    def power_members(self, n: int) -> np.ndarray:
-        members = self.members
-        while len(members) <= n and members[-1].size > 1:
-            s = members[-1]
-            # Column j is g_{s_j} - 1; the identity is g_0.
-            vecs = np.zeros((self.rs.size, s.size), dtype=np.int64)
-            vecs[s, np.arange(s.size)] = 1
-            vecs[0] -= 1
-            kept = s[self.level(len(members)).contains(vecs)]
-            kept.flags.writeable = False
-            members.append(kept)
-        return members[min(n, len(members) - 1)]
+            self.levels.append(_howell(translates, rs.p, rs.e))
+        return self.levels[min(n, len(self.levels)) - 1]
 
 
 @functools.cache
@@ -560,96 +527,195 @@ def _chain(rs: RingSpec) -> _IdealChain:
     return _IdealChain(rs)
 
 
-class _FactorProducts:
-    """S_0 = G, S_1, ... of a ring with k >= 2 cyclic factors, up to {1}:
-    each the product on G's digit grid of the factors' own sets, read off
-    the chains of Z_{p^e}C_{p^lambda_j} (shared by equal factors and by
-    rings with a factor in common)."""
-
-    def __init__(self, rs: RingSpec) -> None:
-        group = rs.group
-        self.members = [np.arange(table_order(group))]  # refuses a G past the cap first
-        self.radices = group.radices
-        self.factors = [_chain(RingSpec(GroupSpec(rs.p, (lam,)), rs.e)) for lam in group.lambdas]
-
-    def power_members(self, n: int) -> np.ndarray:
-        members = self.members
-        while len(members) <= n and members[-1].size > 1:
-            sets = [chain.power_members(len(members)) for chain in self.factors]
-            # Ascending: the last coordinate varies fastest, as in index order.
-            kept = radix_encode(np.meshgrid(*sets, indexing="ij", copy=False), self.radices).ravel()
-            kept.flags.writeable = False
-            members.append(kept)
-        return members[min(n, len(members) - 1)]
-
-
-_products = functools.cache(_FactorProducts)
-
-
-def _jennings(x: np.ndarray, group: GroupSpec) -> np.ndarray:
-    """x's columns, elements of F_pG with entries in (-p, p), in the basis
-    of the monomials prod_j x_j^{i_j}, x_j = a_j - 1, 0 <= i_j < p^{lambda_j}
-    (Jennings), on G's digit grid; x's entries may be overwritten.
-    g = prod_j (1 + x_j)^{c_j} has coefficient prod_j binom(c_j, i_j) at
-    x^i, and by Lucas's theorem binom(c, i) is the product of the binomials
-    of the base-p digits, so the p x p Pascal matrix binom(c, i) mod p is
-    applied along each axis of the grid refined to base-p digits, shape
-    (p,) * sum(lambda), as p - 1 passes of suffix sums (the Taylor shift
-    f(y) -> f(1 + x) by Horner's rule).  Each pass is reduced mod p, so no
-    entry reaches p^2."""
-    p = group.p
-    grid = x.reshape(*(p,) * sum(group.lambdas), x.shape[1])
-    for digit in (np.moveaxis(grid, axis, 0) for axis in range(grid.ndim - 1)):
-        for k in range(p - 1):
-            for c in range(p - 2, k - 1, -1):
-                digit[c] += digit[c + 1]
-            mod_in_place(grid, p)
-    return grid.reshape(x.shape)
-
-
-def _degrees(group: GroupSpec) -> np.ndarray:
-    """The degree sum_j i_j of each monomial x^i where ``_jennings`` puts its
-    coefficient, at coordinates i of G's digit grid (shape
-    ``group.radices``), in index order."""
-    return functools.reduce(np.add.outer, map(np.arange, group.radices)).ravel()
+def _monomials(x: np.ndarray, group: GroupSpec, q: int) -> np.ndarray:
+    """x's columns, elements of Z_qG (q a power of p) with entries in
+    (-q, q), in the monomial basis x^i = prod_j x_j^{i_j}, x_j = a_j - 1,
+    0 <= i_j < p^{lambda_j}: the coefficient of x^i at coordinates i of G's
+    digit grid, in index order, reduced mod q.  g = prod_j (1 + x_j)^{c_j}
+    has coefficient prod_j binom(c_j, i_j) at x^i, so the Pascal matrix
+    binom(c, i) mod q is applied along each axis of the grid.  At q = p the
+    grid is refined to base-p digits, shape (p,) * sum(lambda), as by
+    Lucas's theorem binom(c, i) mod p is the product of the binomials of
+    the digits.  An axis of p entries takes p - 1 passes of suffix sums
+    (the Taylor shift f(y) -> f(1 + x) by Horner's rule), each reduced mod
+    q, so no entry reaches p q; a longer one the matrix (``_pascal``,
+    upper triangular), one ``_product_mod`` per block of its rows
+    (``pgroup._blocks``)."""
+    axes = (group.p,) * sum(group.lambdas) if q == group.p else group.radices
+    for axis, size in enumerate(axes):
+        grid = x.reshape(math.prod(axes[:axis]), size, -1)
+        if size == group.p:  # p - 1 passes of suffix sums: Horner's rule for f(1 + x)
+            for k in range(size - 1):
+                for c in range(size - 2, k - 1, -1):
+                    grid[:, c] += grid[:, c + 1]
+                mod_in_place(grid, q)
+        else:  # in place: each block of rows reads only the rows at or past its own
+            for lo, hi in _blocks(size, size):
+                grid[:, lo:hi] = _product_mod(_pascal(size, q)[lo:hi, lo:], grid[:, lo:], q)
+        x = grid.reshape(x.shape)
+    return x
 
 
 @functools.cache
-def _least_degrees(group: GroupSpec) -> np.ndarray:
-    """For each g in G, in index order, the least degree of a monomial at
-    which g - 1 in F_pG has a nonzero coefficient (``_jennings``), read-only:
-    g - 1 lies in w^n iff n is at most that degree.  The identity, g - 1 = 0,
-    gets nu, the least n with w^n = 0 (``nilpotency_index``, which refuses a
-    G past the dense table cap before its radices are built)."""
-    nu = nilpotency_index(RingSpec(group, 1))
-    degree = _degrees(group)
-    size = len(degree)
-    least = np.empty(size, dtype=np.int64)
-    for lo, hi in _blocks(size, size):
-        cols = np.eye(size, hi - lo, -lo, dtype=np.int64)
-        cols[0] -= 1  # column j is g_{lo+j} - 1; the identity is g_0
-        least[lo:hi] = np.where(_jennings(cols, group) != 0, degree[:, None], nu).min(axis=0)
-    least.flags.writeable = False
-    return least
+def _pascal(size: int, q: int) -> np.ndarray:
+    """binom(c, i) mod q at row i, column c, for i, c < size, read-only with
+    dtype ``np.min_scalar_type(q - 1)``: binom(c, i) is the sum of
+    binom(c', i - 1) over c' < c."""
+    out = np.zeros((size, size), dtype=np.min_scalar_type(q - 1))
+    out[0] = 1
+    for i in range(1, size):
+        out[i, 1:] = np.cumsum(out[i - 1, :-1], dtype=np.int64) % q
+    out.flags.writeable = False
+    return out
+
+
+def _degrees(group: GroupSpec) -> np.ndarray:
+    """The degree sum_j i_j of each monomial x^i (``_monomials``), at
+    coordinates i of G's digit grid (shape ``group.radices``), in index
+    order."""
+    return functools.reduce(np.add.outer, map(np.arange, group.radices)).ravel()
+
+
+def _power_walk(p: int, lam: int, e: int):
+    """x^m for m = p^lam - 1, p^lam, ..., x = a - 1 in Z_{p^e}C_{p^lam}, in
+    the monomial basis x^i, i < p^lam, as int64 vectors without end.  As
+    (1 + x)^{p^lam} = 1, x^{p^lam} = -sum_{0 < i < p^lam} binom(p^lam, i) x^i.
+    Multiplying by x moves each coefficient up one (``np.roll``) and adds
+    the one that leaves the top times that sum, ``fold``, whose entry -1 at
+    x^0 cancels the coefficient the roll carries round."""
+    q, size = p ** e, p ** lam
+    binoms = itertools.accumulate(range(size - 1), lambda b, i: b * (size - i) // (i + 1), initial=1)
+    fold = np.array([-b % q for b in binoms], dtype=np.int64)  # -binom(size, i), i < size
+    x = np.eye(1, size, size - 1, dtype=np.int64)[0]
+    while True:
+        yield x
+        x = mod_in_place(np.roll(x, 1) + x[-1] * fold, q)
+
+
+@functools.cache
+def _staircase(p: int, lam: int, e: int) -> tuple[int, ...]:
+    """M(t) for t = 0 ... e - 1: the largest m at which the content
+    valuation of x^m, x = a - 1 in Z_{p^e}C_{p^lam} (the least valuation of
+    its coefficients, capped at e), is at most t.  Kept per (p, lam, e), so
+    equal factors, and rings with a factor in common, share one.
+
+    The content is the same in the group basis and in the monomial one, as
+    a matrix over Z with an inverse over Z carries one to the other.  It is
+    0 below m = p^lam, where x^m is a basis vector, and never falls as m
+    grows, since multiplying by x cannot lower it.  So the walk starts at
+    x^{p^lam - 1} (``_power_walk``) and goes until the content reaches e,
+    holding one vector of p^lam entries; ``_powers`` keeps the rows where
+    they are needed."""
+    stairs = []
+    for m, x in enumerate(_power_walk(p, lam, e), p ** lam - 1):
+        content = p_valuation(int(np.gcd.reduce(x)) or p ** e, p)
+        stairs += [m - 1] * (content - len(stairs))
+        if len(stairs) == e:
+            return tuple(stairs)
+
+
+@functools.cache
+def _powers(p: int, lam: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of x^m, x = a - 1 in Z_{p^e}C_{p^lam}, for m = 0 ... M, the
+    last m with x^m != 0 (``_staircase``), in the monomial basis: row m,
+    read-only with dtype ``np.min_scalar_type(p^e - 1)``.  With it each
+    row's least degree (its first nonzero coordinate; m below p^lam) and
+    content valuation, the number of t with M(t) < m."""
+    stairs, size = _staircase(p, lam, e), p ** lam
+    table = np.eye(stairs[-1] + 1, size, dtype=np.min_scalar_type(p ** e - 1))
+    for row, x in zip(table[size - 1 :], _power_walk(p, lam, e)):
+        row[:] = x
+    least = (table != 0).argmax(axis=1)
+    content = np.searchsorted(stairs, np.arange(len(table)))
+    for a in (table, least, content):
+        a.flags.writeable = False
+    return table, least, content
+
+
+@functools.cache
+def _remainder(rs: RingSpec, n: int) -> tuple[HowellArray, np.ndarray, int]:
+    """R_n, the Howell form of w^n's part on the monomials of degree below
+    n; the mask of those coordinates (``_degrees``, in index order); and t
+    with |w^n| = p^t.
+
+    w^n is the Z_q-span of the monomials x^i of degree >= n, any i_j >= 0,
+    and each is the tensor product of its factors' rows x_j^{i_j} of
+    ``_powers``.  Those with every i_j below p^{lambda_j} are the basis
+    vectors of degree >= n; the others make R_n.  So w^n is the vectors
+    whose part of degree < n lies in R_n, and t = e #{deg >= n} +
+    ``size_exp`` of R_n.  A product is 0 once its factors' contents sum to
+    e, as content valuations add, and 0 below degree n once their least
+    degrees sum to n, so only the exponents short of both are listed,
+    factor by factor, and each product is formed on the coordinates of
+    degree < n alone."""
+    factors = [_powers(rs.p, lam, rs.e) for lam in rs.group.lambdas]
+    exps = np.zeros((1, 0), dtype=np.intp)
+    least = content = degree = np.zeros(1, dtype=np.int64)
+    for _, fleast, fcontent in factors:
+        s, m = np.nonzero((least[:, None] + fleast < n) & (content[:, None] + fcontent < rs.e))
+        exps = np.column_stack([exps[s], m])
+        least, content, degree = least[s] + fleast[m], content[s] + fcontent[m], degree[s] + m
+    exps = exps[degree >= n]
+    rows, degree = np.ones((len(exps), 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for (table, _, _), column in zip(factors, exps.T):
+        degree = np.add.outer(degree, np.arange(table.shape[1])).ravel()
+        rows = (rows[:, :, None] * table[column][:, None, :]).reshape(len(rows), len(degree))
+        rows, degree = mod_in_place(rows[:, degree < n], rs.modulus), degree[degree < n]
+    R, low = _howell(rows, rs.p, rs.e), _degrees(rs.group) < n
+    return R, low, rs.e * int(np.count_nonzero(~low)) + R.size_exp
+
+
+@functools.cache
+def _depths(rs: RingSpec) -> np.ndarray:
+    """For each g in G, in index order, the largest n with g - 1 in w^n,
+    read-only; the identity, g - 1 = 0, gets nu (``nilpotency_index``,
+    which refuses a G past the dense table cap before its radices are
+    built).  The columns g - 1 are written in the monomial basis in
+    ``pgroup._blocks``-sized blocks: g = prod_j (1 + x_j)^{c_j} is the
+    tensor product of the Pascal columns c_j (``_pascal``), along the same
+    axes as ``_monomials``.  g - 1 lies in w^d for d its least
+    degree, the first degree at which its transform is nonzero, and at
+    e = 1, where every x_j^m with m >= p^{lambda_j} is 0 and so R_n = 0, in
+    no higher power.  At e >= 2 the g of a block with the least open depth
+    d are tested against R_{d + 1} on their coordinates of degree <= d; the
+    g that pass move up one and the others are done, until none is left.
+    As w^{n+1} lies in w^n, g lies in w^n up to its depth and in no power
+    past it."""
+    nu, q = nilpotency_index(rs), rs.modulus
+    degree = _degrees(rs.group)
+    depth = np.empty_like(degree)
+    axes = (rs.p,) * sum(rs.group.lambdas) if q == rs.p else rs.group.radices  # as _monomials
+    for lo, hi in _blocks(rs.size, rs.size):
+        y = np.ones((1, hi - lo), dtype=np.int64)
+        for size, c in zip(axes, np.unravel_index(np.arange(lo, hi), axes)):
+            y = mod_in_place((y[:, None] * _pascal(size, q)[:, c]).reshape(-1, hi - lo), q)
+        y[0] -= 1  # column j is g_{lo+j} - 1; the identity is g_0
+        d = depth[lo:hi]
+        d[:] = np.where(y != 0, degree[:, None], nu).min(axis=0)
+        n = 1  # the g below depth n - 1 are done; the identity's nu is no depth to test
+        while rs.e > 1 and (rest := d[(d >= n) & (d < nu)]).size:
+            n = int(rest.min()) + 1
+            at = np.flatnonzero(d == n - 1)
+            d[at[_remainder(rs, n)[0].contains(y[degree < n][:, at])]] = n
+    depth.flags.writeable = False
+    return depth
 
 
 def ideal_power_form(rs: RingSpec, n: int) -> HowellArray:
-    """The Howell form of w^n as arrays; it has no rows once n reaches the
-    nilpotency index.  n must be an int >= 1 (see ``pgroup.checked_int``)."""
+    """The Howell form of w^n as arrays, in the basis of G's elements, from
+    the ring's ideal chain; it has no rows once n reaches the nilpotency
+    index.  n must be an int >= 1 (see ``pgroup.checked_int``)."""
     return _chain(rs).level(checked_int(n, "n", 1))
 
 
 def ideal_power_members(rs: RingSpec, n: int) -> np.ndarray:
-    """The ascending, read-only indices of the g in G with g - 1 in w^n.
-    n must be an int >= 1 (see ``pgroup.checked_int``).  At e = 1 they are
-    read off G's least degrees (``_least_degrees``), with no ideal chain; at
-    e >= 2 off G's own chain when G is cyclic, else as the product of its
-    cyclic factors' sets (``_FactorProducts``)."""
+    """The ascending, read-only indices of the g in G with g - 1 in w^n,
+    read off G's depths (``_depths``) by one comparison, at every e and
+    with no ideal chain.  n must be an int >= 1 (see
+    ``pgroup.checked_int``)."""
     n = checked_int(n, "n", 1)
-    if rs.e > 1:
-        return (_chain(rs) if rs.group.k == 1 else _products(rs)).power_members(n)
-    least = _least_degrees(rs.group)
-    members = np.flatnonzero(least >= min(n, int(least[0])))  # least[0] = nu; S_n = {1} past it
+    depth = _depths(rs)
+    members = np.flatnonzero(depth >= min(n, int(depth[0])))  # depth[0] = nu; S_n = {1} past it
     members.flags.writeable = False
     return members
 
@@ -661,37 +727,6 @@ def ideal_power_generators(rs: RingSpec, n: int) -> ResidueMatrix:
     there are none for n at or past the nilpotency index.
     """
     return ideal_power_form(rs, n).matrix()
-
-
-@functools.cache
-def _staircase(p: int, lam: int, e: int) -> tuple[int, ...]:
-    """M(t) for t = 0 ... e - 1: the largest m at which the content
-    valuation of (a - 1)^m in Z_{p^e}C_{p^lam} (the least valuation of its
-    coefficients, capped at e) is at most t.  Kept per (p, lam, e), so equal
-    factors, and rings with a factor in common, share one.
-
-    It is 0 below m = p^lam, as (a - 1)^m then has coefficient 1 at a^m, and
-    never falls as m grows, since multiplying by a - 1 cannot lower the
-    content.  So the walk starts at (a - 1)^{p^lam}, whose coefficient at a^i
-    is binom(p^lam, i) (-1)^{p^lam - i}, with the one at i = p^lam folded onto
-    a^0 (a running product in Python ints), and multiplies by a - 1 (one
-    cyclic shift less the vector itself) until the content reaches e."""
-    q, size = p ** e, p ** lam
-    coeffs, b = [], 1
-    for i in range(size):  # b = binom(size, i)
-        coeffs.append((-b if (size - i) % 2 else b) % q)
-        b = b * (size - i) // (i + 1)
-    coeffs[0] = (coeffs[0] + 1) % q  # a^size = a^0, with coefficient 1
-    x = np.array(coeffs, dtype=np.int64)
-    stairs, m = [], size
-    while len(stairs) < e:
-        t = len(stairs)  # the content of x is at least t
-        while t < e and not (x % p ** (t + 1)).any():
-            t += 1
-        stairs += [m - 1] * (t - len(stairs))
-        x = mod_in_place(np.roll(x, 1) - x, q)
-        m += 1
-    return tuple(stairs)
 
 
 def nilpotency_index(rs: RingSpec) -> int:

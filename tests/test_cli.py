@@ -315,8 +315,8 @@ class TestDimsubCommand:
         assert (code, out) == (0, "D_9 = G^16\noracle agreement: pass\n")
 
     def test_oracle_at_a_huge_n_reads_no_level_past_d_n_trivial(self, capsys):
-        # At e = 1 any n is one comparison with G's least degrees, and no
-        # chain level is built; a step per level up to n would not end.
+        # At e = 1 any n is one comparison with G's depths, and no chain
+        # level is built; a step per level up to n would not end.
         zpelin._chain.cache_clear()
         with alarm(5):
             rs = RingSpec(GroupSpec(2, (2,)), 1)
@@ -329,10 +329,16 @@ class TestDimsubCommand:
         assert out.endswith("oracle agreement: pass\n")
         assert zpelin._chain.cache_info().currsize == 0
 
-    def test_oracle_at_a_huge_n_at_e2_stops_the_chain_at_d_n_trivial(self, capsys):
-        # At e = 2, D_n = {1} from n = 2 on (nu = 6), so lemma3 tests levels
-        # 1 and 2 only, whatever n is.
-        zpelin._chain.cache_clear()
+    def test_oracle_at_a_huge_n_at_e2_stops_the_walk_at_d_n_trivial(self, capsys, monkeypatch):
+        # At e = 2, D_n = {1} from n = 2 on (nu = 6): every g != 1 has depth
+        # 1, so G's depths take one test against R_2 alone, whatever n is,
+        # and no chain is built.
+        def refused(*args):
+            raise AssertionError("an ideal chain was built")
+
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", refused)
+        zpelin._depths.cache_clear()
+        zpelin._remainder.cache_clear()
         rs = RingSpec(GroupSpec(2, (2,)), 2)
         with alarm(5):
             assert oracle.verify_check("lemma3", rs, {"n": 10 ** 12}).passed
@@ -342,26 +348,51 @@ class TestDimsubCommand:
             )
         assert code == 0
         assert out.endswith("oracle agreement: pass\n")
-        assert len(zpelin._chain(rs).levels) == 2
+        assert zpelin._depths(rs).tolist() == [6, 1, 1, 1]
+        assert zpelin._remainder.cache_info().currsize == 1
 
     def test_oracle_at_e1_builds_no_ideal_chain(self, capsys, monkeypatch):
-        # |G| = 1024 at n = 600: at e = 1 lemma3 reads G's least degrees,
-        # and a chain built on the way would fail the run.
+        # |G| = 1024 at n = 600: at e = 1 lemma3 reads G's depths, the
+        # least degrees, and builds no R_n; a chain built on the way would
+        # fail the run.
         def refused(*args):
             raise AssertionError("an ideal chain was built at e = 1")
 
-        zpelin._chain.cache_clear()
+        zpelin._depths.cache_clear()
+        zpelin._remainder.cache_clear()
         monkeypatch.setattr(zpelin._IdealChain, "__init__", refused)
         code, out, _ = run(
             capsys, "dimsub", "--p", "2", "--lambda", "10", "--e", "1", "--n", "600",
             "--oracle",
         )
         assert (code, out) == (0, "D_600 = G^1024\noracle agreement: pass\n")
+        assert zpelin._remainder.cache_info().currsize == 0
+
+    def test_default_suite_and_the_ideals_rings_build_no_chain(self, capsys, monkeypatch):
+        # No check builds an ideal chain: the default suite, in process,
+        # keeps its bytes with _IdealChain.__init__ raising, and so do
+        # nu and lemma3 at every n up to it on the ten rings of perfbench's
+        # ideals workload.
+        def refused(*args):
+            raise AssertionError("an ideal chain was built")
+
+        zpelin._chain.cache_clear()
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", refused)
+        code, out, _ = run(capsys, "suite")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256
+        for p, lams, e in [
+            (2, (3, 3), 1), (2, (6,), 1), (2, (2, 2, 2), 1), (2, (1,) * 6, 1), (2, (4, 2), 2),
+            (2, (2, 1, 1), 3), (3, (2, 2), 1), (3, (4,), 1), (3, (1, 1, 1), 2), (7, (2,), 1),
+        ]:
+            rs = RingSpec(GroupSpec(p, lams), e)
+            for n in range(1, zpelin.nilpotency_index(rs) + 1):
+                assert oracle.verify_check("lemma3", rs, {"n": n}).passed
 
     def test_oracle_at_e2_on_ten_factors_stays_small(self):
-        # C_2^10 at e = 2 (|G| = 1024): lemma3 takes the product of the
-        # factors' sets, read off C_2's chain, and builds no Howell form
-        # 1024 columns wide (G's own chain peaked at 293 MB).  A fresh
+        # C_2^10 at e = 2 (|G| = 1024): lemma3 reads G's depths, whose
+        # columns are transformed in blocks, and builds no Howell form 1024
+        # columns wide (G's own chain peaked at 293 MB).  A fresh
         # interpreter runs the command as its one child and reports that
         # child's peak RSS (ru_maxrss, in KiB on Linux).
         wrapper = (

@@ -27,18 +27,20 @@ read V[p] off the power map: their counts must equal scalar ones from
 ``unit_order``, theorem1's also with an element of G[p] dropped and
 lemma4's also when fed every element of Z_p G, so that they are nonzero,
 for any block size and worker count, and no V[p] block may outlive its
-check.  lemma4's transform to the monomial basis in x_j = a_j - 1 must
-give the binomials ``math.comb`` gives, on every group with |G| <= 64, its
-box test must be membership in the Howell form of the translates of every
-h - 1, h in G[p], and the monomials outside the box must number
-|G| - |G^p|.  On the same groups at e = 1, the g with g - 1 in w^n, read
-off the least degrees in that basis, must be those of a fresh ideal
-chain's walk for every n up to nu + 2 in a random order and at n = 10^12,
-and nu one more than the chain's nonzero levels.  On every group with
-|G| <= 64 and p <= 7, at each e <= 4, nu from the cyclic factors' content
-valuations must be one more than the nonzero levels of the chain run to
-completion, and at e = 1 it must be the identity's least degree and 1 +
-the largest degree on G's digit grid.  The formula checks:
+check.  The transform to the monomial basis in x_j = a_j - 1 must give
+the binomials ``math.comb`` gives mod p, p^2 and p^3, on every group with
+|G| <= 64; lemma4's box test must be membership in the Howell form of the
+translates of every h - 1, h in G[p], and the monomials outside the box
+must number |G| - |G^p|.  On the same groups at e = 1, 2 and 3, the g
+with g - 1 in w^n, read off G's depths in that basis, must be those whose
+g - 1 a fresh ideal chain's form of w^n contains, for every n up to
+nu + 2 in a random order and at n = 10^12, and the remainder block R_n
+must lie on the coordinates of degree < n and give |w^n| = p^{e #{deg >=
+n}} |R_n|, the size of the chain's form.  On every group with |G| <= 64
+and p <= 7, at each e <= 4, nu from the cyclic factors' content
+valuations must be the chain's number of levels up to its first zero
+one, and it must be the identity's depth, at e = 1 also 1 + the largest
+degree on G's digit grid.  The formula checks:
 lemma2's batched columns must be the scalar powers (1 - g)^{p^k} and its
 counts those of the scalar case-by-case reference, and on every group with
 |G| <= 64 a block of its columns must be that slice of all of them, and
@@ -123,7 +125,13 @@ from punits.ring import (
     unit_order,
 )
 from punits.theory import p_rank_vzp
-from punits.zpelin import _jennings, howell_array, ideal_power_members, nilpotency_index
+from punits.zpelin import (
+    _degrees,
+    _monomials,
+    howell_array,
+    ideal_power_members,
+    nilpotency_index,
+)
 
 from .helpers import (
     iterated_gather_census,
@@ -541,14 +549,14 @@ def test_lemma4_counts_match_scalar_reference(rs, whole_ring):
 
 
 @functools.cache
-def _binomial_matrix(group: GroupSpec) -> np.ndarray:
+def _binomial_matrix(group: GroupSpec, q: int) -> np.ndarray:
     """Row i, column g: the coefficient of x^i = prod_j x_j^{i_j} in
     g = prod_j (1 + x_j)^{c_j}, x_j = a_j - 1, which is
-    prod_j binom(c_j, i_j) mod p, by math.comb."""
+    prod_j binom(c_j, i_j) mod q, by math.comb."""
     elements = list(enumerate_elements(group))
     return np.array(
         [
-            [math.prod(map(math.comb, g, i)) % group.p for g in elements]
+            [math.prod(map(math.comb, g, i)) % q for g in elements]
             for i in elements
         ],
         dtype=np.int64,
@@ -556,20 +564,25 @@ def _binomial_matrix(group: GroupSpec) -> np.ndarray:
 
 
 @pytest.mark.parametrize("group", EVERY_GROUP_TO_64, ids=GroupSpec.to_text)
-def test_jennings_sends_each_element_to_its_binomials(group):
-    # Every group with |G| <= 64: the transform of the column of each g.
-    x = np.eye(group.order(), dtype=np.int64)
-    assert np.array_equal(_jennings(x, group), _binomial_matrix(group))
+def test_monomials_send_each_element_to_its_binomials(group):
+    # Every group with |G| <= 64, mod p (digit by digit) and mod p^2 and
+    # p^3 (one Pascal matrix per cyclic factor): the transform of the
+    # column of each g.
+    for e in (1, 2, 3):
+        q = group.p ** e
+        x = np.eye(group.order(), dtype=np.int64)
+        assert np.array_equal(_monomials(x, group, q), _binomial_matrix(group, q))
 
 
-@given(st.sampled_from(EVERY_GROUP_TO_64), st.data())
-def test_jennings_of_random_blocks(group, data):
-    # Entries in (-p, p), as u - 1 has; the transform is linear mod p.
-    p, n = group.p, group.order()
+@given(st.sampled_from(EVERY_GROUP_TO_64), st.integers(1, 3), st.data())
+def test_monomials_of_random_blocks(group, e, data):
+    # Entries in (-q, q), as u - 1 and 1 - u have; the transform is linear
+    # mod q.
+    q, n = group.p ** e, group.order()
     rng = np.random.default_rng(data.draw(st.integers(0, SEED_MAX)))
-    x = rng.integers(1 - p, p, size=(n, data.draw(st.integers(1, 4))), dtype=np.int64)
-    expect = _binomial_matrix(group) @ x % p
-    assert np.array_equal(_jennings(x, group), expect)
+    x = rng.integers(1 - q, q, size=(n, data.draw(st.integers(1, 4))), dtype=np.int64)
+    expect = _binomial_matrix(group, q) @ x % q
+    assert np.array_equal(_monomials(x, group, q), expect)
 
 
 @functools.cache
@@ -606,7 +619,7 @@ def test_monomials_outside_the_box_count_the_p_rank(group):
         return math.prod(math.comb(a, c) * (-1) ** abs(a - c) for a, c in zip(i, g)) % p
 
     monomials = np.array([[coefficient(i, g) for i in elements] for g in elements], np.int64)
-    assert np.array_equal(_jennings(monomials.copy(), group), np.eye(len(elements)))
+    assert np.array_equal(_monomials(monomials.copy(), group, p), np.eye(len(elements)))
     inside = ~_outside_socle_ideal(monomials, group)
     tops = [p ** (l - 1) for l in group.lambdas]
     assert inside.tolist() == [any(map(int.__ge__, i, tops)) for i in elements]
@@ -615,70 +628,80 @@ def test_monomials_outside_the_box_count_the_p_rank(group):
 
 
 # One chain per ring, built here rather than through zpelin's cache, as
-# the reference of the members at e = 1 and of the factor products.
+# the reference of the members and of the sizes of w^n.
 _fresh_chain = functools.cache(zpelin._IdealChain)
 
 
+@functools.cache
+def _reference_levels(rs: RingSpec) -> list:
+    """For n = 1 ... nu + 2, at index n - 1: the indices of the g whose
+    column g - 1 the chain's form of w^n contains, and that form's size
+    exponent."""
+    chain = _fresh_chain(rs)
+    vecs = np.eye(rs.size, dtype=np.int64)
+    vecs[0] -= 1  # column g is g - 1; the identity is g_0
+    levels = map(chain.level, range(1, nilpotency_index(rs) + 3))
+    return [(np.flatnonzero(H.contains(vecs)), H.size_exp) for H in levels]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@settings(max_examples=4)
 @given(st.integers(0, SEED_MAX))
-def test_members_at_e1_match_the_chain(seed):
-    # Every group with |G| <= 64 at e = 1: the members read off the least
-    # degrees equal the chain's walk for n = 1 ... nu + 2 in a random order
-    # and at n = 10^12, and nu is one more than the chain's nonzero levels.
+def test_members_match_the_chain(e, seed):
+    # Every group with |G| <= 64 at e, from a cold cache: the members read
+    # off G's depths equal the g whose g - 1 the chain's form of w^n
+    # contains, for n = 1 ... nu + 2 in a random order and at n = 10^12, as
+    # ascending read-only indices (past nu + 2, S_n = {1} as at nu + 2).
+    # Each example recomputes the depths of the 55 rings, so each e takes
+    # fewer examples than the profile's.
     rng = random.Random(seed)
+    zpelin._depths.cache_clear()
     for group in EVERY_GROUP_TO_64:
-        rs = RingSpec(group, 1)
-        chain = _fresh_chain(rs)
+        rs = RingSpec(group, e)
         nu = nilpotency_index(rs)
+        reference = _reference_levels(rs)
         for n in rng.sample([*range(1, nu + 3), 10 ** 12], nu + 3):
             members = ideal_power_members(rs, n)
-            assert members.tolist() == chain.power_members(n).tolist()
+            assert members.tolist() == reference[min(n, nu + 2) - 1][0].tolist()
             assert not members.flags.writeable
-        assert chain.level(nu).size_exp == 0 and nu == len(chain.levels) + 1
 
 
-@settings(max_examples=20)
-@given(st.integers(0, SEED_MAX))
-def test_members_of_split_groups_are_the_factor_products(seed):
-    # Every group with |G| <= 64 and k >= 2 at e = 2, 3: the product of the
-    # cyclic factors' sets, walked from cold caches, equals G's own chain's
-    # walk for n = 1 ... nu + 2 in a random order and at n = 10^12, as
-    # ascending read-only indices.  Each example rebuilds the factors'
-    # chains of 56 rings (about 0.09 s), so it takes fewer examples than
-    # the profile's.
-    rng = random.Random(seed)
-    for group in (g for g in EVERY_GROUP_TO_64 if g.k >= 2):
-        for e in (2, 3):
-            rs = RingSpec(group, e)
-            chain = _fresh_chain(rs)
-            nu = nilpotency_index(rs)
-            zpelin._chain.cache_clear()
-            zpelin._products.cache_clear()
-            for n in rng.sample([*range(1, nu + 3), 10 ** 12], nu + 3):
-                members = ideal_power_members(rs, n)
-                assert members.tolist() == chain.power_members(n).tolist()
-                assert not members.flags.writeable
-                assert (np.diff(members) > 0).all()
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_remainder_sizes_match_the_chain(e):
+    # Every group with |G| <= 64 at e, n = 1 ... nu + 2: R_n lies on the
+    # coordinates of degree < n, and |w^n| = p^{e #{deg >= n}} |R_n| is the
+    # size of the chain's form of w^n.
+    for group in EVERY_GROUP_TO_64:
+        rs = RingSpec(group, e)
+        degree = _degrees(group)
+        for n, (_, size_exp) in enumerate(_reference_levels(rs), 1):
+            R, low, size = zpelin._remainder(rs, n)
+            assert low.tolist() == (degree < n).tolist()
+            assert R.rows.shape[1] == np.count_nonzero(low)
+            assert e * int(np.count_nonzero(degree >= n)) + R.size_exp == size == size_exp
 
 
 @given(st.sampled_from(range(1, 5)))
 def test_nilpotency_index_matches_the_chain(e):
     # Every group with |G| <= 64, p <= 7, at each e <= 4: nu from the
-    # factors' content valuations is one more than the number of nonzero
-    # levels of the chain, run to completion.
+    # factors' content valuations is the number of levels of the chain,
+    # run to its first zero level.
     for group in GROUPS_TO_64:
         rs = RingSpec(group, e)
         chain = _fresh_chain(rs)
-        while not chain.complete:
+        while chain.levels[-1].size_exp:
             chain.level(len(chain.levels) + 1)
-        assert nilpotency_index(rs) == len(chain.levels) + 1
+        assert nilpotency_index(rs) == len(chain.levels)
 
 
 @pytest.mark.parametrize("group", EVERY_GROUP_TO_64, ids=GroupSpec.to_text)
-def test_least_degree_of_the_identity_is_nu(group):
-    # The identity's sentinel in the least degrees is nu at e = 1, which is
+def test_depth_of_the_identity_is_nu(group):
+    # The identity's sentinel in G's depths is nu at every e, and at e = 1
     # also 1 + the largest degree on G's digit grid.
-    nu = nilpotency_index(RingSpec(group, 1))
-    assert zpelin._least_degrees(group)[0] == nu == zpelin._degrees(group).max() + 1
+    for e in (1, 2, 3):
+        nu = nilpotency_index(RingSpec(group, e))
+        assert zpelin._depths(RingSpec(group, e))[0] == nu
+    assert nilpotency_index(RingSpec(group, 1)) == _degrees(group).max() + 1
 
 
 @given(st.sampled_from(RINGS))

@@ -346,32 +346,33 @@ class TestChecks:
         })
 
     @classmethod
-    def _form_edited(cls, monkeypatch, m, name, edit, ring=None):
-        # The ideal chain's Howell form of w^m, whose method name (contains
-        # or coset_keys) has each answer changed in place by edit(vecs,
-        # answer): in the chain of ring alone, or of every ring if None.
-        # The chains and the factor products read off them come from fresh
-        # caches for the test, so no member set cached before it answers
-        # in place of the edited form, and none read off it outlives it.
-        def form(H):
+    def _form_edited(cls, monkeypatch, m, name, edit):
+        # R_m, the remainder block of w^m (zpelin._remainder), whose method
+        # name (contains or coset_keys) has each answer changed in place by
+        # edit(vecs, answer).  The forms, and the depth tables read off
+        # them, come from fresh caches for the test, so no table cached
+        # before it answers in place of the edited form, and none read off
+        # it outlives it.
+        def form(R):
             def method(vecs):
-                answer = getattr(H, name)(vecs)
+                answer = getattr(R, name)(vecs)
                 edit(vecs, answer)
                 return answer
 
-            return SimpleNamespace(size_exp=H.size_exp, **{name: method})
+            return SimpleNamespace(size_exp=R.size_exp, **{name: method})
 
-        def edited(chain, n):
-            H = level(chain, n)
-            return form(H) if n == m and ring in (None, chain.rs) else H
+        def remainder(rs, n):
+            R, low, size = inner(rs, n)
+            return (form(R) if n == m else R), low, size
 
-        level = zpelin._IdealChain.level
-        monkeypatch.setattr(zpelin._IdealChain, "level", edited)
-        monkeypatch.setattr(zpelin, "_chain", functools.cache(zpelin._IdealChain))
-        monkeypatch.setattr(zpelin, "_products", functools.cache(zpelin._FactorProducts))
+        inner = zpelin._remainder.__wrapped__
+        edited = functools.cache(remainder)
+        monkeypatch.setattr(zpelin, "_remainder", edited)
+        monkeypatch.setattr(oracle, "_remainder", edited)
+        monkeypatch.setattr(zpelin, "_depths", functools.cache(zpelin._depths.__wrapped__))
 
     def test_lemma5_fails_on_a_miscounted_layer(self, monkeypatch):
-        # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  The first call of w^2's keys is
+        # Z_3 C_3 has |1 + w^m| = 9, 3, 1.  The first call of R_2's keys is
         # the lo side's; with the key of lo = 0 edited to match no hi key,
         # the one unit of 1 + w^2 with lo = 0 (the identity) is not counted.
         # Counted as 2, the second layer makes both ratios that read it
@@ -394,7 +395,9 @@ class TestChecks:
         assert report.observed == {"layer_ratio_exps": [-1, -1, 0]}
 
     def test_lemma3_fails_on_a_flipped_membership(self, monkeypatch):
-        # D_2(Z_4 C_8) = {1, g^4}; read as a member of w^2, g^7 - 1 adds g^7.
+        # D_2(Z_4 C_8) = {1, g^4}.  The g tested against R_2 are those whose
+        # g - 1 has least degree 1, g^7 the last of them; read as a member of
+        # w^2, g^7 - 1 adds g^7.
         rs = RingSpec(GroupSpec(2, (3,)), 2)
 
         def flip_last(vecs, member):
@@ -405,34 +408,38 @@ class TestChecks:
         assert not report.passed
         assert report.predicted == {"elements": [[0], [4]]}
         assert report.observed == {"elements": [[0], [4], [7]]}
+        # The walk raises g^7 one level: tested next against R_3, which is
+        # not edited, it fails there, so D_3 = {1} is still read right.
+        assert verify_check("lemma3", rs, {"n": 3}).passed
 
-    def test_lemma3_fails_on_a_flipped_factor_membership(self, monkeypatch):
-        # D_2(Z_4[C_8 x C_2]) is D_2(Z_4 C_8) x D_2(Z_4 C_2) = {1, a^4} x {1}.
-        # With C_8's chain reading a^7 - 1 as a member of w^2, the product
-        # of the factors' sets adds (7, 0).
+    def test_lemma3_fails_on_a_flipped_membership_in_a_split_group(self, monkeypatch):
+        # D_2(Z_4[C_8 x C_2]) = {1, a^4} x {1}.  The g tested against R_2
+        # are those whose g - 1 has least degree 1, a^7 b the last of them;
+        # read as a member of w^2 (and not of w^3, where its test is not
+        # edited), a^7 b - 1 adds (7, 1).
         rs = RingSpec(GroupSpec(2, (3, 1)), 2)
 
         def flip_last(vecs, member):
             member[-1] = ~member[-1]
 
-        self._form_edited(monkeypatch, 2, "contains", flip_last, RingSpec(GroupSpec(2, (3,)), 2))
+        self._form_edited(monkeypatch, 2, "contains", flip_last)
         report = verify_check("lemma3", rs, {"n": 2})
         assert not report.passed
         assert report.predicted == {"elements": [[0, 0], [4, 0]]}
-        assert report.observed == {"elements": [[0, 0], [4, 0], [7, 0]]}
+        assert report.observed == {"elements": [[0, 0], [4, 0], [7, 1]]}
 
     def test_lemma3_fails_at_e1_on_a_raised_degree(self, monkeypatch):
-        # D_2(F_2 C_8) = G^2.  g - 1 = x has least degree 1; read as 2, g - 1
-        # is a member of w^2, and g joins the observed set.
+        # D_2(F_2 C_8) = G^2.  g - 1 = x has depth 1, its least degree;
+        # read as 2, g - 1 is a member of w^2, and g joins the observed set.
         rs = RingSpec(GroupSpec(2, (3,)), 1)
         assert verify_check("lemma3", rs, {"n": 2}).passed
 
-        def raised(least):
-            least = least.copy()
-            least[1] += 1
-            return least
+        def raised(depth):
+            depth = depth.copy()
+            depth[1] += 1
+            return depth
 
-        self._edited(monkeypatch, zpelin, "_least_degrees", raised)
+        self._edited(monkeypatch, zpelin, "_depths", raised)
         report = verify_check("lemma3", rs, {"n": 2})
         assert not report.passed
         assert report.predicted == {"elements": [[0], [2], [4], [6]]}
@@ -807,9 +814,9 @@ class TestLemma5SplitCount:
         digits = np.array(list(itertools.product(range(q), repeat=n - 1)), dtype=np.int64)
         vecs = np.vstack([digits.T, (1 - digits.sum(axis=1)) % q])
         vecs[0] -= 1  # u - 1
-        forms = [ideal_power_form(rs, m) for m in range(1, nilpotency_index(rs) + 1)]
-        scanned = [int(np.count_nonzero(H.contains(vecs))) for H in forms]
-        assert oracle._layer_sizes(rs, forms) == scanned
+        ms = range(1, nilpotency_index(rs) + 1)
+        scanned = [int(np.count_nonzero(ideal_power_form(rs, m).contains(vecs))) for m in ms]
+        assert oracle._layer_sizes(rs, [zpelin._remainder(rs, m) for m in ms]) == scanned
         assert scanned[0] == unit_count(rs) and scanned[-1] == 1
 
     def test_lemma5_at_3_squared_past_the_cap(self):

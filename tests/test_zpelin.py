@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from punits import zpelin
+from punits import pgroup, zpelin
 from punits.oracle import _outside_socle_ideal, plan_checks, verify_check
 from punits.pgroup import GroupSpec, enumerate_elements, is_prime
 from punits.ring import (
@@ -590,16 +591,18 @@ class TestCosetKeys:
 
 
 class TestMembershipTraffic:
-    """Membership and coset keys build no form besides the ideal chain's;
-    lemma3 builds no chain at e = 1, and at e >= 2 takes one membership
-    block per level."""
+    """Membership and coset keys build no form besides R_n's (and the ideal
+    chain's, for ``ideal_power_form``); lemma3 and lemma5 build no chain,
+    lemma3 builds no R_n at e = 1, and at e >= 2 tests each g once per
+    level it reaches, on the first call."""
 
     def test_lemma3_at_e1_builds_no_chain(self, monkeypatch):
-        # At e = 1, G ∩ (1 + w^n) is read off the least degrees of the
-        # columns g - 1: no chain is built and no product taken, at any n.
+        # At e = 1, G ∩ (1 + w^n) is read off G's depths, the least degrees
+        # of the columns g - 1: no chain and no R_n is built, and no product
+        # taken, at any n.
         rs = RingSpec(GroupSpec(3, (1, 1)), 1)
-        zpelin._chain.cache_clear()
-        zpelin._least_degrees.cache_clear()
+        zpelin._depths.cache_clear()
+        zpelin._remainder.cache_clear()
 
         def refused(*args):
             raise AssertionError("lemma3 reached the ideal chain at e = 1")
@@ -609,7 +612,8 @@ class TestMembershipTraffic:
         nu = nilpotency_index(rs)
         for n in [*range(1, nu + 2), 10 ** 12]:
             assert verify_check("lemma3", rs, {"n": n}).passed
-        assert zpelin._least_degrees.cache_info().currsize == 1
+        assert zpelin._depths.cache_info().currsize == 1
+        assert zpelin._remainder.cache_info().currsize == 0
 
     def test_membership_at_e1_is_one_product(self, monkeypatch):
         # At e = 1 every pivot is a unit, so each membership block is one
@@ -637,76 +641,113 @@ class TestMembershipTraffic:
             H.contains(vecs)
             assert calls == ["product", "reduce", "reduce"]
 
-    def test_chain_walk_at_e2_is_one_block_per_level(self, monkeypatch):
+    def test_depth_walk_at_e2_is_one_block_per_level(self, monkeypatch):
         # D_n(Z_4 C_8) is G, G, {1, g^4}, then {1} from n = 3 on (nu = 12).
-        # lemma3 tests one block per level, of the g that passed the level
-        # before, up to the least n with D_n = {1}, and none after it or on
-        # a second sweep.
+        # g - 1 has least degree 2 at g = g^4 and 1 at the six other g != 1.
+        # The first lemma3 call walks G's depths: one block against R_2, of
+        # those six g on the 2 coordinates of degree < 2, which all fail,
+        # then one against R_3, of g^4 on 3 coordinates, which fails too.
+        # No later call, and no second sweep, tests anything.
         rs = RingSpec(GroupSpec(2, (3,)), 2)
-        zpelin._chain.cache_clear()
+        zpelin._depths.cache_clear()
         nu = nilpotency_index(rs)
-        widths = []
+        shapes = []
         contains = zpelin.HowellArray.contains
 
         def counted(H, vecs):
-            widths.append(vecs.shape[1])
+            shapes.append(vecs.shape)
             return contains(H, vecs)
 
         def sweep():
             taken = []
             for n in range(1, nu + 1):
-                widths.clear()
+                shapes.clear()
                 assert verify_check("lemma3", rs, {"n": n}).passed
-                taken.append(list(widths))
+                taken.append(list(shapes))
             return taken
 
         monkeypatch.setattr(zpelin.HowellArray, "contains", counted)
-        assert sweep() == [[8], [8], [2]] + [[]] * (nu - 3)
+        assert sweep() == [[(2, 6), (3, 1)]] + [[]] * (nu - 1)
         assert sweep() == [[]] * nu
+        assert zpelin._depths(rs).tolist() == [nu, 1, 1, 1, 2, 1, 1, 1]
 
     @pytest.mark.parametrize("rs", [
-        RingSpec(GroupSpec(2, (2, 1)), 2), RingSpec(GroupSpec(3, (1, 1, 1)), 2),
+        RingSpec(GroupSpec(2, (3,)), 2), RingSpec(GroupSpec(2, (2, 1)), 2),
+        RingSpec(GroupSpec(3, (1, 1, 1)), 2), RingSpec(GroupSpec(2, (1, 1)), 3),
     ], ids=RingSpec.to_text)
-    def test_lemma3_at_e2_builds_chains_only_on_cyclic_rings(self, rs, monkeypatch):
-        # With k >= 2 factors, G ∩ (1 + w^n) is the product of the factors'
-        # sets: lemma3 builds one chain per distinct factor and none of G,
-        # and no Howell form wider than the largest factor, at any n.
+    def test_lemma3_at_e2_builds_no_chain(self, rs, monkeypatch):
+        # At e >= 2, cyclic or not, G ∩ (1 + w^n) is read off G's depths:
+        # lemma3 builds no chain, and no Howell form but R_n's, each on the
+        # coordinates of degree < n, so none |G| wide, at any n.
         built, widths = [], []
-        init, howell = zpelin._IdealChain.__init__, zpelin._howell
+        remainder, howell = zpelin._remainder.__wrapped__, zpelin._howell
 
-        def recorded(chain, ring):
-            built.append(ring)
-            init(chain, ring)
+        def recorded(ring, n):
+            built.append(n)
+            return remainder(ring, n)
 
         def measured(A, p, e):
             widths.append(A.shape[1])
             return howell(A, p, e)
 
-        monkeypatch.setattr(zpelin._IdealChain, "__init__", recorded)
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
+        monkeypatch.setattr(zpelin, "_remainder", functools.cache(recorded))
         monkeypatch.setattr(zpelin, "_howell", measured)
-        zpelin._chain.cache_clear()
-        zpelin._products.cache_clear()
+        zpelin._depths.cache_clear()
         nu = nilpotency_index(rs)
         for n in [*range(1, nu + 2), 10 ** 12]:
             assert verify_check("lemma3", rs, {"n": n}).passed
-        factors = dict.fromkeys(rs.group.lambdas)
-        assert built == [RingSpec(GroupSpec(rs.p, (lam,)), rs.e) for lam in factors]
-        assert widths and max(widths) <= rs.group.radices[0]
+        degree = zpelin._degrees(rs.group)
+        assert built and widths == [np.count_nonzero(degree < n) for n in built]
+        assert max(widths) < rs.size
 
-    def test_lemma5_builds_no_form_past_the_chain(self, monkeypatch):
+    def test_lemma5_builds_one_remainder_per_layer(self, monkeypatch):
+        # Z_25 C_5 (nu = 6): lemma5 builds no chain and one Howell form per
+        # m = 1 ... nu, R_m on the coordinates of degree < m; a second call
+        # builds none.
         rs = RingSpec(GroupSpec(5, (1,)), 2)
-        zpelin._chain.cache_clear()
-        ideal_power_form(rs, nilpotency_index(rs))  # the whole chain, before _howell is counted
+        zpelin._remainder.cache_clear()
         built = []
         howell = zpelin._howell
 
         def counted(A, p, e):
-            built.append(A.shape)
+            built.append(A.shape[1])
             return howell(A, p, e)
 
+        monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
         monkeypatch.setattr(zpelin, "_howell", counted)
+        nu = nilpotency_index(rs)
+        assert verify_check("lemma5", rs).passed
+        assert built == [min(m, rs.size) for m in range(1, nu + 1)]
+        built.clear()
         assert verify_check("lemma5", rs).passed
         assert built == []
+
+
+class TestDepthWorkingSet:
+    """G's depths are read in ``pgroup._blocks``-sized column blocks: from
+    cold caches, ``ideal_power_members`` at |G| = 1024 and e = 2 never holds
+    a |G| x |G| int64 array, and allocates at most eight blocks of
+    _BLOCK_ENTRIES int64 entries above the tables it keeps (tracemalloc,
+    which numpy's allocations report to)."""
+
+    @pytest.mark.parametrize("lams, n, count", [
+        ((1,) * 10, 3, 1), ((10,), 3, 128), ((10,), 600, 1),
+    ], ids=["C_2^10-n=3", "C_1024-n=3", "C_1024-n=600"])
+    def test_members_at_e2_on_1024_elements(self, lams, n, count):
+        rs = RingSpec(GroupSpec(2, lams), 2)
+        for cached in (zpelin._depths, zpelin._remainder, zpelin._powers, zpelin._pascal):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            with alarm(10):
+                members = ideal_power_members(rs, n)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert members.tolist() == list(range(0, rs.size, rs.size // count))
+        assert peak < rs.size ** 2 * 8
+        assert peak - current <= 8 * pgroup._BLOCK_ENTRIES * 8
 
 
 class TestModuleSize:
@@ -839,19 +880,22 @@ class TestIdealPowers:
     )
     def test_huge_group_is_refused_at_once(self, call, e):
         # |G| = 3^(2^32): the table cap is tested before G's radices are
-        # built: by nilpotency_index itself at every e (and for the least
-        # degrees at e = 1), and by the chain for ideal_power_form and for
-        # the members of a cyclic G at e >= 2.
+        # built: by nilpotency_index itself at every e (and so for G's
+        # depths, which ideal_power_members reads), and by the chain for
+        # ideal_power_form.
         with alarm(5), pytest.raises(ValueError, match="dense table cap"):
             call(RingSpec(GroupSpec(3, (2 ** 32,)), e))
 
     @pytest.mark.parametrize("group", [GroupSpec(3, (2 ** 32, 1)), GroupSpec(2, (1,) * 11)],
                              ids=GroupSpec.to_text)
-    def test_factor_products_past_the_cap_are_refused_at_once(self, group, monkeypatch):
-        # The members of a non-cyclic G past the cap are refused before any
-        # factor's chain is built, also when every factor is small.
+    def test_members_past_the_cap_are_refused_before_any_table(self, group, monkeypatch):
+        # The members of a G past the cap are refused before a staircase,
+        # a power table, a Pascal matrix or a chain is built, also when
+        # every factor is small.
+        for name in ("_staircase", "_powers", "_pascal"):
+            monkeypatch.setattr(zpelin, name, _no_chain)
         monkeypatch.setattr(zpelin._IdealChain, "__init__", _no_chain)
-        zpelin._products.cache_clear()
+        zpelin._depths.cache_clear()
         with alarm(5), pytest.raises(ValueError, match="dense table cap"):
             ideal_power_members(RingSpec(group, 2), 1)
 
@@ -889,8 +933,8 @@ class TestIdealChain:
         monkeypatch.setattr(zpelin, "_howell_core", counted)
         zpelin._chain.cache_clear()
         nu = nilpotency_index(rs)  # from the factors' content valuations: no chain
-        assert ideal_power_form(rs, nu).size_exp == 0  # every level built
-        assert len(zpelin._chain(rs).levels) == nu - 1
+        assert ideal_power_form(rs, nu).size_exp == 0  # every level built, w^nu = 0 the last
+        assert len(zpelin._chain(rs).levels) == nu
         assert pivots == []
 
     def test_alternating_rings_keep_their_own_forms(self):
